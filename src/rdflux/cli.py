@@ -31,7 +31,7 @@ import numpy as np
 from . import config as cfgmod
 from . import verify as verifymod
 from . import vtkio
-from .errors import ConfigError, RdfluxError
+from .errors import ConfigError, Diverged, RdfluxError
 from .solver import Solver
 
 __all__ = ["main"]
@@ -136,11 +136,7 @@ def _cmd_run(args):
         vtkio.write_probe_csv(problem.mesh, fields[probe_field], tag, path, name=probe_field)
         print(f"wrote {path}")
 
-    if result.reason == "converged":
-        return 0
-    if result.reason == "max_iters":
-        return 2
-    return 3
+    return 0 if result.converged else 2
 
 
 def _cmd_verify(args):
@@ -243,6 +239,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except Diverged as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
     except RdfluxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,7 +54,8 @@ class DistributedResidual:
 
     @property
     def total(self):
-        return self.parts.sum(axis=1)
+        p = self.parts
+        return p[:, 0] + p[:, 1] + p[:, 2]
 
 
 def _as_batch(q_nodes):
@@ -102,11 +103,13 @@ def advection_upwind_k(law, tri_xy):
     return k
 
 
-def _nodal_normal_flux(law, normals, q_nodes, velocity):
+def _nodal_normal_flux(law, normals, q_nodes, velocity, flux=None):
     """n_i . f(Q_i) per node, shape (T, 3, m).
 
     ``velocity`` overrides the law's flux for advection-type problems:
     (T, 2) applies one velocity per triangle, (T, 3, 2) one per node.
+    Otherwise ``flux`` passes the nodal flux pair ``law.flux(q_nodes)``
+    when the caller already has it.
     """
     if velocity is not None:
         velocity = np.asarray(velocity, dtype=float)
@@ -114,8 +117,10 @@ def _nodal_normal_flux(law, normals, q_nodes, velocity):
             velocity = velocity[:, None, :]
         un = (velocity * normals).sum(axis=-1)  # (T, 3)
         return un[..., None] * q_nodes
-    fx, fy = law.flux(q_nodes)
-    return normals[..., 0, None] * fx + normals[..., 1, None] * fy
+    fx, fy = law.flux(q_nodes) if flux is None else flux
+    nf = normals[..., 0, None] * fx
+    nf += normals[..., 1, None] * fy
+    return nf
 
 
 def total_residual_linear(law, normals, q_nodes, *, velocity=None):
@@ -224,11 +229,12 @@ def n_scheme_system(
         # scalar scheme with the linearized speed.
         return n_scheme_scalar(law, normals, q_nodes)
     avg = law.rsd_average(q_nodes) if average is None else average
-    es = law.eigensystem(avg.qhat[:, None, :], normals)  # batched over nodes
+    prim = None if avg.prim is None else tuple(a[:, None] for a in avg.prim)
+    es = law.eigensystem(avg.qhat[:, None, :], normals, prim)  # batched over nodes
     lam_p, lam_m = split_eigenvalues(0.5 * es.lam, entropy_delta)
     kplus = reconstruct(lam_p, es.right, es.left)
     kminus = reconstruct(lam_m, es.right, es.left)
-    nmat = kminus.sum(axis=1)  # (T, m, m)
+    nmat = kminus[:, 0] + kminus[:, 1] + kminus[:, 2]  # (T, m, m)
     rhs = np.einsum("tnij,tnj->ti", kminus, avg.qhat_nodes)
     qstar, bad = solve_batched(nmat, rhs)
     if bad.any():
@@ -249,7 +255,7 @@ def n_scheme_system(
 # relaxation scheme
 # ---------------------------------------------------------------------------
 
-def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1):
+def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
     """Per-triangle wave-speed bound s_T.
 
     The sub-characteristic condition requires s_T at least the largest
@@ -258,7 +264,9 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1):
     state's speed.  The margin stands in for speeds at intermediate
     states that are not directly computable.  ``velocity`` ((T, 3, 2)
     nodal values) replaces the law's speed for advection by a
-    position-dependent field.
+    position-dependent field.  ``speeds`` passes the nodal speeds
+    ``law.max_wavespeed(q_nodes)`` (T, 3) when the caller already has
+    them, e.g. gathered from one evaluation per mesh node.
     """
     q_nodes = _as_batch(q_nodes)
     if velocity is not None:
@@ -267,8 +275,8 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1):
         mean_v = velocity.mean(axis=1)
         mean_speed = np.hypot(mean_v[..., 0], mean_v[..., 1])
         return safety * np.maximum(speeds.max(axis=1), mean_speed)
-    nodal = law.max_wavespeed(q_nodes)  # (T, 3)
-    mean = law.max_wavespeed(q_nodes.mean(axis=1))
+    nodal = law.max_wavespeed(q_nodes) if speeds is None else speeds  # (T, 3)
+    mean = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)
     return safety * np.maximum(nodal.max(axis=-1), mean)
 
 
@@ -318,6 +326,7 @@ def rxn_scheme(
     velocity_policy="frozen",
     star_flux="pointwise",
     safety=1.1,
+    flux=None,
 ):
     """Relaxation distribution scheme (two space dimensions).
 
@@ -338,6 +347,9 @@ def rxn_scheme(
 
     ``star_flux="full"`` replaces f(Q_star) by the interface flux from
     the full relaxation star system (see ``rxn_full_star``).
+
+    ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
+    caller already has it (ignored with ``velocity``).
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
@@ -346,33 +358,34 @@ def rxn_scheme(
     else:
         s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1]).copy()
     nlen = np.hypot(normals[..., 0], normals[..., 1])
+    snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
 
     if velocity is not None:
         v_nodes, v_star = _rxn_velocity(normals, velocity, velocity_policy)
         nf_nodes = _nodal_normal_flux(law, normals, q_nodes, v_nodes)
-        num = (s[:, None, None] * nlen[..., None] * q_nodes - nf_nodes).sum(axis=1)
-        qstar = num / (s * nlen.sum(axis=1))[:, None]
+    else:
+        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, None, flux)
+    # One (T, 3, m) buffer: first s ||n_j|| Q_j - n_j . f(Q_j), then the parts.
+    buf = snlen * q_nodes
+    buf -= nf_nodes
+    num = buf[:, 0] + buf[:, 1] + buf[:, 2]
+    qstar = num / (s * (nlen[:, 0] + nlen[:, 1] + nlen[:, 2]))[:, None]
+    if velocity is not None:
         un_star = (v_star[:, None, :] * normals).sum(axis=-1)  # (T,3)
         nf_star = un_star[..., None] * qstar[:, None, :]
+    elif star_flux == "full":
+        _, mustar = rxn_full_star(law, normals, q_nodes, s)
+        nf_star = np.einsum("tnc,tcm->tnm", np.ascontiguousarray(normals), mustar)
     else:
-        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, None)
-        num = (s[:, None, None] * nlen[..., None] * q_nodes - nf_nodes).sum(axis=1)
-        qstar = num / (s * nlen.sum(axis=1))[:, None]
-        if star_flux == "full":
-            _, mustar = rxn_full_star(law, normals, q_nodes, s)
-            nf_star = np.einsum("tnc,tcm->tnm", normals, mustar)
-        else:
-            law.check_physical(qstar, "in relaxation star state")
-            fsx, fsy = law.flux(qstar)
-            nf_star = (
-                normals[..., 0, None] * fsx[:, None, :]
-                + normals[..., 1, None] * fsy[:, None, :]
-            )
-    parts = 0.25 * (
-        s[:, None, None] * nlen[..., None] * (q_nodes - qstar[:, None, :])
-        + nf_nodes
-        - nf_star
-    )
+        law.check_physical(qstar, "in relaxation star state")
+        fsx, fsy = law.flux(qstar)
+        nf_star = normals[..., 0, None] * fsx[:, None, :]
+        nf_star += normals[..., 1, None] * fsy[:, None, :]
+    parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
+    parts *= snlen
+    parts += nf_nodes
+    parts -= nf_star
+    parts *= 0.25
     return DistributedResidual(parts, qstar, s=s)
 
 
@@ -388,7 +401,8 @@ def rxn_full_star(law, normals, q_nodes, s, *, velocity=None):
     DegenerateGeometry.
     """
     q_nodes = _as_batch(q_nodes)
-    normals = np.asarray(normals, dtype=float)
+    # C order: einsum's summation order depends on its operands' layout.
+    normals = np.ascontiguousarray(normals, dtype=float)
     s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     nhat = normals / nlen[..., None]
@@ -408,7 +422,7 @@ def rxn_full_star(law, normals, q_nodes, s, *, velocity=None):
             f"relaxation star system degenerate on triangles {np.nonzero(bad)[0].tolist()}"
         )
     rhs = np.einsum(
-        "tnc,tnm->tcm", normals, nf - s[:, None, None] * q_nodes
+        "tnc,tnm->tcm", normals, np.ascontiguousarray(nf - s[:, None, None] * q_nodes)
     )  # (T, 2, m)
     inv = np.empty_like(g)
     inv[:, 0, 0] = g[:, 1, 1]

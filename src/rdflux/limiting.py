@@ -38,11 +38,13 @@ def _signed_weights(parts, total):
     zero total get all-zero weights.  Shapes: parts (..., 3, m) and
     total (..., m); weights like parts.
     """
-    sgn = np.sign(total)[..., None, :]
-    pos = np.maximum(parts * sgn, 0.0)
-    den = pos.sum(axis=-2, keepdims=True)
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0, pos / safe, 0.0)
+    pos = parts * np.sign(total)[..., None, :]
+    np.maximum(pos, 0.0, out=pos)
+    den = (pos[..., 0, :] + pos[..., 1, :] + pos[..., 2, :])[..., None, :]
+    live = den > 0.0
+    pos /= np.where(live, den, 1.0)
+    np.copyto(pos, 0.0, where=~live)
+    return pos
 
 
 def limit_scalar(parts, total=None):
@@ -63,11 +65,12 @@ def limit_scalar(parts, total=None):
     return out[..., 0] if squeeze else out
 
 
-def limiting_direction(law, qhat):
+def limiting_direction(law, qhat, prim=None):
     """Unit direction used for characteristic projection: the averaged
     flow velocity, falling back to (1, 0) where the flow is essentially
-    stagnant (speed below 1e-12 of the sound speed)."""
-    rho, u, v, p = law.primitives(qhat)
+    stagnant (speed below 1e-12 of the sound speed).  ``prim`` passes
+    ``law.primitives(qhat)`` when the caller already has it."""
+    rho, u, v, p = law.primitives(qhat) if prim is None else prim
     a = np.sqrt(law.gamma * p / rho)
     speed = np.hypot(u, v)
     still = speed < 1e-12 * a
@@ -92,11 +95,14 @@ def limit_system(parts, eigensystem, *, literal=False):
     non-conservative variant kept for comparison.
     """
     parts = np.asarray(parts, dtype=float)
-    theta = parts @ np.swapaxes(eigensystem.left, -1, -2)
-    tot = theta.sum(axis=-2)
-    w = _signed_weights(theta, tot)
-    coef = w * (theta if literal else tot[..., None, :])
-    return coef @ np.swapaxes(eigensystem.right, -1, -2)
+    left = eigensystem.left
+    # Keep the parts' memory layout for the elementwise work below.
+    shape = np.broadcast_shapes(parts.shape[:-2], left.shape[:-2]) + parts.shape[-2:]
+    theta = np.matmul(parts, np.swapaxes(left, -1, -2), out=np.empty_like(parts, shape=shape))
+    tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
+    coef = _signed_weights(theta, tot)
+    coef *= theta if literal else tot[..., None, :]
+    return np.matmul(coef, np.swapaxes(eigensystem.right, -1, -2), out=np.empty_like(coef))
 
 
 def correction_theta(areas, proj, eps=CORRECTION_EPS):
@@ -136,15 +142,19 @@ def correction_system(
     limiting direction, defining the shock marker |l_ent . Phi^T|.
     """
     parts = np.asarray(parts, dtype=float)
-    total = np.asarray(total, dtype=float)
+    # C order: einsum's summation order depends on its operands' layout.
+    total = np.ascontiguousarray(total, dtype=float)
     normals = np.asarray(normals, dtype=float)
     proj = np.einsum("...j,...j->...", ent_left, total)
     theta = correction_theta(areas, proj, eps)
     scale = theta / np.sqrt(np.asarray(areas, dtype=float))
-    jxp = np.einsum("...ij,...j->...i", jx, total)
-    jyp = np.einsum("...ij,...j->...i", jy, total)
-    kphi = 0.5 * (
-        normals[..., 0, None] * jxp[..., None, :]
-        + normals[..., 1, None] * jyp[..., None, :]
-    )
-    return parts + scale[..., None, None] * kphi
+    # Column-major products, so that with triangle-innermost parts and
+    # normals every elementwise loop below runs over the triangles.
+    jxp = np.asfortranarray(np.einsum("...ij,...j->...i", jx, total))
+    jyp = np.asfortranarray(np.einsum("...ij,...j->...i", jy, total))
+    out = normals[..., 0, None] * jxp[..., None, :]
+    out += normals[..., 1, None] * jyp[..., None, :]
+    out *= 0.5
+    out *= scale[..., None, None]
+    out += parts
+    return out

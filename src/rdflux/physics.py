@@ -9,7 +9,8 @@ inputs (leading axes broadcast); states carry a trailing axis of length m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +41,28 @@ class Eigensystem:
 class RsdAverage:
     """Conservative-linearization data for one triangle (or a batch).
 
-    ``zhat`` is the parameter-vector average, ``qhat`` the corresponding
-    conserved state, ``qhat_nodes`` the transformed nodal states
-    (dq/dz)(zhat) . Z_i, and ``jx``/``jy`` the flux Jacobians at ``qhat``.
+    ``zhat`` is the parameter-vector average of the nodal parameter
+    vectors ``z_nodes``, ``qhat`` the corresponding conserved state,
+    ``prim`` the law's primitive variables at ``qhat`` (None for laws
+    without them), and ``jx``/``jy`` the flux Jacobians at ``qhat``.
+
+    ``qhat_nodes``, the transformed nodal states (dq/dz)(zhat) . Z_i, is
+    computed on first access: only the systems N scheme and
+    ``total_residual_rsd`` read it.
     """
 
     zhat: np.ndarray  # (..., m)
     qhat: np.ndarray  # (..., m)
-    qhat_nodes: np.ndarray  # (..., 3, m)
     jx: np.ndarray  # (..., m, m)
     jy: np.ndarray  # (..., m, m)
+    z_nodes: np.ndarray  # (..., 3, m)
+    prim: tuple | None = field(repr=False)
+    law: ConservationLaw = field(repr=False, compare=False)
+
+    @cached_property
+    def qhat_nodes(self):  # (..., 3, m)
+        dq = self.law.dqdz(self.zhat)
+        return self.z_nodes @ np.swapaxes(dq, -1, -2)
 
 
 class ConservationLaw:
@@ -59,10 +72,14 @@ class ConservationLaw:
     name: str = "law"
 
     # -- flux and derivatives -------------------------------------------
+    # A ``prim`` argument passes the law's primitive variables of ``q``
+    # when the caller already has them.  Euler's flux functions take it;
+    # every law's ``flux_jacobian`` accepts it because ``rsd_average``
+    # passes it generically (None for laws without primitives).
     def flux(self, q):
         raise NotImplementedError
 
-    def flux_jacobian(self, q, n):
+    def flux_jacobian(self, q, n, prim=None):
         """Directional Jacobian n.J as (..., m, m)."""
         raise NotImplementedError
 
@@ -87,17 +104,23 @@ class ConservationLaw:
         eye = np.eye(self.m)
         return np.broadcast_to(eye, z.shape[:-1] + (self.m, self.m)).copy()
 
-    def rsd_average(self, q_nodes):
-        """Average a (..., 3, m) nodal batch per the parameter-vector rule."""
-        q_nodes = np.asarray(q_nodes, dtype=float)
-        z_nodes = self.to_params(q_nodes)
-        zhat = z_nodes.mean(axis=-2)
+    def rsd_average(self, q_nodes=None, *, z_nodes=None):
+        """Average a (..., 3, m) nodal batch per the parameter-vector rule.
+
+        ``z_nodes`` passes the nodal parameter vectors
+        ``to_params(q_nodes)`` when the caller already has them; the
+        states themselves are then not needed.
+        """
+        if z_nodes is None:
+            if q_nodes is None:
+                raise InvalidArgument("rsd_average needs q_nodes or z_nodes")
+            z_nodes = self.to_params(np.asarray(q_nodes, dtype=float))
+        zhat = (z_nodes[..., 0, :] + z_nodes[..., 1, :] + z_nodes[..., 2, :]) / 3.0
         qhat = self.from_params(zhat)
-        dq = self.dqdz(zhat)
-        qhat_nodes = z_nodes @ np.swapaxes(dq, -1, -2)
-        jx = self.flux_jacobian(qhat, np.array([1.0, 0.0]))
-        jy = self.flux_jacobian(qhat, np.array([0.0, 1.0]))
-        return RsdAverage(zhat, qhat, qhat_nodes, jx, jy)
+        prim = self.primitives(qhat) if hasattr(self, "primitives") else None
+        jx = self.flux_jacobian(qhat, np.array([1.0, 0.0]), prim)
+        jy = self.flux_jacobian(qhat, np.array([0.0, 1.0]), prim)
+        return RsdAverage(zhat, qhat, jx, jy, z_nodes, prim, self)
 
     def check_physical(self, q, where=""):
         """Hook for positivity checks; scalar laws accept everything."""
@@ -128,7 +151,7 @@ class Advection(ConservationLaw):
         q = np.asarray(q, dtype=float)
         return self.velocity[0] * q, self.velocity[1] * q
 
-    def flux_jacobian(self, q, n):
+    def flux_jacobian(self, q, n, prim=None):
         q = np.asarray(q, dtype=float)
         n = np.asarray(n, dtype=float)
         un = n[..., 0] * self.velocity[0] + n[..., 1] * self.velocity[1]
@@ -180,7 +203,7 @@ class RotatingAdvection(ConservationLaw):
             "use velocity_at/streamfunction"
         )
 
-    def flux_jacobian(self, q, n):
+    def flux_jacobian(self, q, n, prim=None):
         raise InvalidArgument("position-dependent advection Jacobian needs xy")
 
     def max_wavespeed(self, q):
@@ -208,7 +231,7 @@ class Burgers(ConservationLaw):
         out[..., 0] = q
         return out
 
-    def flux_jacobian(self, q, n):
+    def flux_jacobian(self, q, n, prim=None):
         q = np.asarray(q, dtype=float)
         n = np.asarray(n, dtype=float)
         un = q[..., 0] * n[..., 0]
@@ -281,8 +304,8 @@ class Euler(ConservationLaw):
             )
 
     # -- flux and derivatives ---------------------------------------------
-    def flux(self, q):
-        rho, u, v, p = self.primitives(q)
+    def flux(self, q, prim=None):
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         q = np.asarray(q, dtype=float)
         e = q[..., 3]
         f = np.empty_like(q)
@@ -297,8 +320,8 @@ class Euler(ConservationLaw):
         g[..., 3] = v * (e + p)
         return f, g
 
-    def flux_jacobian(self, q, n):
-        rho, u, v, p = self.primitives(q)
+    def flux_jacobian(self, q, n, prim=None):
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         n = np.asarray(n, dtype=float)
         g1 = self.gamma - 1.0
         k = 0.5 * (u * u + v * v)
@@ -400,13 +423,13 @@ class Euler(ConservationLaw):
     # its right eigenvector is the one with a nonzero density component.
     ENTROPY_WAVE = 1
 
-    def eigensystem(self, q, n):
-        rho, u, v, p = self.primitives(q)
+    def eigensystem(self, q, n, prim=None):
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
         return self.eigensystem_primitive(u, v, h, n)
 
-    def max_wavespeed(self, q):
-        rho, u, v, p = self.primitives(q)
+    def max_wavespeed(self, q, prim=None):
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         a = np.sqrt(self.gamma * p / rho)
         # Componentwise pairing (u + sigma a, v + sigma a) over the three
         # wave families sigma in {-1, 0, +1}.  The squared norm is quadratic
@@ -416,8 +439,8 @@ class Euler(ConservationLaw):
         return np.hypot(u + sig * a, v + sig * a)
 
     # -- parameter vector ---------------------------------------------------
-    def to_params(self, q):
-        rho, u, v, p = self.primitives(q)
+    def to_params(self, q, prim=None):
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         srho = np.sqrt(rho)
         h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
         z = np.empty(np.asarray(q).shape, dtype=float)

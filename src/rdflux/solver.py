@@ -8,6 +8,22 @@ enforcement (module ``boundary``).  Marching stops when the update rate
 falls below a relative tolerance, the iteration budget runs out, or the
 rate grows past a divergence guard.
 
+One iteration runs in this order:
+
+1. gather: the state is gathered to the triangles once, ``q[tris]``;
+2. nodal fields: for laws with primitive variables (Euler) the
+   primitives are computed once on the N mesh nodes, and from them the
+   max wave speed, the flux pair and the parameter vector, each only
+   where the configuration reads it (``Sweep``);
+3. the per-triangle wave-speed bound and the time step;
+4. triangle pass (``distribute``, per chunk of triangles): each chunk
+   gathers the nodal fields it needs, distributes its residual, and
+   limits and corrects the parts; the averaged state's primitives are
+   evaluated once and shared by its Jacobians, the limiting direction
+   and the eigensystem;
+5. scatter: the parts are summed into the nodes, the state is updated,
+   boundary conditions are enforced and the new state is checked.
+
 Two environment variables shape execution:
 
 * ``RD_THREADS``: number of assembly threads (default 1).  Triangles are
@@ -19,6 +35,7 @@ Two environment variables shape execution:
 from __future__ import annotations
 
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -32,6 +49,7 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "Solver",
+    "distribute",
     "run_steady",
     "SCHEMES",
     "DT_MODES",
@@ -161,6 +179,120 @@ class SolveResult:
         return self.reason == "converged"
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """Data derived once from the state ``q`` of one iteration.
+
+    ``q_nodes`` is the state gathered to the triangles (T, 3, m), and
+    ``s`` the per-triangle wave-speed bound (None when nothing reads
+    it).  For laws with primitive variables (Euler), ``prim`` holds them
+    on the N mesh nodes, and ``flux`` (the pair f, g) and ``z`` (the
+    parameter vector) are computed from them on the nodes, each only
+    when the configuration reads it; consumers gather them to their
+    triangles.  A sweep lives for one iteration only.
+    """
+
+    q_nodes: np.ndarray
+    s: np.ndarray | None = None
+    prim: tuple | None = None
+    flux: tuple | None = None
+    z: np.ndarray | None = None
+
+
+def _triangle_inner(a):
+    """A copy of ``a`` (T, ...) stored with the triangle axis innermost."""
+    return np.ascontiguousarray(a.T).T
+
+
+def _scalar_k(law, normals, q_nodes):
+    """Upwind parameters (n_i . u)/2 at the linearized scalar speed."""
+    avg = law.rsd_average(q_nodes)
+    u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
+    return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
+
+
+def _average(law, q_nodes, z_nodes):
+    """``law.rsd_average`` of a batch, from its parameter vectors when given."""
+    if z_nodes is None:
+        return law.rsd_average(q_nodes)
+    return law.rsd_average(z_nodes=z_nodes)
+
+
+def distribute(
+    law, cfg, normals, areas, q_nodes, *, s=None, k=None, velocity=None, flux=None, z_nodes=None
+):
+    """Distributed parts of one triangle batch: scheme, limiter, correction.
+
+    The one pipeline behind ``Solver.assemble``; the self-check suites
+    run it on raw triangle batches.  ``cfg`` is a ``SolverConfig``,
+    ``normals`` (T, 3, 2), ``areas`` (T,) and ``q_nodes`` (T, 3, m).
+    ``velocity`` (T, 3, 2) gives nodal velocities for advection by a
+    position-dependent field.  The other keyword arrays pass precomputed
+    data for these triangles, each computed from ``q_nodes`` when None:
+    the wave-speed bound ``s`` (T,), the scalar upwind parameters ``k``
+    (T, 3), the nodal flux pair and the nodal parameter vectors
+    ``z_nodes`` (T, 3, m).
+
+    Returns ``(parts, res)``: the final (T, 3, m) parts and the scheme's
+    own ``DistributedResidual`` (its ``total`` and stagnation
+    ``fallback`` mask).
+    """
+    avg = None
+    if cfg.scheme == "n":
+        if law.m == 1:
+            res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
+        else:
+            avg = _average(law, q_nodes, z_nodes)
+            res = dist.n_scheme_system(
+                law,
+                normals,
+                q_nodes,
+                entropy_delta=cfg.entropy_delta,
+                safety=cfg.safety,
+                average=avg,
+            )
+    else:
+        res = dist.rxn_scheme(
+            law,
+            normals,
+            q_nodes,
+            s=s,
+            velocity=velocity,
+            velocity_policy=cfg.velocity_policy,
+            star_flux=cfg.star_flux,
+            safety=cfg.safety,
+            flux=flux,
+        )
+    flux = None  # the gathered flux is spent; free it before the limiter's temporaries
+
+    parts = res.parts
+    if not (cfg.limited or cfg.corrected):
+        return parts, res
+    total = res.total
+
+    if law.m == 1:
+        if cfg.limited:
+            parts = limiting.limit_scalar(parts, total)
+        if cfg.corrected:
+            if k is None:
+                k = _scalar_k(law, normals, q_nodes)
+            parts = limiting.correction_scalar(parts, total, areas, k)
+        return parts, res
+
+    if avg is None:
+        avg = _average(law, q_nodes, z_nodes)
+    direction = limiting.limiting_direction(law, avg.qhat, avg.prim)
+    es = law.eigensystem(avg.qhat, direction, avg.prim)
+    if cfg.limited:
+        parts = limiting.limit_system(parts, es, literal=cfg.literal_char_limiter)
+    if cfg.corrected:
+        wave = getattr(law, "ENTROPY_WAVE", 0)
+        parts = limiting.correction_system(
+            parts, total, areas, normals, avg.jx, avg.jy, es.left[..., wave, :]
+        )
+    return parts, res
+
+
 class Solver:
     """Steady-state driver bound to one mesh, law, and boundary set.
 
@@ -176,7 +308,9 @@ class Solver:
         self.cfg = (config or SolverConfig()).validate()
 
         self.tris = np.asarray(mesh.tris)
-        self.normals = np.asarray(mesh.normals, dtype=float)
+        # Per-triangle arrays are stored with the triangle axis innermost
+        # in memory (see ``_gather``).
+        self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
         self.nlen = np.hypot(self.normals[..., 0], self.normals[..., 1])
@@ -185,11 +319,11 @@ class Solver:
         tri_xy = mesh.tri_coords()
         if hasattr(law, "velocity_at"):
             vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
-            self.vel_nodes = np.broadcast_to(vel, tri_xy.shape).copy()
+            self.vel_nodes = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
         else:
             self.vel_nodes = None
         if law.m == 1 and hasattr(law, "streamfunction"):
-            self.k_static = dist.advection_upwind_k(law, tri_xy)
+            self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
         else:
             self.k_static = None
 
@@ -204,7 +338,8 @@ class Solver:
         self._chunks = self._plan_chunks()
         self._chunk_nodes = [self.tris[sl].ravel() for sl in self._chunks]
         self.tris_flat = self.tris.ravel()
-        self._pool = None
+        self._tris_t = np.ascontiguousarray(self.tris.T)
+        self._pool = None  # created on the first threaded assemble
 
     # -- assembly ------------------------------------------------------------
 
@@ -226,108 +361,57 @@ class Solver:
                 flat_nodes, weights=parts[..., j].ravel(), minlength=n
             )
 
-    def _scalar_k(self, normals, q_nodes):
-        """Upwind parameters (n_i . u)/2 at the linearized scalar speed."""
-        avg = self.law.rsd_average(q_nodes)
-        u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
-        return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
+    def _gather(self, a, sl=slice(None)):
+        """Nodal values ``a`` (N, ...) at the nodes of triangles ``sl``: (T, 3, ...).
 
-    def _parts_slice(self, q, sl, s=None):
+        The result is stored with the triangle axis innermost.  Elementwise
+        NumPy operations that broadcast over the node or component axis
+        then run one long loop over the triangles instead of one short
+        loop per triangle; values and summation orders do not depend on
+        the layout.
+        """
+        return np.take(a.T, self._tris_t[:, sl], axis=-1).T
+
+    def _parts_slice(self, sl, sweep):
         """Distributed (and limited/corrected) parts for one triangle chunk."""
-        law, cfg = self.law, self.cfg
-        normals = self.normals[sl]
-        q_nodes = q[self.tris[sl]]
-        vel = None if self.vel_nodes is None else self.vel_nodes[sl]
-        fallback = 0
-        avg = None
+        parts, res = distribute(
+            self.law,
+            self.cfg,
+            self.normals[sl],
+            self.areas[sl],
+            sweep.q_nodes[sl],
+            s=None if sweep.s is None else sweep.s[sl],
+            k=None if self.k_static is None else self.k_static[sl],
+            velocity=None if self.vel_nodes is None else self.vel_nodes[sl],
+            flux=None if sweep.flux is None else tuple(self._gather(f, sl) for f in sweep.flux),
+            z_nodes=None if sweep.z is None else self._gather(sweep.z, sl),
+        )
+        return parts, 0 if res.fallback is None else int(res.fallback.sum())
 
-        if cfg.scheme == "n":
-            if law.m == 1:
-                k = None if self.k_static is None else self.k_static[sl]
-                res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
-            else:
-                avg = law.rsd_average(q_nodes)
-                res = dist.n_scheme_system(
-                    law,
-                    normals,
-                    q_nodes,
-                    entropy_delta=cfg.entropy_delta,
-                    safety=cfg.safety,
-                    average=avg,
-                )
-                if res.fallback is not None:
-                    fallback = int(res.fallback.sum())
-        else:
-            res = dist.rxn_scheme(
-                law,
-                normals,
-                q_nodes,
-                s=s,
-                velocity=vel,
-                velocity_policy=cfg.velocity_policy,
-                star_flux=cfg.star_flux,
-                safety=cfg.safety,
-            )
-
-        parts = res.parts
-        if not (cfg.limited or cfg.corrected):
-            return parts, fallback
-        total = res.total
-
-        if law.m == 1:
-            if cfg.limited:
-                parts = limiting.limit_scalar(parts, total)
-            if cfg.corrected:
-                if self.k_static is not None:
-                    k = self.k_static[sl]
-                else:
-                    k = self._scalar_k(normals, q_nodes)
-                parts = limiting.correction_scalar(parts, total, self.areas[sl], k)
-            return parts, fallback
-
-        if avg is None:
-            avg = law.rsd_average(q_nodes)
-        direction = limiting.limiting_direction(law, avg.qhat)
-        es = law.eigensystem(avg.qhat, direction)
-        if cfg.limited:
-            parts = limiting.limit_system(parts, es, literal=cfg.literal_char_limiter)
-        if cfg.corrected:
-            wave = getattr(law, "ENTROPY_WAVE", 0)
-            parts = limiting.correction_system(
-                parts,
-                total,
-                self.areas[sl],
-                normals,
-                avg.jx,
-                avg.jy,
-                es.left[..., wave, :],
-            )
-        return parts, fallback
-
-    def assemble(self, q, s=None):
+    def assemble(self, q, sweep=None):
         """Nodal residual sums R_i = sum over incident triangles of Phi_i.
 
-        Returns ``(residual (N, m), fallback_count)``.  ``s`` passes a
-        precomputed per-triangle wave-speed bound to the relaxation
-        scheme (the marching loop shares one evaluation between the
-        scheme and the step-size rule).  Accumulation order is fixed in
+        Returns ``(residual (N, m), fallback_count)``.  ``sweep`` passes
+        the iteration's precomputed ``Sweep`` of ``q`` (the marching
+        loop shares one between the step-size rule and the assembly);
+        it is computed when None.  Accumulation order is fixed in
         deterministic mode; with several threads and determinism off,
         chunks land in completion order.
         """
         q = np.asarray(q, dtype=float)
+        if sweep is None:
+            sweep = self._sweep(q)
         out = np.zeros((self.n_nodes, self.law.m))
         if len(self._chunks) == 1:
-            sl = self._chunks[0]
-            parts, fallback = self._parts_slice(q, sl, None if s is None else s[sl])
+            parts, fallback = self._parts_slice(self._chunks[0], sweep)
             self._scatter_add(out, self._chunk_nodes[0], parts)
             return out, fallback
 
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
+            weakref.finalize(self, self._pool.shutdown, wait=False)
         futures = {
-            self._pool.submit(
-                self._parts_slice, q, sl, None if s is None else s[sl]
-            ): i
+            self._pool.submit(self._parts_slice, sl, sweep): i
             for i, sl in enumerate(self._chunks)
         }
         fallback = 0
@@ -343,64 +427,62 @@ class Solver:
 
     # -- time step -----------------------------------------------------------
 
-    def _tri_bound(self, q):
-        """Per-triangle wave-speed bound, shared by scheme and step size.
-
-        Returns None for configurations that never consume it (upwind
-        step sizing with the characteristic-decomposition scheme).
-        """
-        if self.cfg.scheme != "rxn" and self.cfg.dt_mode != "relaxation":
-            return None
-        q_nodes = np.asarray(q, dtype=float)[self.tris]
-        return dist.wave_speed_bound(
-            self.law, q_nodes, velocity=self.vel_nodes, safety=self.cfg.safety
-        )
-
-    def _inflow_coefficients(self, q, s=None):
-        """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""
+    def _sweep(self, q):
+        """The ``Sweep`` of state ``q``: one gather, nodal fields, bound."""
         law, cfg = self.law, self.cfg
-        q_nodes = np.asarray(q, dtype=float)[self.tris]
-        if cfg.dt_mode == "relaxation":
-            if s is None:
-                s = dist.wave_speed_bound(
-                    law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety
-                )
-            contrib = self.nlen * s[:, None]
+        q_nodes = self._gather(q)
+        prim = law.primitives(q) if hasattr(law, "primitives") else None
+        s = None
+        # The bound is read by the relaxation scheme and the relaxation
+        # step size; upwind steps with the N scheme never consume it.
+        if cfg.scheme == "rxn" or cfg.dt_mode == "relaxation":
+            speeds = None if prim is None else self._gather(law.max_wavespeed(q, prim))
+            s = dist.wave_speed_bound(
+                law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety, speeds=speeds
+            )
+        if prim is None:
+            return Sweep(q_nodes, s)
+        flux = law.flux(q, prim) if cfg.scheme == "rxn" else None
+        z = None
+        if cfg.scheme == "n" or cfg.limited or cfg.corrected:
+            z = law.to_params(q, prim)
+        return Sweep(q_nodes, s, prim, flux, z)
+
+    def _inflow_coefficients(self, sweep):
+        """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""
+        law = self.law
+        if self.cfg.dt_mode == "relaxation":
+            contrib = self.nlen * sweep.s[:, None]
         elif law.m == 1:
             if self.k_static is not None:
                 k = self.k_static
             else:
-                k = self._scalar_k(self.normals, q_nodes)
+                k = _scalar_k(law, self.normals, sweep.q_nodes)
             contrib = np.maximum(2.0 * k, 0.0)
-        elif hasattr(law, "primitives"):
-            rho, u, v, p = law.primitives(q_nodes)
-            rho_m = rho.mean(axis=1)
-            u_m = u.mean(axis=1)
-            v_m = v.mean(axis=1)
-            p_m = p.mean(axis=1)
+        else:
+            # Upwind bound of gas dynamics at the triangle's mean state.
+            rho_m, u_m, v_m, p_m = (
+                (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0 for x in map(self._gather, sweep.prim)
+            )
             a = np.sqrt(law.gamma * p_m / rho_m)
             un = u_m[:, None] * self.normals[..., 0] + v_m[:, None] * self.normals[..., 1]
             contrib = np.maximum(un + a[:, None] * self.nlen, 0.0)
-        else:
-            if s is None:
-                s = dist.wave_speed_bound(
-                    law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety
-                )
-            contrib = self.nlen * s[:, None]
         return np.bincount(
             self.tris_flat, weights=contrib.ravel(), minlength=self.n_nodes
         )
 
-    def stable_dt(self, q, s=None):
+    def stable_dt(self, q, sweep=None):
         """Largest provably safe step times ``cfl_fraction``.
 
         Nodes with zero inflow coefficient impose no bound and are
         skipped; if every node is unconstrained the field cannot evolve
         and StagnantField is raised.  With ``local_time_stepping`` the
         return is per-node (unconstrained nodes get the global value).
-        ``s`` passes a precomputed per-triangle wave-speed bound.
+        ``sweep`` passes the precomputed ``Sweep`` of ``q``.
         """
-        d = self._inflow_coefficients(q, s)
+        if sweep is None:
+            sweep = self._sweep(np.asarray(q, dtype=float))
+        d = self._inflow_coefficients(sweep)
         pos = d > 0.0
         if not pos.any():
             raise StagnantField(
@@ -416,23 +498,23 @@ class Solver:
 
     # -- marching ------------------------------------------------------------
 
-    def step(self, q, dt=None, s=None):
+    def step(self, q, dt=None, sweep=None):
         """One forward pseudo-time step.
 
         Returns ``(q_new, update_rate, fallback_count)`` where the rate
         is the nodal L2 norm of |C_i| (q_new - q) / dt measured *after*
         boundary enforcement, so it vanishes exactly at a steady state
-        compatible with the boundary conditions.  ``s`` passes a
-        precomputed per-triangle wave-speed bound to both the step-size
-        rule and the relaxation scheme.
+        compatible with the boundary conditions.  ``sweep`` passes the
+        precomputed ``Sweep`` of ``q``, shared by the step-size rule and
+        the assembly.
         """
         q = np.asarray(q, dtype=float)
+        if sweep is None:
+            sweep = self._sweep(q)
         if dt is None:
-            if s is None:
-                s = self._tri_bound(q)
-            dt = self.stable_dt(q, s)
+            dt = self.stable_dt(q, sweep)
         dt_col = dt[:, None] if np.ndim(dt) == 1 else dt
-        residual, fallback = self.assemble(q, s)
+        residual, fallback = self.assemble(q, sweep)
         q_new = q - dt_col / self.dual[:, None] * residual
         if self.boundaries is not None:
             self.boundaries.apply(q_new)
@@ -473,12 +555,13 @@ class Solver:
         it = 0
         fallback_total = 0
         for it in range(1, cfg.max_iters + 1):
-            s = self._tri_bound(q)
-            dt = self.stable_dt(q, s)
             try:
-                q_new, rate, n_fb = self.step(q, dt, s)
+                sweep = self._sweep(q)
+                dt = self.stable_dt(q, sweep)
+                q_new, rate, n_fb = self.step(q, dt, sweep)
             except NonPhysicalState as exc:
                 raise NonPhysicalState(f"iteration {it}: {exc}") from exc
+            del sweep
             fallback_total += n_fb
             t += float(dt) if np.ndim(dt) == 0 else float(np.min(dt))
             if r0 is None:

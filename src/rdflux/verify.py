@@ -12,7 +12,8 @@ The suites re-derive their expectations from first principles where
 possible.  In particular, the conservation suite rebuilds the
 relaxation parts from the public upwind-state function, so an error
 planted there (as the test harness does) breaks the suite — a mutation
-check on the suite itself.
+check on the suite itself.  The distribution variants themselves run
+through ``solver.distribute``, the pipeline the solver assembles with.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import distribution as dist
 from . import limiting, meshgen, oracle1d, physics
 from .boundary import BoundarySet
 from .mesh import compute_normals, triangle_areas
-from .solver import Solver, SolverConfig
+from .solver import Solver, SolverConfig, distribute
 
 __all__ = ["SuiteResult", "run_suite", "run_all", "SUITES"]
 
@@ -65,40 +66,6 @@ def _random_states(rng, law, n):
     return law.conserved(rho, u, v, p)
 
 
-def _variant_parts(law, normals, q_nodes, areas, scheme, limited, corrected):
-    """Distributed parts for one scheme variant on a raw triangle batch."""
-    if scheme == "n":
-        if law.m == 1:
-            res = dist.n_scheme_scalar(law, normals, q_nodes)
-        else:
-            res = dist.n_scheme_system(law, normals, q_nodes)
-    else:
-        res = dist.rxn_scheme(law, normals, q_nodes)
-    parts, total = res.parts, res.total
-    if not (limited or corrected):
-        return parts, total
-    if law.m == 1:
-        if limited:
-            parts = limiting.limit_scalar(parts, total)
-        if corrected:
-            avg = law.rsd_average(q_nodes)
-            uvec = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
-            k = 0.5 * (normals * uvec[..., None, :]).sum(axis=-1)
-            parts = limiting.correction_scalar(parts, total, areas, k)
-        return parts, total
-    avg = law.rsd_average(q_nodes)
-    direction = limiting.limiting_direction(law, avg.qhat)
-    es = law.eigensystem(avg.qhat, direction)
-    if limited:
-        parts = limiting.limit_system(parts, es)
-    if corrected:
-        wave = getattr(law, "ENTROPY_WAVE", 0)
-        parts = limiting.correction_system(
-            parts, total, areas, normals, avg.jx, avg.jy, es.left[..., wave, :]
-        )
-    return parts, total
-
-
 def suite_conservation(seed, n=2000):
     """Sum of distributed parts equals the total residual, all variants.
 
@@ -123,9 +90,8 @@ def suite_conservation(seed, n=2000):
             )
             scale = np.maximum(1.0, np.abs(ref_total).max(axis=-1))
             for limited, corrected in ((False, False), (True, False), (True, True)):
-                parts, _ = _variant_parts(
-                    law, normals, q_nodes, areas, scheme, limited, corrected
-                )
+                cfg = SolverConfig(scheme=scheme, limited=limited, corrected=corrected)
+                parts, _ = distribute(law, cfg, normals, areas, q_nodes)
                 err = np.abs(parts.sum(axis=1) - ref_total).max(axis=-1) / scale
                 worst = max(worst, float(err.max()))
 
@@ -241,7 +207,9 @@ def suite_limiter_bounds(seed, n=2000):
     normals = compute_normals(coords)
     areas = triangle_areas(coords)
     q_nodes = _random_states(rng, law, n)
-    p2, t2 = _variant_parts(law, normals, q_nodes, areas, "rxn", True, True)
+    cfg = SolverConfig(scheme="rxn", limited=True, corrected=True)
+    p2, res = distribute(law, cfg, normals, areas, q_nodes)
+    t2 = res.total
     scale = np.maximum(1.0, np.abs(t2).max(axis=-1))
     worst = max(worst, float((np.abs(p2.sum(axis=1) - t2).max(axis=-1) / scale).max()))
     ok = worst <= 1e-12 and not sign_fail

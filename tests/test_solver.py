@@ -1,5 +1,8 @@
 """Steady-state marching loop: stepping, step sizes, convergence control."""
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,18 @@ class TestDeterminism:
                                     q0=np.zeros((mesh.n_nodes, 1)), config=cfg)
             outs.append(res.q.copy())
         assert (outs[0] == outs[1]).all()
+
+
+class TestThreads:
+    def test_assembly_threads_end_with_solver(self):
+        mesh, law, _ = scalar_problem()
+        before = set(threading.enumerate())
+        sol = solver.Solver(mesh, law, None, SolverConfig(scheme="rxn", n_threads=2))
+        sol.assemble(np.ones((mesh.n_nodes, 1)))
+        workers = set(threading.enumerate()) - before
+        assert workers
+        del sol
+        gc.collect()
+        for t in workers:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in workers)
