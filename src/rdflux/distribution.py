@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgument,
     StagnationFallback,
 )
-from .smallmat import reconstruct, solve_batched
+from .smallmat import solve_batched
 
 __all__ = [
     "DistributedResidual",
@@ -222,6 +222,8 @@ def n_scheme_system(
     caller that needs the averaged state anyway (e.g. for limiting) pays
     for it once.
     """
+    if on_singular not in ("fallback", "raise"):
+        raise InvalidArgument("on_singular must be 'fallback' or 'raise'")
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     if law.m == 1:
@@ -232,17 +234,25 @@ def n_scheme_system(
     prim = None if avg.prim is None else tuple(a[:, None] for a in avg.prim)
     es = law.eigensystem(avg.qhat[:, None, :], normals, prim)  # batched over nodes
     lam_p, lam_m = split_eigenvalues(0.5 * es.lam, entropy_delta)
-    kplus = reconstruct(lam_p, es.right, es.left)
-    kminus = reconstruct(lam_m, es.right, es.left)
-    nmat = kminus[:, 0] + kminus[:, 1] + kminus[:, 2]  # (T, m, m)
-    rhs = np.einsum("tnij,tnj->ti", kminus, avg.qhat_nodes)
-    qstar, bad = solve_batched(nmat, rhs)
-    if bad.any():
-        if on_singular == "raise":
-            raise StagnationFallback(np.nonzero(bad)[0])
-        if on_singular != "fallback":
-            raise InvalidArgument("on_singular must be 'fallback' or 'raise'")
-    parts = np.einsum("tnij,tnj->tni", kplus, avg.qhat_nodes - qstar[:, None, :])
+    t, _, m = q_nodes.shape
+    # K_j^- = R_j diag(lam_j^-) L_j.  With the node axis of R_j lam_j^-
+    # moved next to its eigenvalue axis, one (m, 3m) @ (3m, m) product per
+    # triangle sums the three nodes' matrices: the star matrix.
+    rlam = np.multiply(
+        np.swapaxes(es.right, 1, 2), lam_m[:, None], out=np.empty((t, m, 3, m))
+    ).reshape(t, m, 3 * m)
+    nmat = rlam @ es.left.reshape(t, 3 * m, m)
+    # Only matrix-vector products from here on: the right-hand side
+    # sum_j K_j^- Qhat_j, then Phi_i = R_i (lam_i^+ o (L_i (Qhat_i - Q_star))).
+    qhat_nodes = avg.qhat_nodes
+    lq = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes).reshape(t, 3 * m)
+    qstar, bad = solve_batched(nmat, np.einsum("tik,tk->ti", rlam, lq))
+    if on_singular == "raise" and bad.any():
+        idx = np.nonzero(bad)[0]
+        raise StagnationFallback(f"singular star matrix on triangles {idx.tolist()}", idx)
+    amp = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes - qstar[:, None, :])
+    amp *= lam_p
+    parts = np.einsum("tnip,tnp->tni", es.right, amp)
     if bad.any():
         idx = np.nonzero(bad)[0]
         rx = rxn_scheme(law, normals[idx], q_nodes[idx], safety=safety)

@@ -1,9 +1,9 @@
-"""Dense helpers for the small (m <= 4) per-element systems.
+"""Dense solves of the small (m <= 4) per-element systems.
 
-Everything here works on plain ndarrays.  The solver's hot paths use the
-batched variants; the single-matrix ``solve`` keeps an explicit pivot
-threshold so near-singular upwind matrices are reported instead of
-producing garbage.
+``solve`` handles one matrix by Gaussian elimination with an explicit
+pivot threshold, so near-singular upwind matrices are reported instead of
+producing garbage.  ``solve_batched`` solves a batch through LAPACK and
+hands the items that fail or miss its residual guard to ``solve``.
 """
 from __future__ import annotations
 
@@ -52,64 +52,46 @@ def solve(a, b):
     return x[:, 0] if vec else x
 
 
-def reconstruct(lam, right, left):
-    """Assemble R diag(lam) L from an eigensystem (batched)."""
-    return np.einsum("...ip,...p,...pj->...ij", right, np.asarray(lam, dtype=float), left)
-
-
-def signed_part(lam, right, left, sign):
-    """Assemble R diag([lam]^+/-) L from an eigensystem.
-
-    ``sign`` is +1 or -1.  Accepts batched inputs: lam (..., m),
-    right/left (..., m, m).
-    """
-    lam = np.asarray(lam, dtype=float)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    clipped = np.maximum(lam, 0.0) if sign > 0 else np.minimum(lam, 0.0)
-    return np.einsum("...ip,...p,...pj->...ij", right, clipped, left)
-
-
 def solve_batched(a, b, fallback_mask=None):
     """Batched solve of a[t] @ x[t] = b[t] with singularity detection.
 
     ``a`` is (T, m, m), ``b`` is (T, m).  Returns (x, bad) where ``bad`` is a
     boolean mask of batch items whose system was singular (their x rows are
-    zero).  Detection: LAPACK failure plus a residual check against the
+    zero).  Items already set in ``fallback_mask`` are not solved and stay
+    marked.  Detection: LAPACK failure plus a residual check against the
     pivot-threshold contract of ``solve``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     t, m = b.shape
     bad = np.zeros(t, dtype=bool) if fallback_mask is None else fallback_mask.copy()
-    x = np.zeros_like(b)
-    ok = ~bad
-    if not ok.any():
-        return x, bad
+    live = np.flatnonzero(~bad)
+    if live.size == 0:
+        return np.zeros_like(b), bad
+    if live.size < t:
+        a, b = a[live], b[live]
     try:
-        x[ok] = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
+        x = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         # Rare path: pick out the singular items one by one.
-        for idx in np.flatnonzero(ok):
-            try:
-                x[idx] = solve(a[idx], b[idx])
-            except SingularMatrix:
-                bad[idx] = True
-                x[idx] = 0.0
+        x = np.zeros_like(b)
+        suspect = np.ones(live.size, dtype=bool)
+    else:
+        # Guard against quietly ill-conditioned systems: demand a small
+        # residual relative to the data scale.
+        resid = np.abs(np.einsum("tij,tj->ti", a, x) - b).max(axis=1)
+        scale = np.abs(a).sum(axis=2).max(axis=1) * np.maximum(
+            np.abs(x).max(axis=1), 1.0
+        ) + np.abs(b).max(axis=1)
+        suspect = ~np.isfinite(resid) | (resid > 1e-8 * np.maximum(scale, 1.0))
+    for j in np.flatnonzero(suspect):
+        try:
+            x[j] = solve(a[j], b[j])
+        except SingularMatrix:
+            bad[live[j]] = True
+            x[j] = 0.0
+    if live.size == t:
         return x, bad
-    # Guard against quietly ill-conditioned systems: demand a small residual
-    # relative to the data scale.
-    resid = np.abs(np.einsum("tij,tj->ti", a[ok], x[ok]) - b[ok]).max(axis=1)
-    scale = np.abs(a[ok]).sum(axis=2).max(axis=1) * np.maximum(
-        np.abs(x[ok]).max(axis=1), 1.0
-    ) + np.abs(b[ok]).max(axis=1)
-    suspect = ~np.isfinite(resid) | (resid > 1e-8 * np.maximum(scale, 1.0))
-    if suspect.any():
-        ok_idx = np.flatnonzero(ok)
-        for idx in ok_idx[suspect]:
-            try:
-                x[idx] = solve(a[idx], b[idx])
-            except SingularMatrix:
-                bad[idx] = True
-                x[idx] = 0.0
-    return x, bad
+    out = np.zeros((t, m))
+    out[live] = x
+    return out, bad

@@ -3,8 +3,9 @@
 Every public function that accepts nodal data computed once per mesh node
 (and gathered to the triangles) must return exactly what it returns when
 it evaluates the same quantities itself on the (T, 3) triangle nodes.  The
-solver's march must reproduce, bit for bit, a reference loop written out
-here from the public functions called without precomputed data.
+solver's march must reproduce a reference loop written out here from the
+public functions called without precomputed data: bit for bit with the RXN
+scheme, and to 1e-12 relative with the systems N scheme.
 """
 
 import numpy as np
@@ -102,10 +103,11 @@ class TestPrecomputedNodalData:
 
 
 def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
-    """RXN+limit+correction march from public functions, no shared data.
+    """Scheme+limit+correction march from public functions, no shared data.
 
-    The time step and scatter follow ``Solver``: chunks of contiguous
-    triangles, each summed into the nodes with one bincount per component.
+    ``cfg.scheme`` picks the RXN or the systems N scheme.  The time step
+    and scatter follow ``Solver``: chunks of contiguous triangles, each
+    summed into the nodes with one bincount per component.
     """
     tris = np.asarray(mesh.tris)
     normals = np.asarray(mesh.normals, dtype=float)
@@ -133,7 +135,11 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
         residual = np.zeros((n_nodes, m))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sl = slice(lo, hi)
-            res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl], safety=cfg.safety)
+            if cfg.scheme == "n":
+                res = dist.n_scheme_system(law, normals[sl], q_nodes[sl], safety=cfg.safety)
+                assert not res.fallback.any()
+            else:
+                res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl], safety=cfg.safety)
             avg = law.rsd_average(q_nodes[sl])
             direction = limiting.limiting_direction(law, avg.qhat)
             es = law.eigensystem(avg.qhat, direction)
@@ -152,20 +158,39 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     return q
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-@pytest.mark.parametrize("dt_mode", ["relaxation", "upwind"])
-def test_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
+def march_and_reference(mesh, scheme, dt_mode, n_threads):
+    """30 iterations of the solver and of ``reference_march``: (result, q, q0)."""
     law = physics.Euler()
     q_inf = law.freestream(0.8, 10.0)
     bcs = boundary.BoundarySet(mesh, law, {
         t: ("farfield", q_inf) for t in ("left", "right", "top", "bottom")
     })
     q0 = perturbed_gas(law, mesh, seed=2)
-    cfg = SolverConfig(scheme="rxn", limited=True, corrected=True, dt_mode=dt_mode,
+    cfg = SolverConfig(scheme=scheme, limited=True, corrected=True, dt_mode=dt_mode,
                        cfl_fraction=0.5, max_iters=30, stop_tol=0.0, n_threads=n_threads)
     result = Solver(mesh, law, bcs, cfg).march(q0)
+    return result, reference_march(mesh, law, bcs, q0, cfg, n_threads, 30), q0
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("dt_mode", ["relaxation", "upwind"])
+def test_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
+    result, expected, _ = march_and_reference(mesh, "rxn", dt_mode, n_threads)
     assert result.iterations == 30
-    assert_same(result.q, reference_march(mesh, law, bcs, q0, cfg, n_threads, 30))
+    assert_same(result.q, expected)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("dt_mode", ["relaxation", "upwind"])
+def test_n_scheme_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
+    """Agreement to 1e-12 relative, not bit for bit: the N scheme's sums may
+    run in an order that depends on the operands' memory layout, which
+    differs between the solver (triangle axis innermost) and the reference
+    loop (C order)."""
+    result, expected, q0 = march_and_reference(mesh, "n", dt_mode, n_threads)
+    assert result.iterations == 30 and result.fallback_triangles == 0
+    assert np.abs(result.q - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.abs(result.q - q0).max() > 1e-3 * np.abs(q0).max()
 
 
 def test_primitive_conversions_per_iteration(monkeypatch):

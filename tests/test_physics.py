@@ -70,6 +70,21 @@ class TestJacobians:
         eye = np.broadcast_to(np.eye(law.m), eig.right.shape)
         assert np.allclose(eig.left @ eig.right, eye, atol=1e-11)
 
+    def test_euler_node_broadcast(self, euler, rng):
+        # The systems N scheme's call: one averaged state per triangle, (T, 1),
+        # against the three edge normals of the triangle, (T, 3, 2).
+        qs = random_euler_states(rng, (25,))[:, None, :]
+        prim = euler.primitives(qs)
+        ns = rng.standard_normal((25, 3, 2))
+        eig = euler.eigensystem(qs, ns, prim)
+        assert eig.lam.shape == (25, 3, 4) and eig.right.shape == (25, 3, 4, 4)
+        rec = eig.right @ (eig.lam[..., None] * eig.left)
+        assert np.allclose(rec, euler.flux_jacobian(qs, ns), rtol=1e-11, atol=1e-11)
+        # Normals stored with the triangle axis innermost give the same bits.
+        inner = euler.eigensystem(qs, np.ascontiguousarray(ns.T).T, prim)
+        for name in ("lam", "right", "left"):
+            assert np.array_equal(getattr(inner, name), getattr(eig, name))
+
 
 class TestMaxWavespeed:
     @pytest.mark.parametrize("name", ["advection", "burgers"])

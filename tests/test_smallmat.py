@@ -1,4 +1,4 @@
-"""Small dense linear algebra: pivoted solves and eigen-reassembly."""
+"""Small dense linear algebra: single and batched pivoted solves."""
 
 import numpy as np
 import pytest
@@ -48,27 +48,6 @@ class TestSolve:
         a0, b0 = a.copy(), b.copy()
         smallmat.solve(a, b)
         assert (a == a0).all() and (b == b0).all()
-
-
-class TestEigenAssembly:
-    def test_reconstruct_identity(self, rng):
-        lam = rng.standard_normal(4)
-        r = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        left = np.linalg.inv(r)
-        full = smallmat.reconstruct(lam, r, left)
-        assert np.allclose(full, r @ np.diag(lam) @ left, rtol=1e-12)
-
-    def test_signed_parts_sum(self, rng):
-        lam = rng.standard_normal((7, 3))
-        r = rng.standard_normal((7, 3, 3)) + 3.0 * np.eye(3)
-        left = np.linalg.inv(r)
-        plus = smallmat.signed_part(lam, r, left, +1)
-        minus = smallmat.signed_part(lam, r, left, -1)
-        assert np.allclose(plus + minus, smallmat.reconstruct(lam, r, left), atol=1e-11)
-
-    def test_signed_part_sign_validation(self):
-        with pytest.raises(ValueError):
-            smallmat.signed_part(np.ones(2), np.eye(2), np.eye(2), 0)
 
 
 class TestSolveBatched:
