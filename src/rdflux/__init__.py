@@ -25,7 +25,6 @@ from .config import build_problem, load_config, preset, preset_names
 from .errors import (
     ConfigError,
     DegenerateElement,
-    DegenerateGeometry,
     Diverged,
     InvalidArgument,
     InvalidTopology,
@@ -65,7 +64,6 @@ __all__ = [
     "ConfigError",
     "NonPhysicalState",
     "DegenerateElement",
-    "DegenerateGeometry",
     "InvalidTopology",
     "SingularMatrix",
     "StagnantField",

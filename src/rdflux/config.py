@@ -13,6 +13,7 @@ configuration, and the output plan.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from . import meshgen, physics
 from .boundary import BoundarySet
 from .errors import ConfigError
 from .mesh import load_mesh
-from .solver import SolverConfig
+from .solver import CHOICES, SolverConfig
 
 __all__ = [
     "parse_text",
@@ -88,6 +89,16 @@ class _Spec:
         self.choices = choices
         self.count = count
 
+    def value(self, raw, key):
+        """The typed value of a scalar entry (float, int, bool or word)."""
+        if self.kind == "float":
+            return _parse_float(raw, key)
+        if self.kind == "int":
+            return _parse_int(raw, key)
+        if self.kind == "bool":
+            return _parse_bool(raw, key)
+        return self.normalize(raw, key)
+
     def normalize(self, raw, key):
         if self.kind == "float":
             return _fmt_float(_parse_float(raw, key))
@@ -147,22 +158,27 @@ _INIT_SCHEMA = {
     "init.value": _Spec("floats", default="0.0"),
 }
 
-_SOLVER_SCHEMA = {
-    "solver.scheme": _Spec("word", default="rxn", choices=("n", "rxn")),
-    "solver.limited": _Spec("bool", default="true"),
-    "solver.corrected": _Spec("bool", default="true"),
-    "solver.cfl_fraction": _Spec("float", default="0.85"),
-    "solver.max_iters": _Spec("int", default="20000"),
-    "solver.stop_tol": _Spec("float", default="1e-10"),
-    "solver.dt_mode": _Spec("word", default="upwind", choices=("upwind", "relaxation")),
-    "solver.history_stride": _Spec("int", default="10"),
-    "solver.safety": _Spec("float", default="1.1"),
-    "solver.star_flux": _Spec("word", default="pointwise", choices=("pointwise", "full")),
-    "solver.velocity_policy": _Spec("word", default="frozen", choices=("frozen", "nodal")),
-    "solver.local_time_stepping": _Spec("bool", default="false"),
-    "solver.entropy_delta": _Spec("float", default="0.0"),
-    "solver.divergence_factor": _Spec("float", default="1000000.0"),
-}
+
+def _solver_schema():
+    """``solver.<field>`` entries derived from the fields of ``SolverConfig``.
+
+    The kind comes from the field's type, the canonical default from its
+    default, and the choices from ``solver.CHOICES``.  ``n_threads`` is
+    set at run time (RD_THREADS), so it is not part of the file format.
+    """
+    kinds = {"str": "word", "bool": "bool", "int": "int", "float": "float"}
+    schema = {}
+    for f in dataclasses.fields(SolverConfig):
+        if f.name == "n_threads":
+            continue
+        key = f"solver.{f.name}"
+        kind = kinds[f.type]  # annotations are strings in module solver
+        default = _Spec(kind).normalize(str(f.default), key)
+        schema[key] = _Spec(kind, default, CHOICES.get(f.name))
+    return schema
+
+
+_SOLVER_SCHEMA = _solver_schema()
 
 _OUTPUT_SCHEMA = {
     "output.directory": _Spec("str", default="out"),
@@ -285,19 +301,19 @@ def canonicalize(mapping):
         else:
             raise ConfigError(f"missing required key {key!r}")
     if "mesh.outer" in out:
-        out["mesh.outer"] = _normalize_outer(out["mesh.outer"])
+        kind, value = _parse_outer(out["mesh.outer"])
+        numbers = value if kind == "rect" else (value,)
+        out["mesh.outer"] = " ".join([kind, *map(_fmt_float, numbers)])
     return out
 
 
-def _normalize_outer(raw):
-    """Canonicalize the outer-boundary spec: 'radius R' or 'rect x0 x1 y0 y1'."""
+def _parse_outer(raw):
+    """The outer-boundary spec: ``("radius", R)`` or ``("rect", (x0, x1, y0, y1))``."""
     words = raw.split()
     if words and words[0] == "radius" and len(words) == 2:
-        return "radius " + _fmt_float(_parse_float(words[1], "mesh.outer"))
+        return "radius", _parse_float(words[1], "mesh.outer")
     if words and words[0] == "rect" and len(words) == 5:
-        return "rect " + " ".join(
-            _fmt_float(_parse_float(w, "mesh.outer")) for w in words[1:]
-        )
+        return "rect", tuple(_parse_float(w, "mesh.outer") for w in words[1:])
     raise ConfigError(
         f"mesh.outer must be 'radius R' or 'rect x0 x1 y0 y1'; got {raw!r}"
     )
@@ -405,30 +421,10 @@ def _subsonic_preset():
     }
 
 
-def _naca_preset():
-    return {
-        "law.kind": "euler",
-        "law.mach": "0.85",
-        "law.aoa_deg": "1.0",
-        "mesh.file": "naca0012.msh",
-        "boundary.wall": "slip_wall",
-        "boundary.farfield": "farfield",
-        "solver.scheme": "rxn",
-        "solver.cfl_fraction": "0.4",
-        "solver.dt_mode": "relaxation",
-        "solver.max_iters": "60000",
-        "solver.stop_tol": "1e-06",
-        "solver.history_stride": "100",
-        "output.basename": "naca-transonic",
-        "output.probes": "wall",
-    }
-
-
 _PRESETS = {
     "advection-rotating": _rotating_band_preset,
     "cylinder-supersonic": _supersonic_preset,
     "cylinder-subsonic": _subsonic_preset,
-    "naca-transonic": _naca_preset,
 }
 
 
@@ -501,20 +497,10 @@ def _build_mesh(canon):
                 mesh, amp, seed=_parse_int(canon["mesh.seed"], "mesh.seed")
             )
         return mesh
-    words = canon["mesh.outer"].split()
-    if len(words) >= 1 and words[0] == "radius" and len(words) == 2:
-        outer = ("radius", _parse_float(words[1], "mesh.outer"))
-    elif len(words) >= 1 and words[0] == "rect" and len(words) == 5:
-        outer = ("rect", tuple(_parse_float(w, "mesh.outer") for w in words[1:]))
-    else:
-        raise ConfigError(
-            "mesh.outer must be 'radius R' or 'rect x0 x1 y0 y1'; got "
-            f"{canon['mesh.outer']!r}"
-        )
     return meshgen.generate_cylinder_mesh(
         tuple(_parse_floats(canon["mesh.center"], "mesh.center", 2)),
         _parse_float(canon["mesh.radius"], "mesh.radius"),
-        outer,
+        _parse_outer(canon["mesh.outer"]),
         _parse_int(canon["mesh.n_radial"], "mesh.n_radial"),
         _parse_int(canon["mesh.n_circum"], "mesh.n_circum"),
         grading=_parse_float(canon["mesh.grading"], "mesh.grading"),
@@ -600,24 +586,10 @@ def _build_initial(law, canon, n_nodes):
 
 
 def _build_solver_config(canon):
-    return SolverConfig(
-        scheme=canon["solver.scheme"],
-        limited=canon["solver.limited"] == "true",
-        corrected=canon["solver.corrected"] == "true",
-        cfl_fraction=_parse_float(canon["solver.cfl_fraction"], "solver.cfl_fraction"),
-        max_iters=_parse_int(canon["solver.max_iters"], "solver.max_iters"),
-        stop_tol=_parse_float(canon["solver.stop_tol"], "solver.stop_tol"),
-        divergence_factor=_parse_float(
-            canon["solver.divergence_factor"], "solver.divergence_factor"
-        ),
-        history_stride=_parse_int(canon["solver.history_stride"], "solver.history_stride"),
-        entropy_delta=_parse_float(canon["solver.entropy_delta"], "solver.entropy_delta"),
-        velocity_policy=canon["solver.velocity_policy"],
-        local_time_stepping=canon["solver.local_time_stepping"] == "true",
-        dt_mode=canon["solver.dt_mode"],
-        star_flux=canon["solver.star_flux"],
-        safety=_parse_float(canon["solver.safety"], "solver.safety"),
-    )
+    return SolverConfig(**{
+        key[len("solver."):]: spec.value(canon[key], key)
+        for key, spec in _SOLVER_SCHEMA.items()
+    })
 
 
 def build_mesh_only(mapping):
@@ -627,12 +599,7 @@ def build_mesh_only(mapping):
     spec.  Validation and defaults follow the same schema as full
     configs.
     """
-    mesh_keys = {k: v for k, v in mapping.items() if k.startswith("mesh.")}
-    if "mesh.file" in mesh_keys and "mesh.kind" in mesh_keys:
-        raise ConfigError("mesh.file and mesh.kind are mutually exclusive")
-    if "mesh.file" not in mesh_keys and "mesh.kind" not in mesh_keys:
-        raise ConfigError("one of mesh.file or mesh.kind is required")
-    probe = dict(mesh_keys)
+    probe = {k: v for k, v in mapping.items() if k.startswith("mesh.")}
     probe["law.kind"] = "burgers"  # placeholder so the shared validator runs
     canon = canonicalize(probe)
     return _build_mesh(canon)

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    InvalidArgument,
-    StagnationFallback,
-)
+from .errors import InvalidArgument, StagnationFallback
 from .smallmat import solve_batched
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "wave_speed_bound",
     "rxn_qstar",
     "rxn_scheme",
-    "rxn_full_star",
     "rxn_scheme_1d",
     "split_eigenvalues",
 ]
@@ -65,20 +60,10 @@ def _as_batch(q_nodes):
     return q_nodes
 
 
-def split_eigenvalues(lam, delta=0.0):
-    """Positive/negative parts of eigenvalues, optionally smoothed.
-
-    With ``delta > 0`` the kink of ``|lam|`` is rounded below ``delta``
-    (a Harten-style entropy smoothing); ``delta = 0`` gives the exact
-    one-sided parts.
-    """
+def split_eigenvalues(lam):
+    """Exact positive and negative parts of eigenvalues: (lam +/- |lam|)/2."""
     lam = np.asarray(lam, dtype=float)
-    if delta > 0.0:
-        mag = np.where(
-            np.abs(lam) >= delta, np.abs(lam), (lam * lam + delta * delta) / (2.0 * delta)
-        )
-    else:
-        mag = np.abs(lam)
+    mag = np.abs(lam)
     return 0.5 * (lam + mag), 0.5 * (lam - mag)
 
 
@@ -196,16 +181,7 @@ def n_scheme_scalar(law, normals, q_nodes, *, velocity=None, k=None):
     return DistributedResidual(parts[..., None], qstar[..., None])
 
 
-def n_scheme_system(
-    law,
-    normals,
-    q_nodes,
-    *,
-    on_singular="fallback",
-    entropy_delta=0.0,
-    safety=1.1,
-    average=None,
-):
+def n_scheme_system(law, normals, q_nodes, *, on_singular="fallback", safety=1.1, average=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
@@ -233,7 +209,7 @@ def n_scheme_system(
     avg = law.rsd_average(q_nodes) if average is None else average
     prim = None if avg.prim is None else tuple(a[:, None] for a in avg.prim)
     es = law.eigensystem(avg.qhat[:, None, :], normals, prim)  # batched over nodes
-    lam_p, lam_m = split_eigenvalues(0.5 * es.lam, entropy_delta)
+    lam_p, lam_m = split_eigenvalues(0.5 * es.lam)
     t, _, m = q_nodes.shape
     # K_j^- = R_j diag(lam_j^-) L_j.  With the node axis of R_j lam_j^-
     # moved next to its eigenvalue axis, one (m, 3m) @ (3m, m) product per
@@ -290,24 +266,16 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
     return safety * np.maximum(nodal.max(axis=-1), mean)
 
 
-def _rxn_velocity(normals, velocity, policy):
-    """Effective per-node and star velocities for advection-field RXN."""
+def _rxn_velocity(normals, velocity):
+    """Per-node and star velocities for advection-field RXN: the triangle mean."""
     velocity = np.asarray(velocity, dtype=float)
     if velocity.ndim == 2:
         velocity = np.broadcast_to(velocity[:, None, :], normals.shape)
-    if policy == "frozen":
-        vbar = velocity.mean(axis=1)
-        v_nodes = np.broadcast_to(vbar[:, None, :], normals.shape)
-        return v_nodes, vbar
-    if policy == "nodal":
-        nlen = np.hypot(normals[..., 0], normals[..., 1])  # (T,3)
-        wsum = nlen.sum(axis=1, keepdims=True)
-        vstar = (nlen[..., None] * velocity).sum(axis=1) / wsum
-        return velocity, vstar
-    raise InvalidArgument("velocity_policy must be 'frozen' or 'nodal'")
+    vbar = velocity.mean(axis=1)
+    return np.broadcast_to(vbar[:, None, :], normals.shape), vbar
 
 
-def rxn_qstar(law, normals, q_nodes, s, *, velocity=None, velocity_policy="frozen"):
+def rxn_qstar(law, normals, q_nodes, s, *, velocity=None):
     """Upwind state of the relaxation scheme (closed form).
 
     Q_star = sum_j (s ||n_j|| Q_j - n_j . f(Q_j)) / (s sum_i ||n_i||).
@@ -317,27 +285,14 @@ def rxn_qstar(law, normals, q_nodes, s, *, velocity=None, velocity_policy="froze
     normals = np.asarray(normals, dtype=float)
     s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
     if velocity is not None:
-        v_nodes, _ = _rxn_velocity(normals, velocity, velocity_policy)
-        nf = _nodal_normal_flux(law, normals, q_nodes, v_nodes)
-    else:
-        nf = _nodal_normal_flux(law, normals, q_nodes, None)
+        velocity, _ = _rxn_velocity(normals, velocity)
+    nf = _nodal_normal_flux(law, normals, q_nodes, velocity)
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     num = (s[:, None, None] * nlen[..., None] * q_nodes - nf).sum(axis=1)
     return num / (s * nlen.sum(axis=1))[:, None]
 
 
-def rxn_scheme(
-    law,
-    normals,
-    q_nodes,
-    *,
-    s=None,
-    velocity=None,
-    velocity_policy="frozen",
-    star_flux="pointwise",
-    safety=1.1,
-    flux=None,
-):
+def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ].
@@ -347,16 +302,10 @@ def rxn_scheme(
     Euler, f(Q_star) is evaluated only if Q_star is physical; otherwise
     NonPhysicalState is raised (no clamping).
 
-    ``velocity`` enables advection by a position-dependent field.  The
-    default ``velocity_policy="frozen"`` evaluates all fluxes at the
-    per-triangle mean velocity, which keeps the scheme inside the
-    positive-coefficient theory (discrete max principle under the strict
-    time step).  ``"nodal"`` uses pointwise nodal velocities with a
-    norm-weighted star velocity instead; it is slightly less diffusive
-    but preserves constants only approximately.
-
-    ``star_flux="full"`` replaces f(Q_star) by the interface flux from
-    the full relaxation star system (see ``rxn_full_star``).
+    ``velocity`` enables advection by a position-dependent field.  All
+    fluxes are then evaluated at the per-triangle mean velocity, which
+    keeps the scheme inside the positive-coefficient theory (discrete max
+    principle under the strict time step).
 
     ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
     caller already has it (ignored with ``velocity``).
@@ -371,7 +320,7 @@ def rxn_scheme(
     snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
 
     if velocity is not None:
-        v_nodes, v_star = _rxn_velocity(normals, velocity, velocity_policy)
+        v_nodes, v_star = _rxn_velocity(normals, velocity)
         nf_nodes = _nodal_normal_flux(law, normals, q_nodes, v_nodes)
     else:
         nf_nodes = _nodal_normal_flux(law, normals, q_nodes, None, flux)
@@ -383,9 +332,6 @@ def rxn_scheme(
     if velocity is not None:
         un_star = (v_star[:, None, :] * normals).sum(axis=-1)  # (T,3)
         nf_star = un_star[..., None] * qstar[:, None, :]
-    elif star_flux == "full":
-        _, mustar = rxn_full_star(law, normals, q_nodes, s)
-        nf_star = np.einsum("tnc,tcm->tnm", np.ascontiguousarray(normals), mustar)
     else:
         law.check_physical(qstar, "in relaxation star state")
         fsx, fsy = law.flux(qstar)
@@ -397,51 +343,6 @@ def rxn_scheme(
     parts -= nf_star
     parts *= 0.25
     return DistributedResidual(parts, qstar, s=s)
-
-
-def rxn_full_star(law, normals, q_nodes, s, *, velocity=None):
-    """Full relaxation star state: (Q_star, interface flux mu_star).
-
-    The relaxation Riemann problem couples Q_star with an interface flux
-    vector mu_star = (mu1, mu2) through a block linear system; Q_star
-    decouples (same closed form as ``rxn_qstar``) and mu_star solves the
-    2x2 system G mu = sum_j n_j (nhat_j . f(Q_j) - s Q_j), where
-    G = sum_i n_i n_i^T / ||n_i||.  G is positive definite for genuine
-    triangles; a determinant below 1e-13 of its natural scale raises
-    DegenerateGeometry.
-    """
-    q_nodes = _as_batch(q_nodes)
-    # C order: einsum's summation order depends on its operands' layout.
-    normals = np.ascontiguousarray(normals, dtype=float)
-    s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
-    nlen = np.hypot(normals[..., 0], normals[..., 1])
-    nhat = normals / nlen[..., None]
-
-    if velocity is not None:
-        v_nodes, _ = _rxn_velocity(normals, velocity, "frozen")
-        nf = _nodal_normal_flux(law, nhat, q_nodes, v_nodes)
-    else:
-        nf = _nodal_normal_flux(law, nhat, q_nodes, None)
-
-    g = np.einsum("tnc,tnd->tcd", normals, nhat)  # (T, 2, 2)
-    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-    scale = np.abs(g[:, 0, 0] * g[:, 1, 1]) + np.abs(g[:, 0, 1] * g[:, 1, 0])
-    bad = np.abs(det) <= 1e-13 * scale
-    if bad.any():
-        raise DegenerateGeometry(
-            f"relaxation star system degenerate on triangles {np.nonzero(bad)[0].tolist()}"
-        )
-    rhs = np.einsum(
-        "tnc,tnm->tcm", normals, np.ascontiguousarray(nf - s[:, None, None] * q_nodes)
-    )  # (T, 2, m)
-    inv = np.empty_like(g)
-    inv[:, 0, 0] = g[:, 1, 1]
-    inv[:, 1, 1] = g[:, 0, 0]
-    inv[:, 0, 1] = -g[:, 0, 1]
-    inv[:, 1, 0] = -g[:, 1, 0]
-    mustar = np.einsum("tcd,tdm->tcm", inv, rhs) / det[:, None, None]
-    qstar = rxn_qstar(law, normals, q_nodes, s, velocity=velocity)
-    return qstar, mustar
 
 
 def rxn_scheme_1d(law, q_left, q_right, s):

@@ -13,10 +13,6 @@ class DegenerateElement(RdfluxError):
     """Triangle with zero or negative area (after orientation fixing)."""
 
 
-class DegenerateGeometry(RdfluxError):
-    """Geometry request that cannot produce a valid result."""
-
-
 class InvalidTopology(RdfluxError):
     """Connectivity that does not describe a conforming triangulation."""
 

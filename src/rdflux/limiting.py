@@ -81,7 +81,7 @@ def limiting_direction(law, qhat, prim=None):
     return direction
 
 
-def limit_system(parts, eigensystem, *, literal=False):
+def limit_system(parts, eigensystem):
     """Characteristic-wise limiting of system parts.
 
     ``eigensystem`` is the decomposition of (n . J) in the limiting
@@ -90,9 +90,7 @@ def limit_system(parts, eigensystem, *, literal=False):
     runs per field on the amplitudes; the limited parts are reassembled
     from the right eigenvectors.  The per-field amplitude totals are
     redistributed by the clipped weights (so the parts' sum is preserved
-    and the m = 1 case reduces to ``limit_scalar``).  ``literal=True``
-    instead multiplies each node's own amplitude by its weight — a
-    non-conservative variant kept for comparison.
+    and the m = 1 case reduces to ``limit_scalar``).
     """
     parts = np.asarray(parts, dtype=float)
     left = eigensystem.left
@@ -101,7 +99,7 @@ def limit_system(parts, eigensystem, *, literal=False):
     theta = np.matmul(parts, np.swapaxes(left, -1, -2), out=np.empty_like(parts, shape=shape))
     tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
     coef = _signed_weights(theta, tot)
-    coef *= theta if literal else tot[..., None, :]
+    coef *= tot[..., None, :]
     return np.matmul(coef, np.swapaxes(eigensystem.right, -1, -2), out=np.empty_like(coef))
 
 

@@ -24,19 +24,16 @@ One iteration runs in this order:
 5. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
-Two environment variables shape execution:
-
-* ``RD_THREADS``: number of assembly threads (default 1).  Triangles are
-  processed in fixed contiguous chunks either way.
-* ``RD_DETERMINISTIC``: when truthy (the default), chunk results are
-  accumulated in ascending chunk order, which makes repeated runs
-  bit-identical; ``0`` permits accumulation in completion order.
+The environment variable ``RD_THREADS`` sets the number of assembly
+threads (default 1).  Triangles are processed in fixed contiguous chunks
+either way, and the chunk results are accumulated in ascending chunk
+order, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +50,13 @@ __all__ = [
     "run_steady",
     "SCHEMES",
     "DT_MODES",
+    "CHOICES",
 ]
 
 SCHEMES = ("n", "rxn")
 DT_MODES = ("upwind", "relaxation")
-VELOCITY_POLICIES = ("frozen", "nodal")
-STAR_FLUXES = ("pointwise", "full")
+# Allowed values of each choice field of ``SolverConfig``.
+CHOICES = {"scheme": SCHEMES, "dt_mode": DT_MODES}
 
 
 def _env_threads():
@@ -70,18 +68,13 @@ def _env_threads():
     return max(1, n)
 
 
-def _env_deterministic():
-    return os.environ.get("RD_DETERMINISTIC", "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "",
-    )
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the steady-state solve.
+
+    This class is the one home of the solver options: every field but
+    ``n_threads`` is the config key ``solver.<field>``, whose kind,
+    default and choices (``CHOICES``) the config schema reads from here.
 
     ``scheme`` picks the distribution family ("n" upwind or "rxn"
     relaxation); ``limited`` and ``corrected`` switch the nonlinear
@@ -90,9 +83,9 @@ class SolverConfig:
     ``dt_mode="relaxation"`` opts into the stricter bound of the
     relaxation positivity theorem (wave-speed bound times edge lengths)
     instead of the sharper upwind bound.  ``stop_tol`` is relative to
-    the first iteration's update rate.  ``n_threads`` and
-    ``deterministic`` default to the RD_THREADS / RD_DETERMINISTIC
-    environment variables.
+    the first iteration's update rate.  ``safety`` scales the wave-speed
+    bound.  ``n_threads`` is set at run time and defaults to the
+    RD_THREADS environment variable.
     """
 
     scheme: str = "rxn"
@@ -103,19 +96,16 @@ class SolverConfig:
     stop_tol: float = 1.0e-10
     divergence_factor: float = 1.0e6
     history_stride: int = 10
-    entropy_delta: float = 0.0
-    velocity_policy: str = "frozen"
-    literal_char_limiter: bool = False
     local_time_stepping: bool = False
     dt_mode: str = "upwind"
-    star_flux: str = "pointwise"
     safety: float = 1.1
     n_threads: int | None = None
-    deterministic: bool | None = None
 
     def validate(self):
-        if self.scheme not in SCHEMES:
-            raise InvalidArgument(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise InvalidArgument(f"{name} must be one of {allowed}, got {value!r}")
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise InvalidArgument("cfl_fraction must lie in (0, 1]")
         if self.max_iters < 1:
@@ -126,18 +116,6 @@ class SolverConfig:
             raise InvalidArgument("divergence_factor must exceed 1")
         if self.history_stride < 1:
             raise InvalidArgument("history_stride must be at least 1")
-        if self.dt_mode not in DT_MODES:
-            raise InvalidArgument(f"dt_mode must be one of {DT_MODES}, got {self.dt_mode!r}")
-        if self.velocity_policy not in VELOCITY_POLICIES:
-            raise InvalidArgument(
-                f"velocity_policy must be one of {VELOCITY_POLICIES}, got {self.velocity_policy!r}"
-            )
-        if self.star_flux not in STAR_FLUXES:
-            raise InvalidArgument(
-                f"star_flux must be one of {STAR_FLUXES}, got {self.star_flux!r}"
-            )
-        if self.entropy_delta < 0.0:
-            raise InvalidArgument("entropy_delta must be nonnegative")
         if self.safety < 1.0:
             raise InvalidArgument("safety must be at least 1")
         if self.n_threads is not None and self.n_threads < 1:
@@ -243,25 +221,10 @@ def distribute(
             res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
         else:
             avg = _average(law, q_nodes, z_nodes)
-            res = dist.n_scheme_system(
-                law,
-                normals,
-                q_nodes,
-                entropy_delta=cfg.entropy_delta,
-                safety=cfg.safety,
-                average=avg,
-            )
+            res = dist.n_scheme_system(law, normals, q_nodes, safety=cfg.safety, average=avg)
     else:
         res = dist.rxn_scheme(
-            law,
-            normals,
-            q_nodes,
-            s=s,
-            velocity=velocity,
-            velocity_policy=cfg.velocity_policy,
-            star_flux=cfg.star_flux,
-            safety=cfg.safety,
-            flux=flux,
+            law, normals, q_nodes, s=s, velocity=velocity, safety=cfg.safety, flux=flux
         )
     flux = None  # the gathered flux is spent; free it before the limiter's temporaries
 
@@ -284,7 +247,7 @@ def distribute(
     direction = limiting.limiting_direction(law, avg.qhat, avg.prim)
     es = law.eigensystem(avg.qhat, direction, avg.prim)
     if cfg.limited:
-        parts = limiting.limit_system(parts, es, literal=cfg.literal_char_limiter)
+        parts = limiting.limit_system(parts, es)
     if cfg.corrected:
         wave = getattr(law, "ENTROPY_WAVE", 0)
         parts = limiting.correction_system(
@@ -329,11 +292,6 @@ class Solver:
 
         self.n_threads = (
             self.cfg.n_threads if self.cfg.n_threads is not None else _env_threads()
-        )
-        self.deterministic = (
-            self.cfg.deterministic
-            if self.cfg.deterministic is not None
-            else _env_deterministic()
         )
         self._chunks = self._plan_chunks()
         self._chunk_nodes = [self.tris[sl].ravel() for sl in self._chunks]
@@ -394,34 +352,25 @@ class Solver:
         Returns ``(residual (N, m), fallback_count)``.  ``sweep`` passes
         the iteration's precomputed ``Sweep`` of ``q`` (the marching
         loop shares one between the step-size rule and the assembly);
-        it is computed when None.  Accumulation order is fixed in
-        deterministic mode; with several threads and determinism off,
-        chunks land in completion order.
+        it is computed when None.  Chunks are accumulated in ascending
+        chunk order, whatever the number of threads.
         """
         q = np.asarray(q, dtype=float)
         if sweep is None:
             sweep = self._sweep(q)
-        out = np.zeros((self.n_nodes, self.law.m))
         if len(self._chunks) == 1:
-            parts, fallback = self._parts_slice(self._chunks[0], sweep)
-            self._scatter_add(out, self._chunk_nodes[0], parts)
-            return out, fallback
-
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
-            weakref.finalize(self, self._pool.shutdown, wait=False)
-        futures = {
-            self._pool.submit(self._parts_slice, sl, sweep): i
-            for i, sl in enumerate(self._chunks)
-        }
-        fallback = 0
-        if self.deterministic:
-            ordered = sorted(futures, key=futures.get)
+            results = [self._parts_slice(self._chunks[0], sweep)]
         else:
-            ordered = as_completed(futures)
-        for fut in ordered:
-            parts, n_fb = fut.result()
-            self._scatter_add(out, self._chunk_nodes[futures[fut]], parts)
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
+                weakref.finalize(self, self._pool.shutdown, wait=False)
+            results = self._pool.map(
+                self._parts_slice, self._chunks, [sweep] * len(self._chunks)
+            )
+        out = np.zeros((self.n_nodes, self.law.m))
+        fallback = 0
+        for nodes, (parts, n_fb) in zip(self._chunk_nodes, results):
+            self._scatter_add(out, nodes, parts)
             fallback += n_fb
         return out, fallback
 

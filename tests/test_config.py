@@ -1,10 +1,13 @@
 """Run-configuration parsing, validation, presets, and problem assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rdflux import config, physics
 from rdflux.errors import ConfigError
+from rdflux.solver import SolverConfig
 
 ADVECTION_TEXT = """\
 # transport of a sine hump across the unit square
@@ -42,10 +45,11 @@ class TestParseText:
 
 class TestCanonicalize:
     def test_unknown_key_full_path(self):
-        m = config.parse_text(ADVECTION_TEXT)
-        m["solver.warp_speed"] = "9"
-        with pytest.raises(ConfigError, match="solver.warp_speed"):
-            config.canonicalize(m)
+        for key in ("solver.warp_speed", "solver.star_flux"):
+            m = config.parse_text(ADVECTION_TEXT)
+            m[key] = "9"
+            with pytest.raises(ConfigError, match=key):
+                config.canonicalize(m)
 
     def test_inapplicable_key_rejected(self):
         m = config.parse_text(ADVECTION_TEXT)
@@ -54,14 +58,15 @@ class TestCanonicalize:
             config.canonicalize(m)
 
     def test_mesh_source_exclusive(self):
-        m = config.parse_text(ADVECTION_TEXT)
-        m["mesh.file"] = "grid.msh"
-        with pytest.raises(ConfigError, match="mutually exclusive"):
-            config.canonicalize(m)
-        del m["mesh.file"]
-        del m["mesh.kind"]
-        with pytest.raises(ConfigError, match="mesh.file or mesh.kind"):
-            config.canonicalize(m)
+        for build in (config.canonicalize, config.build_mesh_only):
+            m = config.parse_text(ADVECTION_TEXT)
+            m["mesh.file"] = "grid.msh"
+            with pytest.raises(ConfigError, match="mutually exclusive"):
+                build(m)
+            del m["mesh.file"]
+            del m["mesh.kind"]
+            with pytest.raises(ConfigError, match="mesh.file or mesh.kind"):
+                build(m)
 
     def test_defaults_filled(self):
         canon = config.canonicalize(config.parse_text(ADVECTION_TEXT))
@@ -93,9 +98,17 @@ class TestCanonicalize:
         }
         canon = config.canonicalize(base)
         assert canon["mesh.outer"] == "radius 4.0"
-        base["mesh.outer"] = "ellipse 1 2"
-        with pytest.raises(ConfigError, match="mesh.outer"):
-            config.canonicalize(base)
+        radius_mesh = config.build_mesh_only(base)
+        assert np.isclose(np.hypot(*radius_mesh.points.T).max(), 4.0)
+        base["mesh.outer"] = "rect -5 3 -2 2.5"
+        assert config.canonicalize(base)["mesh.outer"] == "rect -5.0 3.0 -2.0 2.5"
+        rect_mesh = config.build_mesh_only(base)
+        assert np.allclose(rect_mesh.points.min(axis=0), [-5.0, -2.0])
+        assert np.allclose(rect_mesh.points.max(axis=0), [3.0, 2.5])
+        for bad in ("ellipse 1 2", "radius", "rect 1 2 3"):
+            base["mesh.outer"] = bad
+            with pytest.raises(ConfigError, match="mesh.outer"):
+                config.canonicalize(base)
 
 
 class TestSerializeRoundTrip:
@@ -126,16 +139,12 @@ class TestPresets:
             "advection-rotating",
             "cylinder-subsonic",
             "cylinder-supersonic",
-            "naca-transonic",
         ]
 
-    @pytest.mark.parametrize("name", ["advection-rotating", "cylinder-subsonic",
-                                      "cylinder-supersonic"])
+    @pytest.mark.parametrize("name", config.preset_names())
     def test_presets_canonical_and_buildable(self, name):
         canon = config.preset(name)
         assert config.canonicalize(canon) == canon
-        # The airfoil preset needs an external mesh file, so only the
-        # generated-mesh presets are built here.
         mesh = config.build_mesh_only(canon)
         assert mesh.n_tris > 0
 
@@ -152,6 +161,16 @@ class TestBuildProblem:
         assert (prob.q0 == 0.0).all()
         assert prob.solver_config.scheme == "rxn"
         assert prob.output.basename == "run"
+
+    def test_solver_keys_are_config_fields(self):
+        # Every solver.* key names a SolverConfig field, and a config
+        # without solver keys builds the dataclass defaults.
+        canon = config.canonicalize(config.parse_text(ADVECTION_TEXT))
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        keys = [k for k in canon if k.startswith("solver.")]
+        assert keys and all(k[len("solver."):] in fields for k in keys)
+        prob = config.build_problem(config.parse_text(ADVECTION_TEXT))
+        assert prob.solver_config == SolverConfig()
 
     def test_euler_freestream_init_default(self):
         base = {

@@ -272,22 +272,9 @@ class TestWaveSpeedBound:
 class TestSplitEigenvalues:
     def test_exact_clip_when_delta_zero(self, rng):
         lam = rng.standard_normal((40, 4))
-        plus, minus = dist.split_eigenvalues(lam, delta=0.0)
+        plus, minus = dist.split_eigenvalues(lam)
         assert np.allclose(plus, np.maximum(lam, 0.0))
         assert np.allclose(minus, np.minimum(lam, 0.0))
-
-    def test_sum_and_signs_with_delta(self, rng):
-        lam = rng.standard_normal((40, 4))
-        plus, minus = dist.split_eigenvalues(lam, delta=0.3)
-        assert np.allclose(plus + minus, lam, rtol=1e-13)
-        assert (plus >= 0.0).all() and (minus <= 0.0).all()
-
-    def test_smoothing_region_width(self):
-        lam = np.array([[0.0]])
-        plus, minus = dist.split_eigenvalues(lam, delta=0.5)
-        # At lam = 0 the smoothed magnitude is delta/2, split evenly.
-        assert np.isclose(plus[0, 0], 0.125)
-        assert np.isclose(minus[0, 0], -0.125)
 
 
 class TestRxn1D:

@@ -37,18 +37,10 @@ def averaged_states(gamma, q):
     return qhat, z @ dqdz.T
 
 
-def smoothed_abs(mu, delta):
-    """|mu|, rounded below ``delta`` to (mu^2 + delta^2) / (2 delta)."""
-    if delta > 0.0 and abs(mu) < delta:
-        return (mu * mu + delta * delta) / (2.0 * delta)
-    return abs(mu)
-
-
-def signed_parts(k, delta=0.0):
+def signed_parts(k):
     """K^+ and K^- of a diagonalizable real matrix from its numerical eigenvalues.
 
-    Each eigenvalue mu splits into (mu +/- |mu|) / 2, with |mu| smoothed
-    below ``delta`` (entropy smoothing; 0 gives the exact one-sided parts).
+    Each eigenvalue mu splits into (mu +/- |mu|) / 2.
 
     The eigenvalues come from ``np.linalg.eig``; its eigenvectors are not
     used, because for the repeated eigenvalue of the Euler Jacobian (the
@@ -69,20 +61,19 @@ def signed_parts(k, delta=0.0):
         for l, mu_l in enumerate(mu):
             if l != j:
                 proj = proj @ (k - mu_l * eye) / (mu_j - mu_l)
-        mag = smoothed_abs(mu_j, delta)
-        plus += 0.5 * (mu_j + mag) * proj
-        minus += 0.5 * (mu_j - mag) * proj
+        plus += 0.5 * (mu_j + abs(mu_j)) * proj
+        minus += 0.5 * (mu_j - abs(mu_j)) * proj
     return plus, minus
 
 
-def oracle(law, normals, q_nodes, delta=0.0):
+def oracle(law, normals, q_nodes):
     """(parts, star) of the N scheme, one triangle at a time."""
     parts = np.empty_like(q_nodes)
     star = np.empty(q_nodes.shape[::2])
     for t in range(len(q_nodes)):
         qhat, qhat_nodes = averaged_states(law.gamma, q_nodes[t])
         plus, minus = zip(*(
-            signed_parts(law.flux_jacobian(qhat, normals[t, i]) / 2.0, delta)
+            signed_parts(law.flux_jacobian(qhat, normals[t, i]) / 2.0)
             for i in range(3)
         ))
         star[t] = np.linalg.solve(sum(minus), sum(m @ qi for m, qi in zip(minus, qhat_nodes)))
@@ -118,19 +109,3 @@ def test_matches_eig_oracle(euler, seed, layout):
     assert_close_per_triangle(r.star, star)
     total = dist.total_residual_rsd(euler, normals, q)
     assert np.abs(r.total - total).max() <= 1e-11 * max(np.abs(total).max(), 1.0)
-
-
-def test_entropy_smoothing_matches_oracle(euler):
-    # delta near the typical |lam|/2 puts many eigenvalues in the rounded region.
-    rng = np.random.default_rng(7)
-    n = 30
-    normals = compute_normals(random_triangles(rng, n))
-    q = random_euler_states(rng, (n, 3))
-    delta = 0.3
-    parts, star = oracle(euler, normals, q, delta)
-    r = dist.n_scheme_system(euler, normals, q, entropy_delta=delta)
-    assert not r.fallback.any()
-    assert_close_per_triangle(r.parts, parts)
-    assert_close_per_triangle(r.star, star)
-    plain = dist.n_scheme_system(euler, normals, q)
-    assert np.abs(r.parts - plain.parts).max() > 1e-3 * np.abs(plain.parts).max()
