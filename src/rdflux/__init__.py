@@ -32,11 +32,10 @@ from .errors import (
     RdfluxError,
     SingularMatrix,
     StagnantField,
-    StagnationFallback,
 )
 from .mesh import Mesh, load_mesh, save_mesh
-from .physics import Advection, Burgers, Euler, RotatingAdvection, make_law
-from .solver import SolveResult, Solver, SolverConfig, run_steady
+from .physics import Advection, Burgers, Euler, RotatingAdvection
+from .solver import SolveResult, Solver, SolverConfig
 
 __version__ = "0.1.0"
 
@@ -49,12 +48,10 @@ __all__ = [
     "RotatingAdvection",
     "Burgers",
     "Euler",
-    "make_law",
     "BoundarySet",
     "Solver",
     "SolverConfig",
     "SolveResult",
-    "run_steady",
     "build_problem",
     "load_config",
     "preset",
@@ -67,6 +64,5 @@ __all__ = [
     "InvalidTopology",
     "SingularMatrix",
     "StagnantField",
-    "StagnationFallback",
     "Diverged",
 ]

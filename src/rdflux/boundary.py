@@ -154,16 +154,6 @@ class BoundarySet:
             )
         return values
 
-    def bindings(self):
-        return list(self._bindings)
-
-    def dirichlet_nodes(self):
-        """Node ids whose states are pinned (used by time-step logic)."""
-        ids = [b.nodes for b in self._bindings if b.kind == "dirichlet"]
-        if not ids:
-            return np.empty(0, dtype=int)
-        return np.unique(np.concatenate(ids))
-
     def apply(self, q):
         """Impose all conditions on nodal states ``q`` (modified in place)."""
         for b in self._bindings:

@@ -59,6 +59,11 @@ def _write_state_csv(mesh, law, q, path):
 
 
 def _read_state_csv(path, n_nodes, m):
+    """Nodal states (n_nodes, m) from a state CSV written by ``run``.
+
+    Every row must hold node, x, y and m finite numbers, with the node
+    column running 0..n_nodes-1; otherwise ConfigError names the line.
+    """
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -71,7 +76,20 @@ def _read_state_csv(path, n_nodes, m):
         raise ConfigError(
             f"saved state {path} has {len(body)} nodes, mesh has {n_nodes}"
         )
-    q = np.array([[float(v) for v in row[3 : 3 + m]] for row in body])
+    q = np.empty((n_nodes, m))
+    for i, row in enumerate(body):
+        where = f"saved state {path}:{i + 2}"
+        if len(row) != 3 + m:
+            raise ConfigError(f"{where}: expected {3 + m} fields, got {len(row)}")
+        try:
+            node = int(row[0])
+            q[i] = [float(v) for v in row[3:]]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if node != i:
+            raise ConfigError(f"{where}: node {node}, expected {i}")
+        if not np.isfinite(q[i]).all():
+            raise ConfigError(f"{where}: non-finite state")
     return q
 
 
@@ -103,7 +121,6 @@ def _cmd_run(args):
     os.makedirs(plan.directory, exist_ok=True)
 
     solver = Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
-    last = {"it": 0}
 
     def progress(it, q, rel):
         if args.quiet:
@@ -111,7 +128,6 @@ def _cmd_run(args):
         stride = max(1, problem.solver_config.history_stride)
         if it == 1 or it % stride == 0:
             print(f"iter {it:7d}  relative rate {rel:.3e}", flush=True)
-        last["it"] = it
 
     result = solver.march(problem.q0, callback=progress)
     print(
@@ -149,7 +165,8 @@ def _cmd_verify(args):
 
 
 def _cmd_mesh_gen(args):
-    mapping = cfgmod.parse_text(open(args.spec, "r", encoding="utf-8").read())
+    with open(args.spec, "r", encoding="utf-8") as fh:
+        mapping = cfgmod.parse_text(fh.read())
     mesh = cfgmod.build_mesh_only(mapping)
     from .mesh import save_mesh
 

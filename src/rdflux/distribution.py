@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, StagnationFallback
+from .errors import InvalidArgument
 from .smallmat import solve_batched
 
 __all__ = [
     "DistributedResidual",
     "advection_upwind_k",
+    "scalar_upwind_k",
     "total_residual_linear",
     "total_residual_rsd",
     "n_scheme_scalar",
@@ -88,18 +89,26 @@ def advection_upwind_k(law, tri_xy):
     return k
 
 
-def _nodal_normal_flux(law, normals, q_nodes, velocity, flux=None):
+def scalar_upwind_k(law, normals, q_nodes):
+    """Upwind parameters k_i = (n_i . u)/2 of a scalar law, (T, 3).
+
+    u is the law's linearized speed at the parameter-vector average:
+    exact for constant advection, a secant-type mean for scalar
+    quadratic fluxes.
+    """
+    avg = law.rsd_average(q_nodes)
+    u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
+    return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
+
+
+def _nodal_normal_flux(law, normals, q_nodes, velocity=None, flux=None):
     """n_i . f(Q_i) per node, shape (T, 3, m).
 
-    ``velocity`` overrides the law's flux for advection-type problems:
-    (T, 2) applies one velocity per triangle, (T, 3, 2) one per node.
-    Otherwise ``flux`` passes the nodal flux pair ``law.flux(q_nodes)``
-    when the caller already has it.
+    ``velocity`` (T, 3, 2) overrides the law's flux for advection-type
+    problems.  Otherwise ``flux`` passes the nodal flux pair
+    ``law.flux(q_nodes)`` when the caller already has it.
     """
     if velocity is not None:
-        velocity = np.asarray(velocity, dtype=float)
-        if velocity.ndim == 2:
-            velocity = velocity[:, None, :]
         un = (velocity * normals).sum(axis=-1)  # (T, 3)
         return un[..., None] * q_nodes
     fx, fy = law.flux(q_nodes) if flux is None else flux
@@ -108,7 +117,7 @@ def _nodal_normal_flux(law, normals, q_nodes, velocity, flux=None):
     return nf
 
 
-def total_residual_linear(law, normals, q_nodes, *, velocity=None):
+def total_residual_linear(law, normals, q_nodes):
     """Total residual of the interpolated flux, two-point edge rule.
 
     Equals the outward contour integral of the edgewise-linear
@@ -117,7 +126,7 @@ def total_residual_linear(law, normals, q_nodes, *, velocity=None):
     to zero.
     """
     q_nodes = _as_batch(q_nodes)
-    nf = _nodal_normal_flux(law, np.asarray(normals, dtype=float), q_nodes, velocity)
+    nf = _nodal_normal_flux(law, np.asarray(normals, dtype=float), q_nodes)
     return 0.5 * nf.sum(axis=1)
 
 
@@ -143,32 +152,21 @@ def total_residual_rsd(law, normals, q_nodes):
 # narrow upwind scheme
 # ---------------------------------------------------------------------------
 
-def n_scheme_scalar(law, normals, q_nodes, *, velocity=None, k=None):
+def n_scheme_scalar(law, normals, q_nodes, *, k=None):
     """Scalar upwind scheme: Phi_i = [k_i]+ (Q_i - Q_star).
 
-    The upwind parameters are k_i = (u . n_i)/2.  They come from, in
-    order of precedence: the explicit ``k`` array (T, 3) (streamfunction
-    form for variable velocity fields); an explicit ``velocity`` ((2,) or
-    (T, 2)); or the law's linearized speed at the parameter-vector
-    average (exact for constant advection; secant-type mean for scalar
-    quadratic fluxes).  Q_star is the inflow state fixed by requiring
+    The upwind parameters k_i = (u . n_i)/2 are the explicit ``k`` array
+    (T, 3) (streamfunction form for variable velocity fields), or else
+    ``scalar_upwind_k``.  Q_star is the inflow state fixed by requiring
     the parts to sum to sum_i k_i Q_i.  Zero flow yields zero parts.
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     q = q_nodes[..., 0]
-    if k is not None:
-        k = np.asarray(k, dtype=float)
+    if k is None:
+        k = scalar_upwind_k(law, normals, q_nodes)
     else:
-        if velocity is not None:
-            u = np.asarray(velocity, dtype=float)
-        else:
-            avg = law.rsd_average(q_nodes)
-            u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
-        if u.ndim == 1:
-            k = 0.5 * (normals * u).sum(axis=-1)
-        else:
-            k = 0.5 * (normals * u[:, None, :]).sum(axis=-1)
+        k = np.asarray(k, dtype=float)
     kp = np.maximum(k, 0.0)
     kn = np.minimum(k, 0.0)
     denom = kn.sum(axis=-1)
@@ -181,25 +179,21 @@ def n_scheme_scalar(law, normals, q_nodes, *, velocity=None, k=None):
     return DistributedResidual(parts[..., None], qstar[..., None])
 
 
-def n_scheme_system(law, normals, q_nodes, *, on_singular="fallback", safety=1.1, average=None):
+def n_scheme_system(law, normals, q_nodes, *, safety=1.1, average=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
     (n_i . J)/2 at the parameter-vector average, and Q_star solving
     (sum K_j^-) Q_star = sum K_j^- Qhat_j.  The star matrix can be
-    singular (e.g. near stagnation); ``on_singular`` selects the policy:
-
-    * ``"fallback"``: distribute the affected triangles with the
-      relaxation scheme instead (provably conservative, needs no solve);
-      the returned ``fallback`` mask marks them.
-    * ``"raise"``: raise StagnationFallback carrying the triangle indices.
+    singular (e.g. near stagnation); the affected triangles are then
+    distributed with the relaxation scheme instead (provably
+    conservative, needs no solve), and the returned ``fallback`` mask
+    marks them.
 
     ``average`` accepts a precomputed ``law.rsd_average(q_nodes)`` so a
     caller that needs the averaged state anyway (e.g. for limiting) pays
     for it once.
     """
-    if on_singular not in ("fallback", "raise"):
-        raise InvalidArgument("on_singular must be 'fallback' or 'raise'")
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     if law.m == 1:
@@ -223,9 +217,6 @@ def n_scheme_system(law, normals, q_nodes, *, on_singular="fallback", safety=1.1
     qhat_nodes = avg.qhat_nodes
     lq = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes).reshape(t, 3 * m)
     qstar, bad = solve_batched(nmat, np.einsum("tik,tk->ti", rlam, lq))
-    if on_singular == "raise" and bad.any():
-        idx = np.nonzero(bad)[0]
-        raise StagnationFallback(f"singular star matrix on triangles {idx.tolist()}", idx)
     amp = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes - qstar[:, None, :])
     amp *= lam_p
     parts = np.einsum("tnip,tnp->tni", es.right, amp)
@@ -268,14 +259,11 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
 
 def _rxn_velocity(normals, velocity):
     """Per-node and star velocities for advection-field RXN: the triangle mean."""
-    velocity = np.asarray(velocity, dtype=float)
-    if velocity.ndim == 2:
-        velocity = np.broadcast_to(velocity[:, None, :], normals.shape)
-    vbar = velocity.mean(axis=1)
+    vbar = np.asarray(velocity, dtype=float).mean(axis=1)
     return np.broadcast_to(vbar[:, None, :], normals.shape), vbar
 
 
-def rxn_qstar(law, normals, q_nodes, s, *, velocity=None):
+def rxn_qstar(law, normals, q_nodes, s):
     """Upwind state of the relaxation scheme (closed form).
 
     Q_star = sum_j (s ||n_j|| Q_j - n_j . f(Q_j)) / (s sum_i ||n_i||).
@@ -284,9 +272,7 @@ def rxn_qstar(law, normals, q_nodes, s, *, velocity=None):
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
-    if velocity is not None:
-        velocity, _ = _rxn_velocity(normals, velocity)
-    nf = _nodal_normal_flux(law, normals, q_nodes, velocity)
+    nf = _nodal_normal_flux(law, normals, q_nodes)
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     num = (s[:, None, None] * nlen[..., None] * q_nodes - nf).sum(axis=1)
     return num / (s * nlen.sum(axis=1))[:, None]
@@ -302,10 +288,11 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux
     Euler, f(Q_star) is evaluated only if Q_star is physical; otherwise
     NonPhysicalState is raised (no clamping).
 
-    ``velocity`` enables advection by a position-dependent field.  All
-    fluxes are then evaluated at the per-triangle mean velocity, which
-    keeps the scheme inside the positive-coefficient theory (discrete max
-    principle under the strict time step).
+    ``velocity`` ((T, 3, 2) nodal values) enables advection by a
+    position-dependent field.  All fluxes are then evaluated at the
+    per-triangle mean velocity, which keeps the scheme inside the
+    positive-coefficient theory (discrete max principle under the strict
+    time step).
 
     ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
     caller already has it (ignored with ``velocity``).
@@ -323,7 +310,7 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux
         v_nodes, v_star = _rxn_velocity(normals, velocity)
         nf_nodes = _nodal_normal_flux(law, normals, q_nodes, v_nodes)
     else:
-        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, None, flux)
+        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, flux=flux)
     # One (T, 3, m) buffer: first s ||n_j|| Q_j - n_j . f(Q_j), then the parts.
     buf = snlen * q_nodes
     buf -= nf_nodes

@@ -25,17 +25,6 @@ class SingularMatrix(RdfluxError):
     """Dense solve aborted because a pivot fell below the threshold."""
 
 
-class StagnationFallback(RdfluxError):
-    """Upwind star solve hit a singular matrix; caller should switch distribution.
-
-    Carries ``indices``: which triangles of the batch were singular.
-    """
-
-    def __init__(self, message, indices=None):
-        super().__init__(message)
-        self.indices = indices
-
-
 class ConfigError(RdfluxError):
     """Run configuration that cannot be parsed or validated."""
 

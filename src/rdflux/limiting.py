@@ -103,8 +103,8 @@ def limit_system(parts, eigensystem):
     return np.matmul(coef, np.swapaxes(eigensystem.right, -1, -2), out=np.empty_like(coef))
 
 
-def correction_theta(areas, proj, eps=CORRECTION_EPS):
-    """Correction strength theta = min(1, |T| / (|proj| + eps)).
+def correction_theta(areas, proj):
+    """Correction strength theta = min(1, |T| / (|proj| + CORRECTION_EPS)).
 
     ``proj`` is the magnitude of the total residual's projection onto the
     marker field (entropy wave for gas dynamics, the residual itself for
@@ -112,10 +112,10 @@ def correction_theta(areas, proj, eps=CORRECTION_EPS):
     near shocks, so the correction switches itself off there.
     """
     areas = np.asarray(areas, dtype=float)
-    return np.minimum(1.0, areas / (np.abs(proj) + eps))
+    return np.minimum(1.0, areas / (np.abs(proj) + CORRECTION_EPS))
 
 
-def correction_scalar(parts, total, areas, k, eps=CORRECTION_EPS):
+def correction_scalar(parts, total, areas, k):
     """Add theta |T|^{-1/2} k_i Phi^T to scalar parts.
 
     ``k`` is the (T, 3) upwind-parameter array of the scheme (equal to
@@ -124,14 +124,12 @@ def correction_scalar(parts, total, areas, k, eps=CORRECTION_EPS):
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    theta = correction_theta(areas, total[..., 0], eps)
+    theta = correction_theta(areas, total[..., 0])
     scale = theta / np.sqrt(np.asarray(areas, dtype=float))
     return parts + (scale[..., None] * k)[..., None] * total[..., None, :]
 
 
-def correction_system(
-    parts, total, areas, normals, jx, jy, ent_left, eps=CORRECTION_EPS
-):
+def correction_system(parts, total, areas, normals, jx, jy, ent_left):
     """Add theta |T|^{-1/2} K_i Phi^T to system parts.
 
     K_i = (n_i . J)/2 at the element-averaged state; only the two
@@ -144,7 +142,7 @@ def correction_system(
     total = np.ascontiguousarray(total, dtype=float)
     normals = np.asarray(normals, dtype=float)
     proj = np.einsum("...j,...j->...", ent_left, total)
-    theta = correction_theta(areas, proj, eps)
+    theta = correction_theta(areas, proj)
     scale = theta / np.sqrt(np.asarray(areas, dtype=float))
     # Column-major products, so that with triangle-innermost parts and
     # normals every elementwise loop below runs over the triangles.

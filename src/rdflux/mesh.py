@@ -74,7 +74,6 @@ class Mesh:
     tris : (M, 3) node ids, counter-clockwise
     normals : (M, 3, 2) scaled inward normals
     areas : (M,) triangle areas
-    radii : (M,) sqrt of triangle areas
     dual_areas : (N,) median dual-cell areas
     bedges : (K, 2) boundary edges, interior on the left
     btags : length-K list of tag strings
@@ -84,7 +83,6 @@ class Mesh:
     tris: np.ndarray
     normals: np.ndarray
     areas: np.ndarray
-    radii: np.ndarray
     dual_areas: np.ndarray
     bedges: np.ndarray
     btags: tuple
@@ -238,14 +236,11 @@ class Mesh:
 
         for arr in (points, tris, normals, areas, dual, bedges):
             arr.setflags(write=False)
-        radii = np.sqrt(areas)
-        radii.setflags(write=False)
         return Mesh(
             points=points,
             tris=tris,
             normals=normals,
             areas=areas,
-            radii=radii,
             dual_areas=dual,
             bedges=bedges,
             btags=btags,
@@ -286,15 +281,21 @@ def load_mesh(path):
             fail(lineno, f"expected {expect!r}, got {fields[0]!r}")
         return lineno, fields
 
+    def next_count(section, what):
+        lineno, fields = next_line(section)
+        try:
+            count = int(fields[1])
+        except (IndexError, ValueError):
+            fail(lineno, f"bad {what} count")
+        if count < 0:
+            fail(lineno, f"negative {what} count {count}")
+        return count
+
     lineno, fields = next_line()
     if fields[:2] != ["rdmesh", "1"]:
         fail(lineno, "bad header, expected 'rdmesh 1'")
 
-    lineno, fields = next_line("nodes")
-    try:
-        n = int(fields[1])
-    except (IndexError, ValueError):
-        fail(lineno, "bad node count")
+    n = next_count("nodes", "node")
     points = np.empty((n, 2))
     for k in range(n):
         lineno, fields = next_line()
@@ -303,11 +304,7 @@ def load_mesh(path):
         except (IndexError, ValueError):
             fail(lineno, f"bad node line {fields}")
 
-    lineno, fields = next_line("triangles")
-    try:
-        m = int(fields[1])
-    except (IndexError, ValueError):
-        fail(lineno, "bad triangle count")
+    m = next_count("triangles", "triangle")
     tris = np.empty((m, 3), dtype=np.int64)
     for k in range(m):
         lineno, fields = next_line()
@@ -316,11 +313,7 @@ def load_mesh(path):
         except (IndexError, ValueError):
             fail(lineno, f"bad triangle line {fields}")
 
-    lineno, fields = next_line("boundary")
-    try:
-        kb = int(fields[1])
-    except (IndexError, ValueError):
-        fail(lineno, "bad boundary count")
+    kb = next_count("boundary", "boundary")
     tagged = []
     for k in range(kb):
         lineno, fields = next_line()

@@ -24,7 +24,6 @@ __all__ = [
     "Euler",
     "Eigensystem",
     "RsdAverage",
-    "make_law",
 ]
 
 
@@ -207,11 +206,7 @@ class RotatingAdvection(ConservationLaw):
         raise InvalidArgument("position-dependent advection Jacobian needs xy")
 
     def max_wavespeed(self, q):
-        raise InvalidArgument("use speed_at(xy) for position-dependent advection")
-
-    def speed_at(self, xy):
-        v = self.velocity_at(xy)
-        return np.hypot(v[..., 0], v[..., 1])
+        raise InvalidArgument("use velocity_at(xy) for position-dependent advection")
 
 
 class Burgers(ConservationLaw):
@@ -260,16 +255,19 @@ class Euler(ConservationLaw):
         self.gamma = float(gamma)
 
     # -- primitive access -------------------------------------------------
-    def primitives(self, q, check=True):
-        """(rho, u, v, p) from conserved variables."""
+    def primitives(self, q):
+        """(rho, u, v, p) from conserved variables.
+
+        Raises NonPhysicalState on non-positive density or pressure.
+        """
         q = np.asarray(q, dtype=float)
         rho = q[..., 0]
-        if check and np.any(rho <= 0.0):
+        if np.any(rho <= 0.0):
             raise NonPhysicalState("non-positive density")
         u = q[..., 1] / rho
         v = q[..., 2] / rho
         p = (self.gamma - 1.0) * (q[..., 3] - 0.5 * rho * (u * u + v * v))
-        if check and np.any(p <= 0.0):
+        if np.any(p <= 0.0):
             raise NonPhysicalState("non-positive pressure")
         return rho, u, v, p
 
@@ -283,10 +281,6 @@ class Euler(ConservationLaw):
         q[..., 2] = rho * v
         q[..., 3] = p / (self.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
         return q
-
-    def sound_speed(self, q):
-        rho, _, _, p = self.primitives(q)
-        return np.sqrt(self.gamma * p / rho)
 
     def check_physical(self, q, where=""):
         q = np.asarray(q, dtype=float)
@@ -484,22 +478,7 @@ class Euler(ConservationLaw):
         out[..., 3, 3] = z[..., 0] / g
         return out
 
-    # -- derived fields ------------------------------------------------------
-    def entropy_deviation(self, q):
-        """Relative entropy error against the reference state with s = s_ref.
-
-        s = log(p / rho^gamma); the reference value is log(1/gamma^gamma),
-        i.e. the free stream normalized to rho = 1, p = gamma^-gamma.
-        """
-        rho, _, _, p = self.primitives(q)
-        s = np.log(p / rho**self.gamma)
-        s_ref = -self.gamma * math.log(self.gamma)
-        return (s - s_ref) / abs(s_ref)
-
-    def mach(self, q):
-        rho, u, v, p = self.primitives(q)
-        return np.hypot(u, v) / np.sqrt(self.gamma * p / rho)
-
+    # -- reference state -----------------------------------------------------
     def freestream(self, mach, aoa_deg=0.0):
         """Reference state: rho = 1, p = gamma^-gamma (so entropy deviation 0)."""
         p = self.gamma**-self.gamma
@@ -509,17 +488,3 @@ class Euler(ConservationLaw):
         return self.conserved(
             1.0, speed * math.cos(alpha), speed * math.sin(alpha), p
         )
-
-
-def make_law(kind, **params):
-    """Factory used by the config layer."""
-    kind = kind.lower()
-    if kind == "advection":
-        return Advection(params.get("velocity", (1.0, 0.0)))
-    if kind in ("rotating-advection", "rotating_advection"):
-        return RotatingAdvection(params.get("omega", math.pi))
-    if kind == "burgers":
-        return Burgers()
-    if kind == "euler":
-        return Euler(params.get("gamma", 1.4))
-    raise InvalidArgument(f"unknown conservation law {kind!r}")

@@ -52,30 +52,23 @@ def solve(a, b):
     return x[:, 0] if vec else x
 
 
-def solve_batched(a, b, fallback_mask=None):
+def solve_batched(a, b):
     """Batched solve of a[t] @ x[t] = b[t] with singularity detection.
 
     ``a`` is (T, m, m), ``b`` is (T, m).  Returns (x, bad) where ``bad`` is a
     boolean mask of batch items whose system was singular (their x rows are
-    zero).  Items already set in ``fallback_mask`` are not solved and stay
-    marked.  Detection: LAPACK failure plus a residual check against the
+    zero).  Detection: LAPACK failure plus a residual check against the
     pivot-threshold contract of ``solve``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    t, m = b.shape
-    bad = np.zeros(t, dtype=bool) if fallback_mask is None else fallback_mask.copy()
-    live = np.flatnonzero(~bad)
-    if live.size == 0:
-        return np.zeros_like(b), bad
-    if live.size < t:
-        a, b = a[live], b[live]
+    bad = np.zeros(b.shape[0], dtype=bool)
     try:
         x = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         # Rare path: pick out the singular items one by one.
         x = np.zeros_like(b)
-        suspect = np.ones(live.size, dtype=bool)
+        suspect = np.ones(b.shape[0], dtype=bool)
     else:
         # Guard against quietly ill-conditioned systems: demand a small
         # residual relative to the data scale.
@@ -88,10 +81,6 @@ def solve_batched(a, b, fallback_mask=None):
         try:
             x[j] = solve(a[j], b[j])
         except SingularMatrix:
-            bad[live[j]] = True
+            bad[j] = True
             x[j] = 0.0
-    if live.size == t:
-        return x, bad
-    out = np.zeros((t, m))
-    out[live] = x
-    return out, bad
+    return x, bad

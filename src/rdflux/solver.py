@@ -47,7 +47,6 @@ __all__ = [
     "SolveResult",
     "Solver",
     "distribute",
-    "run_steady",
     "SCHEMES",
     "DT_MODES",
     "CHOICES",
@@ -79,10 +78,13 @@ class SolverConfig:
     ``scheme`` picks the distribution family ("n" upwind or "rxn"
     relaxation); ``limited`` and ``corrected`` switch the nonlinear
     limiter and the smooth-region correction on top of it.  The time
-    step is ``cfl_fraction`` times the largest provably safe step;
-    ``dt_mode="relaxation"`` opts into the stricter bound of the
-    relaxation positivity theorem (wave-speed bound times edge lengths)
-    instead of the sharper upwind bound.  ``stop_tol`` is relative to
+    step is ``cfl_fraction`` times the bound of the ``dt_mode`` rule.
+    Only ``"relaxation"``, the bound of the relaxation positivity theorem
+    (wave-speed bound times edge lengths), carries a positivity proof for
+    gas dynamics.  ``"upwind"`` is the N scheme's positive-coefficient
+    bound for scalar laws; for gas dynamics it is evaluated at each
+    triangle's mean state and proves nothing: on ``cylinder-supersonic``
+    it lets nodal pressures turn non-positive.  ``stop_tol`` is relative to
     the first iteration's update rate.  ``safety`` scales the wave-speed
     bound.  ``n_threads`` is set at run time and defaults to the
     RD_THREADS environment variable.
@@ -121,16 +123,6 @@ class SolverConfig:
         if self.n_threads is not None and self.n_threads < 1:
             raise InvalidArgument("n_threads must be at least 1")
         return self
-
-    @property
-    def label(self):
-        """Human-readable scheme tag, e.g. ``rxn+limit+correction``."""
-        tag = self.scheme
-        if self.limited:
-            tag += "+limit"
-        if self.corrected:
-            tag += "+correction"
-        return tag
 
 
 @dataclass
@@ -182,13 +174,6 @@ def _triangle_inner(a):
     return np.ascontiguousarray(a.T).T
 
 
-def _scalar_k(law, normals, q_nodes):
-    """Upwind parameters (n_i . u)/2 at the linearized scalar speed."""
-    avg = law.rsd_average(q_nodes)
-    u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
-    return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
-
-
 def _average(law, q_nodes, z_nodes):
     """``law.rsd_average`` of a batch, from its parameter vectors when given."""
     if z_nodes is None:
@@ -238,7 +223,7 @@ def distribute(
             parts = limiting.limit_scalar(parts, total)
         if cfg.corrected:
             if k is None:
-                k = _scalar_k(law, normals, q_nodes)
+                k = dist.scalar_upwind_k(law, normals, q_nodes)
             parts = limiting.correction_scalar(parts, total, areas, k)
         return parts, res
 
@@ -406,7 +391,7 @@ class Solver:
             if self.k_static is not None:
                 k = self.k_static
             else:
-                k = _scalar_k(law, self.normals, sweep.q_nodes)
+                k = dist.scalar_upwind_k(law, self.normals, sweep.q_nodes)
             contrib = np.maximum(2.0 * k, 0.0)
         else:
             # Upwind bound of gas dynamics at the triangle's mean state.
@@ -421,7 +406,9 @@ class Solver:
         )
 
     def stable_dt(self, q, sweep=None):
-        """Largest provably safe step times ``cfl_fraction``.
+        """Largest step of the ``dt_mode`` rule times ``cfl_fraction``.
+
+        Which rules carry a positivity proof: see ``SolverConfig``.
 
         Nodes with zero inflow coefficient impose no bound and are
         skipped; if every node is unconstrained the field cannot evolve
@@ -556,10 +543,3 @@ class Solver:
         dt_col = dt[:, None] if np.ndim(dt) == 1 else dt
         ref = self.dual[:, None] * q / dt_col
         return max(float(np.sqrt((ref * ref).sum())), 1.0e-300)
-
-
-def run_steady(mesh, law, boundaries=None, q0=None, config=None, callback=None):
-    """One-call convenience: build a Solver and march ``q0`` to steady state."""
-    if q0 is None:
-        raise InvalidArgument("an initial state q0 is required")
-    return Solver(mesh, law, boundaries, config).march(q0, callback=callback)

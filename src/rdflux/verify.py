@@ -27,7 +27,7 @@ from .boundary import BoundarySet
 from .mesh import compute_normals, triangle_areas
 from .solver import Solver, SolverConfig, distribute
 
-__all__ = ["SuiteResult", "run_suite", "run_all", "SUITES"]
+__all__ = ["SuiteResult", "run_all", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -267,12 +267,6 @@ def _guarded(name, fn, seed):
             name, False, float("nan"), float("nan"),
             f"raised {type(exc).__name__}: {exc}",
         )
-
-
-def run_suite(name, seed=0):
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return _guarded(name, SUITES[name], seed)
 
 
 def run_all(seed=0):

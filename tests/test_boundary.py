@@ -86,14 +86,6 @@ class TestDirichletForms:
         inner = xb > 0.0
         assert np.allclose(q[bottom[inner], 0], xb[inner] ** 2)
 
-    def test_dirichlet_nodes_listing(self, rect_mesh):
-        law, bindings = self._base(rect_mesh)
-        bset = boundary.BoundarySet(rect_mesh, law, bindings)
-        expect = np.union1d(
-            rect_mesh.boundary_nodes("left"), rect_mesh.boundary_nodes("bottom")
-        )
-        assert (bset.dirichlet_nodes() == expect).all()
-
     def test_per_node_array(self, rect_mesh):
         law = physics.Advection((1.0, 0.0))
         left = rect_mesh.boundary_nodes("left")

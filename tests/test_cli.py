@@ -1,6 +1,8 @@
-"""Command-line exit codes of ``rdflux run``."""
+"""Command-line exit codes, shipped presets and saved-state checks."""
 
-from rdflux import cli
+import pytest
+
+from rdflux import cli, config
 
 # Burgers flow into a slower uniform state: the update rate first falls,
 # then grows past its first value at iteration 9 as the front steepens.
@@ -38,3 +40,41 @@ def test_divergence_exits_with_code_3(tmp_path, capsys):
 def test_exhausted_budget_exits_with_code_2(tmp_path):
     assert run_case(tmp_path, "1e6") == 2
     assert (tmp_path / "out" / "run_state.csv").is_file()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row[:3] + ["abc"] + row[4:], "could not convert string to float: 'abc'"),
+    (lambda row: row[:-1], "expected 4 fields, got 3"),
+    (lambda row: ["7"] + row[1:], "node 7, expected 4"),
+    (lambda row: row[:3] + ["nan"], "non-finite state"),
+], ids=["bad-number", "short-row", "node-order", "non-finite"])
+def test_probe_rejects_malformed_state(tmp_path, capsys, edit, message):
+    assert run_case(tmp_path, "1e6") == 2
+    state = tmp_path / "out" / "run_state.csv"
+    lines = state.read_text().splitlines()
+    lines[5] = ",".join(edit(lines[5].split(",")))  # the row of node 4
+    state.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["probe", str(tmp_path / "case.cfg"), "left"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: saved state {state}:6: {message}\n"
+
+
+@pytest.mark.parametrize("name", config.preset_names())
+def test_presets_run_and_probe(tmp_path, name):
+    mapping = config.preset(name)
+    mapping["solver.max_iters"] = "2"
+    mapping["output.directory"] = str(tmp_path)
+    path = tmp_path / "case.cfg"
+    config.save_config(mapping, path)
+    assert cli.main(["run", str(path), "--quiet"]) == 2
+    base = mapping["output.basename"]
+    outputs = [".vtk", "_history.csv", "_state.csv"]
+    if mapping["law.kind"] == "euler":
+        outputs.append("_probe_wall.csv")
+    for suffix in outputs:
+        assert (tmp_path / f"{base}{suffix}").is_file(), suffix
+    probe = tmp_path / "probe.csv"
+    assert cli.main(["probe", str(path), "wall" if "boundary.wall" in mapping else "bottom",
+                     "--out", str(probe)]) == 0
+    assert probe.is_file()

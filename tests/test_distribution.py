@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rdflux import distribution as dist
 from rdflux import physics
-from rdflux.errors import InvalidArgument, StagnationFallback
 from rdflux.mesh import compute_normals, triangle_areas
 
 from .conftest import REF_TRI, random_euler_states, random_triangles
@@ -124,14 +123,6 @@ class TestNSchemeSystem:
         scale = np.abs(tot).max()
         assert np.abs(r.total - tot).max() <= 1e-11 * max(scale, 1.0)
 
-    def test_unknown_singular_policy_rejected(self, euler, rng):
-        # Checked before any work, not only when a star matrix is singular.
-        normals = compute_normals(random_triangles(rng, 20))
-        q = random_euler_states(rng, (20, 3))
-        assert not dist.n_scheme_system(euler, normals, q).fallback.any()
-        with pytest.raises(InvalidArgument):
-            dist.n_scheme_system(euler, normals, q, on_singular="bogus")
-
     @staticmethod
     def _with_stagnant_triangle(euler, rng):
         """Random triangles whose third one has a motionless averaged state.
@@ -158,12 +149,6 @@ class TestNSchemeSystem:
         keep = [0, 1, 3, 4, 5]
         alone = dist.n_scheme_system(euler, normals[keep], q[keep])
         assert np.allclose(r.parts[keep], alone.parts, rtol=1e-13, atol=1e-13)
-
-    def test_singular_star_raises_with_indices(self, euler, rng):
-        normals, q = self._with_stagnant_triangle(euler, rng)
-        with pytest.raises(StagnationFallback) as info:
-            dist.n_scheme_system(euler, normals, q, on_singular="raise")
-        assert info.value.indices.tolist() == [2]
 
     def test_m1_reduces_to_scalar(self, rng):
         law = physics.Burgers()

@@ -1,5 +1,7 @@
 """Mesh structure: normals, dual areas, tags, file round-trips, generators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,27 @@ class TestFileRoundTrip:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_mesh(tmp_path / "nope.mesh")
+
+    ONE_TRIANGLE = [
+        "rdmesh 1", "nodes 3", "0 0", "1 0", "0 1", "triangles 1", "0 1 2",
+        "boundary 3", "0 1 bottom", "1 2 diagonal", "2 0 left",
+    ]
+
+    @pytest.mark.parametrize("lineno, text, message", [
+        (1, "rdmesh 2", "bad header"),
+        (2, "nodes -1", "negative node count"),
+        (6, "triangles -1", "negative triangle count"),
+        (11, "2 0", "bad boundary line"),
+    ])
+    def test_malformed_file_names_line(self, tmp_path, lineno, text, message):
+        path = tmp_path / "m.mesh"
+        path.write_text("\n".join(self.ONE_TRIANGLE) + "\n")
+        assert load_mesh(path).n_tris == 1
+        lines = list(self.ONE_TRIANGLE)
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidTopology, match="^" + re.escape(f"{path}:{lineno}: {message}")):
+            load_mesh(path)
 
 
 class TestRectGenerator:

@@ -63,14 +63,6 @@ class TestSolveBatched:
             np.einsum("tij,tj->ti", a[good], x[good]), b[good], atol=1e-9
         )
 
-    def test_prior_mask_respected(self, rng):
-        a = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-        b = rng.standard_normal((4, 2))
-        mask = np.array([False, True, False, False])
-        x, bad = smallmat.solve_batched(a, b, fallback_mask=mask)
-        assert bad[1] and (x[1] == 0.0).all()
-        assert np.allclose(x[~bad], b[~bad])
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))

@@ -134,8 +134,7 @@ class TestMarch:
         mesh, law, bset = scalar_problem()
         cfg = SolverConfig(scheme="rxn", limited=False, corrected=False,
                            stop_tol=1e-8, max_iters=4000, history_stride=25)
-        res = solver.run_steady(mesh, law, bset,
-                                q0=np.zeros((mesh.n_nodes, 1)), config=cfg)
+        res = solver.Solver(mesh, law, bset, cfg).march(np.zeros((mesh.n_nodes, 1)))
         assert res.reason == "converged"
         assert res.final_residual < 1e-8
         iters = [h[0] for h in res.history]
@@ -166,8 +165,9 @@ class TestMarch:
         cfg = SolverConfig(scheme="n", limited=False, corrected=False,
                            max_iters=37, stop_tol=0.0)
         seen = []
-        solver.run_steady(mesh, law, bset, q0=np.zeros((mesh.n_nodes, 1)),
-                          config=cfg, callback=lambda i, q, r: seen.append(i))
+        solver.Solver(mesh, law, bset, cfg).march(
+            np.zeros((mesh.n_nodes, 1)), callback=lambda i, q, r: seen.append(i)
+        )
         assert seen == list(range(1, 38))
 
 
@@ -180,8 +180,7 @@ class TestDeterminism:
                            max_iters=200, stop_tol=0.0, n_threads=2)
         outs = []
         for _ in range(2):
-            res = solver.run_steady(mesh, law, bset,
-                                    q0=np.zeros((mesh.n_nodes, 1)), config=cfg)
+            res = solver.Solver(mesh, law, bset, cfg).march(np.zeros((mesh.n_nodes, 1)))
             outs.append(res.q.copy())
         assert (outs[0] == outs[1]).all()
 
