@@ -71,6 +71,8 @@ def _read_state_csv(path, n_nodes, m):
         raise ConfigError(
             f"cannot read saved state {path}: {exc} (run the case first)"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"saved state {path} is not ASCII text: {exc}") from exc
     body = rows[1:]
     if len(body) != n_nodes:
         raise ConfigError(
@@ -165,8 +167,12 @@ def _cmd_verify(args):
 
 
 def _cmd_mesh_gen(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        mapping = cfgmod.parse_text(fh.read())
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read mesh spec {args.spec}: {exc}") from exc
+    mapping = cfgmod.parse_text(text)
     mesh = cfgmod.build_mesh_only(mapping)
     from .mesh import save_mesh
 

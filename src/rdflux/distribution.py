@@ -5,7 +5,8 @@ Two families of distribution schemes are provided:
 * the narrow upwind scheme ("N"), scalar and systems forms, built on a
   conservative linearization through the parameter vector; and
 * the relaxation-derived scheme ("RXN"), which needs only a wave-speed
-  bound — no eigensystem and no matrix inversion per element.
+  bound — no parameter-vector average, no eigensystem and no matrix
+  inversion per element.
 
 Every function is batched over a leading triangle axis: ``normals`` is
 ``(T, 3, 2)`` (inward scaled edge normals, as produced by module
@@ -96,8 +97,10 @@ def scalar_upwind_k(law, normals, q_nodes):
     exact for constant advection, a secant-type mean for scalar
     quadratic fluxes.
     """
-    avg = law.rsd_average(q_nodes)
-    u = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
+    qhat = law.rsd_average(q_nodes).qhat
+    jx = law.flux_jacobian(qhat, np.array([1.0, 0.0]))
+    jy = law.flux_jacobian(qhat, np.array([0.0, 1.0]))
+    u = np.stack([jx[..., 0, 0], jy[..., 0, 0]], axis=-1)
     return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
 
 
@@ -141,9 +144,11 @@ def total_residual_rsd(law, normals, q_nodes):
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     avg = law.rsd_average(q_nodes)
+    jx = law.flux_jacobian(avg.qhat, np.array([1.0, 0.0]))
+    jy = law.flux_jacobian(avg.qhat, np.array([0.0, 1.0]))
     # (T,3,m) = n_i . J applied to Qhat_i
-    jq_x = avg.qhat_nodes @ np.swapaxes(avg.jx, -1, -2)
-    jq_y = avg.qhat_nodes @ np.swapaxes(avg.jy, -1, -2)
+    jq_x = avg.qhat_nodes @ np.swapaxes(jx, -1, -2)
+    jq_y = avg.qhat_nodes @ np.swapaxes(jy, -1, -2)
     nf = normals[..., 0, None] * jq_x + normals[..., 1, None] * jq_y
     return 0.5 * nf.sum(axis=1)
 
@@ -179,7 +184,7 @@ def n_scheme_scalar(law, normals, q_nodes, *, k=None):
     return DistributedResidual(parts[..., None], qstar[..., None])
 
 
-def n_scheme_system(law, normals, q_nodes, *, safety=1.1, average=None):
+def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
@@ -190,9 +195,9 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, average=None):
     conservative, needs no solve), and the returned ``fallback`` mask
     marks them.
 
-    ``average`` accepts a precomputed ``law.rsd_average(q_nodes)`` so a
-    caller that needs the averaged state anyway (e.g. for limiting) pays
-    for it once.
+    ``z_nodes`` passes the nodal parameter vectors
+    ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
+    them, e.g. gathered from one evaluation per mesh node.
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
@@ -200,7 +205,7 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, average=None):
         # delegate: for m = 1 the characteristic machinery reduces to the
         # scalar scheme with the linearized speed.
         return n_scheme_scalar(law, normals, q_nodes)
-    avg = law.rsd_average(q_nodes) if average is None else average
+    avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
     prim = None if avg.prim is None else tuple(a[:, None] for a in avg.prim)
     es = law.eigensystem(avg.qhat[:, None, :], normals, prim)  # batched over nodes
     lam_p, lam_m = split_eigenvalues(0.5 * es.lam)

@@ -5,7 +5,9 @@ limiter rescales each triangle's distributed parts so the weights stay in
 [0, 1] while their sum — and hence conservation — is untouched.  Scalar
 residuals are limited directly; system residuals are projected onto the
 characteristic fields of the flux Jacobian in a chosen direction, limited
-field by field, and reassembled.
+field by field, and reassembled.  The Jacobians of a system are taken at
+the triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
+scheme.
 
 The limited scheme alone tends to stall before reaching steady state; a
 small dissipative correction proportional to (n_i . J) Phi^T restores
@@ -65,17 +67,17 @@ def limit_scalar(parts, total=None):
     return out[..., 0] if squeeze else out
 
 
-def limiting_direction(law, qhat, prim=None):
-    """Unit direction used for characteristic projection: the averaged
-    flow velocity, falling back to (1, 0) where the flow is essentially
-    stagnant (speed below 1e-12 of the sound speed).  ``prim`` passes
-    ``law.primitives(qhat)`` when the caller already has it."""
-    rho, u, v, p = law.primitives(qhat) if prim is None else prim
+def limiting_direction(law, q, prim=None):
+    """Unit direction used for characteristic projection: the flow
+    velocity of the (T, m) states ``q``, falling back to (1, 0) where the
+    flow is essentially stagnant (speed below 1e-12 of the sound speed).
+    ``prim`` passes ``law.primitives(q)`` when the caller already has it."""
+    rho, u, v, p = law.primitives(q) if prim is None else prim
     a = np.sqrt(law.gamma * p / rho)
     speed = np.hypot(u, v)
     still = speed < 1e-12 * a
     safe = np.where(still, 1.0, speed)
-    direction = np.empty(qhat.shape[:-1] + (2,))
+    direction = np.empty(q.shape[:-1] + (2,))
     direction[..., 0] = np.where(still, 1.0, u / safe)
     direction[..., 1] = np.where(still, 0.0, v / safe)
     return direction
@@ -85,7 +87,7 @@ def limit_system(parts, eigensystem):
     """Characteristic-wise limiting of system parts.
 
     ``eigensystem`` is the decomposition of (n . J) in the limiting
-    direction at the element-averaged state.  Each part is projected to
+    direction at the arithmetic-mean state.  Each part is projected to
     characteristic amplitudes theta_i^p = l^p . Phi_i; the scalar limiter
     runs per field on the amplitudes; the limited parts are reassembled
     from the right eigenvectors.  The per-field amplitude totals are
@@ -132,7 +134,7 @@ def correction_scalar(parts, total, areas, k):
 def correction_system(parts, total, areas, normals, jx, jy, ent_left):
     """Add theta |T|^{-1/2} K_i Phi^T to system parts.
 
-    K_i = (n_i . J)/2 at the element-averaged state; only the two
+    K_i = (n_i . J)/2 at the arithmetic-mean state; only the two
     matrix-vector products J^x Phi^T and J^y Phi^T are formed.
     ``ent_left`` is the left eigenvector of the entropy wave in the
     limiting direction, defining the shock marker |l_ent . Phi^T|.

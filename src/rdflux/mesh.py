@@ -257,8 +257,11 @@ def build_dual(tris, areas, n_nodes):
 
 def load_mesh(path):
     """Read the native ASCII format (header ``rdmesh 1``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidTopology(f"{path}: not UTF-8 text: {exc}") from exc
 
     tokens = []  # (lineno, [fields])
     for lineno, line in enumerate(raw, start=1):

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-__all__ = ["Fluctuations1D", "llf_1d", "hll_1d", "roe_1d"]
-
-_NX = np.array([1.0, 0.0])
+__all__ = ["Fluctuations1D", "llf_1d", "hll_1d"]
 
 
 @dataclass(frozen=True)
@@ -105,66 +103,3 @@ def hll_1d(law, q_left, q_right, s_left, s_right):
         fstar = (srp * fl - slm * fr + slm * srp * dq) / (srp - slm)
     return Fluctuations1D(minus=fstar - fl, plus=fr - fstar)
 
-
-def _scalar_secant_speed(law, ql, qr):
-    """Mean-value slope of the scalar flux: (f(qr)-f(ql))/(qr-ql)."""
-    if ql == qr:
-        if hasattr(law, "fprime"):
-            return float(law.fprime(np.array([ql]))[0, 0])
-        eps = 1e-7 * max(1.0, abs(ql))
-        return float(
-            (_flux_x(law, np.array([ql + eps])) - _flux_x(law, np.array([ql - eps])))[0]
-            / (2 * eps)
-        )
-    fl = float(_flux_x(law, np.array([ql]))[0])
-    fr = float(_flux_x(law, np.array([qr]))[0])
-    return (fr - fl) / (qr - ql)
-
-
-def roe_1d(law, q_left, q_right):
-    """Linearized (Roe-type) splitting.
-
-    Scalar laws use the secant slope a = (f(q_r)-f(q_l))/(q_r-q_l), so
-    the whole jump travels one way: plus = a^+ dq ... minus = a^- dq.
-    The gas-dynamics system linearizes at the sqrt-density-weighted
-    average state and splits the jump over the characteristic fields p:
-
-      minus = sum over waves with negative speed of  s_p (l_p . dq) r_p
-      plus  = sum over waves with positive speed of  s_p (l_p . dq) r_p
-
-    The average satisfies the flux-difference identity, so the parts sum
-    to f(q_r) - f(q_l) exactly (up to rounding).
-    """
-    q_left = _as_state(q_left, law.m)
-    q_right = _as_state(q_right, law.m)
-    dq = q_right - q_left
-
-    if law.m == 1:
-        a = _scalar_secant_speed(law, float(q_left[0]), float(q_right[0]))
-        minus = min(a, 0.0) * dq
-        plus = max(a, 0.0) * dq
-        return Fluctuations1D(minus=minus, plus=plus)
-
-    if not hasattr(law, "primitives"):
-        raise InvalidArgument(
-            "linearized splitting supports scalar laws and gas dynamics only"
-        )
-    rho_l, u_l, v_l, p_l = law.primitives(q_left[None, :])
-    rho_r, u_r, v_r, p_r = law.primitives(q_right[None, :])
-    wl = float(np.sqrt(rho_l[0]))
-    wr = float(np.sqrt(rho_r[0]))
-    h_l = float((q_left[3] + p_l[0]) / rho_l[0])
-    h_r = float((q_right[3] + p_r[0]) / rho_r[0])
-    u = (wl * u_l[0] + wr * u_r[0]) / (wl + wr)
-    v = (wl * v_l[0] + wr * v_r[0]) / (wl + wr)
-    h = (wl * h_l + wr * h_r) / (wl + wr)
-    es = law.eigensystem_primitive(
-        np.array([u]), np.array([v]), np.array([h]), _NX[None, :]
-    )
-    lam = es.lam[0]
-    right = es.right[0]
-    left = es.left[0]
-    amp = left @ dq
-    minus = (np.minimum(lam, 0.0) * amp) @ right.T
-    plus = (np.maximum(lam, 0.0) * amp) @ right.T
-    return Fluctuations1D(minus=minus, plus=plus)

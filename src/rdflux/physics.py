@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,30 +37,19 @@ class Eigensystem:
 
 @dataclass(frozen=True)
 class RsdAverage:
-    """Conservative-linearization data for one triangle (or a batch).
+    """Roe–Struijs–Deconinck linearization of a triangle (or a batch).
 
-    ``zhat`` is the parameter-vector average of the nodal parameter
-    vectors ``z_nodes``, ``qhat`` the corresponding conserved state,
-    ``prim`` the law's primitive variables at ``qhat`` (None for laws
-    without them), and ``jx``/``jy`` the flux Jacobians at ``qhat``.
-
-    ``qhat_nodes``, the transformed nodal states (dq/dz)(zhat) . Z_i, is
-    computed on first access: only the systems N scheme and
-    ``total_residual_rsd`` read it.
+    Only the systems N scheme and ``total_residual_rsd`` use it.
+    ``zhat`` is the mean of the nodal parameter vectors, ``qhat`` the
+    conserved state at ``zhat``, ``qhat_nodes`` the transformed nodal
+    states (dq/dz)(zhat) . Z_i, and ``prim`` the law's primitive
+    variables at ``qhat`` (None for laws without them).
     """
 
     zhat: np.ndarray  # (..., m)
     qhat: np.ndarray  # (..., m)
-    jx: np.ndarray  # (..., m, m)
-    jy: np.ndarray  # (..., m, m)
-    z_nodes: np.ndarray  # (..., 3, m)
+    qhat_nodes: np.ndarray  # (..., 3, m)
     prim: tuple | None = field(repr=False)
-    law: ConservationLaw = field(repr=False, compare=False)
-
-    @cached_property
-    def qhat_nodes(self):  # (..., 3, m)
-        dq = self.law.dqdz(self.zhat)
-        return self.z_nodes @ np.swapaxes(dq, -1, -2)
 
 
 class ConservationLaw:
@@ -71,14 +59,12 @@ class ConservationLaw:
     name: str = "law"
 
     # -- flux and derivatives -------------------------------------------
-    # A ``prim`` argument passes the law's primitive variables of ``q``
-    # when the caller already has them.  Euler's flux functions take it;
-    # every law's ``flux_jacobian`` accepts it because ``rsd_average``
-    # passes it generically (None for laws without primitives).
+    # Euler's flux functions also take a ``prim`` argument: the law's
+    # primitive variables of ``q`` when the caller already has them.
     def flux(self, q):
         raise NotImplementedError
 
-    def flux_jacobian(self, q, n, prim=None):
+    def flux_jacobian(self, q, n):
         """Directional Jacobian n.J as (..., m, m)."""
         raise NotImplementedError
 
@@ -90,8 +76,10 @@ class ConservationLaw:
         raise NotImplementedError
 
     # -- parameter vector -----------------------------------------------
-    # The identity parameterization works for every scalar law; Euler
-    # overrides all four hooks.
+    # Hooks of the Roe–Struijs–Deconinck linearization (``rsd_average``);
+    # in a march only the systems N scheme reads them.  The identity
+    # parameterization works for every scalar law; Euler overrides all
+    # four hooks.
     def to_params(self, q):
         return np.asarray(q, dtype=float)
 
@@ -116,10 +104,9 @@ class ConservationLaw:
             z_nodes = self.to_params(np.asarray(q_nodes, dtype=float))
         zhat = (z_nodes[..., 0, :] + z_nodes[..., 1, :] + z_nodes[..., 2, :]) / 3.0
         qhat = self.from_params(zhat)
+        qhat_nodes = z_nodes @ np.swapaxes(self.dqdz(zhat), -1, -2)
         prim = self.primitives(qhat) if hasattr(self, "primitives") else None
-        jx = self.flux_jacobian(qhat, np.array([1.0, 0.0]), prim)
-        jy = self.flux_jacobian(qhat, np.array([0.0, 1.0]), prim)
-        return RsdAverage(zhat, qhat, jx, jy, z_nodes, prim, self)
+        return RsdAverage(zhat, qhat, qhat_nodes, prim)
 
     def check_physical(self, q, where=""):
         """Hook for positivity checks; scalar laws accept everything."""
@@ -150,7 +137,7 @@ class Advection(ConservationLaw):
         q = np.asarray(q, dtype=float)
         return self.velocity[0] * q, self.velocity[1] * q
 
-    def flux_jacobian(self, q, n, prim=None):
+    def flux_jacobian(self, q, n):
         q = np.asarray(q, dtype=float)
         n = np.asarray(n, dtype=float)
         un = n[..., 0] * self.velocity[0] + n[..., 1] * self.velocity[1]
@@ -202,7 +189,7 @@ class RotatingAdvection(ConservationLaw):
             "use velocity_at/streamfunction"
         )
 
-    def flux_jacobian(self, q, n, prim=None):
+    def flux_jacobian(self, q, n):
         raise InvalidArgument("position-dependent advection Jacobian needs xy")
 
     def max_wavespeed(self, q):
@@ -226,7 +213,7 @@ class Burgers(ConservationLaw):
         out[..., 0] = q
         return out
 
-    def flux_jacobian(self, q, n, prim=None):
+    def flux_jacobian(self, q, n):
         q = np.asarray(q, dtype=float)
         n = np.asarray(n, dtype=float)
         un = q[..., 0] * n[..., 0]
@@ -341,14 +328,18 @@ class Euler(ConservationLaw):
         jac[..., 3, 3] = self.gamma * un
         return jac
 
-    def eigensystem_primitive(self, u, v, h, n):
-        """Eigensystem of n.J from velocity and total enthalpy.
+    # Index of the entropy wave inside the repeated middle eigenvalue pair:
+    # its right eigenvector is the one with a nonzero density component.
+    ENTROPY_WAVE = 1
 
-        Separated out so Roe-type averaged states (which have no density)
-        can reuse it.  ``n`` need not be unit length; eigenvalues scale
-        with it, eigenvectors use the normalized direction.
+    def eigensystem(self, q, n, prim=None):
+        """Eigensystem of n.J at the states ``q``.
+
+        ``n`` need not be unit length; eigenvalues scale with it,
+        eigenvectors use the normalized direction.
         """
-        u, v, h = (np.asarray(a, dtype=float) for a in (u, v, h))
+        rho, u, v, p = self.primitives(q) if prim is None else prim
+        h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
         n = np.asarray(n, dtype=float)
         g1 = self.gamma - 1.0
         k = 0.5 * (u * u + v * v)
@@ -417,15 +408,6 @@ class Euler(ConservationLaw):
         np.multiply(-0.5, b1 * v - ny / a, out=left[..., 3, 2])
         np.multiply(0.5, b1, out=left[..., 3, 3])
         return Eigensystem(lam, right, left)
-
-    # Index of the entropy wave inside the repeated middle eigenvalue pair:
-    # its right eigenvector is the one with a nonzero density component.
-    ENTROPY_WAVE = 1
-
-    def eigensystem(self, q, n, prim=None):
-        rho, u, v, p = self.primitives(q) if prim is None else prim
-        h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
-        return self.eigensystem_primitive(u, v, h, n)
 
     def max_wavespeed(self, q, prim=None):
         rho, u, v, p = self.primitives(q) if prim is None else prim

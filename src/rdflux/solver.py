@@ -13,14 +13,14 @@ One iteration runs in this order:
 1. gather: the state is gathered to the triangles once, ``q[tris]``;
 2. nodal fields: for laws with primitive variables (Euler) the
    primitives are computed once on the N mesh nodes, and from them the
-   max wave speed, the flux pair and the parameter vector, each only
-   where the configuration reads it (``Sweep``);
+   max wave speed where the configuration reads it, and the flux pair
+   for RXN or the parameter vector for the systems N scheme (``Sweep``);
 3. the per-triangle wave-speed bound and the time step;
 4. triangle pass (``distribute``, per chunk of triangles): each chunk
    gathers the nodal fields it needs, distributes its residual, and
-   limits and corrects the parts; the averaged state's primitives are
-   evaluated once and shared by its Jacobians, the limiting direction
-   and the eigensystem;
+   limits and corrects the parts at each triangle's arithmetic-mean
+   state, whose primitives are evaluated once and shared by its
+   Jacobians, the limiting direction and the eigensystem;
 5. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
@@ -156,9 +156,9 @@ class Sweep:
     ``q_nodes`` is the state gathered to the triangles (T, 3, m), and
     ``s`` the per-triangle wave-speed bound (None when nothing reads
     it).  For laws with primitive variables (Euler), ``prim`` holds them
-    on the N mesh nodes, and ``flux`` (the pair f, g) and ``z`` (the
-    parameter vector) are computed from them on the nodes, each only
-    when the configuration reads it; consumers gather them to their
+    on the N mesh nodes, and ``flux`` (the pair f, g, read by RXN) and
+    ``z`` (the parameter vector, read by the systems N scheme) are
+    computed from them on the nodes; consumers gather them to their
     triangles.  A sweep lives for one iteration only.
     """
 
@@ -172,13 +172,6 @@ class Sweep:
 def _triangle_inner(a):
     """A copy of ``a`` (T, ...) stored with the triangle axis innermost."""
     return np.ascontiguousarray(a.T).T
-
-
-def _average(law, q_nodes, z_nodes):
-    """``law.rsd_average`` of a batch, from its parameter vectors when given."""
-    if z_nodes is None:
-        return law.rsd_average(q_nodes)
-    return law.rsd_average(z_nodes=z_nodes)
 
 
 def distribute(
@@ -196,17 +189,21 @@ def distribute(
     (T, 3), the nodal flux pair and the nodal parameter vectors
     ``z_nodes`` (T, 3, m).
 
+    The limiter and the correction of a system are evaluated at each
+    triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever
+    the scheme; the mean of physical states is physical.
+
     Returns ``(parts, res)``: the final (T, 3, m) parts and the scheme's
     own ``DistributedResidual`` (its ``total`` and stagnation
     ``fallback`` mask).
     """
-    avg = None
     if cfg.scheme == "n":
         if law.m == 1:
             res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
         else:
-            avg = _average(law, q_nodes, z_nodes)
-            res = dist.n_scheme_system(law, normals, q_nodes, safety=cfg.safety, average=avg)
+            res = dist.n_scheme_system(
+                law, normals, q_nodes, safety=cfg.safety, z_nodes=z_nodes
+            )
     else:
         res = dist.rxn_scheme(
             law, normals, q_nodes, s=s, velocity=velocity, safety=cfg.safety, flux=flux
@@ -227,16 +224,17 @@ def distribute(
             parts = limiting.correction_scalar(parts, total, areas, k)
         return parts, res
 
-    if avg is None:
-        avg = _average(law, q_nodes, z_nodes)
-    direction = limiting.limiting_direction(law, avg.qhat, avg.prim)
-    es = law.eigensystem(avg.qhat, direction, avg.prim)
+    q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+    prim = law.primitives(q_mean)
+    direction = limiting.limiting_direction(law, q_mean, prim)
+    es = law.eigensystem(q_mean, direction, prim)
     if cfg.limited:
         parts = limiting.limit_system(parts, es)
     if cfg.corrected:
-        wave = getattr(law, "ENTROPY_WAVE", 0)
+        jx = law.flux_jacobian(q_mean, np.array([1.0, 0.0]), prim)
+        jy = law.flux_jacobian(q_mean, np.array([0.0, 1.0]), prim)
         parts = limiting.correction_system(
-            parts, total, areas, normals, avg.jx, avg.jy, es.left[..., wave, :]
+            parts, total, areas, normals, jx, jy, es.left[..., law.ENTROPY_WAVE, :]
         )
     return parts, res
 
@@ -376,11 +374,9 @@ class Solver:
             )
         if prim is None:
             return Sweep(q_nodes, s)
-        flux = law.flux(q, prim) if cfg.scheme == "rxn" else None
-        z = None
-        if cfg.scheme == "n" or cfg.limited or cfg.corrected:
-            z = law.to_params(q, prim)
-        return Sweep(q_nodes, s, prim, flux, z)
+        if cfg.scheme == "rxn":
+            return Sweep(q_nodes, s, prim, flux=law.flux(q, prim))
+        return Sweep(q_nodes, s, prim, z=law.to_params(q, prim))
 
     def _inflow_coefficients(self, sweep):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""

@@ -137,8 +137,7 @@ def suite_monotone_coefficients(seed, n=2000):
     q_nodes = rng.normal(0.0, 2.0, size=(n, 3, 1))
     worst = 0.0
 
-    avg = law.rsd_average(q_nodes)
-    uvec = np.stack([avg.jx[..., 0, 0], avg.jy[..., 0, 0]], axis=-1)
+    uvec = law.fprime(law.rsd_average(q_nodes).qhat[..., 0])
     k = 0.5 * (normals * uvec[..., None, :]).sum(axis=-1)
     kp = np.maximum(k, 0.0)
     kn = np.minimum(k, 0.0)

@@ -78,3 +78,39 @@ def test_presets_run_and_probe(tmp_path, name):
     assert cli.main(["probe", str(path), "wall" if "boundary.wall" in mapping else "bottom",
                      "--out", str(probe)]) == 0
     assert probe.is_file()
+
+
+def test_run_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_bytes(b"law.kind = burgers\xff\n")
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config {path}: ")
+    assert "0xff" in err
+
+
+def test_mesh_gen_rejects_non_utf8_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    spec.write_bytes(b"mesh.kind = rect\xff\n")
+    assert cli.main(["mesh-gen", str(spec), str(tmp_path / "out.mesh")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read mesh spec {spec}: ")
+    assert not (tmp_path / "out.mesh").exists()
+
+
+def test_mesh_info_rejects_non_utf8_mesh(tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_bytes(b"rdmesh 1\xff\n")
+    assert cli.main(["mesh-info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
+
+def test_probe_rejects_non_ascii_state(tmp_path, capsys):
+    assert run_case(tmp_path, "1e6") == 2
+    state = tmp_path / "out" / "run_state.csv"
+    state.write_bytes(state.read_bytes().replace(b"\n", b"\xff\n", 3))
+    capsys.readouterr()
+    assert cli.main(["probe", str(tmp_path / "case.cfg"), "left"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: saved state {state} is not ASCII text: ")

@@ -192,7 +192,10 @@ class TestCorrectionSystem:
         parts = rng.standard_normal((120, 3, 4))
         total = parts.sum(axis=1)
         out = limiting.correction_system(
-            parts, total, areas, normals, avg.jx, avg.jy, ent_left
+            parts, total, areas, normals,
+            euler.flux_jacobian(avg.qhat, np.array([1.0, 0.0])),
+            euler.flux_jacobian(avg.qhat, np.array([0.0, 1.0])),
+            ent_left,
         )
         assert np.abs(out.sum(axis=1) - total).max() <= 1e-12 * max(
             1.0, np.abs(total).max()
@@ -210,7 +213,10 @@ class TestCorrectionSystem:
         total = parts.sum(axis=1)  # ~0
         ent_left = np.zeros((10, 4))
         out = limiting.correction_system(
-            parts, total, areas, normals, avg.jx, avg.jy, ent_left
+            parts, total, areas, normals,
+            euler.flux_jacobian(avg.qhat, np.array([1.0, 0.0])),
+            euler.flux_jacobian(avg.qhat, np.array([0.0, 1.0])),
+            ent_left,
         )
         assert np.allclose(out, parts, atol=1e-12)
 

@@ -68,7 +68,7 @@ class TestPrecomputedNodalData:
         law, q, tris, _ = case
         given = law.rsd_average(z_nodes=law.to_params(q)[tris])
         own = law.rsd_average(q[tris])
-        for name in ("zhat", "qhat", "jx", "jy", "z_nodes", "qhat_nodes"):
+        for name in ("zhat", "qhat", "qhat_nodes"):
             assert_same(getattr(given, name), getattr(own, name))
         for a, b in zip(given.prim, own.prim):
             assert_same(a, b)
@@ -76,7 +76,6 @@ class TestPrecomputedNodalData:
     def test_qhat_nodes_on_demand(self, case):
         law, q, tris, _ = case
         avg = law.rsd_average(q[tris])
-        assert "qhat_nodes" not in vars(avg)
         z_nodes = law.to_params(q[tris])
         expected = z_nodes @ np.swapaxes(law.dqdz(avg.zhat), -1, -2)
         assert_same(avg.qhat_nodes, expected)
@@ -84,19 +83,19 @@ class TestPrecomputedNodalData:
     def test_limit_system(self, case):
         law, q, tris, normals = case
         parts = dist.rxn_scheme(law, normals, q[tris]).parts
-        avg = law.rsd_average(z_nodes=law.to_params(q)[tris])
-        direction = limiting.limiting_direction(law, avg.qhat, avg.prim)
-        assert_same(direction, limiting.limiting_direction(law, avg.qhat))
-        given = law.eigensystem(avg.qhat, direction, avg.prim)
-        own = law.eigensystem(avg.qhat, direction)
+        q_mean = q[tris].mean(axis=1)
+        prim = law.primitives(q_mean)
+        direction = limiting.limiting_direction(law, q_mean, prim)
+        assert_same(direction, limiting.limiting_direction(law, q_mean))
+        given = law.eigensystem(q_mean, direction, prim)
+        own = law.eigensystem(q_mean, direction)
         for name in ("lam", "right", "left"):
             assert_same(getattr(given, name), getattr(own, name))
         assert_same(limiting.limit_system(parts, given), limiting.limit_system(parts, own))
 
     def test_n_scheme_system(self, case):
         law, q, tris, normals = case
-        avg = law.rsd_average(z_nodes=law.to_params(q)[tris])
-        given = dist.n_scheme_system(law, normals, q[tris], average=avg)
+        given = dist.n_scheme_system(law, normals, q[tris], z_nodes=law.to_params(q)[tris])
         own = dist.n_scheme_system(law, normals, q[tris])
         assert_same(given.parts, own.parts)
         assert_same(given.fallback, own.fallback)
@@ -105,7 +104,9 @@ class TestPrecomputedNodalData:
 def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     """Scheme+limit+correction march from public functions, no shared data.
 
-    ``cfg.scheme`` picks the RXN or the systems N scheme.  The time step
+    ``cfg.scheme`` picks the RXN or the systems N scheme.  The limiter and
+    the correction are evaluated at each triangle's arithmetic-mean state,
+    with the Jacobians of ``law.flux_jacobian``.  The time step
     and scatter follow ``Solver``: chunks of contiguous triangles, each
     summed into the nodes with one bincount per component.
     """
@@ -140,12 +141,14 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
                 assert not res.fallback.any()
             else:
                 res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl], safety=cfg.safety)
-            avg = law.rsd_average(q_nodes[sl])
-            direction = limiting.limiting_direction(law, avg.qhat)
-            es = law.eigensystem(avg.qhat, direction)
+            q_mean = (q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0
+            direction = limiting.limiting_direction(law, q_mean)
+            es = law.eigensystem(q_mean, direction)
             parts = limiting.limit_system(res.parts, es)
             parts = limiting.correction_system(
-                parts, res.total, areas[sl], normals[sl], avg.jx, avg.jy,
+                parts, res.total, areas[sl], normals[sl],
+                law.flux_jacobian(q_mean, np.array([1.0, 0.0])),
+                law.flux_jacobian(q_mean, np.array([0.0, 1.0])),
                 es.left[..., law.ENTROPY_WAVE, :],
             )
             for j in range(m):
@@ -193,18 +196,24 @@ def test_n_scheme_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
     assert np.abs(result.q - q0).max() > 1e-3 * np.abs(q0).max()
 
 
+def small_supersonic(scheme):
+    """``cylinder-supersonic`` on a 6 x 16 mesh, 5 iterations of ``scheme``."""
+    mapping = config.preset("cylinder-supersonic")
+    mapping.update({"mesh.n_radial": "6", "mesh.n_circum": "16", "solver.scheme": scheme,
+                    "solver.max_iters": "5", "solver.stop_tol": "0"})
+    return config.build_problem(mapping)
+
+
 def test_primitive_conversions_per_iteration(monkeypatch):
     """Each iteration converts to primitives at most six times.
 
-    Once each for the nodes, the triangles' mean states (wave-speed
-    bound), the relaxation star states, the averaged states, and twice in
-    the far-field blend.  Every conversion goes through
-    ``Euler.primitives``, so the count is complete.
+    Once each for the nodes, the triangles' mean states in the wave-speed
+    bound, the relaxation star states, the mean states again for the
+    limiter and the correction, and twice in the far-field blend.  Every
+    conversion goes through ``Euler.primitives``, so the count is
+    complete.
     """
-    mapping = config.preset("cylinder-supersonic")
-    mapping.update({"mesh.n_radial": "6", "mesh.n_circum": "16",
-                    "solver.max_iters": "5", "solver.stop_tol": "0"})
-    problem = config.build_problem(mapping)
+    problem = small_supersonic("rxn")
     calls = []
     original = physics.Euler.primitives
 
@@ -220,3 +229,31 @@ def test_primitive_conversions_per_iteration(monkeypatch):
     # The first count also holds the boundary enforcement on the initial state.
     assert seen[0] <= 6 + 2
     assert np.diff(seen).max() <= 6
+
+
+@pytest.mark.parametrize("scheme", ["rxn", "n"])
+def test_parameter_vector_only_for_n_scheme(monkeypatch, scheme):
+    """A limited and corrected RXN march never builds the parameter vector
+    or the Roe-Struijs-Deconinck average; the systems N scheme does."""
+    problem = small_supersonic(scheme)
+    cfg = problem.solver_config
+    assert cfg.limited and cfg.corrected
+    calls = {"to_params": 0, "rsd_average": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(physics.Euler, "to_params")
+    counting(physics.ConservationLaw, "rsd_average")
+    result = Solver(problem.mesh, problem.law, problem.boundaries, cfg).march(problem.q0)
+    assert result.iterations == 5
+    if scheme == "rxn":
+        assert calls == {"to_params": 0, "rsd_average": 0}
+    else:
+        assert calls["to_params"] >= 5 and calls["rsd_average"] >= 5

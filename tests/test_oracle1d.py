@@ -73,41 +73,6 @@ class TestHLL:
             oracle1d.hll_1d(burgers, [0.0], [1.0], 3.0, -3.0)
 
 
-class TestRoe:
-    def test_scalar_advection_one_sided(self):
-        law = physics.Advection((2.0, 0.0))
-        r = oracle1d.roe_1d(law, [1.0], [4.0])
-        assert np.isclose(r.minus[0], 0.0, atol=1e-15)
-        assert np.isclose(r.plus[0], 6.0, rtol=1e-14)
-
-    def test_burgers_secant_slope(self, burgers):
-        # Secant slope (f(2)-f(0))/2 = 1 > 0: everything travels right.
-        r = oracle1d.roe_1d(burgers, [0.0], [2.0])
-        assert np.isclose(r.minus[0], 0.0, atol=1e-15)
-        assert np.isclose(r.plus[0], 2.0, rtol=1e-14)
-
-    def test_burgers_equal_states_use_local_slope(self, burgers):
-        r = oracle1d.roe_1d(burgers, [3.0], [3.0])
-        assert np.allclose(r.minus, 0.0, atol=1e-15)
-        assert np.allclose(r.plus, 0.0, atol=1e-15)
-
-    def test_euler_conservation(self, euler, rng):
-        q = random_euler_states(rng, (50, 2))
-        for ql, qr in q:
-            r = oracle1d.roe_1d(euler, ql, qr)
-            fxl, _ = euler.flux(ql[None])
-            fxr, _ = euler.flux(qr[None])
-            scale = max(1.0, np.abs(fxr - fxl).max())
-            assert np.abs(r.total - (fxr[0] - fxl[0])).max() < 1e-11 * scale
-
-    def test_euler_supersonic_one_sided(self, euler):
-        # Both states supersonic to the right: all waves positive.
-        ql = euler.freestream(3.0, 0.0)
-        qr = euler.conserved(1.1, 3.2, 0.0, 0.7)
-        r = oracle1d.roe_1d(euler, ql, qr)
-        assert np.abs(r.minus).max() < 1e-13
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(-3.0, 3.0),
@@ -121,6 +86,5 @@ def test_conservation_property_all_solvers(ql, qr, margin):
     for r in (
         oracle1d.llf_1d(burgers, [ql], [qr], s),
         oracle1d.hll_1d(burgers, [ql], [qr], -s, s),
-        oracle1d.roe_1d(burgers, [ql], [qr]),
     ):
         assert abs(float(r.total[0]) - df) < 1e-12 * max(1.0, abs(df))

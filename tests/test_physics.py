@@ -210,7 +210,9 @@ class TestParameterVector:
             avg = euler.rsd_average(trip[None])
             fxl, fyl = euler.flux(pair[0][None])
             fxr, fyr = euler.flux(pair[1][None])
-            for jac, fl, fr in ((avg.jx[0], fxl[0], fxr[0]), (avg.jy[0], fyl[0], fyr[0])):
+            jx = euler.flux_jacobian(avg.qhat[0], np.array([1.0, 0.0]))
+            jy = euler.flux_jacobian(avg.qhat[0], np.array([0.0, 1.0]))
+            for jac, fl, fr in ((jx, fxl[0], fxr[0]), (jy, fyl[0], fyr[0])):
                 rhs = jac @ (avg.qhat_nodes[0, 1] - avg.qhat_nodes[0, 0])
                 scale = max(np.abs(fr - fl).max(), 1.0)
                 assert np.abs(fr - fl - rhs).max() <= 1e-11 * scale
