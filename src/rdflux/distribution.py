@@ -222,6 +222,9 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
     qhat_nodes = avg.qhat_nodes
     lq = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes).reshape(t, 3 * m)
     qstar, bad = solve_batched(nmat, np.einsum("tik,tk->ti", rlam, lq))
+    # Free the star system before the parts' temporaries are allocated: the
+    # two would otherwise set the peak memory of an N iteration.
+    del rlam, nmat, lq
     amp = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes - qstar[:, None, :])
     amp *= lam_p
     parts = np.einsum("tnip,tnp->tni", es.right, amp)
@@ -237,7 +240,9 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
 # relaxation scheme
 # ---------------------------------------------------------------------------
 
-def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
+def wave_speed_bound(
+    law, q_nodes, *, velocity=None, safety=1.1, speeds=None, mean_speed=None
+):
     """Per-triangle wave-speed bound s_T.
 
     The sub-characteristic condition requires s_T at least the largest
@@ -248,7 +253,9 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
     nodal values) replaces the law's speed for advection by a
     position-dependent field.  ``speeds`` passes the nodal speeds
     ``law.max_wavespeed(q_nodes)`` (T, 3) when the caller already has
-    them, e.g. gathered from one evaluation per mesh node.
+    them, e.g. gathered from one evaluation per mesh node, and
+    ``mean_speed`` the mean state's speed (T,) (both ignored with
+    ``velocity``).
     """
     q_nodes = _as_batch(q_nodes)
     if velocity is not None:
@@ -258,8 +265,9 @@ def wave_speed_bound(law, q_nodes, *, velocity=None, safety=1.1, speeds=None):
         mean_speed = np.hypot(mean_v[..., 0], mean_v[..., 1])
         return safety * np.maximum(speeds.max(axis=1), mean_speed)
     nodal = law.max_wavespeed(q_nodes) if speeds is None else speeds  # (T, 3)
-    mean = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)
-    return safety * np.maximum(nodal.max(axis=-1), mean)
+    if mean_speed is None:
+        mean_speed = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)
+    return safety * np.maximum(nodal.max(axis=-1), mean_speed)
 
 
 def _rxn_velocity(normals, velocity):
@@ -325,7 +333,7 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux
         un_star = (v_star[:, None, :] * normals).sum(axis=-1)  # (T,3)
         nf_star = un_star[..., None] * qstar[:, None, :]
     else:
-        law.check_physical(qstar, "in relaxation star state")
+        law.check_physical(qstar, "in relaxation star state", item="triangle")
         fsx, fsy = law.flux(qstar)
         nf_star = normals[..., 0, None] * fsx[:, None, :]
         nf_star += normals[..., 1, None] * fsy[:, None, :]

@@ -5,9 +5,11 @@ limiter rescales each triangle's distributed parts so the weights stay in
 [0, 1] while their sum — and hence conservation — is untouched.  Scalar
 residuals are limited directly; system residuals are projected onto the
 characteristic fields of the flux Jacobian in a chosen direction, limited
-field by field, and reassembled.  The Jacobians of a system are taken at
-the triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
-scheme.
+field by field, and reassembled.  A system is linearized at the
+triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
+scheme, and read through the law's closed-form hooks
+(``characteristic``, ``from_characteristic``, ``jacobian_product``):
+no eigenvector or Jacobian matrix is built.
 
 The limited scheme alone tends to stall before reaching steady state; a
 small dissipative correction proportional to (n_i . J) Phi^T restores
@@ -83,26 +85,35 @@ def limiting_direction(law, q, prim=None):
     return direction
 
 
-def limit_system(parts, eigensystem):
+def _per_node(q, direction, prim):
+    """Triangle data (..., m), (..., 2) and primitives, broadcast against
+    (..., 3, m) parts."""
+    prim = None if prim is None else tuple(x[..., None] for x in prim)
+    return q[..., None, :], direction[..., None, :], prim
+
+
+def limit_system(parts, law, q, direction, prim=None):
     """Characteristic-wise limiting of system parts.
 
-    ``eigensystem`` is the decomposition of (n . J) in the limiting
-    direction at the arithmetic-mean state.  Each part is projected to
-    characteristic amplitudes theta_i^p = l^p . Phi_i; the scalar limiter
-    runs per field on the amplitudes; the limited parts are reassembled
-    from the right eigenvectors.  The per-field amplitude totals are
-    redistributed by the clipped weights (so the parts' sum is preserved
-    and the m = 1 case reduces to ``limit_scalar``).
+    ``q`` is each triangle's arithmetic-mean state, ``direction`` the
+    unit limiting direction there and ``prim`` passes
+    ``law.primitives(q)`` when the caller already has it.  Each part is
+    projected to characteristic amplitudes theta_i^p = l^p . Phi_i
+    (``law.characteristic``); the scalar limiter runs per field on the
+    amplitudes; the limited parts are reassembled from the right
+    eigenvectors (``law.from_characteristic``).  The per-field amplitude
+    totals are redistributed by the clipped weights (so the parts' sum is
+    preserved and the m = 1 case, whose hooks are the identity, reduces
+    to ``limit_scalar``).  For gas dynamics both hooks are closed-form
+    expressions: no eigenvector matrix is built.
     """
     parts = np.asarray(parts, dtype=float)
-    left = eigensystem.left
-    # Keep the parts' memory layout for the elementwise work below.
-    shape = np.broadcast_shapes(parts.shape[:-2], left.shape[:-2]) + parts.shape[-2:]
-    theta = np.matmul(parts, np.swapaxes(left, -1, -2), out=np.empty_like(parts, shape=shape))
+    q, direction, prim = _per_node(q, direction, prim)
+    theta = law.characteristic(parts, q, direction, prim)
     tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
     coef = _signed_weights(theta, tot)
     coef *= tot[..., None, :]
-    return np.matmul(coef, np.swapaxes(eigensystem.right, -1, -2), out=np.empty_like(coef))
+    return law.from_characteristic(coef, q, direction, prim)
 
 
 def correction_theta(areas, proj):
@@ -131,28 +142,22 @@ def correction_scalar(parts, total, areas, k):
     return parts + (scale[..., None] * k)[..., None] * total[..., None, :]
 
 
-def correction_system(parts, total, areas, normals, jx, jy, ent_left):
+def correction_system(parts, total, areas, normals, law, q, direction, prim=None):
     """Add theta |T|^{-1/2} K_i Phi^T to system parts.
 
-    K_i = (n_i . J)/2 at the arithmetic-mean state; only the two
-    matrix-vector products J^x Phi^T and J^y Phi^T are formed.
-    ``ent_left`` is the left eigenvector of the entropy wave in the
-    limiting direction, defining the shock marker |l_ent . Phi^T|.
+    K_i = (n_i . J)/2 at each triangle's arithmetic-mean state ``q``,
+    applied to Phi^T by the law's closed-form ``jacobian_product``
+    (no Jacobian matrix is built).  The shock marker is |theta_ent|, the
+    amplitude of Phi^T on the entropy wave of the limiting ``direction``
+    (``law.characteristic``).  ``prim`` passes ``law.primitives(q)`` when
+    the caller already has it.
     """
     parts = np.asarray(parts, dtype=float)
-    # C order: einsum's summation order depends on its operands' layout.
-    total = np.ascontiguousarray(total, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    proj = np.einsum("...j,...j->...", ent_left, total)
+    total = np.asarray(total, dtype=float)
+    proj = law.characteristic(total, q, direction, prim)[..., law.ENTROPY_WAVE]
     theta = correction_theta(areas, proj)
-    scale = theta / np.sqrt(np.asarray(areas, dtype=float))
-    # Column-major products, so that with triangle-innermost parts and
-    # normals every elementwise loop below runs over the triangles.
-    jxp = np.asfortranarray(np.einsum("...ij,...j->...i", jx, total))
-    jyp = np.asfortranarray(np.einsum("...ij,...j->...i", jy, total))
-    out = normals[..., 0, None] * jxp[..., None, :]
-    out += normals[..., 1, None] * jyp[..., None, :]
-    out *= 0.5
-    out *= scale[..., None, None]
+    scale = 0.5 * theta / np.sqrt(np.asarray(areas, dtype=float))
+    q, _, prim = _per_node(q, direction, prim)
+    out = law.jacobian_product((scale[..., None] * total)[..., None, :], q, normals, prim)
     out += parts
     return out

@@ -2,9 +2,13 @@
 
 Every law exposes the same small surface: flux pair (f, g), directional
 Jacobian n.J, directional eigensystem, a sub-characteristic wave-speed
-bound, and the parameter-vector machinery used by the conservative
-linearization of the systems upwind scheme.  All methods accept batched
-inputs (leading axes broadcast); states carry a trailing axis of length m.
+bound, the characteristic projection and reconstruction read by the
+system limiter and correction, and the parameter-vector machinery used
+by the conservative linearization of the systems upwind scheme.  Euler
+writes the projection, the reconstruction and the Jacobian-vector
+product (n.J) phi in closed form from (u, v, h, a), so the limiter and
+the correction build no m x m matrix.  All methods accept batched inputs
+(leading axes broadcast); states carry a trailing axis of length m.
 """
 from __future__ import annotations
 
@@ -52,6 +56,30 @@ class RsdAverage:
     prim: tuple | None = field(repr=False)
 
 
+def _nonphysical(quantity, values, bad, item="state", where=""):
+    """NonPhysicalState naming ``quantity``, its first ``bad`` entry and value."""
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    value = float(values[first])
+    kind = "non-positive" if np.isfinite(value) else "non-finite"
+    at = ""
+    if bad.ndim:
+        index = int(first[0]) if bad.ndim == 1 else tuple(int(i) for i in first)
+        at = f" at {item} {index}"
+    return NonPhysicalState(
+        f"{kind} {quantity} {value:.6g}{at}{' ' + where if where else ''} "
+        f"({int(bad.sum())} of {bad.size} {item}s)"
+    )
+
+
+def _vectors_like(shape, *arrays):
+    """An empty (shape, 4) array, laid out like the first of ``arrays`` of
+    that rank, so that its component slices match their operands' layout."""
+    for a in arrays:
+        if np.ndim(a) == len(shape) + 1:
+            return np.empty_like(a, shape=shape + (4,))
+    return np.empty(shape + (4,))
+
+
 class ConservationLaw:
     """Shared interface; subclasses fill in the analytic pieces."""
 
@@ -59,7 +87,7 @@ class ConservationLaw:
     name: str = "law"
 
     # -- flux and derivatives -------------------------------------------
-    # Euler's flux functions also take a ``prim`` argument: the law's
+    # Most Euler methods also take a ``prim`` argument: the law's
     # primitive variables of ``q`` when the caller already has them.
     def flux(self, q):
         raise NotImplementedError
@@ -108,8 +136,25 @@ class ConservationLaw:
         prim = self.primitives(qhat) if hasattr(self, "primitives") else None
         return RsdAverage(zhat, qhat, qhat_nodes, prim)
 
-    def check_physical(self, q, where=""):
-        """Hook for positivity checks; scalar laws accept everything."""
+    # -- characteristic fields ----------------------------------------------
+    # The system limiter (module ``limiting``) projects vectors onto the
+    # characteristic fields of n.J at a state ``q`` in the unit direction
+    # ``n``, and reassembles them.  A scalar law has one field, the
+    # residual itself: both hooks are the identity.  Euler overrides both.
+    def characteristic(self, phi, q, n, prim=None):
+        """Amplitudes L phi of the (..., m) vectors ``phi``."""
+        return phi
+
+    def from_characteristic(self, c, q, n, prim=None):
+        """Vectors R c from amplitudes ``c``; inverse of ``characteristic``."""
+        return c
+
+    def check_physical(self, q, where="", item="node"):
+        """Hook for positivity checks; scalar laws accept everything.
+
+        ``where`` and ``item`` (what one state of ``q`` is: a node, a
+        triangle) go into the error message.
+        """
 
 
 class Advection(ConservationLaw):
@@ -250,12 +295,12 @@ class Euler(ConservationLaw):
         q = np.asarray(q, dtype=float)
         rho = q[..., 0]
         if np.any(rho <= 0.0):
-            raise NonPhysicalState("non-positive density")
+            raise _nonphysical("density", rho, rho <= 0.0)
         u = q[..., 1] / rho
         v = q[..., 2] / rho
         p = (self.gamma - 1.0) * (q[..., 3] - 0.5 * rho * (u * u + v * v))
         if np.any(p <= 0.0):
-            raise NonPhysicalState("non-positive pressure")
+            raise _nonphysical("pressure", p, p <= 0.0)
         return rho, u, v, p
 
     def conserved(self, rho, u, v, p):
@@ -269,20 +314,16 @@ class Euler(ConservationLaw):
         q[..., 3] = p / (self.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
         return q
 
-    def check_physical(self, q, where=""):
+    def check_physical(self, q, where="", item="node"):
         q = np.asarray(q, dtype=float)
         rho = q[..., 0]
         p = (self.gamma - 1.0) * (
             q[..., 3] - 0.5 * (q[..., 1] ** 2 + q[..., 2] ** 2) / np.where(rho > 0, rho, 1.0)
         )
-        bad = (rho <= 0.0) | (p <= 0.0) | ~np.isfinite(rho) | ~np.isfinite(p)
-        if np.any(bad):
-            idx = np.argwhere(bad)
-            head = idx[0].tolist()
-            raise NonPhysicalState(
-                f"non-physical state{' ' + where if where else ''} at index {head} "
-                f"({int(bad.sum())} total)"
-            )
+        for quantity, values in (("density", rho), ("pressure", p)):
+            bad = (values <= 0.0) | ~np.isfinite(values)
+            if np.any(bad):
+                raise _nonphysical(quantity, values, bad, item, where)
 
     # -- flux and derivatives ---------------------------------------------
     def flux(self, q, prim=None):
@@ -301,8 +342,8 @@ class Euler(ConservationLaw):
         g[..., 3] = v * (e + p)
         return f, g
 
-    def flux_jacobian(self, q, n, prim=None):
-        rho, u, v, p = self.primitives(q) if prim is None else prim
+    def flux_jacobian(self, q, n):
+        rho, u, v, p = self.primitives(q)
         n = np.asarray(n, dtype=float)
         g1 = self.gamma - 1.0
         k = 0.5 * (u * u + v * v)
@@ -332,21 +373,29 @@ class Euler(ConservationLaw):
     # its right eigenvector is the one with a nonzero density component.
     ENTROPY_WAVE = 1
 
+    def _waves(self, q, prim):
+        """(u, v, h, k, a^2, a) of the states ``q``: velocity, total
+        enthalpy, kinetic energy per unit mass and sound speed.
+
+        Raises NonPhysicalState on a non-positive a^2.
+        """
+        rho, u, v, p = self.primitives(q) if prim is None else prim
+        h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
+        k = 0.5 * (u * u + v * v)
+        a2 = (self.gamma - 1.0) * (h - k)
+        if np.any(a2 <= 0.0):
+            raise _nonphysical("squared sound speed", a2, a2 <= 0.0)
+        return u, v, h, k, a2, np.sqrt(a2)
+
     def eigensystem(self, q, n, prim=None):
         """Eigensystem of n.J at the states ``q``.
 
         ``n`` need not be unit length; eigenvalues scale with it,
         eigenvectors use the normalized direction.
         """
-        rho, u, v, p = self.primitives(q) if prim is None else prim
-        h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
+        u, v, h, k, a2, a = self._waves(q, prim)
         n = np.asarray(n, dtype=float)
         g1 = self.gamma - 1.0
-        k = 0.5 * (u * u + v * v)
-        a2 = g1 * (h - k)
-        if np.any(a2 <= 0.0):
-            raise NonPhysicalState("non-positive squared sound speed")
-        a = np.sqrt(a2)
         nlen = np.hypot(n[..., 0], n[..., 1])
         if np.any(nlen <= 0.0):
             raise InvalidArgument("zero direction vector")
@@ -408,6 +457,96 @@ class Euler(ConservationLaw):
         np.multiply(-0.5, b1 * v - ny / a, out=left[..., 3, 2])
         np.multiply(0.5, b1, out=left[..., 3, 3])
         return Eigensystem(lam, right, left)
+
+    # -- closed-form characteristic algebra -----------------------------------
+    # The limiter and the correction apply L, R and n.J to vectors only; the
+    # three methods below do so from (u, v, h, a) without building them.
+    # Shapes broadcast: ``phi`` (..., 4) against the states' and the
+    # direction's leading axes.
+
+    def _pressure_jump(self, phi, u, v, k):
+        """dp = (gamma - 1)(k phi_0 - u phi_1 - v phi_2 + phi_3): the pressure
+        change of a change ``phi`` of the conserved state, to first order."""
+        dp = k * phi[..., 0]
+        dp -= u * phi[..., 1]
+        dp -= v * phi[..., 2]
+        dp += phi[..., 3]
+        dp *= self.gamma - 1.0
+        return dp
+
+    def characteristic(self, phi, q, n, prim=None):
+        """Amplitudes L phi on the waves of n.J, for the unit direction ``n``.
+
+        The fields are ordered as in ``eigensystem``: acoustic (u_n - a),
+        entropy, shear, acoustic (u_n + a).  With the pressure jump
+        dp = (gamma - 1)(k phi_0 - u phi_1 - v phi_2 + phi_3) and the normal
+        momentum jump w = n . (phi_1, phi_2) - u_n phi_0 the amplitudes are
+        (dp/a^2 - w/a)/2, phi_0 - dp/a^2, n x (phi_1, phi_2) - u_t phi_0 and
+        (dp/a^2 + w/a)/2.  The entropy amplitude does not depend on ``n``.
+        """
+        u, v, _, k, a2, a = self._waves(q, prim)
+        phi = np.asarray(phi, dtype=float)
+        n = np.asarray(n, dtype=float)
+        nx, ny = n[..., 0], n[..., 1]
+        p0, p1, p2 = phi[..., 0], phi[..., 1], phi[..., 2]
+        dpa = self._pressure_jump(phi, u, v, k)
+        dpa /= a2
+        wa = nx * p1 + ny * p2 - (u * nx + v * ny) * p0
+        wa /= a
+        out = _vectors_like(np.broadcast_shapes(dpa.shape, wa.shape), phi, n)
+        np.subtract(dpa, wa, out=out[..., 0])
+        out[..., 0] *= 0.5
+        np.subtract(p0, dpa, out=out[..., 1])
+        np.subtract(nx * p2 - ny * p1, (v * nx - u * ny) * p0, out=out[..., 2])
+        np.add(dpa, wa, out=out[..., 3])
+        out[..., 3] *= 0.5
+        return out
+
+    def from_characteristic(self, c, q, n, prim=None):
+        """Vectors R c from the amplitudes ``c`` of ``characteristic``.
+
+        With S = c_0 + c_3 and D = c_3 - c_0: [S + c_1,
+        u (S + c_1) + a n_x D - n_y c_2, v (S + c_1) + a n_y D + n_x c_2,
+        h S + a u_n D + k c_1 + u_t c_2].
+        """
+        u, v, h, k, _, a = self._waves(q, prim)
+        c = np.asarray(c, dtype=float)
+        n = np.asarray(n, dtype=float)
+        nx, ny = n[..., 0], n[..., 1]
+        c0, c1, c2, c3 = (c[..., j] for j in range(4))
+        s = c0 + c3
+        ad = a * (c3 - c0)
+        out = _vectors_like(np.broadcast_shapes(s.shape, ad.shape, nx.shape), c, n)
+        mass = np.add(s, c1, out=out[..., 0])
+        np.add(u * mass + nx * ad, -ny * c2, out=out[..., 1])
+        np.add(v * mass + ny * ad, nx * c2, out=out[..., 2])
+        e = np.multiply(h, s, out=out[..., 3])
+        e += (u * nx + v * ny) * ad
+        e += k * c1
+        e += (v * nx - u * ny) * c2
+        return out
+
+    def jacobian_product(self, phi, q, n, prim=None):
+        """(n . J) phi for any direction ``n``, unit or not.
+
+        With dp and w as in ``characteristic`` and dm = n . (phi_1, phi_2):
+        [dm, u w + u_n phi_1 + n_x dp, v w + u_n phi_2 + n_y dp,
+        h w + u_n (phi_3 + dp)].
+        """
+        u, v, h, k, _, _ = self._waves(q, prim)
+        phi = np.asarray(phi, dtype=float)
+        n = np.asarray(n, dtype=float)
+        nx, ny = n[..., 0], n[..., 1]
+        p0, p1, p2, p3 = (phi[..., j] for j in range(4))
+        dp = self._pressure_jump(phi, u, v, k)
+        un = u * nx + v * ny
+        out = _vectors_like(np.broadcast_shapes(dp.shape, un.shape), n, phi)
+        dm = np.add(nx * p1, ny * p2, out=out[..., 0])
+        w = dm - un * p0
+        np.add(u * w + un * p1, nx * dp, out=out[..., 1])
+        np.add(v * w + un * p2, ny * dp, out=out[..., 2])
+        np.add(h * w, un * (p3 + dp), out=out[..., 3])
+        return out
 
     def max_wavespeed(self, q, prim=None):
         rho, u, v, p = self.primitives(q) if prim is None else prim

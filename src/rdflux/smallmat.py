@@ -52,6 +52,14 @@ def solve(a, b):
     return x[:, 0] if vec else x
 
 
+def _max_abs(columns):
+    """Elementwise max of |c| over a list of (T,) arrays; NaN propagates."""
+    out = np.abs(columns[0])
+    for c in columns[1:]:
+        np.maximum(out, np.abs(c), out=out)
+    return out
+
+
 def solve_batched(a, b):
     """Batched solve of a[t] @ x[t] = b[t] with singularity detection.
 
@@ -71,11 +79,15 @@ def solve_batched(a, b):
         suspect = np.ones(b.shape[0], dtype=bool)
     else:
         # Guard against quietly ill-conditioned systems: demand a small
-        # residual relative to the data scale.
-        resid = np.abs(np.einsum("tij,tj->ti", a, x) - b).max(axis=1)
-        scale = np.abs(a).sum(axis=2).max(axis=1) * np.maximum(
-            np.abs(x).max(axis=1), 1.0
-        ) + np.abs(b).max(axis=1)
+        # residual relative to the data scale.  The sums and maxima over
+        # the length-m axes are unrolled over (T,) columns: NumPy
+        # reductions over axes that short cost several times more.
+        m = range(b.shape[1])
+        resid = _max_abs([sum(a[:, i, j] * x[:, j] for j in m) - b[:, i] for i in m])
+        norm = _max_abs([sum(np.abs(a[:, i, j]) for j in m) for i in m])
+        scale = norm * np.maximum(_max_abs([x[:, j] for j in m]), 1.0) + _max_abs(
+            [b[:, j] for j in m]
+        )
         suspect = ~np.isfinite(resid) | (resid > 1e-8 * np.maximum(scale, 1.0))
     for j in np.flatnonzero(suspect):
         try:

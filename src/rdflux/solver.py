@@ -14,13 +14,16 @@ One iteration runs in this order:
 2. nodal fields: for laws with primitive variables (Euler) the
    primitives are computed once on the N mesh nodes, and from them the
    max wave speed where the configuration reads it, and the flux pair
-   for RXN or the parameter vector for the systems N scheme (``Sweep``);
+   for RXN or the parameter vector for the systems N scheme; and once
+   on the triangles' arithmetic-mean states (``Sweep``);
 3. the per-triangle wave-speed bound and the time step;
 4. triangle pass (``distribute``, per chunk of triangles): each chunk
    gathers the nodal fields it needs, distributes its residual, and
    limits and corrects the parts at each triangle's arithmetic-mean
-   state, whose primitives are evaluated once and shared by its
-   Jacobians, the limiting direction and the eigensystem;
+   state.  The limiting direction, the characteristic projection and
+   reconstruction, the entropy marker and the Jacobian-vector products
+   all read that state's primitives from the sweep; they are closed-form
+   expressions, with no eigenvector or Jacobian matrix;
 5. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
@@ -159,7 +162,10 @@ class Sweep:
     on the N mesh nodes, and ``flux`` (the pair f, g, read by RXN) and
     ``z`` (the parameter vector, read by the systems N scheme) are
     computed from them on the nodes; consumers gather them to their
-    triangles.  A sweep lives for one iteration only.
+    triangles.  ``q_mean`` (T, m) is each triangle's arithmetic-mean
+    state and ``prim_mean`` its primitives, shared by the wave-speed
+    bound and the limiter and correction (None when neither reads them).
+    A sweep lives for one iteration only.
     """
 
     q_nodes: np.ndarray
@@ -167,15 +173,19 @@ class Sweep:
     prim: tuple | None = None
     flux: tuple | None = None
     z: np.ndarray | None = None
+    q_mean: np.ndarray | None = None
+    prim_mean: tuple | None = None
 
 
 def _triangle_inner(a):
-    """A copy of ``a`` (T, ...) stored with the triangle axis innermost."""
+    """``a`` (T, ...) stored with the triangle axis innermost (a copy unless
+    it already is)."""
     return np.ascontiguousarray(a.T).T
 
 
 def distribute(
-    law, cfg, normals, areas, q_nodes, *, s=None, k=None, velocity=None, flux=None, z_nodes=None
+    law, cfg, normals, areas, q_nodes, *, s=None, k=None, velocity=None, flux=None,
+    z_nodes=None, q_mean=None, prim_mean=None,
 ):
     """Distributed parts of one triangle batch: scheme, limiter, correction.
 
@@ -186,8 +196,9 @@ def distribute(
     position-dependent field.  The other keyword arrays pass precomputed
     data for these triangles, each computed from ``q_nodes`` when None:
     the wave-speed bound ``s`` (T,), the scalar upwind parameters ``k``
-    (T, 3), the nodal flux pair and the nodal parameter vectors
-    ``z_nodes`` (T, 3, m).
+    (T, 3), the nodal flux pair, the nodal parameter vectors
+    ``z_nodes`` (T, 3, m), and the mean states ``q_mean`` (T, m) with
+    their primitives ``prim_mean``.
 
     The limiter and the correction of a system are evaluated at each
     triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever
@@ -224,17 +235,20 @@ def distribute(
             parts = limiting.correction_scalar(parts, total, areas, k)
         return parts, res
 
-    q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
-    prim = law.primitives(q_mean)
-    direction = limiting.limiting_direction(law, q_mean, prim)
-    es = law.eigensystem(q_mean, direction, prim)
+    # The closed-form limiter and correction are elementwise over the
+    # triangles and run fastest with that axis innermost, which RXN's parts
+    # already have; the systems N scheme returns its parts in C order.
+    parts = _triangle_inner(parts)
+    if q_mean is None:
+        q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+    if prim_mean is None:
+        prim_mean = law.primitives(q_mean)
+    direction = limiting.limiting_direction(law, q_mean, prim_mean)
     if cfg.limited:
-        parts = limiting.limit_system(parts, es)
+        parts = limiting.limit_system(parts, law, q_mean, direction, prim_mean)
     if cfg.corrected:
-        jx = law.flux_jacobian(q_mean, np.array([1.0, 0.0]), prim)
-        jy = law.flux_jacobian(q_mean, np.array([0.0, 1.0]), prim)
         parts = limiting.correction_system(
-            parts, total, areas, normals, jx, jy, es.left[..., law.ENTROPY_WAVE, :]
+            parts, total, areas, normals, law, q_mean, direction, prim_mean
         )
     return parts, res
 
@@ -326,6 +340,8 @@ class Solver:
             velocity=None if self.vel_nodes is None else self.vel_nodes[sl],
             flux=None if sweep.flux is None else tuple(self._gather(f, sl) for f in sweep.flux),
             z_nodes=None if sweep.z is None else self._gather(sweep.z, sl),
+            q_mean=None if sweep.q_mean is None else sweep.q_mean[sl],
+            prim_mean=None if sweep.prim_mean is None else tuple(x[sl] for x in sweep.prim_mean),
         )
         return parts, 0 if res.fallback is None else int(res.fallback.sum())
 
@@ -364,19 +380,29 @@ class Solver:
         law, cfg = self.law, self.cfg
         q_nodes = self._gather(q)
         prim = law.primitives(q) if hasattr(law, "primitives") else None
-        s = None
         # The bound is read by the relaxation scheme and the relaxation
         # step size; upwind steps with the N scheme never consume it.
-        if cfg.scheme == "rxn" or cfg.dt_mode == "relaxation":
-            speeds = None if prim is None else self._gather(law.max_wavespeed(q, prim))
+        bounded = cfg.scheme == "rxn" or cfg.dt_mode == "relaxation"
+        q_mean = prim_mean = None
+        if prim is not None and (bounded or cfg.limited or cfg.corrected):
+            q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+            prim_mean = law.primitives(q_mean)
+        s = None
+        if bounded:
+            speeds = mean_speed = None
+            if prim is not None:
+                speeds = self._gather(law.max_wavespeed(q, prim))
+                mean_speed = law.max_wavespeed(q_mean, prim_mean)
             s = dist.wave_speed_bound(
-                law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety, speeds=speeds
+                law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety, speeds=speeds,
+                mean_speed=mean_speed,
             )
         if prim is None:
             return Sweep(q_nodes, s)
+        mean = {"q_mean": q_mean, "prim_mean": prim_mean}
         if cfg.scheme == "rxn":
-            return Sweep(q_nodes, s, prim, flux=law.flux(q, prim))
-        return Sweep(q_nodes, s, prim, z=law.to_params(q, prim))
+            return Sweep(q_nodes, s, prim, flux=law.flux(q, prim), **mean)
+        return Sweep(q_nodes, s, prim, z=law.to_params(q, prim), **mean)
 
     def _inflow_coefficients(self, sweep):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""

@@ -61,37 +61,67 @@ class TestLimitScalar:
         assert np.allclose(b, 2.5 * a, rtol=1e-13)
 
 
+def matrix_limit(parts, eig):
+    """The limiter written with the eigenvector matrices L and R of ``eig``."""
+    theta = parts @ np.swapaxes(eig.left, -1, -2)
+    return limiting.limit_scalar(theta, theta.sum(axis=1)) @ np.swapaxes(eig.right, -1, -2)
+
+
+def matrix_correction(parts, total, areas, normals, jx, jy, ent_left):
+    """The correction written with the Jacobian matrices Jx and Jy: parts plus
+    theta |T|^{-1/2} (n_i . J) Phi^T / 2, theta from the marker |ent_left . Phi^T|."""
+    proj = np.einsum("tj,tj->t", ent_left, total)
+    theta = np.minimum(1.0, areas / (np.abs(proj) + limiting.CORRECTION_EPS))
+    jxp = np.einsum("tij,tj->ti", jx, total)
+    jyp = np.einsum("tij,tj->ti", jy, total)
+    nj = normals[..., 0, None] * jxp[:, None] + normals[..., 1, None] * jyp[:, None]
+    return parts + (0.5 * theta / np.sqrt(areas))[:, None, None] * nj
+
+
+def assert_close_per_triangle(actual, expected, rtol=1e-12):
+    scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(actual - expected) <= rtol * scale).all()
+
+
 class TestLimitSystem:
     def _euler_setup(self, rng, n):
         euler = physics.Euler()
-        q = random_euler_states(rng, (n, 3))
-        avg = euler.rsd_average(q)
-        direction = limiting.limiting_direction(euler, avg.qhat)
-        eig = euler.eigensystem(avg.qhat, direction)
-        return euler, q, eig
+        q = random_euler_states(rng, (n,))
+        direction = limiting.limiting_direction(euler, q)
+        return euler, q, direction
 
     def test_m1_reduces_to_scalar(self, rng):
-        # Scalar law: left/right eigenvectors are 1, so characteristic
-        # projection is the identity and the system limiter must match
-        # the scalar one exactly.
+        # Scalar law: the characteristic hooks are the identity, so the
+        # system limiter must match the scalar one exactly.
         burgers = physics.Burgers()
         parts = rng.standard_normal((80, 3, 1))
         qhat = rng.standard_normal((80, 1)) + 2.0
-        eig = burgers.eigensystem(qhat, np.array([1.0, 0.0]))
-        out = limiting.limit_system(parts, eig)
+        direction = np.broadcast_to([1.0, 0.0], (80, 2))
+        out = limiting.limit_system(parts, burgers, qhat, direction)
         ref = limiting.limit_scalar(parts)
         assert np.allclose(out, ref, atol=1e-13)
 
     def test_conservation(self, rng):
-        _, _, eig = self._euler_setup(rng, 200)
+        euler, q, direction = self._euler_setup(rng, 200)
         parts = rng.standard_normal((200, 3, 4))
-        out = limiting.limit_system(parts, eig)
+        out = limiting.limit_system(parts, euler, q, direction)
         before = parts.sum(axis=1)
         after = out.sum(axis=1)
         assert np.abs(after - before).max() <= 1e-12 * max(1.0, np.abs(before).max())
 
+    @pytest.mark.parametrize("mach_scale", [2.0, 8.0])
+    def test_matches_matrix_formulation(self, rng, mach_scale):
+        euler = physics.Euler()
+        q = random_euler_states(rng, (300,), mach_scale=mach_scale)
+        q[:20] = euler.conserved(1.0 + rng.random(20), 0.0, 0.0, 1.0)  # stagnant: (1, 0)
+        direction = limiting.limiting_direction(euler, q)
+        parts = rng.standard_normal((300, 3, 4))
+        expected = matrix_limit(parts, euler.eigensystem(q, direction))
+        assert_close_per_triangle(limiting.limit_system(parts, euler, q, direction), expected)
+
     def test_one_signed_fields_unchanged(self, rng):
-        _, _, eig = self._euler_setup(rng, 40)
+        euler, q, direction = self._euler_setup(rng, 40)
+        eig = euler.eigensystem(q, direction)
         # Parts whose characteristic components are already one-signed
         # (theta_i^p >= 0 for every node), and parts where one node
         # carries each field's entire amplitude (weight 1 on a node whose
@@ -100,7 +130,7 @@ class TestLimitSystem:
         one_hot[:, 0, :] = rng.standard_normal((40, 4))
         for theta in (np.abs(rng.standard_normal((40, 3, 4))), one_hot):
             parts = np.einsum("tnp,tpj->tnj", theta, np.swapaxes(eig.right, -1, -2))
-            out = limiting.limit_system(parts, eig)
+            out = limiting.limit_system(parts, euler, q, direction)
             scale = np.abs(parts).max()
             assert np.abs(out - parts).max() <= 1e-13 * scale
 
@@ -178,47 +208,45 @@ class TestCorrectionScalar:
 
 
 class TestCorrectionSystem:
-    def test_conservation_unchanged(self, rng):
+    def _setup(self, rng, n, mach_scale=2.0):
         euler = physics.Euler()
-        coords = random_triangles(rng, 120)
-        normals = compute_normals(coords)
-        areas = triangle_areas(coords)
-        q = random_euler_states(rng, (120, 3))
-        avg = euler.rsd_average(q)
-        direction = limiting.limiting_direction(euler, avg.qhat)
-        eig = euler.eigensystem(avg.qhat, direction)
-        # Conservation is independent of the marker row; any row works here.
-        ent_left = eig.left[:, 1]
+        coords = random_triangles(rng, n)
+        q = random_euler_states(rng, (n,), mach_scale=mach_scale)
+        direction = limiting.limiting_direction(euler, q)
+        return euler, compute_normals(coords), triangle_areas(coords), q, direction
+
+    def test_conservation_unchanged(self, rng):
+        euler, normals, areas, q, direction = self._setup(rng, 120)
         parts = rng.standard_normal((120, 3, 4))
         total = parts.sum(axis=1)
-        out = limiting.correction_system(
-            parts, total, areas, normals,
-            euler.flux_jacobian(avg.qhat, np.array([1.0, 0.0])),
-            euler.flux_jacobian(avg.qhat, np.array([0.0, 1.0])),
-            ent_left,
-        )
+        out = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
         assert np.abs(out.sum(axis=1) - total).max() <= 1e-12 * max(
             1.0, np.abs(total).max()
         )
 
     def test_zero_total_identity(self, rng):
-        euler = physics.Euler()
-        coords = random_triangles(rng, 10)
-        normals = compute_normals(coords)
-        areas = triangle_areas(coords)
-        q = random_euler_states(rng, (10, 3))
-        avg = euler.rsd_average(q)
+        euler, normals, areas, q, direction = self._setup(rng, 10)
         parts = rng.standard_normal((10, 3, 4))
         parts -= parts.mean(axis=1, keepdims=True)
         total = parts.sum(axis=1)  # ~0
-        ent_left = np.zeros((10, 4))
-        out = limiting.correction_system(
-            parts, total, areas, normals,
-            euler.flux_jacobian(avg.qhat, np.array([1.0, 0.0])),
-            euler.flux_jacobian(avg.qhat, np.array([0.0, 1.0])),
-            ent_left,
-        )
+        out = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
         assert np.allclose(out, parts, atol=1e-12)
+
+    @pytest.mark.parametrize("mach_scale", [2.0, 8.0])
+    def test_matches_matrix_formulation(self, rng, mach_scale):
+        euler, normals, areas, q, direction = self._setup(rng, 300, mach_scale)
+        parts = rng.standard_normal((300, 3, 4))
+        # Totals from tiny (theta = 1) to large (theta < 1, shock-like).
+        total = parts.sum(axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1))
+        eig = euler.eigensystem(q, direction)
+        expected = matrix_correction(
+            parts, total, areas, normals,
+            euler.flux_jacobian(q, np.array([1.0, 0.0])),
+            euler.flux_jacobian(q, np.array([0.0, 1.0])),
+            eig.left[:, euler.ENTROPY_WAVE],
+        )
+        actual = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
+        assert_close_per_triangle(actual, expected)
 
 
 @settings(max_examples=100, deadline=None)

@@ -37,10 +37,8 @@ def averaged_states(gamma, q):
     return qhat, z @ dqdz.T
 
 
-def signed_parts(k):
-    """K^+ and K^- of a diagonalizable real matrix from its numerical eigenvalues.
-
-    Each eigenvalue mu splits into (mu +/- |mu|) / 2.
+def spectral_projectors(k):
+    """(mu, P) per distinct eigenvalue mu of a diagonalizable real matrix.
 
     The eigenvalues come from ``np.linalg.eig``; its eigenvectors are not
     used, because for the repeated eigenvalue of the Euler Jacobian (the
@@ -54,15 +52,24 @@ def signed_parts(k):
     split = np.diff(lam) > 1e-8 * max(1.0, np.abs(lam).max())
     mu = [group.mean() for group in np.split(lam, np.flatnonzero(split) + 1)]
     eye = np.eye(len(k))
-    plus = np.zeros_like(k)
-    minus = np.zeros_like(k)
+    out = []
     for j, mu_j in enumerate(mu):
         proj = eye
         for l, mu_l in enumerate(mu):
             if l != j:
                 proj = proj @ (k - mu_l * eye) / (mu_j - mu_l)
-        plus += 0.5 * (mu_j + abs(mu_j)) * proj
-        minus += 0.5 * (mu_j - abs(mu_j)) * proj
+        out.append((mu_j, proj))
+    return out
+
+
+def signed_parts(k):
+    """K^+ and K^- of a diagonalizable real matrix from its numerical
+    eigenvalues: each eigenvalue mu splits into (mu +/- |mu|) / 2."""
+    plus = np.zeros_like(k)
+    minus = np.zeros_like(k)
+    for mu, proj in spectral_projectors(k):
+        plus += 0.5 * (mu + abs(mu)) * proj
+        minus += 0.5 * (mu - abs(mu)) * proj
     return plus, minus
 
 

@@ -80,9 +80,9 @@ class TestPrecomputedNodalData:
         expected = z_nodes @ np.swapaxes(law.dqdz(avg.zhat), -1, -2)
         assert_same(avg.qhat_nodes, expected)
 
-    def test_limit_system(self, case):
+    def test_limit_system(self, case, mesh):
         law, q, tris, normals = case
-        parts = dist.rxn_scheme(law, normals, q[tris]).parts
+        res = dist.rxn_scheme(law, normals, q[tris])
         q_mean = q[tris].mean(axis=1)
         prim = law.primitives(q_mean)
         direction = limiting.limiting_direction(law, q_mean, prim)
@@ -91,7 +91,15 @@ class TestPrecomputedNodalData:
         own = law.eigensystem(q_mean, direction)
         for name in ("lam", "right", "left"):
             assert_same(getattr(given, name), getattr(own, name))
-        assert_same(limiting.limit_system(parts, given), limiting.limit_system(parts, own))
+        assert_same(
+            limiting.limit_system(res.parts, law, q_mean, direction, prim),
+            limiting.limit_system(res.parts, law, q_mean, direction),
+        )
+        areas = np.asarray(mesh.areas, dtype=float)
+        data = (res.parts, res.total, areas, normals, law, q_mean, direction)
+        assert_same(
+            limiting.correction_system(*data, prim), limiting.correction_system(*data)
+        )
 
     def test_n_scheme_system(self, case):
         law, q, tris, normals = case
@@ -106,7 +114,7 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
 
     ``cfg.scheme`` picks the RXN or the systems N scheme.  The limiter and
     the correction are evaluated at each triangle's arithmetic-mean state,
-    with the Jacobians of ``law.flux_jacobian``.  The time step
+    each computing that state's primitives itself.  The time step
     and scatter follow ``Solver``: chunks of contiguous triangles, each
     summed into the nodes with one bincount per component.
     """
@@ -143,13 +151,9 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
                 res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl], safety=cfg.safety)
             q_mean = (q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0
             direction = limiting.limiting_direction(law, q_mean)
-            es = law.eigensystem(q_mean, direction)
-            parts = limiting.limit_system(res.parts, es)
+            parts = limiting.limit_system(res.parts, law, q_mean, direction)
             parts = limiting.correction_system(
-                parts, res.total, areas[sl], normals[sl],
-                law.flux_jacobian(q_mean, np.array([1.0, 0.0])),
-                law.flux_jacobian(q_mean, np.array([0.0, 1.0])),
-                es.left[..., law.ENTROPY_WAVE, :],
+                parts, res.total, areas[sl], normals[sl], law, q_mean, direction
             )
             for j in range(m):
                 residual[:, j] += np.bincount(
@@ -205,13 +209,12 @@ def small_supersonic(scheme):
 
 
 def test_primitive_conversions_per_iteration(monkeypatch):
-    """Each iteration converts to primitives at most six times.
+    """Each iteration converts to primitives at most five times.
 
-    Once each for the nodes, the triangles' mean states in the wave-speed
-    bound, the relaxation star states, the mean states again for the
-    limiter and the correction, and twice in the far-field blend.  Every
-    conversion goes through ``Euler.primitives``, so the count is
-    complete.
+    Once each for the nodes, the triangles' mean states (shared by the
+    wave-speed bound, the limiter and the correction), the relaxation
+    star states, and twice in the far-field blend.  Every conversion goes
+    through ``Euler.primitives``, so the count is complete.
     """
     problem = small_supersonic("rxn")
     calls = []
@@ -227,18 +230,17 @@ def test_primitive_conversions_per_iteration(monkeypatch):
     solver.march(problem.q0, callback=lambda it, q, rel: seen.append(len(calls)))
     assert len(seen) == 5
     # The first count also holds the boundary enforcement on the initial state.
-    assert seen[0] <= 6 + 2
-    assert np.diff(seen).max() <= 6
+    assert seen[0] <= 5 + 2
+    assert np.diff(seen).max() <= 5
 
 
-@pytest.mark.parametrize("scheme", ["rxn", "n"])
-def test_parameter_vector_only_for_n_scheme(monkeypatch, scheme):
-    """A limited and corrected RXN march never builds the parameter vector
-    or the Roe-Struijs-Deconinck average; the systems N scheme does."""
+def counted_march(monkeypatch, scheme, methods):
+    """Calls of ``methods`` ((owner, name) pairs) in 5 limited, corrected
+    iterations of ``small_supersonic(scheme)``."""
     problem = small_supersonic(scheme)
     cfg = problem.solver_config
     assert cfg.limited and cfg.corrected
-    calls = {"to_params": 0, "rsd_average": 0}
+    calls = dict.fromkeys((name for _, name in methods), 0)
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -249,11 +251,32 @@ def test_parameter_vector_only_for_n_scheme(monkeypatch, scheme):
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(physics.Euler, "to_params")
-    counting(physics.ConservationLaw, "rsd_average")
+    for owner, name in methods:
+        counting(owner, name)
     result = Solver(problem.mesh, problem.law, problem.boundaries, cfg).march(problem.q0)
     assert result.iterations == 5
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["rxn", "n"])
+def test_parameter_vector_only_for_n_scheme(monkeypatch, scheme):
+    """A limited and corrected RXN march never builds the parameter vector
+    or the Roe-Struijs-Deconinck average; the systems N scheme does."""
+    calls = counted_march(monkeypatch, scheme, [
+        (physics.Euler, "to_params"), (physics.ConservationLaw, "rsd_average"),
+    ])
     if scheme == "rxn":
         assert calls == {"to_params": 0, "rsd_average": 0}
     else:
         assert calls["to_params"] >= 5 and calls["rsd_average"] >= 5
+
+
+@pytest.mark.parametrize("scheme", ["rxn", "n"])
+def test_no_matrices_for_limiter_and_correction(monkeypatch, scheme):
+    """A limited and corrected march builds no eigensystem or Jacobian matrix
+    for the limiter and the correction: RXN calls neither, and the systems N
+    scheme calls ``eigensystem`` once per iteration, for its own distribution."""
+    calls = counted_march(monkeypatch, scheme, [
+        (physics.Euler, "eigensystem"), (physics.Euler, "flux_jacobian"),
+    ])
+    assert calls == {"eigensystem": 0 if scheme == "rxn" else 5, "flux_jacobian": 0}

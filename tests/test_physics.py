@@ -135,6 +135,21 @@ class TestEulerBasics:
         with pytest.raises(NonPhysicalState):
             euler.primitives(bad[None])
 
+    def test_nonphysical_messages_name_quantity_state_and_value(self, euler):
+        q = np.tile(euler.conserved(1.0, 0.5, 0.0, 1.0), (5, 1))
+        q[3, 3] = 0.0  # zero total energy -> pressure -0.05 at state 3
+        pressure = r"non-positive pressure -0\.05 at "
+        with pytest.raises(NonPhysicalState, match=pressure + r"state 3 \(1 of 5 states\)"):
+            euler.primitives(q)
+        with pytest.raises(NonPhysicalState, match=pressure + "node 3 in initial state"):
+            euler.check_physical(q, "in initial state")
+        q[1, 0] = -2.0
+        with pytest.raises(NonPhysicalState, match=r"non-positive density -2 at triangle 1 "):
+            euler.check_physical(q, item="triangle")
+        q[1, 0] = np.nan
+        with pytest.raises(NonPhysicalState, match=r"non-finite density nan at node 1"):
+            euler.check_physical(q)
+
     def test_freestream_frozen_values(self, euler):
         q = euler.freestream(5.0, 0.0)
         assert np.allclose(

@@ -64,6 +64,65 @@ class TestSolveBatched:
         )
 
 
+def reduction_guard(a, x, b):
+    """The residual guard of ``solve_batched`` on the solutions ``x``, written
+    with NumPy reductions over the length-m axes: the items it must hand to
+    ``solve``."""
+    with np.errstate(all="ignore"):
+        resid = np.abs(np.einsum("tij,tj->ti", a, x) - b).max(axis=1)
+        scale = np.abs(a).sum(axis=2).max(axis=1) * np.maximum(
+            np.abs(x).max(axis=1), 1.0
+        ) + np.abs(b).max(axis=1)
+        return ~np.isfinite(resid) | (resid > 1e-8 * np.maximum(scale, 1.0))
+
+
+def guard_batch(kind, m, rng, t=200):
+    """(a, x, b): a batch and the solutions the batched LAPACK solve returns,
+    perturbed for ``inexact`` so that the residuals straddle the threshold."""
+    a = rng.standard_normal((t, m, m))
+    b = rng.standard_normal((t, m))
+    if kind == "near_singular":
+        # Rank one plus a small perturbation; large right-hand sides make
+        # some solutions overflow.
+        rank_one = rng.standard_normal((t, m, 1)) * rng.standard_normal((t, 1, m))
+        a = rank_one + 10.0 ** rng.uniform(-13, -8, (t, 1, 1)) * a
+        b *= 10.0 ** rng.uniform(0, 305, (t, 1))
+    elif kind == "non_finite":
+        items = rng.integers(0, t, 20)
+        a[items, rng.integers(0, m, 20), rng.integers(0, m, 20)] = rng.choice(
+            [np.nan, np.inf, -np.inf], 20
+        )
+    with np.errstate(all="ignore"):
+        x = np.linalg.solve(a, b[..., None])[..., 0]
+    if kind == "inexact":
+        x += 10.0 ** rng.uniform(-10, -6, (t, 1)) * rng.standard_normal((t, m))
+    return a, x, b
+
+
+@pytest.mark.parametrize("kind", ["random", "inexact", "near_singular", "non_finite"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_guard_flags_items_of_reduction_form(monkeypatch, kind, m):
+    a, x, b = guard_batch(kind, m, np.random.default_rng(m))
+    expected = reduction_guard(a, x, b)
+    assert kind == "random" or 0 < expected.sum() < len(b)
+    handed = []
+    original = smallmat.solve
+
+    def recording(aj, bj):
+        handed.append((aj, bj))
+        return original(aj, bj)
+
+    monkeypatch.setattr(np.linalg, "solve", lambda a_, b_: x[..., None].copy())
+    monkeypatch.setattr(smallmat, "solve", recording)
+    with np.errstate(all="ignore"):
+        smallmat.solve_batched(a, b)
+    expected = np.flatnonzero(expected)
+    assert len(handed) == expected.size
+    for (aj, bj), j in zip(handed, expected):
+        assert np.array_equal(aj, a[j], equal_nan=True)
+        assert np.array_equal(bj, b[j], equal_nan=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_solve_random_property(seed):

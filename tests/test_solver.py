@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from rdflux import boundary, meshgen, physics, solver
-from rdflux.errors import Diverged, StagnantField
+from rdflux import boundary, config, meshgen, physics, solver
+from rdflux.errors import Diverged, NonPhysicalState, StagnantField
 from rdflux.solver import SolverConfig
 
 from .conftest import random_euler_states
@@ -159,6 +159,19 @@ class TestMarch:
         sol = GrowingSolver(mesh, law, bset, cfg)
         with pytest.raises(Diverged, match="iteration"):
             sol.march(np.zeros((mesh.n_nodes, 1)))
+
+    def test_nonphysical_state_names_iteration_node_and_quantity(self):
+        # Upwind steps carry no positivity proof for gas dynamics; on this
+        # preset they drive a nodal state non-physical within ~30 iterations.
+        mapping = config.preset("cylinder-supersonic")
+        mapping["solver.dt_mode"] = "upwind"
+        problem = config.build_problem(mapping)
+        sol = solver.Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
+        with pytest.raises(
+            NonPhysicalState,
+            match=r"^iteration \d+: non-positive (density|pressure) -\S+ at node \d+ ",
+        ):
+            sol.march(problem.q0)
 
     def test_callback_sees_every_iteration(self):
         mesh, law, bset = scalar_problem(6, 6)
