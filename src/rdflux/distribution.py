@@ -3,7 +3,11 @@
 Two families of distribution schemes are provided:
 
 * the narrow upwind scheme ("N"), scalar and systems forms, built on a
-  conservative linearization through the parameter vector; and
+  conservative linearization through the parameter vector.  Per element
+  the systems form needs that average and the inversion of one m x m
+  star matrix, the only matrix it builds: its split Jacobians K^+/- are
+  applied in closed form, as rank-2 corrections of a scaled identity
+  (``n_scheme_system``), with no eigensystem; and
 * the relaxation-derived scheme ("RXN"), which needs only a wave-speed
   bound — no parameter-vector average, no eigensystem and no matrix
   inversion per element.
@@ -36,7 +40,6 @@ __all__ = [
     "rxn_qstar",
     "rxn_scheme",
     "rxn_scheme_1d",
-    "split_eigenvalues",
 ]
 
 
@@ -60,13 +63,6 @@ def _as_batch(q_nodes):
     if q_nodes.ndim != 3:
         raise InvalidArgument("q_nodes must have shape (T, nodes, m)")
     return q_nodes
-
-
-def split_eigenvalues(lam):
-    """Exact positive and negative parts of eigenvalues: (lam +/- |lam|)/2."""
-    lam = np.asarray(lam, dtype=float)
-    mag = np.abs(lam)
-    return 0.5 * (lam + mag), 0.5 * (lam - mag)
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +180,131 @@ def n_scheme_scalar(law, normals, q_nodes, *, k=None):
     return DistributedResidual(parts[..., None], qstar[..., None])
 
 
+def _node_sum(x):
+    """Sum over the node axis of a (T, 3, ...) array, unrolled: a NumPy
+    reduction over an axis that short costs several times more."""
+    return x[:, 0] + x[:, 1] + x[:, 2]
+
+
+def _signed_split(lam2, half_a, clip):
+    """(lam_2^s, P, M) of one signed part K^s: ``clip`` is np.maximum for
+    K^+ and np.minimum for K^-.  With alpha_1 = lam_1^s - lam_2^s and
+    alpha_4 = lam_4^s - lam_2^s, P = (alpha_1 + alpha_4)/2 and
+    M = (alpha_4 - alpha_1)/2."""
+    l2 = clip(lam2, 0.0)
+    a1 = clip(lam2 - half_a, 0.0)
+    a1 -= l2
+    a4 = clip(lam2 + half_a, 0.0)
+    a4 -= l2
+    return l2, 0.5 * (a1 + a4), 0.5 * (a4 - a1)
+
+
+def _apply_split(law, waves, nx, ny, un, split, phi):
+    """K_i^s phi_i for (T, 3, 4) vectors ``phi``, from the rank-2 form.
+
+    ``waves`` is the averaged state's wave data broadcast over the nodes,
+    (nx, ny) the unit normals and ``un`` the normal velocities (T, 3);
+    ``split`` is ``_signed_split``'s (lam_2^s, P, M).  With dp/a^2 and
+    w/a as in ``Euler.characteristic``, S = P dp/a^2 + M w/a and
+    D = a (M dp/a^2 + P w/a), the result is
+    lam_2^s phi + S (1, u, v, h) + D (0, nx, ny, u_n).
+    """
+    u, v, h, k, a2, a = waves
+    l2, p, mm = split
+    p0, p1, p2, p3 = (phi[..., j] for j in range(4))
+    dpa = law._pressure_jump(phi, u, v, k)
+    dpa /= a2
+    wa = nx * p1 + ny * p2 - un * p0
+    wa /= a
+    s = p * dpa + mm * wa
+    d = a * (mm * dpa + p * wa)
+    out = np.empty_like(phi)
+    np.add(l2 * p0, s, out=out[..., 0])
+    np.add(l2 * p1 + u * s, nx * d, out=out[..., 1])
+    np.add(l2 * p2 + v * s, ny * d, out=out[..., 2])
+    np.add(l2 * p3 + h * s, un * d, out=out[..., 3])
+    return out
+
+
+def _star_matrix(law, waves, nx, ny, split):
+    """The star matrix sum_j K_j^- (T, 4, 4), stored triangle axis innermost.
+
+    Summing the rank-2 form over the nodes (``waves`` per triangle, (T,)):
+    sum_j K_j^- = sigma I + c d^T + e y^T / a + B with sigma = sum lam_2^-,
+    e = (1, u, v, h), the pressure covector d = (gamma - 1)/a^2
+    (k, -u, -v, 1), c = (sum P) e + a (0, X_x, X_y, X_n),
+    y = (-X_n, X_x, X_y, 0) where X_x = sum M n_x, X_y = sum M n_y,
+    X_n = u X_x + v X_y, and B the sum of P (0, n_x, n_y, u_n)
+    (-u_n, n_x, n_y, 0)^T, which the three sums S_xx = sum P n_x^2,
+    S_xy = sum P n_x n_y and S_yy = sum P n_y^2 fix.
+    """
+    u, v, h, k, a2, a = waves
+    l2, p, mm = split
+    sigma = _node_sum(l2)
+    pt = _node_sum(p)
+    xx = _node_sum(mm * nx)
+    xy = _node_sum(mm * ny)
+    xn = u * xx + v * xy
+    pnx = p * nx
+    sxx = _node_sum(pnx * nx)
+    sxy = _node_sum(pnx * ny)
+    syy = _node_sum(p * ny * ny)
+    bx = u * sxx + v * sxy
+    by = u * sxy + v * syy
+    b1 = (law.gamma - 1.0) / a2
+    e = (1.0, u, v, h)
+    d = (b1 * k, -b1 * u, -b1 * v, b1)
+    c = (pt, pt * u + a * xx, pt * v + a * xy, pt * h + a * xn)
+    ya = (-xn / a, xx / a, xy / a, 0.0)
+    b = (
+        (0.0, 0.0, 0.0, 0.0),
+        (-bx, sxx, sxy, 0.0),
+        (-by, sxy, syy, 0.0),
+        (-(u * bx + v * by), bx, by, 0.0),
+    )
+    nmat = np.empty((4, 4, len(u)))
+    for i in range(4):
+        for j in range(4):
+            entry = nmat[i, j]
+            np.multiply(c[i], d[j], out=entry)
+            if j < 3:
+                entry += e[i] * ya[j]
+                if i > 0:
+                    entry += b[i][j]
+        nmat[i, i] += sigma
+    return nmat.transpose(2, 0, 1)
+
+
 def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
-    (n_i . J)/2 at the parameter-vector average, and Q_star solving
+    K_i = (n_i . J)/2 at the parameter-vector average, and Q_star solving
     (sum K_j^-) Q_star = sum K_j^- Qhat_j.  The star matrix can be
     singular (e.g. near stagnation); the affected triangles are then
     distributed with the relaxation scheme instead (provably
     conservative, needs no solve), and the returned ``fallback`` mask
     marks them.
 
+    No eigensystem is built.  For gas dynamics K_i has the eigenvalues
+    lam_1 = |n_i| (u_n - a)/2, lam_2 = lam_3 = |n_i| u_n / 2 and
+    lam_4 = |n_i| (u_n + a)/2 (u_n the velocity along the unit normal),
+    and because R L = I and the middle pair shares one eigenvalue,
+
+        K_i^{+/-} = lam_2^{+/-} I + (lam_1^{+/-} - lam_2^{+/-}) r_1 l_1^T
+                                  + (lam_4^{+/-} - lam_2^{+/-}) r_4 l_4^T
+
+    with the acoustic eigenvectors r_{1,4} = (1, u -/+ a n_x, v -/+ a n_y,
+    h -/+ a u_n) and amplitudes l_{1,4} . phi = (dp/a^2 -/+ w/a)/2 (see
+    ``Euler.characteristic``).  The right-hand side, the parts and the
+    star matrix all come from this form (``_apply_split``,
+    ``_star_matrix``); the star matrix is the only m x m matrix built.
+
     ``z_nodes`` passes the nodal parameter vectors
     ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
-    them, e.g. gathered from one evaluation per mesh node.
+    them, e.g. gathered from one evaluation per mesh node.  The parts are
+    laid out like the transformed nodal states, so triangle-innermost
+    inputs give triangle-innermost parts.
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
@@ -206,28 +313,24 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
         # scalar scheme with the linearized speed.
         return n_scheme_scalar(law, normals, q_nodes)
     avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
-    prim = None if avg.prim is None else tuple(a[:, None] for a in avg.prim)
-    es = law.eigensystem(avg.qhat[:, None, :], normals, prim)  # batched over nodes
-    lam_p, lam_m = split_eigenvalues(0.5 * es.lam)
-    t, _, m = q_nodes.shape
-    # K_j^- = R_j diag(lam_j^-) L_j.  With the node axis of R_j lam_j^-
-    # moved next to its eigenvalue axis, one (m, 3m) @ (3m, m) product per
-    # triangle sums the three nodes' matrices: the star matrix.
-    rlam = np.multiply(
-        np.swapaxes(es.right, 1, 2), lam_m[:, None], out=np.empty((t, m, 3, m))
-    ).reshape(t, m, 3 * m)
-    nmat = rlam @ es.left.reshape(t, 3 * m, m)
-    # Only matrix-vector products from here on: the right-hand side
-    # sum_j K_j^- Qhat_j, then Phi_i = R_i (lam_i^+ o (L_i (Qhat_i - Q_star))).
+    waves = law._waves(avg.qhat, avg.prim)
+    nlen = np.hypot(normals[..., 0], normals[..., 1])
+    if np.any(nlen <= 0.0):
+        raise InvalidArgument("zero direction vector")
+    nx = normals[..., 0] / nlen
+    ny = normals[..., 1] / nlen
+    node_waves = tuple(x[:, None] for x in waves)
+    u, v, _, _, _, a = node_waves
+    un = u * nx + v * ny
+    lam2 = 0.5 * nlen * un
+    half_a = 0.5 * nlen * a
+    minus = _signed_split(lam2, half_a, np.minimum)
     qhat_nodes = avg.qhat_nodes
-    lq = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes).reshape(t, 3 * m)
-    qstar, bad = solve_batched(nmat, np.einsum("tik,tk->ti", rlam, lq))
-    # Free the star system before the parts' temporaries are allocated: the
-    # two would otherwise set the peak memory of an N iteration.
-    del rlam, nmat, lq
-    amp = np.einsum("tnpj,tnj->tnp", es.left, qhat_nodes - qstar[:, None, :])
-    amp *= lam_p
-    parts = np.einsum("tnip,tnp->tni", es.right, amp)
+    rhs = _node_sum(_apply_split(law, node_waves, nx, ny, un, minus, qhat_nodes))
+    qstar, bad = solve_batched(_star_matrix(law, waves, nx, ny, minus), rhs)
+    plus = _signed_split(lam2, half_a, np.maximum)
+    dq = np.subtract(qhat_nodes, qstar[:, None, :], out=np.empty_like(qhat_nodes))
+    parts = _apply_split(law, node_waves, nx, ny, un, plus, dq)
     if bad.any():
         idx = np.nonzero(bad)[0]
         rx = rxn_scheme(law, normals[idx], q_nodes[idx], safety=safety)

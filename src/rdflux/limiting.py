@@ -9,7 +9,9 @@ field by field, and reassembled.  A system is linearized at the
 triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
 scheme, and read through the law's closed-form hooks
 (``characteristic``, ``from_characteristic``, ``jacobian_product``):
-no eigenvector or Jacobian matrix is built.
+no eigenvector or Jacobian matrix is built.  The hooks read the state's
+wave data ``waves`` (``Euler._waves``), which the caller computes once
+and passes to the limiter and the correction alike.
 
 The limited scheme alone tends to stall before reaching steady state; a
 small dissipative correction proportional to (n_i . J) Phi^T restores
@@ -85,19 +87,19 @@ def limiting_direction(law, q, prim=None):
     return direction
 
 
-def _per_node(q, direction, prim):
-    """Triangle data (..., m), (..., 2) and primitives, broadcast against
+def _per_node(q, direction, waves):
+    """Triangle data (..., m), (..., 2) and wave data, broadcast against
     (..., 3, m) parts."""
-    prim = None if prim is None else tuple(x[..., None] for x in prim)
-    return q[..., None, :], direction[..., None, :], prim
+    waves = None if waves is None else tuple(x[..., None] for x in waves)
+    return q[..., None, :], direction[..., None, :], waves
 
 
-def limit_system(parts, law, q, direction, prim=None):
+def limit_system(parts, law, q, direction, waves=None):
     """Characteristic-wise limiting of system parts.
 
     ``q`` is each triangle's arithmetic-mean state, ``direction`` the
-    unit limiting direction there and ``prim`` passes
-    ``law.primitives(q)`` when the caller already has it.  Each part is
+    unit limiting direction there and ``waves`` passes the law's wave
+    data ``law._waves(q)`` when the caller already has it.  Each part is
     projected to characteristic amplitudes theta_i^p = l^p . Phi_i
     (``law.characteristic``); the scalar limiter runs per field on the
     amplitudes; the limited parts are reassembled from the right
@@ -108,12 +110,12 @@ def limit_system(parts, law, q, direction, prim=None):
     expressions: no eigenvector matrix is built.
     """
     parts = np.asarray(parts, dtype=float)
-    q, direction, prim = _per_node(q, direction, prim)
-    theta = law.characteristic(parts, q, direction, prim)
+    q, direction, waves = _per_node(q, direction, waves)
+    theta = law.characteristic(parts, q, direction, waves)
     tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
     coef = _signed_weights(theta, tot)
     coef *= tot[..., None, :]
-    return law.from_characteristic(coef, q, direction, prim)
+    return law.from_characteristic(coef, q, direction, waves)
 
 
 def correction_theta(areas, proj):
@@ -142,22 +144,22 @@ def correction_scalar(parts, total, areas, k):
     return parts + (scale[..., None] * k)[..., None] * total[..., None, :]
 
 
-def correction_system(parts, total, areas, normals, law, q, direction, prim=None):
+def correction_system(parts, total, areas, normals, law, q, direction, waves=None):
     """Add theta |T|^{-1/2} K_i Phi^T to system parts.
 
     K_i = (n_i . J)/2 at each triangle's arithmetic-mean state ``q``,
     applied to Phi^T by the law's closed-form ``jacobian_product``
     (no Jacobian matrix is built).  The shock marker is |theta_ent|, the
     amplitude of Phi^T on the entropy wave of the limiting ``direction``
-    (``law.characteristic``).  ``prim`` passes ``law.primitives(q)`` when
-    the caller already has it.
+    (``law.characteristic``).  ``waves`` passes the law's wave data
+    ``law._waves(q)`` when the caller already has it.
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    proj = law.characteristic(total, q, direction, prim)[..., law.ENTROPY_WAVE]
+    proj = law.characteristic(total, q, direction, waves)[..., law.ENTROPY_WAVE]
     theta = correction_theta(areas, proj)
     scale = 0.5 * theta / np.sqrt(np.asarray(areas, dtype=float))
-    q, _, prim = _per_node(q, direction, prim)
-    out = law.jacobian_product((scale[..., None] * total)[..., None, :], q, normals, prim)
+    q, _, waves = _per_node(q, direction, waves)
+    out = law.jacobian_product((scale[..., None] * total)[..., None, :], q, normals, waves)
     out += parts
     return out

@@ -6,9 +6,14 @@ bound, the characteristic projection and reconstruction read by the
 system limiter and correction, and the parameter-vector machinery used
 by the conservative linearization of the systems upwind scheme.  Euler
 writes the projection, the reconstruction and the Jacobian-vector
-product (n.J) phi in closed form from (u, v, h, a), so the limiter and
-the correction build no m x m matrix.  All methods accept batched inputs
-(leading axes broadcast); states carry a trailing axis of length m.
+product (n.J) phi in closed form from its wave data (u, v, h, k, a^2, a)
+(``Euler._waves``), which a caller computes once per state and passes to
+all three; the systems N scheme (module ``distribution``) applies its
+split Jacobians from the same data.  A gas-dynamics march builds no
+m x m matrix beyond the N scheme's star matrix: Euler's ``eigensystem``
+and ``flux_jacobian`` are the reference the closed forms are tested
+against.  All methods accept batched inputs (leading axes broadcast);
+states carry a trailing axis of length m.
 """
 from __future__ import annotations
 
@@ -46,8 +51,9 @@ class RsdAverage:
     Only the systems N scheme and ``total_residual_rsd`` use it.
     ``zhat`` is the mean of the nodal parameter vectors, ``qhat`` the
     conserved state at ``zhat``, ``qhat_nodes`` the transformed nodal
-    states (dq/dz)(zhat) . Z_i, and ``prim`` the law's primitive
-    variables at ``qhat`` (None for laws without them).
+    states (dq/dz)(zhat) . Z_i (the law's ``transform_nodes``), and
+    ``prim`` the law's primitive variables at ``qhat`` (None for laws
+    without them).
     """
 
     zhat: np.ndarray  # (..., m)
@@ -88,7 +94,8 @@ class ConservationLaw:
 
     # -- flux and derivatives -------------------------------------------
     # Most Euler methods also take a ``prim`` argument: the law's
-    # primitive variables of ``q`` when the caller already has them.
+    # primitive variables of ``q`` when the caller already has them; the
+    # closed-form characteristic hooks take its wave data ``waves``.
     def flux(self, q):
         raise NotImplementedError
 
@@ -107,24 +114,30 @@ class ConservationLaw:
     # Hooks of the Roe–Struijs–Deconinck linearization (``rsd_average``);
     # in a march only the systems N scheme reads them.  The identity
     # parameterization works for every scalar law; Euler overrides all
-    # four hooks.
+    # three hooks.
     def to_params(self, q):
         return np.asarray(q, dtype=float)
 
     def from_params(self, z):
         return np.asarray(z, dtype=float)
 
-    def dqdz(self, z):
-        z = np.asarray(z, dtype=float)
-        eye = np.eye(self.m)
-        return np.broadcast_to(eye, z.shape[:-1] + (self.m, self.m)).copy()
+    def transform_nodes(self, zhat, z_nodes):
+        """Transformed nodal states (dq/dz)(zhat) . Z_i, (..., 3, m).
+
+        ``zhat`` (..., m) is the averaged parameter vector and ``z_nodes``
+        (..., 3, m) the nodal ones.  The identity for scalar laws: it
+        returns ``z_nodes`` itself.
+        """
+        return np.asarray(z_nodes, dtype=float)
 
     def rsd_average(self, q_nodes=None, *, z_nodes=None):
         """Average a (..., 3, m) nodal batch per the parameter-vector rule.
 
-        ``z_nodes`` passes the nodal parameter vectors
-        ``to_params(q_nodes)`` when the caller already has them; the
-        states themselves are then not needed.
+        Qhat is the state at the mean Zhat of the nodal parameter vectors
+        and the transformed nodal states Qhat_i come from
+        ``transform_nodes``: no m x m matrix is built.  ``z_nodes`` passes
+        the nodal parameter vectors ``to_params(q_nodes)`` when the caller
+        already has them; the states themselves are then not needed.
         """
         if z_nodes is None:
             if q_nodes is None:
@@ -132,7 +145,7 @@ class ConservationLaw:
             z_nodes = self.to_params(np.asarray(q_nodes, dtype=float))
         zhat = (z_nodes[..., 0, :] + z_nodes[..., 1, :] + z_nodes[..., 2, :]) / 3.0
         qhat = self.from_params(zhat)
-        qhat_nodes = z_nodes @ np.swapaxes(self.dqdz(zhat), -1, -2)
+        qhat_nodes = self.transform_nodes(zhat, z_nodes)
         prim = self.primitives(qhat) if hasattr(self, "primitives") else None
         return RsdAverage(zhat, qhat, qhat_nodes, prim)
 
@@ -141,11 +154,11 @@ class ConservationLaw:
     # characteristic fields of n.J at a state ``q`` in the unit direction
     # ``n``, and reassembles them.  A scalar law has one field, the
     # residual itself: both hooks are the identity.  Euler overrides both.
-    def characteristic(self, phi, q, n, prim=None):
+    def characteristic(self, phi, q, n, waves=None):
         """Amplitudes L phi of the (..., m) vectors ``phi``."""
         return phi
 
-    def from_characteristic(self, c, q, n, prim=None):
+    def from_characteristic(self, c, q, n, waves=None):
         """Vectors R c from amplitudes ``c``; inverse of ``characteristic``."""
         return c
 
@@ -373,10 +386,13 @@ class Euler(ConservationLaw):
     # its right eigenvector is the one with a nonzero density component.
     ENTROPY_WAVE = 1
 
-    def _waves(self, q, prim):
+    def _waves(self, q, prim=None):
         """(u, v, h, k, a^2, a) of the states ``q``: velocity, total
         enthalpy, kinetic energy per unit mass and sound speed.
 
+        The closed-form hooks below take this tuple as ``waves``; a caller
+        that applies several of them at one state computes it once.
+        ``prim`` passes ``primitives(q)`` when the caller already has it.
         Raises NonPhysicalState on a non-positive a^2.
         """
         rho, u, v, p = self.primitives(q) if prim is None else prim
@@ -391,7 +407,9 @@ class Euler(ConservationLaw):
         """Eigensystem of n.J at the states ``q``.
 
         ``n`` need not be unit length; eigenvalues scale with it,
-        eigenvectors use the normalized direction.
+        eigenvectors use the normalized direction.  No march calls it: it
+        is the reference for the closed forms of the limiter, the
+        correction and the systems N scheme.
         """
         u, v, h, k, a2, a = self._waves(q, prim)
         n = np.asarray(n, dtype=float)
@@ -462,7 +480,8 @@ class Euler(ConservationLaw):
     # The limiter and the correction apply L, R and n.J to vectors only; the
     # three methods below do so from (u, v, h, a) without building them.
     # Shapes broadcast: ``phi`` (..., 4) against the states' and the
-    # direction's leading axes.
+    # direction's leading axes.  ``waves`` passes ``_waves(q)`` (broadcast
+    # like the states) when the caller already has it.
 
     def _pressure_jump(self, phi, u, v, k):
         """dp = (gamma - 1)(k phi_0 - u phi_1 - v phi_2 + phi_3): the pressure
@@ -474,7 +493,7 @@ class Euler(ConservationLaw):
         dp *= self.gamma - 1.0
         return dp
 
-    def characteristic(self, phi, q, n, prim=None):
+    def characteristic(self, phi, q, n, waves=None):
         """Amplitudes L phi on the waves of n.J, for the unit direction ``n``.
 
         The fields are ordered as in ``eigensystem``: acoustic (u_n - a),
@@ -484,7 +503,7 @@ class Euler(ConservationLaw):
         (dp/a^2 - w/a)/2, phi_0 - dp/a^2, n x (phi_1, phi_2) - u_t phi_0 and
         (dp/a^2 + w/a)/2.  The entropy amplitude does not depend on ``n``.
         """
-        u, v, _, k, a2, a = self._waves(q, prim)
+        u, v, _, k, a2, a = self._waves(q) if waves is None else waves
         phi = np.asarray(phi, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
@@ -502,14 +521,14 @@ class Euler(ConservationLaw):
         out[..., 3] *= 0.5
         return out
 
-    def from_characteristic(self, c, q, n, prim=None):
+    def from_characteristic(self, c, q, n, waves=None):
         """Vectors R c from the amplitudes ``c`` of ``characteristic``.
 
         With S = c_0 + c_3 and D = c_3 - c_0: [S + c_1,
         u (S + c_1) + a n_x D - n_y c_2, v (S + c_1) + a n_y D + n_x c_2,
         h S + a u_n D + k c_1 + u_t c_2].
         """
-        u, v, h, k, _, a = self._waves(q, prim)
+        u, v, h, k, _, a = self._waves(q) if waves is None else waves
         c = np.asarray(c, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
@@ -526,14 +545,14 @@ class Euler(ConservationLaw):
         e += (v * nx - u * ny) * c2
         return out
 
-    def jacobian_product(self, phi, q, n, prim=None):
+    def jacobian_product(self, phi, q, n, waves=None):
         """(n . J) phi for any direction ``n``, unit or not.
 
         With dp and w as in ``characteristic`` and dm = n . (phi_1, phi_2):
         [dm, u w + u_n phi_1 + n_x dp, v w + u_n phi_2 + n_y dp,
         h w + u_n (phi_3 + dp)].
         """
-        u, v, h, k, _, _ = self._waves(q, prim)
+        u, v, h, k, _, _ = self._waves(q) if waves is None else waves
         phi = np.asarray(phi, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
@@ -584,19 +603,27 @@ class Euler(ConservationLaw):
         )
         return q
 
-    def dqdz(self, z):
-        z = np.asarray(z, dtype=float)
-        g = self.gamma
-        out = np.zeros(z.shape[:-1] + (4, 4))
-        out[..., 0, 0] = 2.0 * z[..., 0]
-        out[..., 1, 0] = z[..., 1]
-        out[..., 1, 1] = z[..., 0]
-        out[..., 2, 0] = z[..., 2]
-        out[..., 2, 2] = z[..., 0]
-        out[..., 3, 0] = z[..., 3] / g
-        out[..., 3, 1] = (g - 1.0) / g * z[..., 1]
-        out[..., 3, 2] = (g - 1.0) / g * z[..., 2]
-        out[..., 3, 3] = z[..., 0] / g
+    def transform_nodes(self, zhat, z_nodes):
+        """(dq/dz)(zhat) . Z_i, written out: with zhat = (z0, z1, z2, z3),
+        [2 z0 w0, z1 w0 + z0 w1, z2 w0 + z0 w2,
+        (z3 w0 + (gamma - 1)(z1 w1 + z2 w2) + z0 w3) / gamma] for each
+        nodal Z_i = w.  The result is laid out like ``z_nodes``; each
+        component is accumulated in place, with one temporary at a time."""
+        w = np.asarray(z_nodes, dtype=float)
+        z0, z1, z2, z3 = (np.asarray(zhat, dtype=float)[..., None, j] for j in range(4))
+        w0, w1, w2, w3 = (w[..., j] for j in range(4))
+        out = np.empty_like(w)
+        np.multiply(2.0 * z0, w0, out=out[..., 0])
+        mx = np.multiply(z1, w0, out=out[..., 1])
+        mx += z0 * w1
+        my = np.multiply(z2, w0, out=out[..., 2])
+        my += z0 * w2
+        e = np.multiply(z1, w1, out=out[..., 3])
+        e += z2 * w2
+        e *= self.gamma - 1.0
+        e += z3 * w0
+        e += z0 * w3
+        e /= self.gamma
         return out
 
     # -- reference state -----------------------------------------------------

@@ -20,10 +20,12 @@ One iteration runs in this order:
 4. triangle pass (``distribute``, per chunk of triangles): each chunk
    gathers the nodal fields it needs, distributes its residual, and
    limits and corrects the parts at each triangle's arithmetic-mean
-   state.  The limiting direction, the characteristic projection and
-   reconstruction, the entropy marker and the Jacobian-vector products
-   all read that state's primitives from the sweep; they are closed-form
-   expressions, with no eigenvector or Jacobian matrix;
+   state.  The limiting direction reads that state's primitives from the
+   sweep; the characteristic projection and reconstruction, the entropy
+   marker and the Jacobian-vector products read its wave data, computed
+   once from them.  All are closed-form expressions, and so is the
+   systems N scheme's split of the Jacobians: no eigenvector or
+   Jacobian matrix is built;
 5. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
@@ -202,7 +204,8 @@ def distribute(
 
     The limiter and the correction of a system are evaluated at each
     triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever
-    the scheme; the mean of physical states is physical.
+    the scheme; the mean of physical states is physical.  That state's
+    wave data (``law._waves``) is computed once and shared by both.
 
     Returns ``(parts, res)``: the final (T, 3, m) parts and the scheme's
     own ``DistributedResidual`` (its ``total`` and stagnation
@@ -235,20 +238,17 @@ def distribute(
             parts = limiting.correction_scalar(parts, total, areas, k)
         return parts, res
 
-    # The closed-form limiter and correction are elementwise over the
-    # triangles and run fastest with that axis innermost, which RXN's parts
-    # already have; the systems N scheme returns its parts in C order.
-    parts = _triangle_inner(parts)
     if q_mean is None:
         q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
     if prim_mean is None:
         prim_mean = law.primitives(q_mean)
     direction = limiting.limiting_direction(law, q_mean, prim_mean)
+    waves = law._waves(q_mean, prim_mean)
     if cfg.limited:
-        parts = limiting.limit_system(parts, law, q_mean, direction, prim_mean)
+        parts = limiting.limit_system(parts, law, q_mean, direction, waves)
     if cfg.corrected:
         parts = limiting.correction_system(
-            parts, total, areas, normals, law, q_mean, direction, prim_mean
+            parts, total, areas, normals, law, q_mean, direction, waves
         )
     return parts, res
 

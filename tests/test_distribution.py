@@ -254,14 +254,6 @@ class TestWaveSpeedBound:
         assert np.isclose(s[0], 5.0)
 
 
-class TestSplitEigenvalues:
-    def test_exact_clip_when_delta_zero(self, rng):
-        lam = rng.standard_normal((40, 4))
-        plus, minus = dist.split_eigenvalues(lam)
-        assert np.allclose(plus, np.maximum(lam, 0.0))
-        assert np.allclose(minus, np.minimum(lam, 0.0))
-
-
 class TestRxn1D:
     def test_pure_advection_split(self):
         law = physics.Advection((1.0, 0.0))

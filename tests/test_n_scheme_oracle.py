@@ -116,3 +116,67 @@ def test_matches_eig_oracle(euler, seed, layout):
     assert_close_per_triangle(r.star, star)
     total = dist.total_residual_rsd(euler, normals, q)
     assert np.abs(r.total - total).max() <= 1e-11 * max(np.abs(total).max(), 1.0)
+
+
+def streamwise_states(law, rng, n, mach):
+    """(n, 3) states moving along x at about Mach ``mach``, with v = 0 exactly."""
+    rho = 0.5 + rng.random((n, 3))
+    p = 0.5 + rng.random((n, 3))
+    u = mach * np.sqrt(law.gamma * p / rho) * (0.9 + 0.2 * rng.random((n, 3)))
+    return law.conserved(rho, u, 0.0, p)
+
+
+def average_velocity_and_sound_speed(law, q_nodes):
+    """(u, v, a) at each triangle's parameter-vector average, (T, 3)."""
+    out = []
+    for q in q_nodes:
+        qhat = averaged_states(law.gamma, q)[0]
+        u, v = qhat[1] / qhat[0], qhat[2] / qhat[0]
+        p = (law.gamma - 1.0) * (qhat[3] - 0.5 * qhat[0] * (u * u + v * v))
+        out.append((u, v, np.sqrt(law.gamma * p / qhat[0])))
+    return np.array(out)
+
+
+def degenerate_case(law, name, n=8):
+    """Triangles whose split eigenvalues change sign or coincide at zero.
+
+    ``zero_normal_velocity``: Mach 0.5 along x over a horizontal edge, so
+    u_n = 0 exactly at the node opposite it and lam_2 = lam_3 = 0 there.
+    ``sonic``: Mach 1.5, with the normals of nodes 0 and 1 turned so that
+    u_n = +a and u_n = -a to rounding (lam_1 = 0 at node 0, lam_4 = 0 at
+    node 1), and u_n = 0 at node 2.
+    ``supersonic_node``: Mach 3 with node 1's normal along the flow, so all
+    four eigenvalues there are positive and K^- = 0.
+    """
+    rng = np.random.default_rng(7)
+    if name == "zero_normal_velocity":
+        q = streamwise_states(law, rng, n, 0.5)
+        normals = compute_normals(np.tile([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]], (n, 1, 1)))
+        assert (normals[:, 2, 0] == 0.0).all()
+    elif name == "sonic":
+        q = streamwise_states(law, rng, n, 1.5)
+        u, v, a = average_velocity_and_sound_speed(law, q).T
+        assert (v == 0.0).all()
+        c = a / u
+        s = np.sqrt(1.0 - c * c)
+        normals = np.stack([np.stack([c, s], -1), np.stack([-c, s], -1),
+                            np.stack([0.0 * s, -2.0 * s], -1)], axis=1)
+        assert np.abs(u * c - a).max() <= 1e-15 * a.max()
+    else:
+        q = streamwise_states(law, rng, n, 3.0)
+        normals = compute_normals(np.tile([[0.0, 0.0], [1.0, 0.5], [0.0, 1.0]], (n, 1, 1)))
+        assert (normals[:, 1] == [1.0, 0.0]).all()
+        for t in range(n):
+            qhat = averaged_states(law.gamma, q[t])[0]
+            assert (signed_parts(law.flux_jacobian(qhat, normals[t, 1]) / 2.0)[1] == 0.0).all()
+    return normals, q
+
+
+@pytest.mark.parametrize("name", ["zero_normal_velocity", "sonic", "supersonic_node"])
+def test_degenerate_eigenvalues_match_eig_oracle(euler, name):
+    normals, q = degenerate_case(euler, name)
+    parts, star = oracle(euler, normals, q)
+    r = dist.n_scheme_system(euler, normals, q)
+    assert not r.fallback.any()
+    assert_close_per_triangle(r.parts, parts)
+    assert_close_per_triangle(r.star, star)

@@ -8,6 +8,8 @@ public functions called without precomputed data: bit for bit with the RXN
 scheme, and to 1e-12 relative with the systems N scheme.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,11 +76,24 @@ class TestPrecomputedNodalData:
             assert_same(a, b)
 
     def test_qhat_nodes_on_demand(self, case):
+        """The transformed nodal states are ``transform_nodes`` of the
+        gathered parameter vectors, and match (dq/dz)(Zhat) Z_i with the
+        matrix written out here."""
         law, q, tris, _ = case
         avg = law.rsd_average(q[tris])
         z_nodes = law.to_params(q[tris])
-        expected = z_nodes @ np.swapaxes(law.dqdz(avg.zhat), -1, -2)
-        assert_same(avg.qhat_nodes, expected)
+        assert_same(avg.qhat_nodes, law.transform_nodes(avg.zhat, z_nodes))
+        g = law.gamma
+        z0, z1, z2, z3 = np.moveaxis(avg.zhat, -1, 0)
+        zero = np.zeros_like(z0)
+        dqdz = np.stack([
+            np.stack([2.0 * z0, zero, zero, zero], axis=-1),
+            np.stack([z1, z0, zero, zero], axis=-1),
+            np.stack([z2, zero, z0, zero], axis=-1),
+            np.stack([z3 / g, (g - 1.0) / g * z1, (g - 1.0) / g * z2, z0 / g], axis=-1),
+        ], axis=-2)
+        expected = np.einsum("tij,tnj->tni", dqdz, z_nodes)
+        assert np.abs(avg.qhat_nodes - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_limit_system(self, case, mesh):
         law, q, tris, normals = case
@@ -91,14 +106,17 @@ class TestPrecomputedNodalData:
         own = law.eigensystem(q_mean, direction)
         for name in ("lam", "right", "left"):
             assert_same(getattr(given, name), getattr(own, name))
+        waves = law._waves(q_mean, prim)
+        for a, b in zip(waves, law._waves(q_mean)):
+            assert_same(a, b)
         assert_same(
-            limiting.limit_system(res.parts, law, q_mean, direction, prim),
+            limiting.limit_system(res.parts, law, q_mean, direction, waves),
             limiting.limit_system(res.parts, law, q_mean, direction),
         )
         areas = np.asarray(mesh.areas, dtype=float)
         data = (res.parts, res.total, areas, normals, law, q_mean, direction)
         assert_same(
-            limiting.correction_system(*data, prim), limiting.correction_system(*data)
+            limiting.correction_system(*data, waves), limiting.correction_system(*data)
         )
 
     def test_n_scheme_system(self, case):
@@ -271,12 +289,49 @@ def test_parameter_vector_only_for_n_scheme(monkeypatch, scheme):
         assert calls["to_params"] >= 5 and calls["rsd_average"] >= 5
 
 
+def measure_rsd_average(monkeypatch):
+    """Wrap ``rsd_average``: the returned list collects, per call, the peak
+    memory it allocated beyond the arrays of its result, in units of one
+    (T, m, m) array (``tracemalloc`` sees NumPy's allocations)."""
+    original = physics.ConservationLaw.rsd_average
+    excess = []
+
+    def measured(self, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            avg = original(self, *args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(x.nbytes for x in (avg.zhat, avg.qhat, avg.qhat_nodes, *avg.prim))
+        excess.append((peak - kept) / (avg.qhat.shape[0] * self.m * self.m * 8))
+        return avg
+
+    monkeypatch.setattr(physics.ConservationLaw, "rsd_average", measured)
+    return excess
+
+
 @pytest.mark.parametrize("scheme", ["rxn", "n"])
 def test_no_matrices_for_limiter_and_correction(monkeypatch, scheme):
-    """A limited and corrected march builds no eigensystem or Jacobian matrix
-    for the limiter and the correction: RXN calls neither, and the systems N
-    scheme calls ``eigensystem`` once per iteration, for its own distribution."""
+    """A limited and corrected march builds no eigensystem or Jacobian matrix:
+    the limiter, the correction and the systems N scheme all apply closed
+    forms.  The N scheme's parameter-vector average builds no (T, m, m)
+    array either: what it allocates beyond its result stays under half of
+    one."""
+    excess = measure_rsd_average(monkeypatch)
     calls = counted_march(monkeypatch, scheme, [
         (physics.Euler, "eigensystem"), (physics.Euler, "flux_jacobian"),
     ])
-    assert calls == {"eigensystem": 0 if scheme == "rxn" else 5, "flux_jacobian": 0}
+    assert calls == {"eigensystem": 0, "flux_jacobian": 0}
+    if scheme == "n":
+        assert len(excess) == 5 and max(excess) < 0.5
+
+
+@pytest.mark.parametrize("scheme", ["rxn", "n"])
+def test_wave_data_once_per_state(monkeypatch, scheme):
+    """A limited and corrected iteration computes the wave data (u, v, h, k,
+    a^2, a) once for the triangles' mean states, shared by the limiter and
+    the correction, and the systems N scheme once more for its
+    parameter-vector average."""
+    calls = counted_march(monkeypatch, scheme, [(physics.Euler, "_waves")])
+    assert calls == {"_waves": 5 if scheme == "rxn" else 10}

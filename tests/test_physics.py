@@ -191,17 +191,18 @@ class TestParameterVector:
         assert np.allclose(z, [r, r * u, r * v, r * h], rtol=1e-14)
 
     def test_dqdz_matches_fd(self, euler, rng):
-        q = random_euler_states(rng, (6,))
-        z = euler.to_params(q)
-        jac = euler.dqdz(z)
-        h = 1e-7
+        """``transform_nodes`` applies dq/dz at zhat to each nodal Z_i: a
+        directional derivative of ``from_params``, which central differences
+        give exactly up to rounding because q is quadratic in z."""
+        zhat = euler.to_params(random_euler_states(rng, (6,)))
+        w = euler.to_params(random_euler_states(rng, (6, 3)))
+        actual = euler.transform_nodes(zhat, w)
+        h = 1e-3
         for k in range(6):
-            fd = np.empty((4, 4))
-            for j in range(4):
-                zp = z[k].copy()
-                zp[j] += h
-                fd[:, j] = (euler.from_params(zp) - euler.from_params(z[k])) / h
-            assert np.allclose(jac[k], fd, rtol=5e-6, atol=5e-6)
+            for i in range(3):
+                fd = (euler.from_params(zhat[k] + h * w[k, i])
+                      - euler.from_params(zhat[k] - h * w[k, i])) / (2.0 * h)
+                assert np.allclose(actual[k, i], fd, rtol=1e-9, atol=1e-12)
 
     def test_average_is_exact_for_uniform(self, euler):
         q = euler.freestream(0.8, 10.0)
