@@ -389,7 +389,6 @@ def _supersonic_preset():
         "boundary.exit": "outflow",
         "solver.scheme": "rxn",
         "solver.cfl_fraction": "0.4",
-        "solver.dt_mode": "relaxation",
         "solver.max_iters": "40000",
         "solver.stop_tol": "1e-06",
         "solver.history_stride": "100",

@@ -30,6 +30,7 @@ from .smallmat import solve_batched
 
 __all__ = [
     "DistributedResidual",
+    "WAVE_SPEED_SAFETY",
     "advection_upwind_k",
     "scalar_upwind_k",
     "total_residual_linear",
@@ -41,6 +42,10 @@ __all__ = [
     "rxn_scheme",
     "rxn_scheme_1d",
 ]
+
+
+# Margin of the wave-speed bound over the largest sampled speed.
+WAVE_SPEED_SAFETY = 1.1
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def _star_matrix(law, waves, nx, ny, split):
     return nmat.transpose(2, 0, 1)
 
 
-def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
+def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
@@ -333,7 +338,7 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
     parts = _apply_split(law, node_waves, nx, ny, un, plus, dq)
     if bad.any():
         idx = np.nonzero(bad)[0]
-        rx = rxn_scheme(law, normals[idx], q_nodes[idx], safety=safety)
+        rx = rxn_scheme(law, normals[idx], q_nodes[idx])
         parts[idx] = rx.parts
         qstar[idx] = rx.star
     return DistributedResidual(parts, qstar, fallback=bad)
@@ -344,7 +349,8 @@ def n_scheme_system(law, normals, q_nodes, *, safety=1.1, z_nodes=None):
 # ---------------------------------------------------------------------------
 
 def wave_speed_bound(
-    law, q_nodes, *, velocity=None, safety=1.1, speeds=None, mean_speed=None
+    law, q_nodes, *, velocity=None, safety=WAVE_SPEED_SAFETY, speeds=None,
+    mean_speed=None,
 ):
     """Per-triangle wave-speed bound s_T.
 
@@ -394,7 +400,7 @@ def rxn_qstar(law, normals, q_nodes, s):
     return num / (s * nlen.sum(axis=1))[:, None]
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ].
@@ -416,7 +422,7 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, safety=1.1, flux
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     if s is None:
-        s = wave_speed_bound(law, q_nodes, velocity=velocity, safety=safety)
+        s = wave_speed_bound(law, q_nodes, velocity=velocity)
     else:
         s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1]).copy()
     nlen = np.hypot(normals[..., 0], normals[..., 1])

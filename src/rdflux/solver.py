@@ -13,10 +13,11 @@ One iteration runs in this order:
 1. gather: the state is gathered to the triangles once, ``q[tris]``;
 2. nodal fields: for laws with primitive variables (Euler) the
    primitives are computed once on the N mesh nodes, and from them the
-   max wave speed where the configuration reads it, and the flux pair
-   for RXN or the parameter vector for the systems N scheme; and once
-   on the triangles' arithmetic-mean states (``Sweep``);
-3. the per-triangle wave-speed bound and the time step;
+   max wave speed, and the flux pair for RXN or the parameter vector for
+   the systems N scheme; and once on the triangles' arithmetic-mean
+   states (``Sweep``);
+3. the per-triangle wave-speed bound and the time step, by the rule of
+   the law: relaxation for systems, upwind for scalars (``stable_dt``);
 4. triangle pass (``distribute``, per chunk of triangles): each chunk
    gathers the nodal fields it needs, distributes its residual, and
    limits and corrects the parts at each triangle's arithmetic-mean
@@ -53,14 +54,12 @@ __all__ = [
     "Solver",
     "distribute",
     "SCHEMES",
-    "DT_MODES",
     "CHOICES",
 ]
 
 SCHEMES = ("n", "rxn")
-DT_MODES = ("upwind", "relaxation")
 # Allowed values of each choice field of ``SolverConfig``.
-CHOICES = {"scheme": SCHEMES, "dt_mode": DT_MODES}
+CHOICES = {"scheme": SCHEMES}
 
 
 def _env_threads():
@@ -83,16 +82,10 @@ class SolverConfig:
     ``scheme`` picks the distribution family ("n" upwind or "rxn"
     relaxation); ``limited`` and ``corrected`` switch the nonlinear
     limiter and the smooth-region correction on top of it.  The time
-    step is ``cfl_fraction`` times the bound of the ``dt_mode`` rule.
-    Only ``"relaxation"``, the bound of the relaxation positivity theorem
-    (wave-speed bound times edge lengths), carries a positivity proof for
-    gas dynamics.  ``"upwind"`` is the N scheme's positive-coefficient
-    bound for scalar laws; for gas dynamics it is evaluated at each
-    triangle's mean state and proves nothing: on ``cylinder-supersonic``
-    it lets nodal pressures turn non-positive.  ``stop_tol`` is relative to
-    the first iteration's update rate.  ``safety`` scales the wave-speed
-    bound.  ``n_threads`` is set at run time and defaults to the
-    RD_THREADS environment variable.
+    step is ``cfl_fraction`` times the step bound of the law (see
+    ``Solver.stable_dt``).  ``stop_tol`` is relative to the first
+    iteration's update rate.  ``n_threads`` is set at run time and
+    defaults to the RD_THREADS environment variable.
     """
 
     scheme: str = "rxn"
@@ -104,8 +97,6 @@ class SolverConfig:
     divergence_factor: float = 1.0e6
     history_stride: int = 10
     local_time_stepping: bool = False
-    dt_mode: str = "upwind"
-    safety: float = 1.1
     n_threads: int | None = None
 
     def validate(self):
@@ -123,8 +114,6 @@ class SolverConfig:
             raise InvalidArgument("divergence_factor must exceed 1")
         if self.history_stride < 1:
             raise InvalidArgument("history_stride must be at least 1")
-        if self.safety < 1.0:
-            raise InvalidArgument("safety must be at least 1")
         if self.n_threads is not None and self.n_threads < 1:
             raise InvalidArgument("n_threads must be at least 1")
         return self
@@ -159,20 +148,19 @@ class Sweep:
     """Data derived once from the state ``q`` of one iteration.
 
     ``q_nodes`` is the state gathered to the triangles (T, 3, m), and
-    ``s`` the per-triangle wave-speed bound (None when nothing reads
-    it).  For laws with primitive variables (Euler), ``prim`` holds them
-    on the N mesh nodes, and ``flux`` (the pair f, g, read by RXN) and
-    ``z`` (the parameter vector, read by the systems N scheme) are
-    computed from them on the nodes; consumers gather them to their
-    triangles.  ``q_mean`` (T, m) is each triangle's arithmetic-mean
-    state and ``prim_mean`` its primitives, shared by the wave-speed
-    bound and the limiter and correction (None when neither reads them).
+    ``s`` the per-triangle wave-speed bound (None for a scalar law under
+    the N scheme, where nothing reads it).  For laws with primitive
+    variables (Euler), ``flux`` (the pair f, g, read by RXN) and ``z``
+    (the parameter vector, read by the systems N scheme) are computed
+    from the primitives on the N mesh nodes; consumers gather them to
+    their triangles.  ``q_mean`` (T, m) is each triangle's
+    arithmetic-mean state and ``prim_mean`` its primitives, shared by
+    the wave-speed bound and the limiter and correction.
     A sweep lives for one iteration only.
     """
 
     q_nodes: np.ndarray
     s: np.ndarray | None = None
-    prim: tuple | None = None
     flux: tuple | None = None
     z: np.ndarray | None = None
     q_mean: np.ndarray | None = None
@@ -215,13 +203,9 @@ def distribute(
         if law.m == 1:
             res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
         else:
-            res = dist.n_scheme_system(
-                law, normals, q_nodes, safety=cfg.safety, z_nodes=z_nodes
-            )
+            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=z_nodes)
     else:
-        res = dist.rxn_scheme(
-            law, normals, q_nodes, s=s, velocity=velocity, safety=cfg.safety, flux=flux
-        )
+        res = dist.rxn_scheme(law, normals, q_nodes, s=s, velocity=velocity, flux=flux)
     flux = None  # the gathered flux is spent; free it before the limiter's temporaries
 
     parts = res.parts
@@ -380,11 +364,11 @@ class Solver:
         law, cfg = self.law, self.cfg
         q_nodes = self._gather(q)
         prim = law.primitives(q) if hasattr(law, "primitives") else None
-        # The bound is read by the relaxation scheme and the relaxation
-        # step size; upwind steps with the N scheme never consume it.
-        bounded = cfg.scheme == "rxn" or cfg.dt_mode == "relaxation"
+        # The bound is read by the relaxation scheme and by the step rule
+        # of a system; only a scalar law under the N scheme never reads it.
+        bounded = cfg.scheme == "rxn" or law.m > 1
         q_mean = prim_mean = None
-        if prim is not None and (bounded or cfg.limited or cfg.corrected):
+        if prim is not None:
             q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
             prim_mean = law.primitives(q_mean)
         s = None
@@ -394,43 +378,37 @@ class Solver:
                 speeds = self._gather(law.max_wavespeed(q, prim))
                 mean_speed = law.max_wavespeed(q_mean, prim_mean)
             s = dist.wave_speed_bound(
-                law, q_nodes, velocity=self.vel_nodes, safety=cfg.safety, speeds=speeds,
-                mean_speed=mean_speed,
+                law, q_nodes, velocity=self.vel_nodes, speeds=speeds, mean_speed=mean_speed
             )
         if prim is None:
             return Sweep(q_nodes, s)
         mean = {"q_mean": q_mean, "prim_mean": prim_mean}
         if cfg.scheme == "rxn":
-            return Sweep(q_nodes, s, prim, flux=law.flux(q, prim), **mean)
-        return Sweep(q_nodes, s, prim, z=law.to_params(q, prim), **mean)
+            return Sweep(q_nodes, s, flux=law.flux(q, prim), **mean)
+        return Sweep(q_nodes, s, z=law.to_params(q, prim), **mean)
 
     def _inflow_coefficients(self, sweep):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""
-        law = self.law
-        if self.cfg.dt_mode == "relaxation":
+        if self.law.m > 1:
             contrib = self.nlen * sweep.s[:, None]
-        elif law.m == 1:
-            if self.k_static is not None:
-                k = self.k_static
-            else:
-                k = dist.scalar_upwind_k(law, self.normals, sweep.q_nodes)
-            contrib = np.maximum(2.0 * k, 0.0)
         else:
-            # Upwind bound of gas dynamics at the triangle's mean state.
-            rho_m, u_m, v_m, p_m = (
-                (x[:, 0] + x[:, 1] + x[:, 2]) / 3.0 for x in map(self._gather, sweep.prim)
-            )
-            a = np.sqrt(law.gamma * p_m / rho_m)
-            un = u_m[:, None] * self.normals[..., 0] + v_m[:, None] * self.normals[..., 1]
-            contrib = np.maximum(un + a[:, None] * self.nlen, 0.0)
+            k = self.k_static
+            if k is None:
+                k = dist.scalar_upwind_k(self.law, self.normals, sweep.q_nodes)
+            contrib = np.maximum(2.0 * k, 0.0)
         return np.bincount(
             self.tris_flat, weights=contrib.ravel(), minlength=self.n_nodes
         )
 
     def stable_dt(self, q, sweep=None):
-        """Largest step of the ``dt_mode`` rule times ``cfl_fraction``.
+        """Largest step of the law's rule times ``cfl_fraction``.
 
-        Which rules carry a positivity proof: see ``SolverConfig``.
+        A system steps by the relaxation bound, min_i 2 |C_i| / sum_T
+        s_T ||n_i||, under either scheme.  It is the bound of the
+        positivity theorem of the unlimited relaxation scheme; the limiter
+        and the correction are not covered by it.  A scalar law steps by
+        the upwind bound, min_i 2 |C_i| / sum_T max(2 k_i, 0), the N
+        scheme's maximum-principle bound, which is never smaller.
 
         Nodes with zero inflow coefficient impose no bound and are
         skipped; if every node is unconstrained the field cannot evolve

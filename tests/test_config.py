@@ -45,7 +45,7 @@ class TestParseText:
 
 class TestCanonicalize:
     def test_unknown_key_full_path(self):
-        for key in ("solver.warp_speed", "solver.star_flux"):
+        for key in ("solver.warp_speed", "solver.star_flux", "solver.dt_mode", "solver.safety"):
             m = config.parse_text(ADVECTION_TEXT)
             m[key] = "9"
             with pytest.raises(ConfigError, match=key):

@@ -132,9 +132,10 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
 
     ``cfg.scheme`` picks the RXN or the systems N scheme.  The limiter and
     the correction are evaluated at each triangle's arithmetic-mean state,
-    each computing that state's primitives itself.  The time step
-    and scatter follow ``Solver``: chunks of contiguous triangles, each
-    summed into the nodes with one bincount per component.
+    each computing that state's primitives itself.  The time step is the
+    relaxation bound of a system, and the step and scatter follow
+    ``Solver``: chunks of contiguous triangles, each summed into the nodes
+    with one bincount per component.
     """
     tris = np.asarray(mesh.tris)
     normals = np.asarray(mesh.normals, dtype=float)
@@ -147,15 +148,8 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     bcs.apply(q)
     for _ in range(iters):
         q_nodes = q[tris]
-        s = dist.wave_speed_bound(law, q_nodes, safety=cfg.safety)
-        if cfg.dt_mode == "relaxation":
-            contrib = nlen * s[:, None]
-        else:
-            rho, u, v, p = law.primitives(q_nodes)
-            rho_m, u_m, v_m, p_m = (x.mean(axis=1) for x in (rho, u, v, p))
-            a = np.sqrt(law.gamma * p_m / rho_m)
-            un = u_m[:, None] * normals[..., 0] + v_m[:, None] * normals[..., 1]
-            contrib = np.maximum(un + a[:, None] * nlen, 0.0)
+        s = dist.wave_speed_bound(law, q_nodes)
+        contrib = nlen * s[:, None]
         d = np.bincount(tris.ravel(), weights=contrib.ravel(), minlength=n_nodes)
         pos = d > 0.0
         dt = cfg.cfl_fraction * (2.0 * dual[pos] / d[pos]).min()
@@ -163,10 +157,10 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sl = slice(lo, hi)
             if cfg.scheme == "n":
-                res = dist.n_scheme_system(law, normals[sl], q_nodes[sl], safety=cfg.safety)
+                res = dist.n_scheme_system(law, normals[sl], q_nodes[sl])
                 assert not res.fallback.any()
             else:
-                res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl], safety=cfg.safety)
+                res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl])
             q_mean = (q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0
             direction = limiting.limiting_direction(law, q_mean)
             parts = limiting.limit_system(res.parts, law, q_mean, direction)
@@ -183,7 +177,7 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     return q
 
 
-def march_and_reference(mesh, scheme, dt_mode, n_threads):
+def march_and_reference(mesh, scheme, n_threads):
     """30 iterations of the solver and of ``reference_march``: (result, q, q0)."""
     law = physics.Euler()
     q_inf = law.freestream(0.8, 10.0)
@@ -191,28 +185,31 @@ def march_and_reference(mesh, scheme, dt_mode, n_threads):
         t: ("farfield", q_inf) for t in ("left", "right", "top", "bottom")
     })
     q0 = perturbed_gas(law, mesh, seed=2)
-    cfg = SolverConfig(scheme=scheme, limited=True, corrected=True, dt_mode=dt_mode,
-                       cfl_fraction=0.5, max_iters=30, stop_tol=0.0, n_threads=n_threads)
+    cfg = SolverConfig(scheme=scheme, limited=True, corrected=True, cfl_fraction=0.5,
+                       max_iters=30, stop_tol=0.0, n_threads=n_threads)
     result = Solver(mesh, law, bcs, cfg).march(q0)
     return result, reference_march(mesh, law, bcs, q0, cfg, n_threads, 30), q0
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-@pytest.mark.parametrize("dt_mode", ["relaxation", "upwind"])
-def test_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
-    result, expected, _ = march_and_reference(mesh, "rxn", dt_mode, n_threads)
+# The ids name the step rule, the relaxation bound of a system, and the
+# number of assembly threads.
+THREADS = pytest.mark.parametrize("n_threads", [1, 2], ids=["relaxation-1", "relaxation-2"])
+
+
+@THREADS
+def test_march_matches_reference_pipeline(mesh, n_threads):
+    result, expected, _ = march_and_reference(mesh, "rxn", n_threads)
     assert result.iterations == 30
     assert_same(result.q, expected)
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-@pytest.mark.parametrize("dt_mode", ["relaxation", "upwind"])
-def test_n_scheme_march_matches_reference_pipeline(mesh, n_threads, dt_mode):
+@THREADS
+def test_n_scheme_march_matches_reference_pipeline(mesh, n_threads):
     """Agreement to 1e-12 relative, not bit for bit: the N scheme's sums may
     run in an order that depends on the operands' memory layout, which
     differs between the solver (triangle axis innermost) and the reference
     loop (C order)."""
-    result, expected, q0 = march_and_reference(mesh, "n", dt_mode, n_threads)
+    result, expected, q0 = march_and_reference(mesh, "n", n_threads)
     assert result.iterations == 30 and result.fallback_triangles == 0
     assert np.abs(result.q - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.abs(result.q - q0).max() > 1e-3 * np.abs(q0).max()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rdflux import boundary, config, meshgen, physics, solver
+from rdflux import distribution as dist
 from rdflux.errors import Diverged, NonPhysicalState, StagnantField
 from rdflux.solver import SolverConfig
 
@@ -86,16 +87,21 @@ class TestStableDt:
         assert np.isclose(dts[0] / dts[1], 2.0, rtol=0.05)
         assert np.isclose(dts[1] / dts[2], 2.0, rtol=0.05)
 
-    def test_relaxation_mode_is_stricter(self, rng):
-        mesh, law, _ = scalar_problem()
-        q = rng.standard_normal((mesh.n_nodes, 1)) + 2.0
-        dt_up = solver.Solver(
-            mesh, law, None, SolverConfig(scheme="rxn", dt_mode="upwind")
-        ).stable_dt(q)
-        dt_rx = solver.Solver(
-            mesh, law, None, SolverConfig(scheme="rxn", dt_mode="relaxation")
-        ).stable_dt(q)
-        assert dt_rx <= dt_up * (1.0 + 1e-12)
+    @pytest.mark.parametrize("scheme", ["n", "rxn"])
+    def test_system_takes_relaxation_bound(self, small_irregular_mesh, rng, scheme):
+        # dt = cfl min_i 2 |C_i| / sum_T s_T ||n_i||, written out from the mesh.
+        mesh = small_irregular_mesh
+        law = physics.Euler()
+        q = random_euler_states(rng, mesh.n_nodes)
+        cfg = SolverConfig(scheme=scheme, cfl_fraction=0.7)
+        dt = solver.Solver(mesh, law, None, cfg).stable_dt(q)
+        tris = np.asarray(mesh.tris)
+        normals = np.asarray(mesh.normals, dtype=float)
+        s = dist.wave_speed_bound(law, q[tris])
+        d = np.zeros(mesh.n_nodes)
+        np.add.at(d, tris, s[:, None] * np.hypot(normals[..., 0], normals[..., 1]))
+        expected = 0.7 * (2.0 * np.asarray(mesh.dual_areas) / d).min()
+        assert np.isclose(dt, expected, rtol=1e-13, atol=0.0)
 
     def test_local_time_stepping_dominates_global(self, rng):
         mesh, law, _ = scalar_problem()
@@ -161,10 +167,11 @@ class TestMarch:
             sol.march(np.zeros((mesh.n_nodes, 1)))
 
     def test_nonphysical_state_names_iteration_node_and_quantity(self):
-        # Upwind steps carry no positivity proof for gas dynamics; on this
-        # preset they drive a nodal state non-physical within ~30 iterations.
+        # The relaxation bound covers only the unlimited scheme; with local
+        # time steps the limited, corrected march on this preset drives a
+        # nodal state non-physical within ~40 iterations.
         mapping = config.preset("cylinder-supersonic")
-        mapping["solver.dt_mode"] = "upwind"
+        mapping["solver.local_time_stepping"] = "true"
         problem = config.build_problem(mapping)
         sol = solver.Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
         with pytest.raises(
@@ -172,6 +179,18 @@ class TestMarch:
             match=r"^iteration \d+: non-positive (density|pressure) -\S+ at node \d+ ",
         ):
             sol.march(problem.q0)
+
+    def test_reduced_subsonic_preset_stays_physical(self):
+        # The preset's CFL on a 25 x 64 mesh, where a step past the
+        # relaxation bound loses positivity within 20 iterations.
+        mapping = config.preset("cylinder-subsonic")
+        mapping.update({"mesh.n_radial": "25", "mesh.n_circum": "64",
+                        "solver.max_iters": "40", "solver.stop_tol": "0"})
+        problem = config.build_problem(mapping)
+        sol = solver.Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
+        res = sol.march(problem.q0)
+        assert res.iterations == 40
+        problem.law.check_physical(res.q)
 
     def test_callback_sees_every_iteration(self):
         mesh, law, bset = scalar_problem(6, 6)
