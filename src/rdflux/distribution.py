@@ -363,16 +363,16 @@ def wave_speed_bound(
     position-dependent field.  ``speeds`` passes the nodal speeds
     ``law.max_wavespeed(q_nodes)`` (T, 3) when the caller already has
     them, e.g. gathered from one evaluation per mesh node, and
-    ``mean_speed`` the mean state's speed (T,) (both ignored with
-    ``velocity``).
+    ``mean_speed`` the mean state's speed (T,) (``q_nodes`` and both
+    are not read with ``velocity``).
     """
-    q_nodes = _as_batch(q_nodes)
     if velocity is not None:
         velocity = np.asarray(velocity, dtype=float)
         speeds = np.hypot(velocity[..., 0], velocity[..., 1])
         mean_v = velocity.mean(axis=1)
         mean_speed = np.hypot(mean_v[..., 0], mean_v[..., 1])
         return safety * np.maximum(speeds.max(axis=1), mean_speed)
+    q_nodes = _as_batch(q_nodes)
     nodal = law.max_wavespeed(q_nodes) if speeds is None else speeds  # (T, 3)
     if mean_speed is None:
         mean_speed = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)

@@ -34,6 +34,13 @@ The environment variable ``RD_THREADS`` sets the number of assembly
 threads (default 1).  Triangles are processed in fixed contiguous chunks
 either way, and the chunk results are accumulated in ascending chunk
 order, so repeated runs are bit-identical.
+
+Memory: an iteration allocates and frees about 10 MB of NumPy
+temporaries.  The first ``Solver`` of a process tells glibc's allocator
+to keep freed heap memory for reuse instead of returning it to the
+kernel (``_memory.retain_heap``), so a steady iteration takes no page
+faults.  The process's resident size then stays at its high-water mark.
+Elsewhere (macOS, Windows, musl) this is a no-op.
 """
 from __future__ import annotations
 
@@ -46,6 +53,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import limiting
+from ._memory import retain_heap
 from .errors import Diverged, InvalidArgument, NonPhysicalState, StagnantField
 
 __all__ = [
@@ -242,10 +250,15 @@ class Solver:
 
     Per-mesh geometry (scaled inward normals, areas, median dual areas)
     and, for advection laws, the exact streamfunction-integrated upwind
-    parameters and nodal velocities are precomputed once.
+    parameters and nodal velocities are precomputed once, and with them
+    what depends on the mesh alone: the wave-speed bound of a
+    ``velocity_at`` field and the nodal inflow coefficients of the
+    upwind step rule.  The first ``Solver`` of a process keeps freed heap
+    memory resident (see the module docstring).
     """
 
     def __init__(self, mesh, law, boundaries=None, config=None):
+        retain_heap()
         self.mesh = mesh
         self.law = law
         self.boundaries = boundaries
@@ -259,24 +272,26 @@ class Solver:
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
         self.nlen = np.hypot(self.normals[..., 0], self.normals[..., 1])
         self.n_nodes = mesh.n_nodes
+        self.tris_flat = self.tris.ravel()
 
         tri_xy = mesh.tri_coords()
         if hasattr(law, "velocity_at"):
             vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
             self.vel_nodes = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
+            self.s_static = dist.wave_speed_bound(law, None, velocity=self.vel_nodes)
         else:
-            self.vel_nodes = None
+            self.vel_nodes = self.s_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
+            self.d_static = self._inflow_coefficients(None)
         else:
-            self.k_static = None
+            self.k_static = self.d_static = None
 
         self.n_threads = (
             self.cfg.n_threads if self.cfg.n_threads is not None else _env_threads()
         )
         self._chunks = self._plan_chunks()
         self._chunk_nodes = [self.tris[sl].ravel() for sl in self._chunks]
-        self.tris_flat = self.tris.ravel()
         self._tris_t = np.ascontiguousarray(self.tris.T)
         self._pool = None  # created on the first threaded assemble
 
@@ -372,14 +387,14 @@ class Solver:
             q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
             prim_mean = law.primitives(q_mean)
         s = None
-        if bounded:
+        if bounded and self.s_static is not None:
+            s = self.s_static
+        elif bounded:
             speeds = mean_speed = None
             if prim is not None:
                 speeds = self._gather(law.max_wavespeed(q, prim))
                 mean_speed = law.max_wavespeed(q_mean, prim_mean)
-            s = dist.wave_speed_bound(
-                law, q_nodes, velocity=self.vel_nodes, speeds=speeds, mean_speed=mean_speed
-            )
+            s = dist.wave_speed_bound(law, q_nodes, speeds=speeds, mean_speed=mean_speed)
         if prim is None:
             return Sweep(q_nodes, s)
         mean = {"q_mean": q_mean, "prim_mean": prim_mean}
@@ -388,7 +403,10 @@ class Solver:
         return Sweep(q_nodes, s, z=law.to_params(q, prim), **mean)
 
     def _inflow_coefficients(self, sweep):
-        """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i."""
+        """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.
+
+        ``sweep`` is not read when ``k_static`` is set.
+        """
         if self.law.m > 1:
             contrib = self.nlen * sweep.s[:, None]
         else:
@@ -418,7 +436,7 @@ class Solver:
         """
         if sweep is None:
             sweep = self._sweep(np.asarray(q, dtype=float))
-        d = self._inflow_coefficients(sweep)
+        d = self.d_static if self.d_static is not None else self._inflow_coefficients(sweep)
         pos = d > 0.0
         if not pos.any():
             raise StagnantField(

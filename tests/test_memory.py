@@ -1,0 +1,88 @@
+"""The solver keeps freed heap memory resident: no page faults in a steady march."""
+
+import os
+import platform
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rdflux
+from rdflux import _memory, config
+from rdflux.solver import Solver, SolverConfig
+
+from .test_solver import scalar_problem
+
+GLIBC = sys.platform == "linux" and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason="mallopt and minor fault counts are glibc/Linux behaviour")
+def test_steady_march_takes_no_page_faults():
+    import resource
+
+    problem = config.build_problem(config.preset("cylinder-supersonic"))
+    cfg = replace(problem.solver_config, max_iters=25, stop_tol=0.0)
+    faults = []
+    Solver(problem.mesh, problem.law, problem.boundaries, cfg).march(
+        problem.q0,
+        callback=lambda it, q, rel: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt),
+    )
+    # 5 warm-up iterations, then 20 steady ones.
+    per_iteration = (faults[24] - faults[4]) / 20
+    assert per_iteration < 20, f"{per_iteration:.0f} minor page faults per iteration"
+
+
+def _no_mallopt(name):
+    return object()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("lookup", [_no_mallopt, _no_libc], ids=["no-mallopt", "oserror"])
+def test_solver_runs_where_mallopt_is_missing(monkeypatch, lookup):
+    monkeypatch.setattr(_memory, "_retained", False)
+    monkeypatch.setattr(_memory.ctypes, "CDLL", lookup)
+    mesh, law, bset = scalar_problem(6, 6)
+    cfg = SolverConfig(scheme="rxn", max_iters=2, stop_tol=0.0)
+    res = Solver(mesh, law, bset, cfg).march(np.zeros((mesh.n_nodes, 1)))
+    assert res.iterations == 2
+    assert np.isfinite(res.q).all()
+
+
+def test_helper_runs_its_calls_once(monkeypatch):
+    lookups = []
+
+    def lookup(name):
+        lookups.append(name)
+        return object()
+
+    monkeypatch.setattr(_memory, "_retained", False)
+    monkeypatch.setattr(_memory.ctypes, "CDLL", lookup)
+    _memory.retain_heap()
+    _memory.retain_heap()
+    mesh, law, bset = scalar_problem(6, 6)
+    Solver(mesh, law, bset, SolverConfig(max_iters=2, stop_tol=0.0)).march(
+        np.zeros((mesh.n_nodes, 1))
+    )
+    assert len(lookups) == 1
+
+
+def test_import_leaves_the_allocator_alone():
+    code = (
+        "import rdflux, rdflux.solver\n"
+        "from rdflux import _memory\n"
+        "assert not _memory._retained, 'retained at import'\n"
+        "from rdflux.meshgen import generate_rect_mesh\n"
+        "from rdflux.physics import Advection\n"
+        "rdflux.solver.Solver(generate_rect_mesh((0, 1, 0, 1), 3, 3), Advection((1.0, 0.0)))\n"
+        "assert _memory._retained, 'not retained by the first Solver'\n"
+    )
+    src = str(Path(rdflux.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

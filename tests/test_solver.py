@@ -203,6 +203,35 @@ class TestMarch:
         assert seen == list(range(1, 38))
 
 
+class TestMeshStaticData:
+    def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
+        # Under a velocity_at law the wave-speed bound and the upwind
+        # inflow coefficients depend on the mesh alone.
+        class Recomputing(solver.Solver):
+            def _sweep(self, q):
+                self.s_static = dist.wave_speed_bound(self.law, None, velocity=self.vel_nodes)
+                self.d_static = np.bincount(
+                    self.tris_flat, weights=np.maximum(2.0 * self.k_static, 0.0).ravel(),
+                    minlength=self.n_nodes,
+                )
+                return super()._sweep(q)
+
+        mapping = config.preset("advection-rotating")
+        mapping.update({"solver.max_iters": "30", "solver.stop_tol": "0"})
+        problem = config.build_problem(mapping)
+        args = (problem.mesh, problem.law, problem.boundaries, problem.solver_config)
+        reference = Recomputing(*args).march(problem.q0).q
+
+        sol = solver.Solver(*args)
+        calls = []
+        bound = dist.wave_speed_bound
+        monkeypatch.setattr(dist, "wave_speed_bound", lambda *a, **k: calls.append(1) or bound(*a, **k))
+        res = sol.march(problem.q0)
+        assert res.iterations == 30
+        assert not calls
+        assert np.array_equal(res.q, reference)
+
+
 class TestDeterminism:
     def test_env_flag_bit_identical(self):
         # Threaded chunks are accumulated in chunk order, so repeated
