@@ -10,7 +10,8 @@ Two families of distribution schemes are provided:
   (``n_scheme_system``), with no eigensystem; and
 * the relaxation-derived scheme ("RXN"), which needs only a wave-speed
   bound — no parameter-vector average, no eigensystem and no matrix
-  inversion per element.
+  inversion per element.  On an advection field it is a fixed positive
+  linear map per triangle (``advection_coefficients``).
 
 Every function is batched over a leading triangle axis: ``normals`` is
 ``(T, 3, 2)`` (inward scaled edge normals, as produced by module
@@ -38,6 +39,7 @@ __all__ = [
     "n_scheme_scalar",
     "n_scheme_system",
     "wave_speed_bound",
+    "advection_coefficients",
     "rxn_qstar",
     "rxn_scheme",
     "rxn_scheme_1d",
@@ -105,16 +107,9 @@ def scalar_upwind_k(law, normals, q_nodes):
     return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
 
 
-def _nodal_normal_flux(law, normals, q_nodes, velocity=None, flux=None):
-    """n_i . f(Q_i) per node, shape (T, 3, m).
-
-    ``velocity`` (T, 3, 2) overrides the law's flux for advection-type
-    problems.  Otherwise ``flux`` passes the nodal flux pair
-    ``law.flux(q_nodes)`` when the caller already has it.
-    """
-    if velocity is not None:
-        un = (velocity * normals).sum(axis=-1)  # (T, 3)
-        return un[..., None] * q_nodes
+def _nodal_normal_flux(law, normals, q_nodes, flux=None):
+    """n_i . f(Q_i) per node, (T, 3, m); ``flux`` passes the nodal flux
+    pair ``law.flux(q_nodes)`` when the caller already has it."""
     fx, fy = law.flux(q_nodes) if flux is None else flux
     nf = normals[..., 0, None] * fx
     nf += normals[..., 1, None] * fy
@@ -379,10 +374,27 @@ def wave_speed_bound(
     return safety * np.maximum(nodal.max(axis=-1), mean_speed)
 
 
-def _rxn_velocity(normals, velocity):
-    """Per-node and star velocities for advection-field RXN: the triangle mean."""
+def advection_coefficients(normals, velocity, s):
+    """The relaxation scheme of advection as a linear map: (g, w), each (T, 3).
+
+    With every flux evaluated at the triangle's mean velocity vbar (the
+    mean of the nodal ``velocity``, (T, 3, 2)), the parts collapse to
+    Phi_i = g_i (Q_i - Q_star) with Q_star = sum_j w_j Q_j, where
+
+        g_i = (s ||n_i|| + n_i . vbar) / 4,
+        w_j = (s ||n_j|| - n_j . vbar) / (s sum_k ||n_k||).
+
+    Both depend on the mesh alone.  Under the wave-speed bound s >= |vbar|
+    all are nonnegative (a discrete maximum principle), and the w_j sum to
+    one as the normals sum to zero.  Where s = 0 (no flow) g = 0 and
+    w_j = ||n_j|| / sum ||n||.
+    """
     vbar = np.asarray(velocity, dtype=float).mean(axis=1)
-    return np.broadcast_to(vbar[:, None, :], normals.shape), vbar
+    un = normals[..., 0] * vbar[:, None, 0] + normals[..., 1] * vbar[:, None, 1]
+    nlen = np.hypot(normals[..., 0], normals[..., 1])
+    g = 0.25 * (s[:, None] * nlen + un)
+    s = np.where(s > 0.0, s, 1.0)[:, None]  # s = 0 only where vbar = 0
+    return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
 def rxn_qstar(law, normals, q_nodes, s):
@@ -400,7 +412,7 @@ def rxn_qstar(law, normals, q_nodes, s):
     return num / (s * nlen.sum(axis=1))[:, None]
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None, coefficients=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ].
@@ -412,40 +424,36 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None):
 
     ``velocity`` ((T, 3, 2) nodal values) enables advection by a
     position-dependent field.  All fluxes are then evaluated at the
-    per-triangle mean velocity, which keeps the scheme inside the
-    positive-coefficient theory (discrete max principle under the strict
-    time step).
+    per-triangle mean velocity, which makes the scheme the fixed positive
+    linear map (g, w) of ``advection_coefficients`` (discrete max principle
+    under the strict time step).  ``coefficients`` passes that map when the
+    caller already has it, as ``Solver`` does; ``velocity`` is then unread.
 
     ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
-    caller already has it (ignored with ``velocity``).
+    caller already has it (ignored on an advection field).
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
-    if s is None:
-        s = wave_speed_bound(law, q_nodes, velocity=velocity)
-    else:
+    if s is not None:
         s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1]).copy()
+    elif coefficients is None:
+        s = wave_speed_bound(law, q_nodes, velocity=velocity)
+    if coefficients is not None or velocity is not None:
+        g, w = coefficients or advection_coefficients(normals, velocity, s)
+        qstar = _node_sum(w[..., None] * q_nodes)
+        return DistributedResidual(g[..., None] * (q_nodes - qstar[:, None, :]), qstar, s=s)
+
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
-
-    if velocity is not None:
-        v_nodes, v_star = _rxn_velocity(normals, velocity)
-        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, v_nodes)
-    else:
-        nf_nodes = _nodal_normal_flux(law, normals, q_nodes, flux=flux)
+    nf_nodes = _nodal_normal_flux(law, normals, q_nodes, flux=flux)
     # One (T, 3, m) buffer: first s ||n_j|| Q_j - n_j . f(Q_j), then the parts.
     buf = snlen * q_nodes
     buf -= nf_nodes
-    num = buf[:, 0] + buf[:, 1] + buf[:, 2]
-    qstar = num / (s * (nlen[:, 0] + nlen[:, 1] + nlen[:, 2]))[:, None]
-    if velocity is not None:
-        un_star = (v_star[:, None, :] * normals).sum(axis=-1)  # (T,3)
-        nf_star = un_star[..., None] * qstar[:, None, :]
-    else:
-        law.check_physical(qstar, "in relaxation star state", item="triangle")
-        fsx, fsy = law.flux(qstar)
-        nf_star = normals[..., 0, None] * fsx[:, None, :]
-        nf_star += normals[..., 1, None] * fsy[:, None, :]
+    qstar = _node_sum(buf) / (s * _node_sum(nlen))[:, None]
+    law.check_physical(qstar, "in relaxation star state", item="triangle")
+    fsx, fsy = law.flux(qstar)
+    nf_star = normals[..., 0, None] * fsx[:, None, :]
+    nf_star += normals[..., 1, None] * fsy[:, None, :]
     parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
     parts *= snlen
     parts += nf_nodes
@@ -472,15 +480,10 @@ def rxn_scheme_1d(law, q_left, q_right, s):
     q_left = np.asarray(q_left, dtype=float)
     q_right = np.asarray(q_right, dtype=float)
     s = np.asarray(s, dtype=float)[..., None]
-    fl = _flux_1d(law, q_left)
-    fr = _flux_1d(law, q_right)
+    fl = law.flux(q_left)[0]
+    fr = law.flux(q_right)[0]
     qstar = 0.5 * (q_left + q_right) - (fr - fl) / (2.0 * s)
     mustar = 0.5 * (fl + fr) - 0.5 * s * (q_right - q_left)
     minus = 0.5 * (s * (q_left - qstar) - (fl - mustar))
     plus = 0.5 * (s * (q_right - qstar) + (fr - mustar))
     return minus, plus
-
-
-def _flux_1d(law, q):
-    fx, _ = law.flux(q)
-    return fx

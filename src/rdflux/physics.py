@@ -104,7 +104,10 @@ class ConservationLaw:
         raise NotImplementedError
 
     def eigensystem(self, q, n):
-        raise NotImplementedError
+        """Eigensystem of n.J; a scalar law's is n.J with unit eigenvectors."""
+        jac = self.flux_jacobian(q, n)
+        ones = np.ones_like(jac)
+        return Eigensystem(jac[..., 0], ones, ones.copy())
 
     def max_wavespeed(self, q):
         """Upper bound on ||(lam_x, lam_y)|| over the wave families."""
@@ -202,12 +205,6 @@ class Advection(ConservationLaw):
         shape = np.broadcast_shapes(q.shape[:-1], un.shape)
         return np.broadcast_to(un, shape).reshape(shape + (1, 1)).copy()
 
-    def eigensystem(self, q, n):
-        jac = self.flux_jacobian(q, n)
-        lam = jac[..., 0]
-        ones = np.ones_like(jac)
-        return Eigensystem(lam, ones, ones.copy())
-
     def max_wavespeed(self, q):
         q = np.asarray(q, dtype=float)
         s = math.hypot(self.velocity[0], self.velocity[1])
@@ -276,12 +273,6 @@ class Burgers(ConservationLaw):
         n = np.asarray(n, dtype=float)
         un = q[..., 0] * n[..., 0]
         return un.reshape(un.shape + (1, 1)).copy()
-
-    def eigensystem(self, q, n):
-        jac = self.flux_jacobian(q, n)
-        lam = jac[..., 0]
-        ones = np.ones_like(jac)
-        return Eigensystem(lam, ones, ones.copy())
 
     def max_wavespeed(self, q):
         q = np.asarray(q, dtype=float)

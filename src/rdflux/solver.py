@@ -182,7 +182,7 @@ def _triangle_inner(a):
 
 
 def distribute(
-    law, cfg, normals, areas, q_nodes, *, s=None, k=None, velocity=None, flux=None,
+    law, cfg, normals, areas, q_nodes, *, s=None, k=None, coefficients=None, flux=None,
     z_nodes=None, q_mean=None, prim_mean=None,
 ):
     """Distributed parts of one triangle batch: scheme, limiter, correction.
@@ -190,13 +190,14 @@ def distribute(
     The one pipeline behind ``Solver.assemble``; the self-check suites
     run it on raw triangle batches.  ``cfg`` is a ``SolverConfig``,
     ``normals`` (T, 3, 2), ``areas`` (T,) and ``q_nodes`` (T, 3, m).
-    ``velocity`` (T, 3, 2) gives nodal velocities for advection by a
-    position-dependent field.  The other keyword arrays pass precomputed
-    data for these triangles, each computed from ``q_nodes`` when None:
-    the wave-speed bound ``s`` (T,), the scalar upwind parameters ``k``
-    (T, 3), the nodal flux pair, the nodal parameter vectors
-    ``z_nodes`` (T, 3, m), and the mean states ``q_mean`` (T, m) with
-    their primitives ``prim_mean``.
+    ``coefficients`` passes the relaxation scheme of an advection field,
+    the map (g, w) of ``distribution.advection_coefficients`` for these
+    triangles; ``Solver`` builds it once per mesh.  The other keyword
+    arrays pass precomputed data for these triangles, each computed from
+    ``q_nodes`` when None: the wave-speed bound ``s`` (T,), the scalar
+    upwind parameters ``k`` (T, 3), the nodal flux pair, the nodal
+    parameter vectors ``z_nodes`` (T, 3, m), and the mean states
+    ``q_mean`` (T, m) with their primitives ``prim_mean``.
 
     The limiter and the correction of a system are evaluated at each
     triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever
@@ -213,7 +214,7 @@ def distribute(
         else:
             res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=z_nodes)
     else:
-        res = dist.rxn_scheme(law, normals, q_nodes, s=s, velocity=velocity, flux=flux)
+        res = dist.rxn_scheme(law, normals, q_nodes, s=s, flux=flux, coefficients=coefficients)
     flux = None  # the gathered flux is spent; free it before the limiter's temporaries
 
     parts = res.parts
@@ -249,11 +250,12 @@ class Solver:
     """Steady-state driver bound to one mesh, law, and boundary set.
 
     Per-mesh geometry (scaled inward normals, areas, median dual areas)
-    and, for advection laws, the exact streamfunction-integrated upwind
-    parameters and nodal velocities are precomputed once, and with them
-    what depends on the mesh alone: the wave-speed bound of a
-    ``velocity_at`` field and the nodal inflow coefficients of the
-    upwind step rule.  The first ``Solver`` of a process keeps freed heap
+    and, for advection laws, what depends on the mesh alone are
+    precomputed once: the exact streamfunction-integrated upwind
+    parameters and the nodal inflow coefficients of the upwind step rule;
+    on a ``velocity_at`` field its wave-speed bound and, under
+    ``scheme="rxn"``, the relaxation scheme's linear map (g, w)
+    (``rxn_static``).  The first ``Solver`` of a process keeps freed heap
     memory resident (see the module docstring).
     """
 
@@ -277,10 +279,14 @@ class Solver:
         tri_xy = mesh.tri_coords()
         if hasattr(law, "velocity_at"):
             vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
-            self.vel_nodes = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
-            self.s_static = dist.wave_speed_bound(law, None, velocity=self.vel_nodes)
+            vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
+            self.s_static = dist.wave_speed_bound(law, None, velocity=vel)
+            self.rxn_static = None
+            if self.cfg.scheme == "rxn":
+                coef = dist.advection_coefficients(self.normals, vel, self.s_static)
+                self.rxn_static = tuple(_triangle_inner(c) for c in coef)
         else:
-            self.vel_nodes = self.s_static = None
+            self.s_static = self.rxn_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
             self.d_static = self._inflow_coefficients(None)
@@ -336,7 +342,7 @@ class Solver:
             sweep.q_nodes[sl],
             s=None if sweep.s is None else sweep.s[sl],
             k=None if self.k_static is None else self.k_static[sl],
-            velocity=None if self.vel_nodes is None else self.vel_nodes[sl],
+            coefficients=None if self.rxn_static is None else tuple(c[sl] for c in self.rxn_static),
             flux=None if sweep.flux is None else tuple(self._gather(f, sl) for f in sweep.flux),
             z_nodes=None if sweep.z is None else self._gather(sweep.z, sl),
             q_mean=None if sweep.q_mean is None else sweep.q_mean[sl],

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdflux import config, physics, solver, verify
 from rdflux import distribution as dist
-from rdflux import physics
 from rdflux.mesh import compute_normals, triangle_areas
 
 from .conftest import REF_TRI, random_euler_states, random_triangles
@@ -232,6 +232,46 @@ class TestRxnScheme:
             assert type(exc).__name__ == "NonPhysicalState"
         else:
             euler.check_physical(r.star)  # if it returned, star must be physical
+
+
+class TestRxnAdvectionMap:
+    def test_velocity_map_matches_flux_form(self):
+        # On a constant field the mean-velocity map (g, w) and the flux
+        # form of the scheme are the same scheme up to rounding.
+        rng = np.random.default_rng(3)
+        law = physics.Advection((1.3, -0.7))
+        normals = compute_normals(verify.random_triangles(rng, 500))
+        q = rng.normal(0.0, 2.0, size=(500, 3, 1))
+        vel = np.broadcast_to(law.velocity, normals.shape)
+        mapped = dist.rxn_scheme(law, normals, q, velocity=vel)
+        direct = dist.rxn_scheme(law, normals, q)
+        for a, b in ((mapped.parts, direct.parts), (mapped.star, direct.star)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        tot = dist.total_residual_linear(law, normals, q)
+        assert np.abs(mapped.total - tot).max() <= 1e-13 * np.abs(tot).max()
+
+    def test_rotating_preset_map_is_positive(self):
+        # Independent oracle from the mesh's points, triangles and field:
+        # inward edge normals n_i (edge j -> k rotated by +90 degrees),
+        # s = 1.1 max(|v_i|, |vbar|), g_i = (s |n_i| + n_i . vbar) / 4
+        # and w_j = (s |n_j| - n_j . vbar) / (s sum |n|).
+        problem = config.build_problem(config.preset("advection-rotating"))
+        mesh, law = problem.mesh, problem.law
+        xy = np.asarray(mesh.points)[np.asarray(mesh.tris)]
+        edge = np.roll(xy, -2, axis=1) - np.roll(xy, -1, axis=1)
+        normals = np.stack([-edge[..., 1], edge[..., 0]], axis=-1)
+        vel = law.velocity_at(xy)
+        vbar = vel.mean(axis=1)
+        s = 1.1 * np.maximum(np.linalg.norm(vel, axis=-1).max(axis=1), np.linalg.norm(vbar, axis=-1))
+        nlen = np.linalg.norm(normals, axis=-1)
+        un = np.einsum("tik,tk->ti", normals, vbar)
+        g = 0.25 * (s[:, None] * nlen + un)
+        w = (s[:, None] * nlen - un) / (s * nlen.sum(axis=1))[:, None]
+        assert (g >= 0.0).all() and (w >= 0.0).all()
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
+        cached_g, cached_w = solver.Solver(mesh, law, problem.boundaries).rxn_static
+        assert np.abs(cached_g - g).max() <= 1e-14 * np.abs(g).max()
+        assert np.abs(cached_w - w).max() <= 1e-14
 
 
 class TestWaveSpeedBound:

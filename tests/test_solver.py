@@ -123,6 +123,17 @@ class TestStableDt:
         with pytest.raises(StagnantField):
             sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
 
+    def test_stagnant_field_raises_under_rxn(self):
+        # The relaxation map is built at construction, where s = 0: that
+        # must not divide 0 by 0 (RuntimeWarning is an error here).
+        mesh, _, _ = scalar_problem()
+        law = physics.Advection((0.0, 0.0))
+        sol = solver.Solver(mesh, law, None, SolverConfig(scheme="rxn"))
+        g, w = sol.rxn_static
+        assert (g == 0.0).all() and np.isfinite(w).all()
+        with pytest.raises(StagnantField):
+            sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
+
 
 class TestMarch:
     def test_already_steady_returns_immediately(self, euler):
@@ -205,11 +216,16 @@ class TestMarch:
 
 class TestMeshStaticData:
     def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
-        # Under a velocity_at law the wave-speed bound and the upwind
-        # inflow coefficients depend on the mesh alone.
+        # Under a velocity_at law the wave-speed bound, the relaxation
+        # scheme's linear map (g, w) and the upwind inflow coefficients
+        # depend on the mesh alone.
         class Recomputing(solver.Solver):
             def _sweep(self, q):
-                self.s_static = dist.wave_speed_bound(self.law, None, velocity=self.vel_nodes)
+                xy = self.mesh.tri_coords()
+                vel = solver._triangle_inner(np.broadcast_to(self.law.velocity_at(xy), xy.shape))
+                self.s_static = dist.wave_speed_bound(self.law, None, velocity=vel)
+                coef = dist.advection_coefficients(self.normals, vel, self.s_static)
+                self.rxn_static = tuple(solver._triangle_inner(c) for c in coef)
                 self.d_static = np.bincount(
                     self.tris_flat, weights=np.maximum(2.0 * self.k_static, 0.0).ravel(),
                     minlength=self.n_nodes,
@@ -220,12 +236,14 @@ class TestMeshStaticData:
         mapping.update({"solver.max_iters": "30", "solver.stop_tol": "0"})
         problem = config.build_problem(mapping)
         args = (problem.mesh, problem.law, problem.boundaries, problem.solver_config)
+        assert problem.solver_config.scheme == "rxn"
         reference = Recomputing(*args).march(problem.q0).q
 
         sol = solver.Solver(*args)
         calls = []
-        bound = dist.wave_speed_bound
-        monkeypatch.setattr(dist, "wave_speed_bound", lambda *a, **k: calls.append(1) or bound(*a, **k))
+        for name in ("wave_speed_bound", "advection_coefficients"):
+            fn = getattr(dist, name)
+            monkeypatch.setattr(dist, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
         res = sol.march(problem.q0)
         assert res.iterations == 30
         assert not calls
