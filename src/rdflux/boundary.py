@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgument, InvalidTopology, NonPhysicalState
+from .errors import ConfigError, InvalidTopology, NonPhysicalState
+from .physics import Euler
 
 __all__ = ["BoundarySet", "farfield_blend", "KIND_ORDER"]
 
@@ -66,6 +67,10 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
     return q_out
 
 
+def _keys(tags):
+    return ", ".join(f"boundary.{t}" for t in sorted(tags))
+
+
 @dataclass(frozen=True)
 class _Binding:
     tag: str
@@ -80,48 +85,54 @@ class BoundarySet:
 
     ``bindings`` maps every boundary tag of the mesh to ``(kind, data)``:
 
-    * ``("dirichlet", data)`` — data is a constant state, an array of
-      nodal states, or a callable ``f(xy) -> states`` evaluated once at
-      the tag's node coordinates;
-    * ``("slip_wall", None)`` — Euler only; removes the wall-normal
-      momentum component at each node;
-    * ``("farfield", q_inf)`` — Euler only; characteristic blend with
-      the given free-stream state;
+    * ``("dirichlet", data)`` — data is a constant state (a number or
+      ``law.m`` components), an array of nodal states, or a callable
+      ``f(xy) -> states`` evaluated once at the tag's node coordinates;
+      for a scalar law the callable may return one value per node;
+    * ``("slip_wall", None)`` — removes the wall-normal momentum
+      component at each node;
+    * ``("farfield", q_inf)`` — characteristic blend with the given
+      free-stream state of ``law.m`` components;
     * ``("outflow", None)`` — no constraint.
+
+    This class is the one home of the binding rules, and it checks all
+    of them at construction, raising ``ConfigError``: the bindings cover
+    the mesh's tags exactly, each kind is one of ``KINDS``, ``slip_wall``
+    and ``farfield`` need the gas-dynamics law, and the data has the
+    shape listed above.  Errors name a tag by its config key
+    ``boundary.<tag>``.
     """
 
     def __init__(self, mesh, law, bindings):
-        mesh_tags = set(mesh.tags)
-        bound_tags = set(bindings)
-        if mesh_tags != bound_tags:
-            missing = sorted(mesh_tags - bound_tags)
-            extra = sorted(bound_tags - mesh_tags)
-            raise ConfigError(
-                "boundary bindings must cover the mesh tags exactly; "
-                f"missing {missing}, unknown {extra}"
-            )
+        missing = set(mesh.tags) - set(bindings)
+        if missing:
+            raise ConfigError(f"mesh boundary tags without bindings: {_keys(missing)}")
+        unknown = set(bindings) - set(mesh.tags)
+        if unknown:
+            raise ConfigError(f"bindings for tags the mesh does not have: {_keys(unknown)}")
         self.law = law
         self._bindings: list[_Binding] = []
         for tag in sorted(bindings):
             kind, data = bindings[tag]
+            key = f"boundary.{tag}"
             if kind not in KINDS:
-                raise ConfigError(f"unknown boundary kind {kind!r} for tag {tag!r}")
+                raise ConfigError(
+                    f"{key}: unknown boundary kind {kind!r} (expected {', '.join(KINDS)})"
+                )
+            if kind in ("slip_wall", "farfield") and not isinstance(law, Euler):
+                raise ConfigError(f"{key}: {kind} requires the gas-dynamics law")
+            if kind in ("slip_wall", "outflow") and data is not None:
+                raise ConfigError(f"{key}: {kind} takes no data")
             nodes = mesh.boundary_nodes(tag)
             values = None
             normals = None
             if kind == "dirichlet":
-                values = self._dirichlet_values(mesh, law, nodes, data)
+                values = self._dirichlet_values(key, mesh, law, nodes, data)
             elif kind == "farfield":
-                values = np.asarray(data, dtype=float)
+                values = np.array(data, dtype=float)
                 if values.shape != (law.m,):
-                    raise ConfigError(
-                        f"farfield data for tag {tag!r} must be one state of length {law.m}"
-                    )
-                nodes, normals = mesh.outward_normals(tag)
-                self._check_normals(tag, normals)
-            elif kind == "slip_wall":
-                if law.m == 1:
-                    raise ConfigError("slip_wall requires a system law")
+                    raise ConfigError(f"{key}: farfield data must be one state of {law.m} components")
+            if kind in ("slip_wall", "farfield"):
                 nodes, normals = mesh.outward_normals(tag)
                 self._check_normals(tag, normals)
             self._bindings.append(_Binding(tag, kind, nodes, values, normals))
@@ -136,23 +147,24 @@ class BoundarySet:
             )
 
     @staticmethod
-    def _dirichlet_values(mesh, law, nodes, data):
-        xy = mesh.points[nodes]
+    def _dirichlet_values(key, mesh, law, nodes, data):
+        if data is None:
+            raise ConfigError(f"{key}: dirichlet needs a value or a profile")
+        shape = (len(nodes), law.m)
         if callable(data):
-            values = np.asarray(data(xy), dtype=float)
+            values = np.asarray(data(mesh.points[nodes]), dtype=float)
+            if law.m == 1 and values.shape == shape[:1]:
+                values = values[:, None]
         else:
             values = np.asarray(data, dtype=float)
-        if values.ndim == 0:
-            values = np.full((len(nodes), law.m), float(values))
-        elif values.shape == (law.m,):
-            values = np.broadcast_to(values, (len(nodes), law.m)).copy()
-        elif values.shape == (len(nodes),) and law.m == 1:
-            values = values[:, None].copy()
-        elif values.shape != (len(nodes), law.m):
-            raise InvalidArgument(
-                f"dirichlet data has shape {values.shape}, expected ({len(nodes)}, {law.m})"
+            if values.shape in ((), (law.m,)):
+                values = np.broadcast_to(values, shape)
+        if values.shape != shape:
+            raise ConfigError(
+                f"{key}: dirichlet data has shape {values.shape}; expected a state "
+                f"of {law.m} components or {shape} nodal states"
             )
-        return values
+        return np.array(values)
 
     def apply(self, q):
         """Impose all conditions on nodal states ``q`` (modified in place)."""

@@ -3,24 +3,30 @@
 The format is line-oriented UTF-8 text: one ``section.key = value`` pair
 per line, ``#`` starts a comment, blank lines are ignored.  Sections are
 fixed (law, mesh, init, boundary, solver, output); boundary keys are the
-mesh's tag names.  ``canonicalize`` validates a parsed mapping against
-the schema, fills defaults, and normalizes every value string, so
-parse -> serialize -> parse is the identity on canonical text.
+mesh's tag names.
 
-``build_problem`` turns a canonical mapping into live objects: the mesh,
-the conservation law, the boundary set, the initial state, the solver
-configuration, and the output plan.
+The schema (``_SCHEMA``) is the one home of each key's kind, default,
+choices and applicability.  Applicability is a test on the canonical
+values of the selector keys ``law.kind``, ``mesh.kind``, ``mesh.file``
+and ``init.kind``.  A default that a constructor already holds is read
+from that constructor's signature.  Each value is parsed once, to a
+typed value (``_resolve``); ``canonicalize`` spells the typed values
+out, so parse -> serialize -> parse is the identity on canonical text,
+and ``build_problem`` turns them into live objects: the mesh, the
+conservation law, the boundary set, the initial state, the solver
+configuration, and the output plan.  Whether a boundary binding fits
+the mesh and the law is ``BoundarySet``'s to check.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import meshgen, physics
-from .boundary import BoundarySet
+from .boundary import KINDS, BoundarySet
 from .errors import ConfigError
 from .mesh import load_mesh
 from .solver import CHOICES, SolverConfig
@@ -41,6 +47,8 @@ __all__ = [
 LAW_KINDS = ("advection", "rotating-advection", "burgers", "euler")
 MESH_KINDS = ("rect", "cylinder")
 SECTION_ORDER = ("law", "mesh", "init", "boundary", "solver", "output")
+# The keys whose values decide which other keys apply.
+_SELECTORS = ("law.kind", "mesh.file", "mesh.kind", "init.kind")
 
 
 # -- value codecs -------------------------------------------------------------
@@ -72,129 +80,133 @@ def _parse_bool(raw, key):
     raise ConfigError(f"{key}: expected true/false, got {raw!r}")
 
 
-def _parse_floats(raw, key, n=None):
-    parts = raw.split()
-    vals = [_parse_float(p, key) for p in parts]
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"{key}: expected {n} numbers, got {len(vals)}")
-    return vals
+def _parse_word(raw, key):
+    word = raw.strip()
+    if not word:
+        raise ConfigError(f"{key}: value must not be empty")
+    return word
+
+
+def _parse_outer(raw, key):
+    """The outer-boundary spec: ``("radius", R)`` or ``("rect", (x0, x1, y0, y1))``."""
+    words = raw.split()
+    if words and words[0] == "radius" and len(words) == 2:
+        return "radius", _parse_float(words[1], key)
+    if words and words[0] == "rect" and len(words) == 5:
+        return "rect", tuple(_parse_float(w, key) for w in words[1:])
+    raise ConfigError(f"{key} must be 'radius R' or 'rect x0 x1 y0 y1'; got {raw!r}")
+
+
+def _fmt_outer(spec):
+    kind, value = spec
+    return " ".join([kind, *map(_fmt_float, value if kind == "rect" else (value,))])
+
+
+# kind -> (parse raw text to a typed value, spell a typed value canonically)
+_CODECS = {
+    "float": (_parse_float, _fmt_float),
+    "int": (_parse_int, str),
+    "bool": (_parse_bool, lambda b: "true" if b else "false"),
+    "word": (_parse_word, str),
+    "words": (lambda raw, key: tuple(raw.split()), " ".join),
+    "floats": (lambda raw, key: tuple(_parse_float(w, key) for w in raw.split()),
+               lambda vals: " ".join(map(_fmt_float, vals))),
+    "outer": (_parse_outer, _fmt_outer),
+}
 
 
 class _Spec:
-    """One schema entry: type, default (None = required), choices."""
+    """One schema entry: kind, default (None = required), choices, count,
+    and ``when``, the test on the selector values that says whether the
+    key applies (always, if None)."""
 
-    def __init__(self, kind, default=None, choices=None, count=None):
-        self.kind = kind
-        self.default = default
+    def __init__(self, kind, default=None, choices=None, count=None, when=None):
+        self.parse, self.format = _CODECS[kind]
         self.choices = choices
         self.count = count
+        self.when = when or (lambda sel: True)
+        self.default = None if default is None else self.value(self.format(default), "default")
 
     def value(self, raw, key):
-        """The typed value of a scalar entry (float, int, bool or word)."""
-        if self.kind == "float":
-            return _parse_float(raw, key)
-        if self.kind == "int":
-            return _parse_int(raw, key)
-        if self.kind == "bool":
-            return _parse_bool(raw, key)
-        return self.normalize(raw, key)
-
-    def normalize(self, raw, key):
-        if self.kind == "float":
-            return _fmt_float(_parse_float(raw, key))
-        if self.kind == "int":
-            return str(_parse_int(raw, key))
-        if self.kind == "bool":
-            return "true" if _parse_bool(raw, key) else "false"
-        if self.kind == "floats":
-            return " ".join(_fmt_float(v) for v in _parse_floats(raw, key, self.count))
-        if self.kind == "word":
-            word = raw.strip()
-            if not word:
-                raise ConfigError(f"{key}: value must not be empty")
-            if self.choices is not None and word not in self.choices:
-                raise ConfigError(
-                    f"{key}: must be one of {', '.join(self.choices)}; got {word!r}"
-                )
-            return word
-        if self.kind == "words":
-            return " ".join(raw.split())
-        if self.kind == "str":
-            val = raw.strip()
-            if not val:
-                raise ConfigError(f"{key}: value must not be empty")
-            return val
-        raise AssertionError(self.kind)
+        """The typed value of the text ``raw``; errors name ``key``."""
+        val = self.parse(raw, key)
+        if self.count is not None and len(val) != self.count:
+            raise ConfigError(f"{key}: expected {self.count} numbers, got {len(val)}")
+        if self.choices is not None and val not in self.choices:
+            raise ConfigError(f"{key}: must be one of {', '.join(self.choices)}; got {val!r}")
+        return val
 
 
-_LAW_SCHEMA = {
-    "law.kind": _Spec("word", choices=LAW_KINDS),
-    "law.gamma": _Spec("float", default="1.4"),
-    "law.mach": _Spec("float"),
-    "law.aoa_deg": _Spec("float", default="0.0"),
-    "law.velocity": _Spec("floats", default="1.0 0.0", count=2),
-    "law.omega": _Spec("float", default=_fmt_float(math.pi)),
-}
+def _default(fn, name):
+    """The default that ``fn`` gives its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
 
-_MESH_SCHEMA = {
-    "mesh.file": _Spec("str"),
-    "mesh.kind": _Spec("word", choices=MESH_KINDS),
-    "mesh.bounds": _Spec("floats", default="0.0 1.0 0.0 1.0", count=4),
-    "mesh.nx": _Spec("int"),
-    "mesh.ny": _Spec("int"),
-    "mesh.pattern": _Spec("word", default="alternating", choices=("alternating", "uniform")),
-    "mesh.perturb": _Spec("float", default="0.0"),
-    "mesh.seed": _Spec("int", default="0"),
-    "mesh.center": _Spec("floats", default="0.0 0.0", count=2),
-    "mesh.radius": _Spec("float"),
-    "mesh.outer": _Spec("words"),
-    "mesh.n_radial": _Spec("int"),
-    "mesh.n_circum": _Spec("int"),
-    "mesh.grading": _Spec("float", default="1.2"),
-}
 
-_INIT_SCHEMA = {
-    "init.kind": _Spec("word", choices=("freestream", "uniform")),
-    "init.value": _Spec("floats", default="0.0"),
-}
+def _law(kind):
+    return lambda sel: sel.get("law.kind") == kind
+
+
+def _mesh(kind):
+    return lambda sel: sel.get("mesh.kind") == kind
 
 
 def _solver_schema():
     """``solver.<field>`` entries derived from the fields of ``SolverConfig``.
 
-    The kind comes from the field's type, the canonical default from its
-    default, and the choices from ``solver.CHOICES``.  ``n_threads`` is
-    set at run time (RD_THREADS), so it is not part of the file format.
+    The kind comes from the field's type, the default from its default,
+    and the choices from ``solver.CHOICES``.  ``n_threads`` is an
+    argument of the library call, not part of the file format.
     """
     kinds = {"str": "word", "bool": "bool", "int": "int", "float": "float"}
-    schema = {}
-    for f in dataclasses.fields(SolverConfig):
-        if f.name == "n_threads":
-            continue
-        key = f"solver.{f.name}"
-        kind = kinds[f.type]  # annotations are strings in module solver
-        default = _Spec(kind).normalize(str(f.default), key)
-        schema[key] = _Spec(kind, default, CHOICES.get(f.name))
-    return schema
+    return {
+        f"solver.{f.name}": _Spec(kinds[f.type], f.default, CHOICES.get(f.name))
+        for f in dataclasses.fields(SolverConfig)  # annotations are strings there
+        if f.name != "n_threads"
+    }
 
 
-_SOLVER_SCHEMA = _solver_schema()
-
-_OUTPUT_SCHEMA = {
-    "output.directory": _Spec("str", default="out"),
-    "output.basename": _Spec("str", default="run"),
-    "output.fields": _Spec("bool", default="true"),
-    "output.history": _Spec("bool", default="true"),
-    "output.probes": _Spec("words", default=""),
+_SCHEMA = {
+    "law.kind": _Spec("word", choices=LAW_KINDS),
+    "law.gamma": _Spec("float", _default(physics.Euler, "gamma"), when=_law("euler")),
+    "law.mach": _Spec("float", when=_law("euler")),
+    "law.aoa_deg": _Spec("float", _default(physics.Euler.freestream, "aoa_deg"),
+                         when=_law("euler")),
+    "law.velocity": _Spec("floats", _default(physics.Advection, "velocity"), count=2,
+                          when=_law("advection")),
+    "law.omega": _Spec("float", _default(physics.RotatingAdvection, "omega"),
+                       when=_law("rotating-advection")),
+    "mesh.file": _Spec("word", when=lambda sel: "mesh.file" in sel),
+    "mesh.kind": _Spec("word", choices=MESH_KINDS, when=lambda sel: "mesh.file" not in sel),
+    "mesh.bounds": _Spec("floats", (0.0, 1.0, 0.0, 1.0), count=4, when=_mesh("rect")),
+    "mesh.nx": _Spec("int", when=_mesh("rect")),
+    "mesh.ny": _Spec("int", when=_mesh("rect")),
+    "mesh.pattern": _Spec("word", _default(meshgen.generate_rect_mesh, "pattern"),
+                          choices=("alternating", "uniform"), when=_mesh("rect")),
+    "mesh.perturb": _Spec("float", 0.0, when=_mesh("rect")),
+    "mesh.seed": _Spec("int", _default(meshgen.perturb_interior, "seed"), when=_mesh("rect")),
+    "mesh.center": _Spec("floats", (0.0, 0.0), count=2, when=_mesh("cylinder")),
+    "mesh.radius": _Spec("float", when=_mesh("cylinder")),
+    "mesh.outer": _Spec("outer", when=_mesh("cylinder")),
+    "mesh.n_radial": _Spec("int", when=_mesh("cylinder")),
+    "mesh.n_circum": _Spec("int", when=_mesh("cylinder")),
+    "mesh.grading": _Spec("float", _default(meshgen.generate_cylinder_mesh, "grading"),
+                          when=_mesh("cylinder")),
+    "init.kind": _Spec("word", choices=("freestream", "uniform")),
+    "init.value": _Spec("floats", (0.0,), when=lambda sel: sel["init.kind"] == "uniform"),
+    **_solver_schema(),
+    "output.directory": _Spec("word", "out"),
+    "output.basename": _Spec("word", "run"),
+    "output.fields": _Spec("bool", True),
+    "output.history": _Spec("bool", True),
+    "output.probes": _Spec("words", ()),
 }
 
 _BOUNDARY_SPEC = _Spec("words")
 
 
-def _schema_for(key):
-    for schema in (_LAW_SCHEMA, _MESH_SCHEMA, _INIT_SCHEMA, _SOLVER_SCHEMA, _OUTPUT_SCHEMA):
-        if key in schema:
-            return schema[key]
+def _spec_for(key):
+    if key in _SCHEMA:
+        return _SCHEMA[key]
     if key.startswith("boundary.") and len(key) > len("boundary."):
         return _BOUNDARY_SPEC
     return None
@@ -226,97 +238,47 @@ def parse_text(text):
     return mapping
 
 
-def _applicable_keys(mapping):
-    """Ordered list of schema keys that apply to the chosen kinds."""
-    law_kind = mapping.get("law.kind", "")
-    keys = ["law.kind"]
-    if law_kind == "euler":
-        keys += ["law.gamma", "law.mach", "law.aoa_deg"]
-    elif law_kind == "advection":
-        keys += ["law.velocity"]
-    elif law_kind == "rotating-advection":
-        keys += ["law.omega"]
+def _resolve(mapping, sections=SECTION_ORDER):
+    """Typed values of every key of ``sections`` that applies, in canonical order.
 
-    if "mesh.file" in mapping:
-        keys += ["mesh.file"]
-    else:
-        keys += ["mesh.kind"]
-        mesh_kind = mapping.get("mesh.kind", "")
-        if mesh_kind == "rect":
-            keys += ["mesh.bounds", "mesh.nx", "mesh.ny", "mesh.pattern",
-                     "mesh.perturb", "mesh.seed"]
-        elif mesh_kind == "cylinder":
-            keys += ["mesh.center", "mesh.radius", "mesh.outer",
-                     "mesh.n_radial", "mesh.n_circum", "mesh.grading"]
-
-    keys += ["init.kind"]
-    if mapping.get("init.kind", "") == "uniform":
-        keys += ["init.value"]
-
-    keys += sorted(k for k in mapping if k.startswith("boundary."))
-    keys += list(_SOLVER_SCHEMA)
-    keys += list(_OUTPUT_SCHEMA)
-    return keys
-
-
-def canonicalize(mapping):
-    """Validate a flat mapping and return its canonical form.
-
-    Checks keys against the schema, fills in defaults for every key that
-    applies to the chosen law/mesh kinds, normalizes value spellings,
-    and rejects unknown or inapplicable keys with their full paths.
+    Checks keys against the schema, fills in defaults, parses each value
+    once, and rejects unknown, missing or inapplicable keys with their
+    full paths.
     """
-    mapping = dict(mapping)
     for key in mapping:
-        if _schema_for(key) is None:
+        if _spec_for(key) is None:
             raise ConfigError(f"unknown configuration key {key!r}")
-
-    if "law.kind" not in mapping:
-        raise ConfigError("law.kind is required")
-    _LAW_SCHEMA["law.kind"].normalize(mapping["law.kind"], "law.kind")
     if "mesh.file" in mapping and "mesh.kind" in mapping:
         raise ConfigError("mesh.file and mesh.kind are mutually exclusive")
     if "mesh.file" not in mapping and "mesh.kind" not in mapping:
         raise ConfigError("one of mesh.file or mesh.kind is required")
-    if "init.kind" not in mapping:
-        mapping["init.kind"] = (
-            "freestream" if mapping["law.kind"].strip() == "euler" else "uniform"
-        )
+    sel = {k: _SCHEMA[k].value(mapping[k], k) for k in _SELECTORS if k in mapping}
+    # Only the gas law has a free stream to start from.
+    sel.setdefault("init.kind", "freestream" if sel.get("law.kind") == "euler" else "uniform")
 
-    keys = _applicable_keys(mapping)
-    known = set(keys)
-    extras = [k for k in mapping if k not in known]
-    if extras:
-        raise ConfigError(
-            "keys do not apply to this configuration: " + ", ".join(sorted(extras))
-        )
-
-    out = {}
+    keys = [k for k, spec in _SCHEMA.items() if k.split(".", 1)[0] in sections and spec.when(sel)]
+    keys += sorted(k for k in mapping if k.startswith("boundary."))
+    keys.sort(key=lambda k: SECTION_ORDER.index(k.split(".", 1)[0]))
+    values = {}
     for key in keys:
-        spec = _schema_for(key)
-        if key in mapping:
-            out[key] = spec.normalize(mapping[key], key)
+        spec = _spec_for(key)
+        if key in sel:
+            values[key] = sel[key]
+        elif key in mapping:
+            values[key] = spec.value(mapping[key], key)
         elif spec.default is not None:
-            out[key] = spec.default
+            values[key] = spec.default
         else:
             raise ConfigError(f"missing required key {key!r}")
-    if "mesh.outer" in out:
-        kind, value = _parse_outer(out["mesh.outer"])
-        numbers = value if kind == "rect" else (value,)
-        out["mesh.outer"] = " ".join([kind, *map(_fmt_float, numbers)])
-    return out
+    extras = sorted(set(mapping) - set(values))
+    if extras:
+        raise ConfigError("keys do not apply to this configuration: " + ", ".join(extras))
+    return values
 
 
-def _parse_outer(raw):
-    """The outer-boundary spec: ``("radius", R)`` or ``("rect", (x0, x1, y0, y1))``."""
-    words = raw.split()
-    if words and words[0] == "radius" and len(words) == 2:
-        return "radius", _parse_float(words[1], "mesh.outer")
-    if words and words[0] == "rect" and len(words) == 5:
-        return "rect", tuple(_parse_float(w, "mesh.outer") for w in words[1:])
-    raise ConfigError(
-        f"mesh.outer must be 'radius R' or 'rect x0 x1 y0 y1'; got {raw!r}"
-    )
+def canonicalize(mapping):
+    """Validate a flat mapping and return its canonical text form."""
+    return {key: _spec_for(key).format(val) for key, val in _resolve(mapping).items()}
 
 
 def serialize(mapping):
@@ -461,48 +423,35 @@ class Problem:
     output: OutputPlan
 
 
-def _build_law(canon):
-    kind = canon["law.kind"]
+def _build_law(v):
+    kind = v["law.kind"]
     if kind == "advection":
-        return physics.Advection(_parse_floats(canon["law.velocity"], "law.velocity", 2))
+        return physics.Advection(v["law.velocity"])
     if kind == "rotating-advection":
-        return physics.RotatingAdvection(_parse_float(canon["law.omega"], "law.omega"))
+        return physics.RotatingAdvection(v["law.omega"])
     if kind == "burgers":
         return physics.Burgers()
-    gamma = _parse_float(canon["law.gamma"], "law.gamma")
-    if gamma <= 1.0:
+    if v["law.gamma"] <= 1.0:
         raise ConfigError("law.gamma must exceed 1")
-    return physics.Euler(gamma)
+    return physics.Euler(v["law.gamma"])
 
 
-def _build_mesh(canon):
-    if "mesh.file" in canon:
+def _build_mesh(v):
+    if "mesh.file" in v:
         try:
-            return load_mesh(canon["mesh.file"])
+            return load_mesh(v["mesh.file"])
         except OSError as exc:
-            raise ConfigError(f"mesh.file: cannot read {canon['mesh.file']}: {exc}") from exc
-    kind = canon["mesh.kind"]
-    if kind == "rect":
-        bounds = _parse_floats(canon["mesh.bounds"], "mesh.bounds", 4)
+            raise ConfigError(f"mesh.file: cannot read {v['mesh.file']}: {exc}") from exc
+    if v["mesh.kind"] == "rect":
         mesh = meshgen.generate_rect_mesh(
-            tuple(bounds),
-            _parse_int(canon["mesh.nx"], "mesh.nx"),
-            _parse_int(canon["mesh.ny"], "mesh.ny"),
-            pattern=canon["mesh.pattern"],
+            v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"], pattern=v["mesh.pattern"]
         )
-        amp = _parse_float(canon["mesh.perturb"], "mesh.perturb")
-        if amp > 0.0:
-            mesh = meshgen.perturb_interior(
-                mesh, amp, seed=_parse_int(canon["mesh.seed"], "mesh.seed")
-            )
+        if v["mesh.perturb"] > 0.0:
+            mesh = meshgen.perturb_interior(mesh, v["mesh.perturb"], seed=v["mesh.seed"])
         return mesh
     return meshgen.generate_cylinder_mesh(
-        tuple(_parse_floats(canon["mesh.center"], "mesh.center", 2)),
-        _parse_float(canon["mesh.radius"], "mesh.radius"),
-        _parse_outer(canon["mesh.outer"]),
-        _parse_int(canon["mesh.n_radial"], "mesh.n_radial"),
-        _parse_int(canon["mesh.n_circum"], "mesh.n_circum"),
-        grading=_parse_float(canon["mesh.grading"], "mesh.grading"),
+        v["mesh.center"], v["mesh.radius"], v["mesh.outer"],
+        v["mesh.n_radial"], v["mesh.n_circum"], grading=v["mesh.grading"],
     )
 
 
@@ -520,75 +469,40 @@ def _sine_band_profile(x0, x1):
     return profile
 
 
-def _freestream(law, canon):
-    mach = _parse_float(canon["law.mach"], "law.mach")
-    aoa = _parse_float(canon["law.aoa_deg"], "law.aoa_deg")
-    return law.freestream(mach, aoa)
+def _build_binding(key, words, q_inf):
+    """``(kind, data)`` from the words of a ``boundary.<tag>`` value.
 
-
-def _build_binding(tag, words, law, canon):
-    key = f"boundary.{tag}"
+    ``q_inf`` is the free stream (None without one).  Whether the binding
+    fits the mesh and the law is ``BoundarySet``'s to check.
+    """
     if not words:
         raise ConfigError(f"{key}: empty binding")
     kind, args = words[0], words[1:]
-    if kind == "slip_wall" or kind == "outflow":
-        if args:
-            raise ConfigError(f"{key}: {kind} takes no data")
-        return (kind, None)
-    if kind == "farfield":
-        if law.m == 1:
-            raise ConfigError(f"{key}: farfield requires the gas-dynamics law")
-        if not args:
-            return ("farfield", _freestream(law, canon))
-        if len(args) != law.m:
-            raise ConfigError(f"{key}: farfield data must have {law.m} components")
-        return ("farfield", np.array([_parse_float(a, key) for a in args]))
-    if kind == "dirichlet":
-        if not args:
-            raise ConfigError(f"{key}: dirichlet needs a value or profile name")
-        if args[0] == "sine-band":
-            if law.m != 1:
-                raise ConfigError(f"{key}: sine-band is a scalar profile")
-            band = [_parse_float(a, key) for a in args[1:]] or [0.1, 0.7]
-            if len(band) != 2:
-                raise ConfigError(f"{key}: sine-band takes two numbers (x0 x1)")
-            return ("dirichlet", _sine_band_profile(*band))
-        if args[0] == "freestream":
-            if law.m == 1:
-                raise ConfigError(f"{key}: freestream requires the gas-dynamics law")
-            return ("dirichlet", _freestream(law, canon))
-        vals = [_parse_float(a, key) for a in args]
-        if len(vals) == 1 and law.m == 1:
-            return ("dirichlet", float(vals[0]))
-        if len(vals) != law.m:
-            raise ConfigError(f"{key}: dirichlet state must have {law.m} components")
-        return ("dirichlet", np.array(vals))
-    raise ConfigError(
-        f"{key}: unknown boundary kind {kind!r} "
-        "(expected slip_wall, outflow, farfield, or dirichlet)"
-    )
+    if kind not in KINDS or not args:
+        return kind, q_inf if kind == "farfield" else None
+    if kind == "dirichlet" and args[0] == "sine-band":
+        band = [_parse_float(a, key) for a in args[1:]] or [0.1, 0.7]
+        if len(band) != 2:
+            raise ConfigError(f"{key}: sine-band takes two numbers (x0 x1)")
+        return kind, _sine_band_profile(*band)
+    if kind == "dirichlet" and args[0] == "freestream":
+        if q_inf is None:
+            raise ConfigError(f"{key}: freestream requires the gas-dynamics law")
+        return kind, q_inf
+    return kind, np.array([_parse_float(a, key) for a in args])
 
 
-def _build_initial(law, canon, n_nodes):
-    if canon["init.kind"] == "freestream":
-        if law.m == 1:
+def _build_initial(law, v, q_inf, n_nodes):
+    if v["init.kind"] == "freestream":
+        if q_inf is None:
             raise ConfigError("init.kind freestream requires the gas-dynamics law")
-        return np.tile(_freestream(law, canon), (n_nodes, 1))
-    vals = _parse_floats(canon["init.value"], "init.value")
+        return np.tile(q_inf, (n_nodes, 1))
+    vals = v["init.value"]
     if len(vals) == 1:
-        if law.m == 1:
-            return np.full((n_nodes, 1), vals[0])
-        return np.tile(np.array(vals * law.m), (n_nodes, 1))
+        vals = vals * law.m
     if len(vals) != law.m:
         raise ConfigError(f"init.value must have 1 or {law.m} components")
     return np.tile(np.array(vals), (n_nodes, 1))
-
-
-def _build_solver_config(canon):
-    return SolverConfig(**{
-        key[len("solver."):]: spec.value(canon[key], key)
-        for key, spec in _SOLVER_SCHEMA.items()
-    })
 
 
 def build_mesh_only(mapping):
@@ -598,41 +512,34 @@ def build_mesh_only(mapping):
     spec.  Validation and defaults follow the same schema as full
     configs.
     """
-    probe = {k: v for k, v in mapping.items() if k.startswith("mesh.")}
-    probe["law.kind"] = "burgers"  # placeholder so the shared validator runs
-    canon = canonicalize(probe)
-    return _build_mesh(canon)
+    mesh_keys = {k: v for k, v in mapping.items() if k.startswith("mesh.")}
+    return _build_mesh(_resolve(mesh_keys, sections=("mesh",)))
 
 
 def build_problem(mapping):
     """Construct all live objects for a run from a config mapping."""
-    canon = canonicalize(mapping)
-    law = _build_law(canon)
-    mesh = _build_mesh(canon)
-    bindings = {}
-    for key in canon:
-        if key.startswith("boundary."):
-            tag = key[len("boundary."):]
-            bindings[tag] = _build_binding(tag, canon[key].split(), law, canon)
-    missing = sorted(set(mesh.tags) - set(bindings))
-    if missing:
-        raise ConfigError(
-            "mesh boundary tags without bindings: "
-            + ", ".join(f"boundary.{t}" for t in missing)
-        )
-    boundaries = BoundarySet(mesh, law, bindings)
-    q0 = _build_initial(law, canon, mesh.n_nodes)
+    v = _resolve(mapping)
+    law = _build_law(v)
+    mesh = _build_mesh(v)
+    q_inf = law.freestream(v["law.mach"], v["law.aoa_deg"]) if "law.mach" in v else None
+    bindings = {
+        key[len("boundary."):]: _build_binding(key, words, q_inf)
+        for key, words in v.items()
+        if key.startswith("boundary.")
+    }
     return Problem(
         mesh=mesh,
         law=law,
-        boundaries=boundaries,
-        q0=q0,
-        solver_config=_build_solver_config(canon).validate(),
+        boundaries=BoundarySet(mesh, law, bindings),
+        q0=_build_initial(law, v, q_inf, mesh.n_nodes),
+        solver_config=SolverConfig(**{
+            key[len("solver."):]: val for key, val in v.items() if key.startswith("solver.")
+        }).validate(),
         output=OutputPlan(
-            directory=canon["output.directory"],
-            basename=canon["output.basename"],
-            fields=canon["output.fields"] == "true",
-            history=canon["output.history"] == "true",
-            probes=tuple(canon["output.probes"].split()),
+            directory=v["output.directory"],
+            basename=v["output.basename"],
+            fields=v["output.fields"],
+            history=v["output.history"],
+            probes=v["output.probes"],
         ),
     )

@@ -30,10 +30,10 @@ One iteration runs in this order:
 5. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
-The environment variable ``RD_THREADS`` sets the number of assembly
-threads (default 1).  Triangles are processed in fixed contiguous chunks
-either way, and the chunk results are accumulated in ascending chunk
-order, so repeated runs are bit-identical.
+``SolverConfig.n_threads`` sets the number of assembly threads
+(default 1).  Triangles are processed in fixed contiguous chunks either
+way, and the chunk results are accumulated in ascending chunk order, so
+repeated runs are bit-identical.
 
 Memory: an iteration allocates and frees about 10 MB of NumPy
 temporaries.  The first ``Solver`` of a process tells glibc's allocator
@@ -44,7 +44,6 @@ Elsewhere (macOS, Windows, musl) this is a no-op.
 """
 from __future__ import annotations
 
-import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,15 +69,6 @@ SCHEMES = ("n", "rxn")
 CHOICES = {"scheme": SCHEMES}
 
 
-def _env_threads():
-    raw = os.environ.get("RD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"RD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the steady-state solve.
@@ -92,8 +82,8 @@ class SolverConfig:
     limiter and the smooth-region correction on top of it.  The time
     step is ``cfl_fraction`` times the step bound of the law (see
     ``Solver.stable_dt``).  ``stop_tol`` is relative to the first
-    iteration's update rate.  ``n_threads`` is set at run time and
-    defaults to the RD_THREADS environment variable.
+    iteration's update rate.  ``n_threads`` is the number of assembly
+    threads; it is an argument of the library call only.
     """
 
     scheme: str = "rxn"
@@ -105,7 +95,7 @@ class SolverConfig:
     divergence_factor: float = 1.0e6
     history_stride: int = 10
     local_time_stepping: bool = False
-    n_threads: int | None = None
+    n_threads: int = 1
 
     def validate(self):
         for name, allowed in CHOICES.items():
@@ -122,7 +112,7 @@ class SolverConfig:
             raise InvalidArgument("divergence_factor must exceed 1")
         if self.history_stride < 1:
             raise InvalidArgument("history_stride must be at least 1")
-        if self.n_threads is not None and self.n_threads < 1:
+        if self.n_threads < 1:
             raise InvalidArgument("n_threads must be at least 1")
         return self
 
@@ -293,9 +283,7 @@ class Solver:
         else:
             self.k_static = self.d_static = None
 
-        self.n_threads = (
-            self.cfg.n_threads if self.cfg.n_threads is not None else _env_threads()
-        )
+        self.n_threads = self.cfg.n_threads
         self._chunks = self._plan_chunks()
         self._chunk_nodes = [self.tris[sl].ravel() for sl in self._chunks]
         self._tris_t = np.ascontiguousarray(self.tris.T)
@@ -528,13 +516,7 @@ class Solver:
                 r0 = rate
                 rel = 1.0
                 if cfg.stop_tol > 0.0 and r0 <= 1.0e-13 * self._rate_scale(q, dt):
-                    q = q_new
-                    history.append((it, t, 0.0))
-                    reason = "converged"
                     rel = 0.0
-                    if callback is not None:
-                        callback(it, q, rel)
-                    break
             else:
                 rel = rate / r0 if r0 > 0.0 else 0.0
             if it == 1 or it % cfg.history_stride == 0:

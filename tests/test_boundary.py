@@ -55,6 +55,16 @@ class TestBindingValidation:
                 "bottom": ("slip_wall", None),
             })
 
+    def test_farfield_needs_gas_law(self, rect_mesh):
+        # Rejected at construction, not at the first apply.
+        with pytest.raises(ConfigError, match="gas-dynamics"):
+            boundary.BoundarySet(rect_mesh, physics.Advection((1.0, 0.0)), {
+                "left": ("farfield", [1.0]),
+                "right": ("outflow", None),
+                "top": ("outflow", None),
+                "bottom": ("outflow", None),
+            })
+
     def test_farfield_needs_single_state(self, rect_mesh, euler):
         b = euler_bindings(euler, np.zeros(3))  # wrong length
         with pytest.raises(ConfigError):

@@ -57,6 +57,19 @@ class TestCanonicalize:
         with pytest.raises(ConfigError, match="law.mach"):
             config.canonicalize(m)
 
+    def test_padded_selectors_match_stripped(self):
+        # Mappings need not come from parse_text, which strips values.
+        base = {
+            "law.kind": "euler", "law.mach": "5.0", "mesh.kind": "rect",
+            "mesh.nx": "4", "mesh.ny": "4", "init.kind": "uniform", "init.value": "1 0 0 2",
+            "boundary.left": "outflow", "boundary.right": "outflow",
+            "boundary.top": "outflow", "boundary.bottom": "outflow",
+        }
+        padded = dict(base)
+        for key in ("law.kind", "mesh.kind", "init.kind"):
+            padded[key] = f" {base[key]} "
+        assert config.canonicalize(padded) == config.canonicalize(base)
+
     def test_mesh_source_exclusive(self):
         for build in (config.canonicalize, config.build_mesh_only):
             m = config.parse_text(ADVECTION_TEXT)
@@ -113,11 +126,13 @@ class TestCanonicalize:
 
 class TestSerializeRoundTrip:
     def test_round_trip_fixed_point(self):
-        canon = config.canonicalize(config.parse_text(ADVECTION_TEXT))
-        text = config.serialize(canon)
-        again = config.canonicalize(config.parse_text(text))
-        assert again == canon
-        assert config.serialize(again) == text
+        presets = [config.serialize(config.preset(name)) for name in config.preset_names()]
+        for source in [ADVECTION_TEXT, *presets]:
+            canon = config.canonicalize(config.parse_text(source))
+            text = config.serialize(canon)
+            again = config.canonicalize(config.parse_text(text))
+            assert again == canon
+            assert config.serialize(again) == text
 
     def test_sections_in_stable_order(self):
         text = config.serialize(config.parse_text(ADVECTION_TEXT))
