@@ -27,7 +27,7 @@ import numpy as np
 
 from . import meshgen, physics
 from .boundary import KINDS, BoundarySet
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgument
 from .mesh import load_mesh
 from .solver import CHOICES, SolverConfig
 
@@ -425,15 +425,16 @@ class Problem:
 
 def _build_law(v):
     kind = v["law.kind"]
-    if kind == "advection":
-        return physics.Advection(v["law.velocity"])
-    if kind == "rotating-advection":
-        return physics.RotatingAdvection(v["law.omega"])
-    if kind == "burgers":
-        return physics.Burgers()
-    if v["law.gamma"] <= 1.0:
-        raise ConfigError("law.gamma must exceed 1")
-    return physics.Euler(v["law.gamma"])
+    try:
+        if kind == "advection":
+            return physics.Advection(v["law.velocity"])
+        if kind == "rotating-advection":
+            return physics.RotatingAdvection(v["law.omega"])
+        if kind == "burgers":
+            return physics.Burgers()
+        return physics.Euler(v["law.gamma"])
+    except InvalidArgument as exc:
+        raise ConfigError(f"law: {exc}") from exc
 
 
 def _build_mesh(v):
@@ -442,17 +443,20 @@ def _build_mesh(v):
             return load_mesh(v["mesh.file"])
         except OSError as exc:
             raise ConfigError(f"mesh.file: cannot read {v['mesh.file']}: {exc}") from exc
-    if v["mesh.kind"] == "rect":
-        mesh = meshgen.generate_rect_mesh(
-            v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"], pattern=v["mesh.pattern"]
+    try:
+        if v["mesh.kind"] == "rect":
+            mesh = meshgen.generate_rect_mesh(
+                v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"], pattern=v["mesh.pattern"]
+            )
+            if v["mesh.perturb"] > 0.0:
+                mesh = meshgen.perturb_interior(mesh, v["mesh.perturb"], seed=v["mesh.seed"])
+            return mesh
+        return meshgen.generate_cylinder_mesh(
+            v["mesh.center"], v["mesh.radius"], v["mesh.outer"],
+            v["mesh.n_radial"], v["mesh.n_circum"], grading=v["mesh.grading"],
         )
-        if v["mesh.perturb"] > 0.0:
-            mesh = meshgen.perturb_interior(mesh, v["mesh.perturb"], seed=v["mesh.seed"])
-        return mesh
-    return meshgen.generate_cylinder_mesh(
-        v["mesh.center"], v["mesh.radius"], v["mesh.outer"],
-        v["mesh.n_radial"], v["mesh.n_circum"], grading=v["mesh.grading"],
-    )
+    except InvalidArgument as exc:
+        raise ConfigError(f"mesh: {exc}") from exc
 
 
 def _sine_band_profile(x0, x1):
@@ -521,6 +525,10 @@ def build_problem(mapping):
     v = _resolve(mapping)
     law = _build_law(v)
     mesh = _build_mesh(v)
+    missing = [tag for tag in v["output.probes"] if tag not in mesh.tags]
+    if missing:
+        tags = ", ".join(mesh.tags)
+        raise ConfigError(f"output.probes: no mesh tag {', '.join(missing)}; tags: {tags}")
     q_inf = law.freestream(v["law.mach"], v["law.aoa_deg"]) if "law.mach" in v else None
     bindings = {
         key[len("boundary."):]: _build_binding(key, words, q_inf)

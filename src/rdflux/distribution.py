@@ -94,16 +94,13 @@ def advection_upwind_k(law, tri_xy):
 
 
 def scalar_upwind_k(law, normals, q_nodes):
-    """Upwind parameters k_i = (n_i . u)/2 of a scalar law, (T, 3).
+    """Upwind parameters k_i = (n_i . f'(Qbar))/2 of a scalar law, (T, 3).
 
-    u is the law's linearized speed at the parameter-vector average:
-    exact for constant advection, a secant-type mean for scalar
-    quadratic fluxes.
+    f' is the law's characteristic velocity (``fprime``) at the nodal
+    mean Qbar: exact for constant advection, a secant-type mean for
+    scalar quadratic fluxes.
     """
-    qhat = law.rsd_average(q_nodes).qhat
-    jx = law.flux_jacobian(qhat, np.array([1.0, 0.0]))
-    jy = law.flux_jacobian(qhat, np.array([0.0, 1.0]))
-    u = np.stack([jx[..., 0, 0], jy[..., 0, 0]], axis=-1)
+    u = law.fprime(_node_sum(_as_batch(q_nodes)) / 3.0)  # (T, 2)
     return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
 
 
@@ -132,21 +129,15 @@ def total_residual_linear(law, normals, q_nodes):
 def total_residual_rsd(law, normals, q_nodes):
     """Total residual of the conservative linearization.
 
-    (1/2) sum_i (n_i . J(Zhat)) Qhat_i, with the flux Jacobians evaluated
-    at the parameter-vector average.  Because the flux is at most
+    (1/2) sum_i (n_i . J(Qhat)) Qhat_i at the parameter-vector average,
+    through the law's ``jacobian_product``.  Because the flux is at most
     quadratic in Z, this equals the exact contour integral of f(z^h) for
     the Z-linear interpolant.
     """
     q_nodes = _as_batch(q_nodes)
-    normals = np.asarray(normals, dtype=float)
     avg = law.rsd_average(q_nodes)
-    jx = law.flux_jacobian(avg.qhat, np.array([1.0, 0.0]))
-    jy = law.flux_jacobian(avg.qhat, np.array([0.0, 1.0]))
-    # (T,3,m) = n_i . J applied to Qhat_i
-    jq_x = avg.qhat_nodes @ np.swapaxes(jx, -1, -2)
-    jq_y = avg.qhat_nodes @ np.swapaxes(jy, -1, -2)
-    nf = normals[..., 0, None] * jq_x + normals[..., 1, None] * jq_y
-    return 0.5 * nf.sum(axis=1)
+    nj = law.jacobian_product(avg.qhat_nodes, avg.qhat[:, None, :], normals)
+    return 0.5 * nj.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +403,7 @@ def rxn_qstar(law, normals, q_nodes, s):
     return num / (s * nlen.sum(axis=1))[:, None]
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None, coefficients=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ].
@@ -422,24 +413,24 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, velocity=None, flux=None, coeff
     Euler, f(Q_star) is evaluated only if Q_star is physical; otherwise
     NonPhysicalState is raised (no clamping).
 
-    ``velocity`` ((T, 3, 2) nodal values) enables advection by a
-    position-dependent field.  All fluxes are then evaluated at the
-    per-triangle mean velocity, which makes the scheme the fixed positive
-    linear map (g, w) of ``advection_coefficients`` (discrete max principle
-    under the strict time step).  ``coefficients`` passes that map when the
-    caller already has it, as ``Solver`` does; ``velocity`` is then unread.
+    ``coefficients`` passes the pair (g, w) of ``advection_coefficients``
+    for advection by a velocity field, as ``Solver`` builds it once per
+    mesh.  All fluxes are then evaluated at the per-triangle mean
+    velocity, which makes the scheme that fixed positive linear map
+    (discrete max principle under the strict time step); ``s`` is then
+    only passed through to the result.
 
     ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
-    caller already has it (ignored on an advection field).
+    caller already has it (unread with ``coefficients``).
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     if s is not None:
         s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1]).copy()
     elif coefficients is None:
-        s = wave_speed_bound(law, q_nodes, velocity=velocity)
-    if coefficients is not None or velocity is not None:
-        g, w = coefficients or advection_coefficients(normals, velocity, s)
+        s = wave_speed_bound(law, q_nodes)
+    if coefficients is not None:
+        g, w = coefficients
         qstar = _node_sum(w[..., None] * q_nodes)
         return DistributedResidual(g[..., None] * (q_nodes - qstar[:, None, :]), qstar, s=s)
 

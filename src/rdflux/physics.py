@@ -1,19 +1,23 @@
 """Conservation laws: scalar advection, 2D Burgers, and 2D Euler.
 
-Every law exposes the same small surface: flux pair (f, g), directional
-Jacobian n.J, directional eigensystem, a sub-characteristic wave-speed
-bound, the characteristic projection and reconstruction read by the
-system limiter and correction, and the parameter-vector machinery used
-by the conservative linearization of the systems upwind scheme.  Euler
-writes the projection, the reconstruction and the Jacobian-vector
-product (n.J) phi in closed form from its wave data (u, v, h, k, a^2, a)
-(``Euler._waves``), which a caller computes once per state and passes to
-all three; the systems N scheme (module ``distribution``) applies its
-split Jacobians from the same data.  A gas-dynamics march builds no
+Every law exposes the same small surface: the flux pair (f, g)
+(``flux``), the directional Jacobian applied to vectors, (n.J) phi
+(``jacobian_product``, the one linearization hook), a sub-characteristic
+wave-speed bound (``max_wavespeed``), the characteristic projection and
+reconstruction read by the system limiter and correction, and the
+parameter-vector machinery used by the conservative linearization of the
+systems upwind scheme.  A scalar law writes only ``flux`` and its
+characteristic velocity f'(q) (``fprime``); ``ConservationLaw`` derives
+the bound |f'(q)| and the product (n.f'(q)) phi from it.  Euler writes
+the projection, the reconstruction and the product in closed form from
+its wave data (u, v, h, k, a^2, a) (``Euler._waves``), which a caller
+computes once per state and passes to all three; the systems N scheme
+(module ``distribution``) applies its split Jacobians from the same data.
+No law builds a Jacobian matrix, and a gas-dynamics march builds no
 m x m matrix beyond the N scheme's star matrix: Euler's ``eigensystem``
-and ``flux_jacobian`` are the reference the closed forms are tested
-against.  All methods accept batched inputs (leading axes broadcast);
-states carry a trailing axis of length m.
+is the reference the closed forms are tested against.  All methods
+accept batched inputs (leading axes broadcast); states carry a trailing
+axis of length m.
 """
 from __future__ import annotations
 
@@ -99,19 +103,21 @@ class ConservationLaw:
     def flux(self, q):
         raise NotImplementedError
 
-    def flux_jacobian(self, q, n):
-        """Directional Jacobian n.J as (..., m, m)."""
+    def fprime(self, q):
+        """Characteristic velocity f'(q) of a scalar law, (..., 1) -> (..., 2)."""
         raise NotImplementedError
 
-    def eigensystem(self, q, n):
-        """Eigensystem of n.J; a scalar law's is n.J with unit eigenvectors."""
-        jac = self.flux_jacobian(q, n)
-        ones = np.ones_like(jac)
-        return Eigensystem(jac[..., 0], ones, ones.copy())
+    def jacobian_product(self, phi, q, n):
+        """(n . J(q)) phi of (..., m) vectors, any n; a scalar law's is (n . f'(q)) phi."""
+        fp = self.fprime(q)
+        n = np.asarray(n, dtype=float)
+        un = n[..., 0] * fp[..., 0] + n[..., 1] * fp[..., 1]
+        return un[..., None] * np.asarray(phi, dtype=float)
 
     def max_wavespeed(self, q):
-        """Upper bound on ||(lam_x, lam_y)|| over the wave families."""
-        raise NotImplementedError
+        """Bound on ||(lam_x, lam_y)|| over the wave families; |f'(q)| for a scalar law."""
+        fp = self.fprime(q)
+        return np.hypot(fp[..., 0], fp[..., 1])
 
     # -- parameter vector -----------------------------------------------
     # Hooks of the Roe–Struijs–Deconinck linearization (``rsd_average``);
@@ -198,17 +204,9 @@ class Advection(ConservationLaw):
         q = np.asarray(q, dtype=float)
         return self.velocity[0] * q, self.velocity[1] * q
 
-    def flux_jacobian(self, q, n):
+    def fprime(self, q):
         q = np.asarray(q, dtype=float)
-        n = np.asarray(n, dtype=float)
-        un = n[..., 0] * self.velocity[0] + n[..., 1] * self.velocity[1]
-        shape = np.broadcast_shapes(q.shape[:-1], un.shape)
-        return np.broadcast_to(un, shape).reshape(shape + (1, 1)).copy()
-
-    def max_wavespeed(self, q):
-        q = np.asarray(q, dtype=float)
-        s = math.hypot(self.velocity[0], self.velocity[1])
-        return np.full(q.shape[:-1], s)
+        return np.broadcast_to(self.velocity, q.shape[:-1] + (2,))
 
 
 class RotatingAdvection(ConservationLaw):
@@ -244,11 +242,7 @@ class RotatingAdvection(ConservationLaw):
             "use velocity_at/streamfunction"
         )
 
-    def flux_jacobian(self, q, n):
-        raise InvalidArgument("position-dependent advection Jacobian needs xy")
-
-    def max_wavespeed(self, q):
-        raise InvalidArgument("use velocity_at(xy) for position-dependent advection")
+    fprime = flux  # raises alike: the velocity depends on position
 
 
 class Burgers(ConservationLaw):
@@ -262,21 +256,11 @@ class Burgers(ConservationLaw):
         return 0.5 * q * q, np.zeros_like(q)
 
     def fprime(self, q):
-        """Flux derivative vector (q, 0) as (..., 2)."""
+        """f'(q) = (q, 0)."""
         q = np.asarray(q, dtype=float)
-        out = np.zeros(q.shape + (2,))
-        out[..., 0] = q
+        out = np.zeros(q.shape[:-1] + (2,))
+        out[..., 0] = q[..., 0]
         return out
-
-    def flux_jacobian(self, q, n):
-        q = np.asarray(q, dtype=float)
-        n = np.asarray(n, dtype=float)
-        un = q[..., 0] * n[..., 0]
-        return un.reshape(un.shape + (1, 1)).copy()
-
-    def max_wavespeed(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.abs(q[..., 0]) if q.shape and q.shape[-1] == 1 else np.abs(q)
 
 
 class Euler(ConservationLaw):
@@ -345,33 +329,6 @@ class Euler(ConservationLaw):
         g[..., 2] = rho * v * v + p
         g[..., 3] = v * (e + p)
         return f, g
-
-    def flux_jacobian(self, q, n):
-        rho, u, v, p = self.primitives(q)
-        n = np.asarray(n, dtype=float)
-        g1 = self.gamma - 1.0
-        k = 0.5 * (u * u + v * v)
-        h = (np.asarray(q, dtype=float)[..., 3] + p) / rho
-        nx, ny = n[..., 0], n[..., 1]
-        un = u * nx + v * ny
-        shape = np.broadcast_shapes(u.shape, nx.shape)
-        jac = np.zeros(shape + (4, 4))
-        u, v, k, h, un, nx, ny = np.broadcast_arrays(u, v, k, h, un, nx, ny)
-        jac[..., 0, 1] = nx
-        jac[..., 0, 2] = ny
-        jac[..., 1, 0] = g1 * k * nx - u * un
-        jac[..., 1, 1] = un + (2.0 - self.gamma) * u * nx
-        jac[..., 1, 2] = u * ny - g1 * v * nx
-        jac[..., 1, 3] = g1 * nx
-        jac[..., 2, 0] = g1 * k * ny - v * un
-        jac[..., 2, 1] = v * nx - g1 * u * ny
-        jac[..., 2, 2] = un + (2.0 - self.gamma) * v * ny
-        jac[..., 2, 3] = g1 * ny
-        jac[..., 3, 0] = (g1 * k - h) * un
-        jac[..., 3, 1] = h * nx - g1 * u * un
-        jac[..., 3, 2] = h * ny - g1 * v * un
-        jac[..., 3, 3] = self.gamma * un
-        return jac
 
     # Index of the entropy wave inside the repeated middle eigenvalue pair:
     # its right eigenvector is the one with a nonzero density component.

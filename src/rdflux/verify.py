@@ -137,7 +137,7 @@ def suite_monotone_coefficients(seed, n=2000):
     q_nodes = rng.normal(0.0, 2.0, size=(n, 3, 1))
     worst = 0.0
 
-    uvec = law.fprime(law.rsd_average(q_nodes).qhat[..., 0])
+    uvec = law.fprime(law.rsd_average(q_nodes).qhat)
     k = 0.5 * (normals * uvec[..., None, :]).sum(axis=-1)
     kp = np.maximum(k, 0.0)
     kn = np.minimum(k, 0.0)
@@ -150,9 +150,9 @@ def suite_monotone_coefficients(seed, n=2000):
     res = dist.rxn_scheme(law, normals, q_nodes, s=s)
     qstar = res.star
     nlen = np.hypot(normals[..., 0], normals[..., 1])
-    qbar = 0.5 * (q_nodes[..., 0] + qstar[:, None, 0])  # secant mean per node
+    qbar = 0.5 * (q_nodes + qstar[:, None, :])  # secant mean per node
     fp_bar = law.fprime(qbar)
-    fp_star = law.fprime(qstar[:, 0])
+    fp_star = law.fprime(qstar)
     p_i = 0.25 * (s[:, None] * nlen + (normals * fp_bar).sum(axis=-1))
     n_j = s[:, None] * nlen - (normals * fp_star[:, None, :]).sum(axis=-1)
     worst = max(worst, float(-p_i.min()), float(-n_j.min()))
@@ -163,7 +163,8 @@ def suite_monotone_coefficients(seed, n=2000):
 
 
 def suite_1d_reduction(seed, n=1000):
-    """Relaxation scheme on a segment equals local Lax-Friedrichs."""
+    """Relaxation scheme on a segment equals local Lax-Friedrichs, to
+    rounding relative to max(1, |LLF parts|) as in the conservation suite."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for law in (physics.Advection((1.0, 0.0)), physics.Burgers()):
@@ -173,13 +174,12 @@ def suite_1d_reduction(seed, n=1000):
             minus, plus = dist.rxn_scheme_1d(law, np.array([ql]), np.array([qr]), s)
             ref = oracle1d.llf_1d(law, [ql], [qr], s)
             hll = oracle1d.hll_1d(law, [ql], [qr], -s, s)
-            worst = max(
-                worst,
-                float(np.abs(minus - ref.minus).max()),
-                float(np.abs(plus - ref.plus).max()),
-                float(np.abs(hll.minus - ref.minus).max()),
-                float(np.abs(hll.plus - ref.plus).max()),
+            scale = max(1.0, float(np.abs(ref.minus).max()), float(np.abs(ref.plus).max()))
+            err = max(
+                np.abs(minus - ref.minus).max(), np.abs(plus - ref.plus).max(),
+                np.abs(hll.minus - ref.minus).max(), np.abs(hll.plus - ref.plus).max(),
             )
+            worst = max(worst, float(err) / scale)
     return SuiteResult(
         "1d-reduction", worst <= 1e-14, worst, 1e-14,
         f"{n} Riemann pairs x 2 scalar laws",

@@ -160,7 +160,9 @@ def probe_surface(mesh, field, tag):
     cumulative arc length from its start (a degree-1 end for open
     chains, the smallest node id for loops), and the nodal values.
     """
-    edges = mesh.boundary_edges(tag)  # raises for unknown tags
+    edges = mesh.boundary_edges(tag)
+    if not len(edges):
+        raise InvalidArgument(f"no boundary edges tagged {tag!r}; tags: {', '.join(mesh.tags)}")
     field = np.asarray(field, dtype=float).reshape(-1)
     if field.shape[0] != mesh.n_nodes:
         raise InvalidArgument(

@@ -80,6 +80,17 @@ def test_presets_run_and_probe(tmp_path, name):
     assert probe.is_file()
 
 
+def test_unknown_probe_tag_fails_before_the_march(tmp_path, capsys):
+    path = tmp_path / "case.cfg"
+    path.write_text(CASE.format(factor="1e6", out=tmp_path / "out") + "output.probes = nope\n")
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: output.probes: ")
+    assert not (tmp_path / "out").exists()
+    assert run_case(tmp_path, "1e6") == 2
+    assert cli.main(["probe", str(path), "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: no boundary edges tagged 'nope'")
+
+
 def test_run_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "case.cfg"
     path.write_bytes(b"law.kind = burgers\xff\n")

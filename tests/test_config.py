@@ -235,3 +235,17 @@ class TestBuildProblem:
         }
         with pytest.raises(ConfigError, match="gamma"):
             config.build_problem(base)
+
+    def test_mesh_range_rule_is_a_config_error(self):
+        mapping = config.preset("cylinder-subsonic")
+        mapping["mesh.grading"] = "1.5"
+        with pytest.raises(ConfigError, match=r"^mesh: grading ratio must lie in \[1.0, 1.2\]"):
+            config.build_problem(mapping)
+
+    def test_probe_tag_must_be_a_mesh_tag(self):
+        m = config.parse_text(ADVECTION_TEXT)
+        m["output.probes"] = "bottom nope"
+        with pytest.raises(
+            ConfigError, match=r"^output.probes: no mesh tag nope; tags: bottom, left, right, top$"
+        ):
+            config.build_problem(m)

@@ -1,10 +1,11 @@
 """Systems N scheme against a per-triangle oracle built on ``np.linalg.eig``.
 
-The oracle shares no code with ``n_scheme_system`` beyond the law's flux
-Jacobian: the parameter-vector average and the transformed nodal states are
-written out here, K_i^+/- come from the numerical eigenvalues of (n_i . J)/2
-instead of the law's analytic eigensystem, and the star state
-is solved with ``np.linalg.solve``, one triangle at a time.
+The oracle shares no code with ``n_scheme_system``: the flux Jacobian is the
+reference matrix of ``oracles``, the parameter-vector average and the
+transformed nodal states are written out here, K_i^+/- come from the
+numerical eigenvalues of (n_i . J)/2 instead of the law's analytic
+eigensystem, and the star state is solved with ``np.linalg.solve``, one
+triangle at a time.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from rdflux import distribution as dist
 from rdflux.mesh import compute_normals
 
 from .conftest import random_euler_states, random_triangles
+from .oracles import flux_jacobian
 
 RTOL = 1e-10
 
@@ -80,7 +82,7 @@ def oracle(law, normals, q_nodes):
     for t in range(len(q_nodes)):
         qhat, qhat_nodes = averaged_states(law.gamma, q_nodes[t])
         plus, minus = zip(*(
-            signed_parts(law.flux_jacobian(qhat, normals[t, i]) / 2.0)
+            signed_parts(flux_jacobian(law, qhat, normals[t, i]) / 2.0)
             for i in range(3)
         ))
         star[t] = np.linalg.solve(sum(minus), sum(m @ qi for m, qi in zip(minus, qhat_nodes)))
@@ -168,7 +170,7 @@ def degenerate_case(law, name, n=8):
         assert (normals[:, 1] == [1.0, 0.0]).all()
         for t in range(n):
             qhat = averaged_states(law.gamma, q[t])[0]
-            assert (signed_parts(law.flux_jacobian(qhat, normals[t, 1]) / 2.0)[1] == 0.0).all()
+            assert (signed_parts(flux_jacobian(law, qhat, normals[t, 1]) / 2.0)[1] == 0.0).all()
     return normals, q
 
 

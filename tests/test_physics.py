@@ -11,6 +11,7 @@ from rdflux import physics, vtkio
 from rdflux.errors import NonPhysicalState
 
 from .conftest import random_euler_states
+from .oracles import flux_jacobian
 
 LAWS = {
     "advection": physics.Advection((0.7, -0.3)),
@@ -44,24 +45,29 @@ def _fd_jacobian(law, q, n, h=1e-7):
 class TestJacobians:
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_matches_finite_difference(self, name, rng):
+        # Column j of n . J is the product with the unit vector e_j.
         law = LAWS[name]
         qs = _states(law, rng, 12)
+        eye = np.eye(law.m)
         for q in qs:
             n = rng.standard_normal(2)
-            jac = law.flux_jacobian(q[None], n)[0]
-            assert np.allclose(jac, _fd_jacobian(law, q, n), rtol=2e-5, atol=2e-5)
+            fd = _fd_jacobian(law, q, n)
+            columns = law.jacobian_product(eye, q[None], n).T
+            assert np.allclose(columns, fd, rtol=2e-5, atol=2e-5)
+            if law.m > 1:
+                assert np.allclose(flux_jacobian(law, q, n), fd, rtol=2e-5, atol=2e-5)
 
-    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("name", ["euler"])
     def test_eigensystem_reconstructs_jacobian(self, name, rng):
         law = LAWS[name]
         qs = _states(law, rng, 12)
         ns = rng.standard_normal((12, 2))
         eig = law.eigensystem(qs, ns)
         rec = eig.right @ (eig.lam[..., None] * eig.left)
-        jac = law.flux_jacobian(qs, ns)
+        jac = flux_jacobian(law, qs, ns)
         assert np.allclose(rec, jac, rtol=1e-11, atol=1e-11)
 
-    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("name", ["euler"])
     def test_left_right_inverse(self, name, rng):
         law = LAWS[name]
         qs = _states(law, rng, 8)
@@ -79,7 +85,7 @@ class TestJacobians:
         eig = euler.eigensystem(qs, ns, prim)
         assert eig.lam.shape == (25, 3, 4) and eig.right.shape == (25, 3, 4, 4)
         rec = eig.right @ (eig.lam[..., None] * eig.left)
-        assert np.allclose(rec, euler.flux_jacobian(qs, ns), rtol=1e-11, atol=1e-11)
+        assert np.allclose(rec, flux_jacobian(euler, qs, ns), rtol=1e-11, atol=1e-11)
         # Normals stored with the triangle axis innermost give the same bits.
         inner = euler.eigensystem(qs, np.ascontiguousarray(ns.T).T, prim)
         for name in ("lam", "right", "left"):
@@ -94,8 +100,9 @@ class TestMaxWavespeed:
         bound = law.max_wavespeed(qs)
         for ang in np.linspace(0.0, 2.0 * np.pi, 17):
             n = np.array([np.cos(ang), np.sin(ang)])
-            lam = law.eigensystem(qs, n).lam
-            assert (np.abs(lam).max(axis=-1) <= bound * (1.0 + 1e-12)).all()
+            # A scalar law's n . J is its one speed: the product with 1.
+            lam = law.jacobian_product(np.ones_like(qs), qs, n)[..., 0]
+            assert (np.abs(lam) <= bound * (1.0 + 1e-12)).all()
 
     def test_euler_matches_componentwise_composition(self, euler, rng):
         # The Euler bound is the largest Euclidean norm of the componentwise
@@ -226,8 +233,8 @@ class TestParameterVector:
             avg = euler.rsd_average(trip[None])
             fxl, fyl = euler.flux(pair[0][None])
             fxr, fyr = euler.flux(pair[1][None])
-            jx = euler.flux_jacobian(avg.qhat[0], np.array([1.0, 0.0]))
-            jy = euler.flux_jacobian(avg.qhat[0], np.array([0.0, 1.0]))
+            jx = flux_jacobian(euler, avg.qhat[0], np.array([1.0, 0.0]))
+            jy = flux_jacobian(euler, avg.qhat[0], np.array([0.0, 1.0]))
             for jac, fl, fr in ((jx, fxl[0], fxr[0]), (jy, fyl[0], fyr[0])):
                 rhs = jac @ (avg.qhat_nodes[0, 1] - avg.qhat_nodes[0, 0])
                 scale = max(np.abs(fr - fl).max(), 1.0)
