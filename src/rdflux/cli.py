@@ -116,6 +116,11 @@ def _nodal_fields(problem, q):
     return {"solution": q[:, 0]}
 
 
+def _default_probe_field(fields):
+    """The probed field: the entropy deviation where there is one, else the first."""
+    return "entropy_deviation" if "entropy_deviation" in fields else next(iter(fields))
+
+
 def _cmd_run(args):
     mapping = _load_mapping(args.config)
     problem = cfgmod.build_problem(mapping)
@@ -127,8 +132,7 @@ def _cmd_run(args):
     def progress(it, q, rel):
         if args.quiet:
             return
-        stride = max(1, problem.solver_config.history_stride)
-        if it == 1 or it % stride == 0:
+        if it == 1 or it % problem.solver_config.history_stride == 0:
             print(f"iter {it:7d}  relative rate {rel:.3e}", flush=True)
 
     result = solver.march(problem.q0, callback=progress)
@@ -148,7 +152,7 @@ def _cmd_run(args):
         print(f"wrote {path}")
     state = _write_state_csv(problem.mesh, problem.law, result.q, _state_path(plan))
     print(f"wrote {state}")
-    probe_field = "entropy_deviation" if "entropy_deviation" in fields else next(iter(fields))
+    probe_field = _default_probe_field(fields)
     for tag in plan.probes:
         path = os.path.join(plan.directory, f"{plan.basename}_probe_{tag}.csv")
         vtkio.write_probe_csv(problem.mesh, fields[probe_field], tag, path, name=probe_field)
@@ -208,7 +212,7 @@ def _cmd_probe(args):
     plan = problem.output
     q = _read_state_csv(_state_path(plan), problem.mesh.n_nodes, problem.law.m)
     fields = _nodal_fields(problem, q)
-    name = args.field or ("entropy_deviation" if "entropy_deviation" in fields else next(iter(fields)))
+    name = args.field or _default_probe_field(fields)
     if name not in fields:
         raise ConfigError(f"unknown field {name!r}; available: {', '.join(fields)}")
     out = args.out or os.path.join(plan.directory, f"{plan.basename}_probe_{args.tag}.csv")

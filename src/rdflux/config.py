@@ -180,8 +180,6 @@ _SCHEMA = {
     "mesh.bounds": _Spec("floats", (0.0, 1.0, 0.0, 1.0), count=4, when=_mesh("rect")),
     "mesh.nx": _Spec("int", when=_mesh("rect")),
     "mesh.ny": _Spec("int", when=_mesh("rect")),
-    "mesh.pattern": _Spec("word", _default(meshgen.generate_rect_mesh, "pattern"),
-                          choices=("alternating", "uniform"), when=_mesh("rect")),
     "mesh.perturb": _Spec("float", 0.0, when=_mesh("rect")),
     "mesh.seed": _Spec("int", _default(meshgen.perturb_interior, "seed"), when=_mesh("rect")),
     "mesh.center": _Spec("floats", (0.0, 0.0), count=2, when=_mesh("cylinder")),
@@ -445,10 +443,8 @@ def _build_mesh(v):
             raise ConfigError(f"mesh.file: cannot read {v['mesh.file']}: {exc}") from exc
     try:
         if v["mesh.kind"] == "rect":
-            mesh = meshgen.generate_rect_mesh(
-                v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"], pattern=v["mesh.pattern"]
-            )
-            if v["mesh.perturb"] > 0.0:
+            mesh = meshgen.generate_rect_mesh(v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"])
+            if v["mesh.perturb"]:
                 mesh = meshgen.perturb_interior(mesh, v["mesh.perturb"], seed=v["mesh.seed"])
             return mesh
         return meshgen.generate_cylinder_mesh(

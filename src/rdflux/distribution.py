@@ -144,21 +144,17 @@ def total_residual_rsd(law, normals, q_nodes):
 # narrow upwind scheme
 # ---------------------------------------------------------------------------
 
-def n_scheme_scalar(law, normals, q_nodes, *, k=None):
+def n_scheme_scalar(q_nodes, k):
     """Scalar upwind scheme: Phi_i = [k_i]+ (Q_i - Q_star).
 
-    The upwind parameters k_i = (u . n_i)/2 are the explicit ``k`` array
-    (T, 3) (streamfunction form for variable velocity fields), or else
-    ``scalar_upwind_k``.  Q_star is the inflow state fixed by requiring
-    the parts to sum to sum_i k_i Q_i.  Zero flow yields zero parts.
+    ``k`` (T, 3) holds the upwind parameters k_i = (u . n_i)/2
+    (``scalar_upwind_k``, or ``advection_upwind_k``'s streamfunction form
+    for variable velocity fields).  Q_star is the inflow state fixed by
+    requiring the parts to sum to sum_i k_i Q_i.  Zero flow yields zero
+    parts.
     """
-    q_nodes = _as_batch(q_nodes)
-    normals = np.asarray(normals, dtype=float)
-    q = q_nodes[..., 0]
-    if k is None:
-        k = scalar_upwind_k(law, normals, q_nodes)
-    else:
-        k = np.asarray(k, dtype=float)
+    q = _as_batch(q_nodes)[..., 0]
+    k = np.asarray(k, dtype=float)
     kp = np.maximum(k, 0.0)
     kn = np.minimum(k, 0.0)
     denom = kn.sum(axis=-1)
@@ -299,10 +295,6 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
-    if law.m == 1:
-        # delegate: for m = 1 the characteristic machinery reduces to the
-        # scalar scheme with the linearized speed.
-        return n_scheme_scalar(law, normals, q_nodes)
     avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
     waves = law._waves(avg.qhat, avg.prim)
     nlen = np.hypot(normals[..., 0], normals[..., 1])

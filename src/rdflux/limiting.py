@@ -104,10 +104,9 @@ def limit_system(parts, law, q, direction, waves=None):
     (``law.characteristic``); the scalar limiter runs per field on the
     amplitudes; the limited parts are reassembled from the right
     eigenvectors (``law.from_characteristic``).  The per-field amplitude
-    totals are redistributed by the clipped weights (so the parts' sum is
-    preserved and the m = 1 case, whose hooks are the identity, reduces
-    to ``limit_scalar``).  For gas dynamics both hooks are closed-form
-    expressions: no eigenvector matrix is built.
+    totals are redistributed by the clipped weights, so the parts' sum is
+    preserved.  Both hooks are Euler's closed-form expressions: no
+    eigenvector matrix is built.
     """
     parts = np.asarray(parts, dtype=float)
     q, direction, waves = _per_node(q, direction, waves)

@@ -11,20 +11,17 @@ from .mesh import Mesh, triangle_areas
 __all__ = ["generate_rect_mesh", "generate_cylinder_mesh", "perturb_interior"]
 
 
-def generate_rect_mesh(bounds, nx, ny, pattern="alternating"):
+def generate_rect_mesh(bounds, nx, ny):
     """Triangulated rectangle with boundary tags left/right/bottom/top.
 
-    ``bounds`` is (x0, x1, y0, y1); nx, ny count cells per direction.
-    ``pattern`` picks the quad-splitting diagonals: "uniform" uses the same
-    diagonal everywhere, "alternating" checkerboards them.
+    ``bounds`` is (x0, x1, y0, y1); nx, ny count cells per direction.  The
+    quad-splitting diagonals alternate in a checkerboard.
     """
     x0, x1, y0, y1 = map(float, bounds)
     if not (x1 > x0 and y1 > y0):
         raise InvalidArgument(f"empty rectangle {bounds}")
     if nx < 1 or ny < 1:
         raise InvalidArgument("nx and ny must be >= 1")
-    if pattern not in ("uniform", "alternating"):
-        raise InvalidArgument(f"unknown pattern {pattern!r}")
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -41,7 +38,7 @@ def generate_rect_mesh(bounds, nx, ny, pattern="alternating"):
             b = nid(i + 1, j)
             c = nid(i + 1, j + 1)
             d = nid(i, j + 1)
-            if pattern == "uniform" or (i + j) % 2 == 0:
+            if (i + j) % 2 == 0:
                 tris.append((a, b, c))
                 tris.append((a, c, d))
             else:
@@ -183,11 +180,13 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
 def perturb_interior(mesh, amplitude, seed=0):
     """Jitter interior nodes to break structured-mesh symmetries.
 
-    ``amplitude`` is relative to each node's local length scale
-    sqrt(dual area).  Boundary nodes stay put.  Retries with halved
+    ``amplitude`` (nonnegative) is relative to each node's local length
+    scale sqrt(dual area).  Boundary nodes stay put.  Retries with halved
     amplitude if the jitter inverts a triangle, so the result is always a
     valid mesh.  Intended for tests that need an irregular triangulation.
     """
+    if amplitude < 0.0:
+        raise InvalidArgument(f"perturbation amplitude must be nonnegative, got {amplitude}")
     rng = np.random.default_rng(seed)
     interior = np.ones(mesh.n_nodes, dtype=bool)
     interior[mesh.boundary_nodes()] = False

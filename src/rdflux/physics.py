@@ -3,16 +3,18 @@
 Every law exposes the same small surface: the flux pair (f, g)
 (``flux``), the directional Jacobian applied to vectors, (n.J) phi
 (``jacobian_product``, the one linearization hook), a sub-characteristic
-wave-speed bound (``max_wavespeed``), the characteristic projection and
-reconstruction read by the system limiter and correction, and the
-parameter-vector machinery used by the conservative linearization of the
-systems upwind scheme.  A scalar law writes only ``flux`` and its
-characteristic velocity f'(q) (``fprime``); ``ConservationLaw`` derives
-the bound |f'(q)| and the product (n.f'(q)) phi from it.  Euler writes
-the projection, the reconstruction and the product in closed form from
-its wave data (u, v, h, k, a^2, a) (``Euler._waves``), which a caller
-computes once per state and passes to all three; the systems N scheme
-(module ``distribution``) applies its split Jacobians from the same data.
+wave-speed bound (``max_wavespeed``), and the parameter-vector machinery
+used by the conservative linearization (``rsd_average``).  A scalar law
+writes only ``flux`` and its characteristic velocity f'(q) (``fprime``);
+``ConservationLaw`` derives the bound |f'(q)| and the product
+(n.f'(q)) phi from it.  The characteristic projection and reconstruction
+read by the system limiter and correction (``characteristic``,
+``from_characteristic``) are Euler's alone: a scalar law is limited and
+corrected on its residual directly.  Euler writes the projection, the
+reconstruction and the product in closed form from its wave data
+(u, v, h, k, a^2, a) (``Euler._waves``), which a caller computes once per
+state and passes to all three; the systems N scheme (module
+``distribution``) applies its split Jacobians from the same data.
 No law builds a Jacobian matrix, and a gas-dynamics march builds no
 m x m matrix beyond the N scheme's star matrix: Euler's ``eigensystem``
 is the reference the closed forms are tested against.  All methods
@@ -157,19 +159,6 @@ class ConservationLaw:
         qhat_nodes = self.transform_nodes(zhat, z_nodes)
         prim = self.primitives(qhat) if hasattr(self, "primitives") else None
         return RsdAverage(zhat, qhat, qhat_nodes, prim)
-
-    # -- characteristic fields ----------------------------------------------
-    # The system limiter (module ``limiting``) projects vectors onto the
-    # characteristic fields of n.J at a state ``q`` in the unit direction
-    # ``n``, and reassembles them.  A scalar law has one field, the
-    # residual itself: both hooks are the identity.  Euler overrides both.
-    def characteristic(self, phi, q, n, waves=None):
-        """Amplitudes L phi of the (..., m) vectors ``phi``."""
-        return phi
-
-    def from_characteristic(self, c, q, n, waves=None):
-        """Vectors R c from amplitudes ``c``; inverse of ``characteristic``."""
-        return c
 
     def check_physical(self, q, where="", item="node"):
         """Hook for positivity checks; scalar laws accept everything.

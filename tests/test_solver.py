@@ -217,8 +217,9 @@ class TestMarch:
 class TestMeshStaticData:
     def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
         # Under a velocity_at law the wave-speed bound, the relaxation
-        # scheme's linear map (g, w) and the upwind inflow coefficients
-        # depend on the mesh alone.
+        # scheme's linear map (g, w), the upwind parameters k and the
+        # upwind inflow coefficients depend on the mesh alone: the solver
+        # builds them once and passes its own arrays into each sweep.
         class Recomputing(solver.Solver):
             def _sweep(self, q):
                 xy = self.mesh.tri_coords()
@@ -226,6 +227,7 @@ class TestMeshStaticData:
                 self.s_static = dist.wave_speed_bound(self.law, None, velocity=vel)
                 coef = dist.advection_coefficients(self.normals, vel, self.s_static)
                 self.rxn_static = tuple(solver._triangle_inner(c) for c in coef)
+                self.k_static = solver._triangle_inner(dist.advection_upwind_k(self.law, xy))
                 self.d_static = np.bincount(
                     self.tris_flat, weights=np.maximum(2.0 * self.k_static, 0.0).ravel(),
                     minlength=self.n_nodes,
@@ -240,14 +242,39 @@ class TestMeshStaticData:
         reference = Recomputing(*args).march(problem.q0).q
 
         sol = solver.Solver(*args)
+        sweep = sol._sweep(problem.q0)
+        assert sweep.s is sol.s_static and sweep.k is sol.k_static
+        assert sweep.coefficients is sol.rxn_static
         calls = []
-        for name in ("wave_speed_bound", "advection_coefficients"):
+        for name in ("wave_speed_bound", "advection_coefficients", "advection_upwind_k",
+                     "scalar_upwind_k"):
             fn = getattr(dist, name)
             monkeypatch.setattr(dist, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
         res = sol.march(problem.q0)
         assert res.iterations == 30
         assert not calls
         assert np.array_equal(res.q, reference)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("scheme", ["n", "rxn"])
+    def test_burgers_upwind_parameters_once_per_iteration(self, monkeypatch, scheme):
+        # A scalar law's k is read by the N scheme, the upwind step rule
+        # and the correction; the sweep computes it once for all three.
+        mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 6)
+        law = physics.Burgers()
+        bset = boundary.BoundarySet(mesh, law, {
+            "left": ("dirichlet", 1.0), "right": ("outflow", None),
+            "top": ("outflow", None), "bottom": ("outflow", None),
+        })
+        cfg = SolverConfig(scheme=scheme, limited=True, corrected=True,
+                           max_iters=10, stop_tol=0.0)
+        calls = []
+        fn = dist.scalar_upwind_k
+        monkeypatch.setattr(dist, "scalar_upwind_k", lambda *a: calls.append(1) or fn(*a))
+        res = solver.Solver(mesh, law, bset, cfg).march(np.full((mesh.n_nodes, 1), 0.5))
+        assert res.iterations == 10
+        assert len(calls) == 10
 
 
 class TestDeterminism:
