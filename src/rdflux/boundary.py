@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTopology, NonPhysicalState
+from .errors import ConfigError, NonPhysicalState
 from .physics import Euler
 
 __all__ = ["BoundarySet", "farfield_blend", "KIND_ORDER"]
@@ -28,11 +28,13 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
     """Characteristic far-field state for each boundary node.
 
     ``normals_out`` are outward unit normals.  Classification by the
-    interior normal Mach number: supersonic inflow is pinned to the free
-    stream, supersonic outflow is left untouched, and subsonic faces mix
-    the outgoing acoustic invariant of the interior with the incoming one
-    of the free stream; entropy and tangential velocity follow the
-    direction of the blended normal velocity.
+    interior state: inflow at supersonic normal Mach number is pinned to
+    the free stream; outflow (u_n >= 0) at supersonic total Mach number
+    |u| >= a is left untouched, which covers the nearly tangential,
+    supersonic flow behind a shock that leaves through the far field;
+    all other faces mix the outgoing acoustic invariant of the interior
+    with the incoming one of the free stream, and entropy and tangential
+    velocity follow the direction of the blended normal velocity.
     """
     g = law.gamma
     q_interior = np.asarray(q_interior, dtype=float)
@@ -63,7 +65,8 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
 
     q_out = q_b
     q_out = np.where((un_i <= -a_i)[..., None], np.broadcast_to(q_inf, q_out.shape), q_out)
-    q_out = np.where((un_i >= a_i)[..., None], q_interior, q_out)
+    supersonic_out = (un_i >= 0.0) & (np.hypot(u_i, v_i) >= a_i)
+    q_out = np.where(supersonic_out[..., None], q_interior, q_out)
     return q_out
 
 
@@ -134,17 +137,8 @@ class BoundarySet:
                     raise ConfigError(f"{key}: farfield data must be one state of {law.m} components")
             if kind in ("slip_wall", "farfield"):
                 nodes, normals = mesh.outward_normals(tag)
-                self._check_normals(tag, normals)
             self._bindings.append(_Binding(tag, kind, nodes, values, normals))
         self._bindings.sort(key=lambda b: KIND_ORDER[b.kind])
-
-    @staticmethod
-    def _check_normals(tag, normals):
-        length = np.hypot(normals[:, 0], normals[:, 1])
-        if np.any(length < 1e-12):
-            raise InvalidTopology(
-                f"boundary tag {tag!r} has a node with a zero-length outward normal"
-            )
 
     @staticmethod
     def _dirichlet_values(key, mesh, law, nodes, data):

@@ -40,7 +40,6 @@ __all__ = [
     "n_scheme_system",
     "wave_speed_bound",
     "advection_coefficients",
-    "rxn_qstar",
     "rxn_scheme",
     "rxn_scheme_1d",
 ]
@@ -56,7 +55,6 @@ class DistributedResidual:
 
     parts: np.ndarray  # (T, 3, m) per-node residual shares
     star: np.ndarray  # (T, m) upwind state
-    s: np.ndarray | None = None  # (T,) wave-speed bound (RXN only)
     fallback: np.ndarray | None = None  # (T,) bool: star solve fell back
 
     @property
@@ -326,38 +324,26 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
 # relaxation scheme
 # ---------------------------------------------------------------------------
 
-def wave_speed_bound(
-    law, q_nodes, *, velocity=None, safety=WAVE_SPEED_SAFETY, speeds=None,
-    mean_speed=None,
-):
+def wave_speed_bound(law, q_nodes, *, speeds=None, mean_speed=None):
     """Per-triangle wave-speed bound s_T.
 
     The sub-characteristic condition requires s_T at least the largest
     characteristic speed over the element; the bound is taken as
-    ``safety`` times the max of the nodal speeds and the arithmetic-mean
-    state's speed.  The margin stands in for speeds at intermediate
-    states that are not directly computable.  ``velocity`` ((T, 3, 2)
-    nodal values) replaces the law's speed for advection by a
-    position-dependent field.  ``speeds`` passes the nodal speeds
-    ``law.max_wavespeed(q_nodes)`` (T, 3) when the caller already has
-    them, e.g. gathered from one evaluation per mesh node, and
-    ``mean_speed`` the mean state's speed (T,) (``q_nodes`` and both
-    are not read with ``velocity``).
+    ``WAVE_SPEED_SAFETY`` times the max of the nodal speeds and the
+    arithmetic-mean state's speed.  The margin stands in for speeds at
+    intermediate states that are not directly computable.  ``speeds``
+    passes the nodal speeds ``law.max_wavespeed(q_nodes)`` (T, 3) when
+    the caller already has them, e.g. gathered from one evaluation per
+    mesh node, and ``mean_speed`` the mean state's speed (T,).
     """
-    if velocity is not None:
-        velocity = np.asarray(velocity, dtype=float)
-        speeds = np.hypot(velocity[..., 0], velocity[..., 1])
-        mean_v = velocity.mean(axis=1)
-        mean_speed = np.hypot(mean_v[..., 0], mean_v[..., 1])
-        return safety * np.maximum(speeds.max(axis=1), mean_speed)
     q_nodes = _as_batch(q_nodes)
     nodal = law.max_wavespeed(q_nodes) if speeds is None else speeds  # (T, 3)
     if mean_speed is None:
         mean_speed = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)
-    return safety * np.maximum(nodal.max(axis=-1), mean_speed)
+    return WAVE_SPEED_SAFETY * np.maximum(nodal.max(axis=-1), mean_speed)
 
 
-def advection_coefficients(normals, velocity, s):
+def advection_coefficients(normals, velocity):
     """The relaxation scheme of advection as a linear map: (g, w), each (T, 3).
 
     With every flux evaluated at the triangle's mean velocity vbar (the
@@ -367,12 +353,16 @@ def advection_coefficients(normals, velocity, s):
         g_i = (s ||n_i|| + n_i . vbar) / 4,
         w_j = (s ||n_j|| - n_j . vbar) / (s sum_k ||n_k||).
 
-    Both depend on the mesh alone.  Under the wave-speed bound s >= |vbar|
-    all are nonnegative (a discrete maximum principle), and the w_j sum to
-    one as the normals sum to zero.  Where s = 0 (no flow) g = 0 and
-    w_j = ||n_j|| / sum ||n||.
+    The map owns its wave-speed bound, s = ``WAVE_SPEED_SAFETY``
+    max(|v_i|, |vbar|) from the nodal velocities, so both depend on the
+    mesh alone.  As s >= |vbar| all are nonnegative (a discrete maximum
+    principle), and the w_j sum to one as the normals sum to zero.  Where
+    s = 0 (no flow) g = 0 and w_j = ||n_j|| / sum ||n||.
     """
-    vbar = np.asarray(velocity, dtype=float).mean(axis=1)
+    velocity = np.asarray(velocity, dtype=float)
+    vbar = velocity.mean(axis=1)
+    speed = np.hypot(velocity[..., 0], velocity[..., 1])
+    s = WAVE_SPEED_SAFETY * np.maximum(speed.max(axis=1), np.hypot(vbar[:, 0], vbar[:, 1]))
     un = normals[..., 0] * vbar[:, None, 0] + normals[..., 1] * vbar[:, None, 1]
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     g = 0.25 * (s[:, None] * nlen + un)
@@ -380,51 +370,40 @@ def advection_coefficients(normals, velocity, s):
     return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
-def rxn_qstar(law, normals, q_nodes, s):
-    """Upwind state of the relaxation scheme (closed form).
-
-    Q_star = sum_j (s ||n_j|| Q_j - n_j . f(Q_j)) / (s sum_i ||n_i||).
-    Componentwise for systems.
-    """
-    q_nodes = _as_batch(q_nodes)
-    normals = np.asarray(normals, dtype=float)
-    s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
-    nf = _nodal_normal_flux(law, normals, q_nodes)
-    nlen = np.hypot(normals[..., 0], normals[..., 1])
-    num = (s[:, None, None] * nlen[..., None] * q_nodes - nf).sum(axis=1)
-    return num / (s * nlen.sum(axis=1))[:, None]
-
-
 def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
     """Relaxation distribution scheme (two space dimensions).
 
-    Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ].
+    Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ]
+    with the closed-form upwind state
 
-    The parts sum to the two-point-rule total residual because the
-    normals sum to zero and Q_star absorbs the flux imbalance.  For
-    Euler, f(Q_star) is evaluated only if Q_star is physical; otherwise
-    NonPhysicalState is raised (no clamping).
+        Q_star = sum_j (s ||n_j|| Q_j - n_j . f(Q_j)) / (s sum_i ||n_i||),
+
+    componentwise for systems.  The parts sum to the two-point-rule total
+    residual because the normals sum to zero and Q_star absorbs the flux
+    imbalance.  For Euler, f(Q_star) is evaluated only if Q_star is
+    physical; otherwise NonPhysicalState is raised (no clamping).  ``s``
+    is the per-triangle wave-speed bound, ``wave_speed_bound`` when None.
 
     ``coefficients`` passes the pair (g, w) of ``advection_coefficients``
     for advection by a velocity field, as ``Solver`` builds it once per
     mesh.  All fluxes are then evaluated at the per-triangle mean
     velocity, which makes the scheme that fixed positive linear map
-    (discrete max principle under the strict time step); ``s`` is then
-    only passed through to the result.
+    (discrete max principle under the strict time step), and ``s`` and
+    ``flux`` are not read.
 
     ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
-    caller already has it (unread with ``coefficients``).
+    caller already has it.
     """
     q_nodes = _as_batch(q_nodes)
-    normals = np.asarray(normals, dtype=float)
-    if s is not None:
-        s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1]).copy()
-    elif coefficients is None:
-        s = wave_speed_bound(law, q_nodes)
     if coefficients is not None:
         g, w = coefficients
         qstar = _node_sum(w[..., None] * q_nodes)
-        return DistributedResidual(g[..., None] * (q_nodes - qstar[:, None, :]), qstar, s=s)
+        return DistributedResidual(g[..., None] * (q_nodes - qstar[:, None, :]), qstar)
+    normals = np.asarray(normals, dtype=float)
+    if s is None:
+        s = wave_speed_bound(law, q_nodes)
+    else:
+        s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
 
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
@@ -434,15 +413,13 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
     buf -= nf_nodes
     qstar = _node_sum(buf) / (s * _node_sum(nlen))[:, None]
     law.check_physical(qstar, "in relaxation star state", item="triangle")
-    fsx, fsy = law.flux(qstar)
-    nf_star = normals[..., 0, None] * fsx[:, None, :]
-    nf_star += normals[..., 1, None] * fsy[:, None, :]
+    nf_star = _nodal_normal_flux(law, normals, qstar[:, None, :])
     parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
     parts *= snlen
     parts += nf_nodes
     parts -= nf_star
     parts *= 0.25
-    return DistributedResidual(parts, qstar, s=s)
+    return DistributedResidual(parts, qstar)
 
 
 def rxn_scheme_1d(law, q_left, q_right, s):

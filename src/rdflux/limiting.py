@@ -53,22 +53,15 @@ def _signed_weights(parts, total):
     return pos
 
 
-def limit_scalar(parts, total=None):
+def limit_scalar(parts, total):
     """Limit scalar parts: output_i = w_i * Phi^T, weights in [0, 1].
 
-    ``parts`` is (T, 3) or (T, 3, 1); ``total`` defaults to the parts'
-    sum.  A zero total yields all-zero outputs.  The outputs sum to the
-    total exactly (up to rounding) and each shares its sign.
+    ``parts`` is (T, 3, m) and ``total`` (T, m), the parts' sum; each of
+    the m columns is limited on its own.  A zero total yields all-zero
+    outputs.  The outputs sum to the total exactly (up to rounding) and
+    each shares its sign.
     """
-    parts = np.asarray(parts, dtype=float)
-    squeeze = parts.ndim == 2
-    if squeeze:
-        parts = parts[..., None]
-    total = parts.sum(axis=-2) if total is None else np.asarray(total, dtype=float)
-    if total.ndim == parts.ndim - 2:
-        total = total[..., None]
-    out = _signed_weights(parts, total) * total[..., None, :]
-    return out[..., 0] if squeeze else out
+    return _signed_weights(parts, total) * total[..., None, :]
 
 
 def limiting_direction(law, q, prim=None):

@@ -16,8 +16,10 @@ One iteration runs in this order:
    mesh nodes, and from them the max wave speed, and the flux pair for
    RXN or the parameter vector for the systems N scheme; and once on the
    triangles' arithmetic-mean states.  It also holds the per-triangle
-   wave-speed bound and a scalar law's upwind parameters k, each computed
-   once, or passed in from ``Solver`` where the mesh alone fixes them;
+   wave-speed bound where a scheme or step rule reads it, a scalar law's
+   upwind parameters k, and an advection field's relaxation map; each is
+   computed once, or passed in from ``Solver`` where the mesh alone fixes
+   it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
    for scalars (``stable_dt``);
 3. triangle pass (``Solver._distribute``, per chunk of triangles on the
@@ -149,10 +151,11 @@ class Sweep:
     ``tris`` (3, T) holds the triangles' node ids, node-major, and
     ``normals`` (T, 3, 2) and ``areas`` (T,) their geometry.  ``q_nodes``
     is the state gathered to the triangles (T, 3, m), ``s`` the
-    per-triangle wave-speed bound (None for a scalar law under the N
-    scheme, where nothing reads it), ``k`` (T, 3) a scalar law's upwind
-    parameters and ``coefficients`` the relaxation map (g, w) of an
-    advection field under RXN (``distribution.advection_coefficients``).
+    per-triangle wave-speed bound (None where nothing reads it: a scalar
+    law reads it only under RXN without the advection map), ``k`` (T, 3)
+    a scalar law's upwind parameters and ``coefficients`` the relaxation
+    map (g, w) of an advection field under RXN, which carries its own
+    bound (``distribution.advection_coefficients``).
     For laws with primitive variables (Euler), ``flux`` (the pair f, g,
     read by RXN) or ``z`` (the parameter vector, read by the systems N
     scheme) holds values on the N mesh nodes, which the pass gathers
@@ -215,11 +218,10 @@ class Solver:
     Per-mesh geometry (scaled inward normals, areas, median dual areas)
     and, for advection laws, what depends on the mesh alone are
     precomputed once: the exact streamfunction-integrated upwind
-    parameters and the nodal inflow coefficients of the upwind step rule;
-    on a ``velocity_at`` field its wave-speed bound and, under
-    ``scheme="rxn"``, the relaxation scheme's linear map (g, w)
-    (``rxn_static``).  The first ``Solver`` of a process keeps freed heap
-    memory resident (see the module docstring).
+    parameters and the nodal inflow coefficients of the upwind step rule,
+    and on a ``velocity_at`` field under ``scheme="rxn"`` the relaxation
+    scheme's linear map (g, w) (``rxn_static``).  The first ``Solver`` of
+    a process keeps freed heap memory resident (see the module docstring).
     """
 
     def __init__(self, mesh, law, boundaries=None, config=None):
@@ -232,8 +234,8 @@ class Solver:
         self.tris = np.asarray(mesh.tris)
         # Per-triangle arrays are stored with the triangle axis innermost
         # in memory (see ``_gather``).  For advection laws the mesh alone
-        # fixes the sweep's ``s``, ``k`` and ``coefficients``: they are
-        # built here once, as ``s_static``, ``k_static`` and ``rxn_static``.
+        # fixes the sweep's ``k`` and ``coefficients``: they are built here
+        # once, as ``k_static`` and ``rxn_static``.
         self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
@@ -242,16 +244,12 @@ class Solver:
         self.tris_flat = self.tris.ravel()
 
         tri_xy = mesh.tri_coords()
-        if hasattr(law, "velocity_at"):
+        self.rxn_static = None
+        if hasattr(law, "velocity_at") and self.cfg.scheme == "rxn":
             vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
             vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
-            self.s_static = dist.wave_speed_bound(law, None, velocity=vel)
-            self.rxn_static = None
-            if self.cfg.scheme == "rxn":
-                coef = dist.advection_coefficients(self.normals, vel, self.s_static)
-                self.rxn_static = tuple(_triangle_inner(c) for c in coef)
-        else:
-            self.s_static = self.rxn_static = None
+            coef = dist.advection_coefficients(self.normals, vel)
+            self.rxn_static = tuple(_triangle_inner(c) for c in coef)
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
             self.d_static = self._inflow_coefficients(None, self.k_static)
@@ -364,14 +362,14 @@ class Solver:
         """The ``Sweep`` of state ``q``: one gather, nodal fields, bound, k."""
         law, cfg = self.law, self.cfg
         q_nodes = _gather(q, self._tris_t)
-        s, k = self.s_static, self.k_static
+        s, k = None, self.k_static
         nodal = {}
         if law.m == 1:
             if k is None:
                 k = dist.scalar_upwind_k(law, self.normals, q_nodes)
-            # The bound is read by the relaxation scheme and by the step
-            # rule of a system; a scalar law under the N scheme never reads it.
-            if s is None and cfg.scheme == "rxn":
+            # A scalar law steps by k; of its schemes only the flux form
+            # of RXN reads the bound (the advection map carries its own).
+            if cfg.scheme == "rxn" and self.rxn_static is None:
                 s = dist.wave_speed_bound(law, q_nodes)
         else:
             prim = law.primitives(q)
@@ -408,7 +406,9 @@ class Solver:
         positivity theorem of the unlimited relaxation scheme; the limiter
         and the correction are not covered by it.  A scalar law steps by
         the upwind bound, min_i 2 |C_i| / sum_T max(2 k_i, 0), the N
-        scheme's maximum-principle bound, which is never smaller.
+        scheme's maximum-principle bound, under either scheme.  It is never
+        smaller than the relaxation bound, so under RXN a scalar law steps
+        beyond that scheme's positivity bound (see the README).
 
         Nodes with zero inflow coefficient impose no bound and are
         skipped; if every node is unconstrained the field cannot evolve

@@ -8,14 +8,14 @@ of the full solver.  Each suite returns a pass/fail verdict plus the
 worst observed metric, so a regression shows up as a number and not
 just a flag.
 
-The suites re-derive their expectations from first principles where
-possible.  In particular, the conservation suite rebuilds the
-relaxation parts from the public upwind-state function, so an error
-planted there (as the test harness does) breaks the suite — a mutation
-check on the suite itself.  The conservation and limiter-bounds suites
-run the distribution variants through ``Solver.assemble``, the code the
-march runs, on a mesh of random triangles that share no node
+Where the march has the kernel, a suite runs it.  The conservation and
+limiter-bounds suites run the distribution variants through
+``Solver.assemble`` on a mesh of random triangles that share no node
 (``_free_triangles``): each nodal residual is then one triangle's part.
+Under RXN the conservation identity also fixes the star state, as no
+other state makes the parts sum to the total.  The monotonicity suite
+probes the march's scalar N scheme column by column at its frozen
+upwind parameters.
 """
 from __future__ import annotations
 
@@ -86,9 +86,10 @@ def _assembled_parts(mesh, law, cfg, q_nodes):
 def suite_conservation(seed, n=2000):
     """Sum of distributed parts equals the total residual, all variants.
 
-    Also rebuilds the relaxation parts from the public upwind-state
-    function and checks the same identity, so that path is covered
-    independently of the scheme's internal star computation.
+    Under RXN this also fixes the star state: the parts sum to
+    (1/4)[sum s ||n_i|| Q_i - s sum ||n|| Q_star + sum n_i . f(Q_i)],
+    which equals the two-point total (1/2) sum n_i . f(Q_i) only when
+    Q_star is the closed-form star of ``rxn_scheme``.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -98,12 +99,11 @@ def suite_conservation(seed, n=2000):
         mesh = _free_triangles(coords)
         normals = compute_normals(coords)
         q_nodes = _random_states(rng, law, n)
-        lin_total = dist.total_residual_linear(law, normals, q_nodes)
         for scheme in ("n", "rxn"):
             ref_total = (
                 dist.total_residual_rsd(law, normals, q_nodes)
                 if scheme == "n"
-                else lin_total
+                else dist.total_residual_linear(law, normals, q_nodes)
             )
             scale = np.maximum(1.0, np.abs(ref_total).max(axis=-1))
             for limited, corrected in ((False, False), (True, False), (True, True)):
@@ -112,36 +112,20 @@ def suite_conservation(seed, n=2000):
                 err = np.abs(parts.sum(axis=1) - ref_total).max(axis=-1) / scale
                 worst = max(worst, float(err.max()))
 
-        # independent rebuild from the public upwind state
-        s = dist.wave_speed_bound(law, q_nodes)
-        qstar = dist.rxn_qstar(law, normals, q_nodes, s)
-        law.check_physical(qstar)
-        fx, fy = law.flux(q_nodes)
-        nf = normals[..., 0, None] * fx + normals[..., 1, None] * fy
-        fsx, fsy = law.flux(qstar)
-        nf_star = (
-            normals[..., 0, None] * fsx[:, None, :]
-            + normals[..., 1, None] * fsy[:, None, :]
-        )
-        nlen = np.hypot(normals[..., 0], normals[..., 1])
-        parts = 0.25 * (
-            s[:, None, None] * nlen[..., None] * (q_nodes - qstar[:, None, :])
-            + nf
-            - nf_star
-        )
-        scale = np.maximum(1.0, np.abs(lin_total).max(axis=-1))
-        err = np.abs(parts.sum(axis=1) - lin_total).max(axis=-1) / scale
-        worst = max(worst, float(err.max()))
     return SuiteResult(
         "conservation", worst <= 1e-11, worst, 1e-11,
-        f"{n} triangles x 3 laws x 6 variants + star rebuild",
+        f"{n} triangles x 3 laws x 6 variants",
     )
 
 
 def suite_monotone_coefficients(seed, n=2000):
-    """Nonnegativity of the update coefficients on convex scalar flux.
+    """Monotone update coefficients on a convex scalar flux (Burgers).
 
-    For the characteristic scheme: c_ij = k_i^+ k_j^- / sum k^- >= 0.
+    For the characteristic scheme, probed through the march's
+    ``n_scheme_scalar`` at the march's ``scalar_upwind_k``: with k frozen
+    the scheme is linear, Phi_i = sum_j C_ij Q_j, and column j of C is
+    the parts of the unit state e_j.  Monotone means Phi_i = sum_j c_ij
+    (Q_i - Q_j) with c_ij >= 0, so every off-diagonal C_ij must be <= 0.
     For the relaxation scheme: the inflow/outflow factors
     P_i = (s ||n_i|| + n_i . f'(mean Q_i-star pair)) / 4 and
     N_j = s ||n_j|| - n_j . f'(tilde Q) are nonnegative whenever s
@@ -154,18 +138,15 @@ def suite_monotone_coefficients(seed, n=2000):
     q_nodes = rng.normal(0.0, 2.0, size=(n, 3, 1))
     worst = 0.0
 
-    uvec = law.fprime(law.rsd_average(q_nodes).qhat)
-    k = 0.5 * (normals * uvec[..., None, :]).sum(axis=-1)
-    kp = np.maximum(k, 0.0)
-    kn = np.minimum(k, 0.0)
-    den = kn.sum(axis=-1)
-    ok = den < 0.0
-    cij = kp[ok][:, :, None] * kn[ok][:, None, :] / den[ok][:, None, None]
-    worst = max(worst, float(-cij.min()) if cij.size else 0.0)
+    k = dist.scalar_upwind_k(law, normals, q_nodes)
+    unit = np.eye(3)[:, None, :, None]  # unit[j]: the (1, 3, 1) state e_j
+    c = np.stack([dist.n_scheme_scalar(np.broadcast_to(e, q_nodes.shape), k).parts[..., 0]
+                  for e in unit], axis=-1)  # (T, 3, 3): c[t, i, j] = C_ij
+    off = c[:, ~np.eye(3, dtype=bool)]
+    worst = max(worst, float(off.max()))
 
     s = dist.wave_speed_bound(law, q_nodes)
-    res = dist.rxn_scheme(law, normals, q_nodes, s=s)
-    qstar = res.star
+    qstar = dist.rxn_scheme(law, normals, q_nodes, s=s).star
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     qbar = 0.5 * (q_nodes + qstar[:, None, :])  # secant mean per node
     fp_bar = law.fprime(qbar)

@@ -82,43 +82,37 @@ def write_vtk(mesh, fields, path):
             )
         cleaned[name] = arr
 
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# vtk DataFile Version 3.0\n")
-            fh.write("steady-state fields\n")
-            fh.write("ASCII\n")
-            fh.write("DATASET UNSTRUCTURED_GRID\n")
-            fh.write(f"POINTS {n} double\n")
-            for x, y in pts:
-                fh.write(f"{_FMT % x} {_FMT % y} 0\n")
-            fh.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
-            for a, b, c in tris:
-                fh.write(f"3 {a} {b} {c}\n")
-            fh.write(f"CELL_TYPES {len(tris)}\n")
-            for _ in range(len(tris)):
-                fh.write("5\n")
-            if cleaned:
-                fh.write(f"POINT_DATA {n}\n")
-                for name, arr in cleaned.items():
-                    fh.write(f"SCALARS {name} double 1\n")
-                    fh.write("LOOKUP_TABLE default\n")
-                    for value in arr:
-                        fh.write(f"{_FMT % value}\n")
-    except OSError as exc:
-        raise InvalidArgument(f"cannot write VTK file {path}: {exc}") from exc
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("steady-state fields\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {n} double\n")
+        for x, y in pts:
+            fh.write(f"{_FMT % x} {_FMT % y} 0\n")
+        fh.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
+        for a, b, c in tris:
+            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(f"CELL_TYPES {len(tris)}\n")
+        for _ in range(len(tris)):
+            fh.write("5\n")
+        if cleaned:
+            fh.write(f"POINT_DATA {n}\n")
+            for name, arr in cleaned.items():
+                fh.write(f"SCALARS {name} double 1\n")
+                fh.write("LOOKUP_TABLE default\n")
+                for value in arr:
+                    fh.write(f"{_FMT % value}\n")
     return path
 
 
 def write_history_csv(history, path):
     """Write (iteration, pseudo_time, relative_rate) triples as CSV."""
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "pseudo_time", "relative_rate"])
-            for it, t, rel in history:
-                writer.writerow([int(it), _FMT % t, _FMT % rel])
-    except OSError as exc:
-        raise InvalidArgument(f"cannot write history file {path}: {exc}") from exc
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "pseudo_time", "relative_rate"])
+        for it, t, rel in history:
+            writer.writerow([int(it), _FMT % t, _FMT % rel])
     return path
 
 
@@ -178,13 +172,10 @@ def probe_surface(mesh, field, tag):
 def write_probe_csv(mesh, field, tag, path, name="value"):
     """Write one surface probe as CSV (node, arc_length, x, y, value)."""
     nodes, arc, values = probe_surface(mesh, field, tag)
-    try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "arc_length", "x", "y", name])
-            for nid, s, val in zip(nodes, arc, values):
-                x, y = mesh.points[nid]
-                writer.writerow([int(nid), _FMT % s, _FMT % x, _FMT % y, _FMT % val])
-    except OSError as exc:
-        raise InvalidArgument(f"cannot write probe file {path}: {exc}") from exc
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "arc_length", "x", "y", name])
+        for nid, s, val in zip(nodes, arc, values):
+            x, y = mesh.points[nid]
+            writer.writerow([int(nid), _FMT % s, _FMT % x, _FMT % y, _FMT % val])
     return path

@@ -91,6 +91,17 @@ def test_unknown_probe_tag_fails_before_the_march(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: no boundary edges tagged 'nope'")
 
 
+def test_unwritable_field_file_is_an_io_error(tmp_path, capsys):
+    # Every write failure takes the one OSError path of ``cli.main``.
+    path = tmp_path / "case.cfg"
+    path.write_text(CASE.format(factor="1e6", out=tmp_path / "out")
+                    .replace("output.fields = false", "output.fields = true"))
+    (tmp_path / "out" / "run.vtk").mkdir(parents=True)
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "run.vtk" in err
+
+
 def test_run_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "case.cfg"
     path.write_bytes(b"law.kind = burgers\xff\n")

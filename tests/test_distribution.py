@@ -160,23 +160,24 @@ class TestNSchemeSystem:
 
 
 class TestRxnQstar:
+    # The relaxation scheme's star state Q_star, as the march computes it.
     def test_uniform(self, euler, ref_normals):
         q = np.tile(euler.freestream(1.2, 0.0), (1, 3, 1))
-        star = dist.rxn_qstar(euler, ref_normals[None], q, np.array([3.0]))
+        star = dist.rxn_scheme(euler, ref_normals[None], q, s=np.array([3.0])).star
         assert np.allclose(star[0], q[0, 0], rtol=1e-13)
 
     def test_reference_value(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        star = dist.rxn_qstar(law, ref_normals[None], q, np.array([1.0]))
+        star = dist.rxn_scheme(law, ref_normals[None], q, s=np.array([1.0])).star
         assert np.isclose(star[0, 0], 3.0 - math.sqrt(2.0), rtol=1e-14)
 
     def test_linear_scaling(self, ref_normals, rng):
         law = physics.Advection((0.5, -0.2))
         q = rng.standard_normal((1, 3, 1))
         s = np.array([2.0])
-        a = dist.rxn_qstar(law, ref_normals[None], q, s)
-        b = dist.rxn_qstar(law, ref_normals[None], 3.0 * q, s)
+        a = dist.rxn_scheme(law, ref_normals[None], q, s=s).star
+        b = dist.rxn_scheme(law, ref_normals[None], 3.0 * q, s=s).star
         assert np.allclose(b, 3.0 * a, rtol=1e-13)
 
 
@@ -205,8 +206,9 @@ class TestRxnScheme:
         coords = random_triangles(rng, 300)
         normals = compute_normals(coords)
         q = rng.standard_normal((300, 3, 1)) * 2.0
-        r = dist.rxn_scheme(law, normals, q)
-        s = r.s[:, None]
+        s = dist.wave_speed_bound(law, q)
+        r = dist.rxn_scheme(law, normals, q, s=s)
+        s = s[:, None]
         star = r.star[..., 0][:, None]
         nlen = np.hypot(normals[..., 0], normals[..., 1])
         nx = normals[..., 0]  # f' = (q, 0) for this Burgers convention
@@ -242,9 +244,8 @@ class TestRxnAdvectionMap:
         normals = compute_normals(verify.random_triangles(rng, 500))
         q = rng.normal(0.0, 2.0, size=(500, 3, 1))
         vel = np.broadcast_to(law.velocity, normals.shape)
-        s = dist.wave_speed_bound(law, None, velocity=vel)
-        coefficients = dist.advection_coefficients(normals, vel, s)
-        mapped = dist.rxn_scheme(law, normals, q, s=s, coefficients=coefficients)
+        coefficients = dist.advection_coefficients(normals, vel)
+        mapped = dist.rxn_scheme(law, normals, q, coefficients=coefficients)
         direct = dist.rxn_scheme(law, normals, q)
         for a, b in ((mapped.parts, direct.parts), (mapped.star, direct.star)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -278,21 +279,28 @@ class TestRxnAdvectionMap:
 class TestWaveSpeedBound:
     def test_dominates_nodal_speeds(self, euler, rng):
         q = random_euler_states(rng, (100, 3))
-        s = dist.wave_speed_bound(euler, q, safety=1.1)
+        s = dist.wave_speed_bound(euler, q)
         assert (s >= 1.1 * euler.max_wavespeed(q).max(axis=1) - 1e-13).all()
 
-    def test_safety_scales(self, euler, rng):
+    def test_safety_scales(self, euler, rng, monkeypatch):
+        # WAVE_SPEED_SAFETY is the one home of the margin.
         q = random_euler_states(rng, (10, 3))
-        a = dist.wave_speed_bound(euler, q, safety=1.0)
-        b = dist.wave_speed_bound(euler, q, safety=2.0)
+        monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 1.0)
+        a = dist.wave_speed_bound(euler, q)
+        monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 2.0)
+        b = dist.wave_speed_bound(euler, q)
         assert np.allclose(b, 2.0 * a, rtol=1e-14)
 
-    def test_velocity_field_override(self):
-        law = physics.Advection((1.0, 0.0))
-        q = np.zeros((1, 3, 1))
+    def test_velocity_field_override(self, ref_normals, monkeypatch):
+        # The advection map bounds the nodal velocities given to it, not
+        # the law's own speed: |v_0| = 5 makes s = 5 at unit margin, and
+        # g_i = (s ||n_i|| + n_i . vbar) / 4.
+        monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 1.0)
         vel = np.array([[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]])
-        s = dist.wave_speed_bound(law, q, velocity=vel, safety=1.0)
-        assert np.isclose(s[0], 5.0)
+        g, _ = dist.advection_coefficients(ref_normals[None], vel)
+        nlen = np.hypot(ref_normals[:, 0], ref_normals[:, 1])
+        expected = 0.25 * (5.0 * nlen + ref_normals @ np.array([1.0, 4.0 / 3.0]))
+        assert np.allclose(g[0], expected, rtol=1e-14)
 
 
 class TestRxn1D:

@@ -15,20 +15,20 @@ from .oracles import flux_jacobian
 class TestLimitScalar:
     def test_already_positive_unchanged(self):
         parts = np.array([[[0.4], [0.6], [0.0]]])
-        out = limiting.limit_scalar(parts)
+        out = limiting.limit_scalar(parts, parts.sum(axis=1))
         assert np.allclose(out, parts, atol=1e-15)
 
     def test_reference_redistribution(self):
         # Weights (0.5, 0.75, -0.25) against a unit total clip to
         # (0.4, 0.6, 0.0) after renormalizing the positive mass 1.25.
         parts = np.array([[[0.5], [0.75], [-0.25]]])
-        out = limiting.limit_scalar(parts)
+        out = limiting.limit_scalar(parts, parts.sum(axis=1))
         assert np.allclose(out[0, :, 0], [0.4, 0.6, 0.0], rtol=1e-14)
 
     def test_zero_total_zero_output(self):
         # 0.75 - 0.25 - 0.5 is exactly zero in binary floating point.
         parts = np.array([[[0.75], [-0.25], [-0.5]]])
-        out = limiting.limit_scalar(parts)
+        out = limiting.limit_scalar(parts, parts.sum(axis=1))
         assert (out == 0.0).all()
         # An explicitly zero total forces zero output regardless of parts.
         out = limiting.limit_scalar(
@@ -38,7 +38,7 @@ class TestLimitScalar:
 
     def test_conservation_and_bounds_random(self, rng):
         parts = rng.standard_normal((500, 3, 1))
-        out = limiting.limit_scalar(parts)
+        out = limiting.limit_scalar(parts, parts.sum(axis=1))
         total = parts.sum(axis=1)
         assert np.abs(out.sum(axis=1) - total).max() < 1e-12 * max(
             1.0, np.abs(total).max()
@@ -50,15 +50,15 @@ class TestLimitScalar:
 
     def test_sign_preservation(self, rng):
         parts = rng.standard_normal((300, 3, 1))
-        out = limiting.limit_scalar(parts)
+        out = limiting.limit_scalar(parts, parts.sum(axis=1))
         total = parts.sum(axis=1)[:, 0]
         prod = out[..., 0] * total[:, None]
         assert (prod >= -1e-15 * np.abs(total[:, None])).all()
 
     def test_scale_invariance(self, rng):
         parts = rng.standard_normal((50, 3, 1))
-        a = limiting.limit_scalar(parts)
-        b = limiting.limit_scalar(2.5 * parts)
+        a = limiting.limit_scalar(parts, parts.sum(axis=1))
+        b = limiting.limit_scalar(2.5 * parts, 2.5 * parts.sum(axis=1))
         assert np.allclose(b, 2.5 * a, rtol=1e-13)
 
 
@@ -244,7 +244,7 @@ class TestCorrectionSystem:
 def test_limiter_bounds_property(seed):
     rng = np.random.default_rng(seed)
     parts = rng.standard_normal((6, 3, 1)) * 10.0 ** rng.integers(-6, 6)
-    out = limiting.limit_scalar(parts)
+    out = limiting.limit_scalar(parts, parts.sum(axis=1))
     total = parts.sum(axis=1)
     nz = np.abs(total[:, 0]) > 0.0
     if nz.any():

@@ -63,7 +63,7 @@ class TestPrecomputedNodalData:
         f, g = law.flux(q)
         given = dist.rxn_scheme(law, normals, q[tris], flux=(f[tris], g[tris]))
         own = dist.rxn_scheme(law, normals, q[tris])
-        for name in ("parts", "star", "s"):
+        for name in ("parts", "star"):
             assert_same(getattr(given, name), getattr(own, name))
 
     def test_rsd_average(self, case):

@@ -216,16 +216,16 @@ class TestMarch:
 
 class TestMeshStaticData:
     def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
-        # Under a velocity_at law the wave-speed bound, the relaxation
-        # scheme's linear map (g, w), the upwind parameters k and the
+        # Under a velocity_at law the relaxation scheme's linear map (g, w)
+        # with its own wave-speed bound, the upwind parameters k and the
         # upwind inflow coefficients depend on the mesh alone: the solver
-        # builds them once and passes its own arrays into each sweep.
+        # builds them once and passes its own arrays into each sweep,
+        # which computes no other bound.
         class Recomputing(solver.Solver):
             def _sweep(self, q):
                 xy = self.mesh.tri_coords()
                 vel = solver._triangle_inner(np.broadcast_to(self.law.velocity_at(xy), xy.shape))
-                self.s_static = dist.wave_speed_bound(self.law, None, velocity=vel)
-                coef = dist.advection_coefficients(self.normals, vel, self.s_static)
+                coef = dist.advection_coefficients(self.normals, vel)
                 self.rxn_static = tuple(solver._triangle_inner(c) for c in coef)
                 self.k_static = solver._triangle_inner(dist.advection_upwind_k(self.law, xy))
                 self.d_static = np.bincount(
@@ -243,7 +243,7 @@ class TestMeshStaticData:
 
         sol = solver.Solver(*args)
         sweep = sol._sweep(problem.q0)
-        assert sweep.s is sol.s_static and sweep.k is sol.k_static
+        assert sweep.s is None and sweep.k is sol.k_static
         assert sweep.coefficients is sol.rxn_static
         calls = []
         for name in ("wave_speed_bound", "advection_coefficients", "advection_upwind_k",
