@@ -4,10 +4,12 @@ Two families of distribution schemes are provided:
 
 * the narrow upwind scheme ("N"), scalar and systems forms, built on a
   conservative linearization through the parameter vector.  Per element
-  the systems form needs that average and the inversion of one m x m
-  star matrix, the only matrix it builds: its split Jacobians K^+/- are
-  applied in closed form, as rank-2 corrections of a scaled identity
-  (``n_scheme_system``), with no eigensystem; and
+  the systems form needs that average and the solve of one m x m star
+  system, whose matrix is the only one it builds: its split Jacobians
+  K^+/- are applied in closed form, as rank-2 corrections of a scaled
+  identity (``n_scheme_system``), with no eigensystem.  The star systems
+  of all elements are solved together by ``smallmat.solve_batched``,
+  Gaussian elimination with partial pivoting over the element axis; and
 * the relaxation-derived scheme ("RXN"), which needs only a wave-speed
   bound — no parameter-vector average, no eigensystem and no matrix
   inversion per element.  On an advection field it is a fixed positive
@@ -265,11 +267,14 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
     K_i = (n_i . J)/2 at the parameter-vector average, and Q_star solving
-    (sum K_j^-) Q_star = sum K_j^- Qhat_j.  The star matrix can be
-    singular (e.g. near stagnation); the affected triangles are then
-    distributed with the relaxation scheme instead (provably
-    conservative, needs no solve), and the returned ``fallback`` mask
-    marks them.
+    (sum K_j^-) Q_star = sum K_j^- Qhat_j.  The star systems of all
+    triangles are solved in one batched Gaussian elimination with partial
+    pivoting (``smallmat.solve_batched``).  The star matrix can be
+    singular (e.g. near stagnation): a triangle whose best pivot is at
+    most ``smallmat.PIVOT_RTOL`` = 1e-13 times the star matrix's
+    infinity norm is then distributed with the relaxation scheme instead
+    (provably conservative, needs no solve), and the returned
+    ``fallback`` mask marks it.
 
     No eigensystem is built.  For gas dynamics K_i has the eigenvalues
     lam_1 = |n_i| (u_n - a)/2, lam_2 = lam_3 = |n_i| u_n / 2 and

@@ -1,9 +1,17 @@
 """Dense solves of the small (m <= 4) per-element systems.
 
-``solve`` handles one matrix by Gaussian elimination with an explicit
-pivot threshold, so near-singular upwind matrices are reported instead of
-producing garbage.  ``solve_batched`` solves a batch through LAPACK and
-hands the items that fail or miss its residual guard to ``solve``.
+One algorithm serves both entry points: Gaussian elimination with partial
+pivoting on the augmented rows [A | B], laid out (m, m + k, T) with the
+batch axis innermost, so that every step is one elementwise NumPy
+operation over all T items at once.  The pivot of a column is the first
+row with the largest |a| on or below the diagonal.  An item is flagged
+singular when that magnitude is at most ``PIVOT_RTOL`` ||A||_inf, a floor
+relative to the item's own scale: near-singular upwind matrices are
+reported instead of producing garbage, and a scaled-down copy of a
+singular matrix is flagged too.  A flagged item divides by 1.0 and its
+solution is zeroed, so it raises no floating-point warning and leaves the
+other items alone.  ``solve_batched`` returns the flags; ``solve``, the
+batch of one, raises ``SingularMatrix``.
 """
 from __future__ import annotations
 
@@ -16,48 +24,73 @@ from .errors import SingularMatrix
 PIVOT_RTOL = 1e-13
 
 
+def _eliminate(aug, m):
+    """Solve the systems held in ``aug`` (m, m + k, T), overwriting it.
+
+    Row i of item t is [A_t[i] | B_t[i]].  Returns ``(x, bad)``: the
+    solutions (m, k, T), a view of ``aug``, zero where ``bad`` (T,) flags
+    a singular item.
+    """
+    # ||A||_inf row by row over (T,) arrays: a reduction over the
+    # (m, m, T) block allocates it whole and runs slower.
+    norm = None
+    for i in range(m):
+        row_sum = np.abs(aug[i, 0])
+        for j in range(1, m):
+            row_sum += np.abs(aug[i, j])
+        norm = row_sum if norm is None else np.maximum(norm, row_sum, out=norm)
+    floor = PIVOT_RTOL * np.where(norm > 0.0, norm, 1.0)
+    bits = aug.view(np.uint64)
+    bad = np.zeros(aug.shape[2], dtype=bool)
+    pivots = []
+    for col in range(m):
+        best = np.abs(aug[col, col])
+        for r in range(col + 1, m):
+            # Exchange rows col and r of the items whose |a| in row r is
+            # strictly larger, so that row col ends up holding the first row
+            # with the largest |a|.  The exchange is a masked XOR of the bit
+            # patterns: exact and without branches.
+            cand = np.abs(aug[r, col])
+            swap = np.negative(cand > best, dtype=np.uint64)
+            np.maximum(best, cand, out=best)
+            diff = bits[col, col:] ^ bits[r, col:]
+            diff &= swap
+            bits[col, col:] ^= diff
+            bits[r, col:] ^= diff
+        singular = best <= floor
+        bad |= singular
+        pivot = np.where(singular, 1.0, aug[col, col])
+        pivots.append(pivot)
+        for r in range(col + 1, m):
+            aug[r, col + 1 :] -= (aug[r, col] / pivot) * aug[col, col + 1 :]
+
+    x = aug[:, m:]
+    for row in range(m - 1, -1, -1):
+        acc = x[row]
+        for j in range(row + 1, m):
+            acc -= aug[row, j] * x[j]
+        acc /= pivots[row]
+    if bad.any():
+        x[..., bad] = 0.0
+    return x, bad
+
+
 def solve(a, b):
     """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
-    ``a`` is (m, m), ``b`` is (m,) or (m, k).  Raises SingularMatrix when the
-    best available pivot falls below PIVOT_RTOL * ||a||_inf.
+    ``a`` is (m, m), ``b`` is (m,) or (m, k).  The batch of one of
+    ``solve_batched``: raises SingularMatrix when the best available
+    pivot falls below PIVOT_RTOL * ||a||_inf.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     m = a.shape[0]
     if a.shape != (m, m):
         raise SingularMatrix(f"matrix must be square, got {a.shape}")
-    vec = b.ndim == 1
-    rhs = b.reshape(m, -1).copy()
-    norm = np.abs(a).sum(axis=1).max()
-    floor = PIVOT_RTOL * (norm if norm > 0.0 else 1.0)
-
-    for col in range(m):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= floor:
-            raise SingularMatrix(
-                f"pivot {pivot:.3e} below threshold {floor:.3e} in column {col}"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            rhs[[col, pivot_row]] = rhs[[pivot_row, col]]
-        factors = a[col + 1 :, col] / pivot
-        a[col + 1 :, col:] -= factors[:, None] * a[col, col:]
-        rhs[col + 1 :] -= factors[:, None] * rhs[col]
-
-    x = np.empty_like(rhs)
-    for row in range(m - 1, -1, -1):
-        x[row] = (rhs[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x[:, 0] if vec else x
-
-
-def _max_abs(columns):
-    """Elementwise max of |c| over a list of (T,) arrays; NaN propagates."""
-    out = np.abs(columns[0])
-    for c in columns[1:]:
-        np.maximum(out, np.abs(c), out=out)
-    return out
+    x, bad = _eliminate(np.concatenate([a, b.reshape(m, -1)], axis=1)[..., None], m)
+    if bad[0]:
+        raise SingularMatrix(f"a pivot is below {PIVOT_RTOL:.0e} * ||a||_inf")
+    return x[..., 0].reshape(b.shape)
 
 
 def solve_batched(a, b):
@@ -65,34 +98,14 @@ def solve_batched(a, b):
 
     ``a`` is (T, m, m), ``b`` is (T, m).  Returns (x, bad) where ``bad`` is a
     boolean mask of batch items whose system was singular (their x rows are
-    zero).  Detection: LAPACK failure plus a residual check against the
-    pivot-threshold contract of ``solve``.
+    zero).  Every item follows ``solve``'s pivot rule and floor, and no
+    item's result depends on another's.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    bad = np.zeros(b.shape[0], dtype=bool)
-    try:
-        x = np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Rare path: pick out the singular items one by one.
-        x = np.zeros_like(b)
-        suspect = np.ones(b.shape[0], dtype=bool)
-    else:
-        # Guard against quietly ill-conditioned systems: demand a small
-        # residual relative to the data scale.  The sums and maxima over
-        # the length-m axes are unrolled over (T,) columns: NumPy
-        # reductions over axes that short cost several times more.
-        m = range(b.shape[1])
-        resid = _max_abs([sum(a[:, i, j] * x[:, j] for j in m) - b[:, i] for i in m])
-        norm = _max_abs([sum(np.abs(a[:, i, j]) for j in m) for i in m])
-        scale = norm * np.maximum(_max_abs([x[:, j] for j in m]), 1.0) + _max_abs(
-            [b[:, j] for j in m]
-        )
-        suspect = ~np.isfinite(resid) | (resid > 1e-8 * np.maximum(scale, 1.0))
-    for j in np.flatnonzero(suspect):
-        try:
-            x[j] = solve(a[j], b[j])
-        except SingularMatrix:
-            bad[j] = True
-            x[j] = 0.0
-    return x, bad
+    m = b.shape[1]
+    aug = np.empty((m, m + 1, b.shape[0]))
+    aug[:, :m] = a.transpose(1, 2, 0)
+    aug[:, m] = b.T
+    x, bad = _eliminate(aug, m)
+    return x[:, 0].T, bad

@@ -258,7 +258,11 @@ class Solver:
 
         self.n_threads = self.cfg.n_threads
         self._chunks = self._plan_chunks()
-        self._chunk_nodes = [self.tris[sl].ravel() for sl in self._chunks]
+        # Entry (t, i, j) of a chunk's parts adds to the flat bin
+        # node * m + j of the (N, m) residual.
+        components = np.arange(law.m)
+        self._chunk_bins = [(self.tris[sl, :, None] * law.m + components).ravel()
+                            for sl in self._chunks]
         self._tris_t = np.ascontiguousarray(self.tris.T)
         self._pool = None  # created on the first threaded assemble
 
@@ -270,17 +274,14 @@ class Solver:
         bounds = np.linspace(0, n_tris, n + 1).astype(int)
         return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
-    def _scatter_add(self, out, flat_nodes, parts):
+    def _scatter_add(self, out, bins, parts):
         """Accumulate per-triangle nodal values into ``out`` (N, m).
 
-        One bincount per component: summation order is fixed by node
-        index, so repeated runs accumulate bit-identically.
+        One bincount over the flat bins ``bins`` of the (T, 3, m) ``parts``
+        in C order: each bin sums its entries in triangle order, so
+        repeated runs accumulate bit-identically.
         """
-        n = out.shape[0]
-        for j in range(out.shape[1]):
-            out[:, j] += np.bincount(
-                flat_nodes, weights=parts[..., j].ravel(), minlength=n
-            )
+        out += np.bincount(bins, weights=parts.ravel(), minlength=out.size).reshape(out.shape)
 
     def _distribute(self, sweep):
         """Distributed parts of one sweep slice: scheme, limiter, correction.
@@ -351,8 +352,8 @@ class Solver:
             results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
         out = np.zeros((self.n_nodes, self.law.m))
         fallback = 0
-        for nodes, (parts, n_fb) in zip(self._chunk_nodes, results):
-            self._scatter_add(out, nodes, parts)
+        for bins, (parts, n_fb) in zip(self._chunk_bins, results):
+            self._scatter_add(out, bins, parts)
             fallback += n_fb
         return out, fallback
 

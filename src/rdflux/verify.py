@@ -13,7 +13,8 @@ limiter-bounds suites run the distribution variants through
 ``Solver.assemble`` on a mesh of random triangles that share no node
 (``_free_triangles``): each nodal residual is then one triangle's part.
 Under RXN the conservation identity also fixes the star state, as no
-other state makes the parts sum to the total.  The monotonicity suite
+other state makes the parts sum to the total; under N it also pins the
+star solve (see ``suite_conservation``).  The monotonicity suite
 probes the march's scalar N scheme column by column at its frozen
 upwind parameters.
 """
@@ -90,6 +91,13 @@ def suite_conservation(seed, n=2000):
     (1/4)[sum s ||n_i|| Q_i - s sum ||n|| Q_star + sum n_i . f(Q_i)],
     which equals the two-point total (1/2) sum n_i . f(Q_i) only when
     Q_star is the closed-form star of ``rxn_scheme``.
+
+    Under N it also pins the star solve.  With N* = sum_j K_j^- and
+    sum_i K_i = 0, the parts Phi_i = K_i^+ (Qhat_i - Q_star) give
+    sum_i Phi_i - sum_i K_i Qhat_i = N* Q_star - sum_j K_j^- Qhat_j,
+    the residual of the star system, while sum_i K_i Qhat_i is the total
+    (``total_residual_rsd``).  The 1e-11 tolerance thus bounds that
+    residual relative to max(1, |total|).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -291,6 +291,22 @@ class TestDeterminism:
         assert (outs[0] == outs[1]).all()
 
 
+    def test_scatter_adds_each_bin_in_triangle_order(self, euler, rng):
+        # One bincount over the flat (node, component) bins adds the same
+        # numbers in the same order as one bincount per component, whatever
+        # the memory layout of the parts.
+        mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 7, 5)
+        sol = solver.Solver(mesh, euler, None, SolverConfig(scheme="n"))
+        parts = rng.standard_normal((len(sol.tris), 3, 4))
+        nodes = sol.tris.ravel()
+        expected = np.stack([np.bincount(nodes, weights=parts[..., j].ravel(),
+                                         minlength=mesh.n_nodes) for j in range(4)], axis=1)
+        for layout in (parts, solver._triangle_inner(parts)):
+            out = np.zeros((mesh.n_nodes, 4))
+            sol._scatter_add(out, sol._chunk_bins[0], layout)
+            assert np.array_equal(out, expected)
+
+
 class TestThreads:
     def test_assembly_threads_end_with_solver(self):
         mesh, law, _ = scalar_problem()

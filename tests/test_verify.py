@@ -55,3 +55,19 @@ def test_monotone_suite_catches_a_sign_error_in_the_n_scheme(monkeypatch):
     monkeypatch.setattr(dist, "n_scheme_scalar", mutant)
     result = verify.suite_monotone_coefficients(0, n=200)
     assert not result.passed and result.metric > 1e-3, result.row()
+
+
+def test_conservation_suite_pins_the_n_star_solve(monkeypatch):
+    # As sum_i K_i = 0, sum_i Phi_i - sum_i K_i Qhat_i is the residual
+    # N* Q* - sum_j K_j^- Qhat_j of the star solve: an answer off by a
+    # relative 1e-8 must fail the suite's 1e-11 tolerance.
+    solve_batched = dist.solve_batched
+
+    def inexact(a, b):
+        x, bad = solve_batched(a, b)
+        return x * (1.0 + 1e-8), bad
+
+    assert verify.suite_conservation(0, n=200).passed
+    monkeypatch.setattr(dist, "solve_batched", inexact)
+    result = verify.suite_conservation(0, n=200)
+    assert not result.passed, result.row()
