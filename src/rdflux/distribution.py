@@ -213,8 +213,12 @@ def _apply_split(law, waves, nx, ny, un, split, phi):
     return out
 
 
-def _star_matrix(law, waves, nx, ny, split):
-    """The star matrix sum_j K_j^- (T, 4, 4), stored triangle axis innermost.
+def _star_matrix(law, waves, nx, ny, split, rhs):
+    """The star system [sum_j K_j^- | rhs] as augmented rows (4, 5, T).
+
+    Row i holds row i of the star matrix and then ``rhs[:, i]``
+    (``rhs`` is (T, 4)), triangle axis innermost: the layout that
+    ``smallmat.solve_batched`` eliminates in place.
 
     Summing the rank-2 form over the nodes (``waves`` per triangle, (T,)):
     sum_j K_j^- = sigma I + c d^T + e y^T / a + B with sigma = sum lam_2^-,
@@ -249,17 +253,18 @@ def _star_matrix(law, waves, nx, ny, split):
         (-by, sxy, syy, 0.0),
         (-(u * bx + v * by), bx, by, 0.0),
     )
-    nmat = np.empty((4, 4, len(u)))
+    aug = np.empty((4, 5, len(u)))
     for i in range(4):
         for j in range(4):
-            entry = nmat[i, j]
+            entry = aug[i, j]
             np.multiply(c[i], d[j], out=entry)
             if j < 3:
                 entry += e[i] * ya[j]
                 if i > 0:
                     entry += b[i][j]
-        nmat[i, i] += sigma
-    return nmat.transpose(2, 0, 1)
+        aug[i, i] += sigma
+    aug[:, 4] = rhs.T
+    return aug
 
 
 def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
@@ -313,7 +318,7 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
     minus = _signed_split(lam2, half_a, np.minimum)
     qhat_nodes = avg.qhat_nodes
     rhs = _node_sum(_apply_split(law, node_waves, nx, ny, un, minus, qhat_nodes))
-    qstar, bad = solve_batched(_star_matrix(law, waves, nx, ny, minus), rhs)
+    qstar, bad = solve_batched(_star_matrix(law, waves, nx, ny, minus, rhs))
     plus = _signed_split(lam2, half_a, np.maximum)
     dq = np.subtract(qhat_nodes, qstar[:, None, :], out=np.empty_like(qhat_nodes))
     parts = _apply_split(law, node_waves, nx, ny, un, plus, dq)

@@ -133,10 +133,8 @@ class Mesh:
             en = np.stack([d[:, 1], -d[:, 0]], axis=1)
             nodes = self.boundary_nodes(tag)
             acc = np.zeros((nodes.shape[0], 2))
-            pos = {n: k for k, n in enumerate(nodes)}
-            for (a, b), nrm in zip(edges, en):
-                acc[pos[a]] += nrm
-                acc[pos[b]] += nrm
+            # Each edge adds its normal to its first node, then its second.
+            np.add.at(acc, np.searchsorted(nodes, edges).ravel(), np.repeat(en, 2, axis=0))
             length = np.hypot(acc[:, 0], acc[:, 1])
             if np.any(length <= 0.0):
                 raise InvalidTopology(f"cancelling edge normals on tag {tag!r}")
@@ -153,8 +151,7 @@ class Mesh:
 
     def with_points(self, points):
         """Rebuild the mesh on moved nodes (same connectivity and tags)."""
-        tagged = [(int(a), int(b), t) for (a, b), t in zip(self.bedges, self.btags)]
-        return Mesh.from_arrays(points, self.tris, tagged)
+        return Mesh.from_arrays(points, self.tris, zip(*self.bedges.T.tolist(), self.btags))
 
     @staticmethod
     def from_arrays(points, tris, tagged_edges):
@@ -175,14 +172,12 @@ class Mesh:
         n = points.shape[0]
         if tris.size and (tris.min() < 0 or tris.max() >= n):
             raise InvalidTopology("triangle references node id out of range")
-        if any(len(set(t)) != 3 for t in tris.tolist()):
+        a, b, c = tris.T
+        if np.any((a == b) | (b == c) | (c == a)):
             raise InvalidTopology("triangle with repeated node ids")
-
-        used = np.zeros(n, dtype=bool)
-        used[tris.ravel()] = True
-        if not used.all():
-            missing = np.flatnonzero(~used)[:5].tolist()
-            raise InvalidTopology(f"dangling nodes not in any triangle: {missing}")
+        missing = np.flatnonzero(np.bincount(tris.ravel(), minlength=n) == 0)
+        if missing.size:
+            raise InvalidTopology(f"dangling nodes not in any triangle: {missing[:5].tolist()}")
 
         # Normalize orientation to CCW.
         coords = points[tris]
@@ -204,35 +199,37 @@ class Mesh:
         dual = build_dual(tris, areas, n)
 
         # Conformity + boundary extraction: each undirected edge belongs to
-        # one (boundary) or two (interior) triangles.
-        edge_count = {}
-        edge_dir = {}
-        for t, (a, b, c) in enumerate(tris.tolist()):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-                if edge_count[key] > 2:
-                    raise InvalidTopology(f"edge {key} shared by >2 triangles")
-                edge_dir[key] = (u, v)
-        boundary = {k: edge_dir[k] for k, cnt in edge_count.items() if cnt == 1}
+        # one (boundary) or two (interior) triangles.  ``edges`` lists the
+        # directed edges (a, b), (b, c), (c, a) of every triangle in turn;
+        # ``code`` numbers each edge's sorted node pair.
+        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        pairs = np.sort(edges, axis=1)
+        code = pairs[:, 0] * n + pairs[:, 1]
+        _, first, count = np.unique(code, return_index=True, return_counts=True)
+        if np.any(count > 2):
+            # Name the edge whose third triangle comes first.
+            order = np.argsort(code, kind="stable")
+            ordered = code[order]
+            third = order[2:][ordered[2:] == ordered[:-2]].min()
+            raise InvalidTopology(f"edge {tuple(pairs[third].tolist())} shared by >2 triangles")
+        once = first[count == 1]
+        bedges = edges[once]
+        slot = {key: k for k, key in enumerate(map(tuple, pairs[once].tolist()))}
 
-        tag_map = {}
+        tags = [None] * len(slot)
         for i, j, tag in tagged_edges:
-            key = (i, j) if i < j else (j, i)
-            if key not in boundary:
+            k = slot.get((i, j) if i < j else (j, i))
+            if k is None:
                 raise InvalidTopology(f"tagged edge {(i, j)} is not a boundary edge")
-            if key in tag_map:
+            if tags[k] is not None:
                 raise InvalidTopology(f"boundary edge {(i, j)} tagged twice")
-            tag_map[key] = str(tag)
-        untagged = sorted(set(boundary) - set(tag_map))
+            tags[k] = str(tag)
+        untagged = [key for key, tag in zip(slot, tags) if tag is None]
         if untagged:
             raise InvalidTopology(
                 f"{len(untagged)} boundary edge(s) without a tag, e.g. {untagged[:3]}"
             )
-
-        keys = sorted(boundary)
-        bedges = np.array([boundary[k] for k in keys], dtype=np.int64).reshape(-1, 2)
-        btags = tuple(tag_map[k] for k in keys)
+        btags = tuple(tags)
 
         for arr in (points, tris, normals, areas, dual, bedges):
             arr.setflags(write=False)
@@ -250,9 +247,9 @@ class Mesh:
 
 def build_dual(tris, areas, n_nodes):
     """Median dual-cell areas: |C_i| = sum of incident triangle areas / 3."""
-    dual = np.zeros(n_nodes)
-    np.add.at(dual, np.asarray(tris).ravel(), np.repeat(np.asarray(areas) / 3.0, 3))
-    return dual
+    return np.bincount(
+        np.asarray(tris).ravel(), weights=np.repeat(np.asarray(areas) / 3.0, 3), minlength=n_nodes
+    )
 
 
 def load_mesh(path):

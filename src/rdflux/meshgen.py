@@ -1,6 +1,7 @@
 """Structured mesh generators for the bundled test problems."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,32 +29,35 @@ def generate_rect_mesh(bounds, nx, ny):
     xx, yy = np.meshgrid(xs, ys)
     points = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
+    # Node j * (nx + 1) + i sits at (xs[i], ys[j]); quads run along x.
+    nid = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    tris = _split_quads(nid[:-1, :-1], nid[:-1, 1:], nid[1:, 1:], nid[1:, :-1])
+    tagged = (
+        _chain(nid[0], "bottom") + _chain(nid[-1], "top")
+        + _chain(nid[:, 0], "left") + _chain(nid[:, -1], "right")
+    )
+    return Mesh.from_arrays(points, tris, tagged)
 
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a = nid(i, j)
-            b = nid(i + 1, j)
-            c = nid(i + 1, j + 1)
-            d = nid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
 
-    tagged = []
-    for i in range(nx):
-        tagged.append((nid(i, 0), nid(i + 1, 0), "bottom"))
-        tagged.append((nid(i, ny), nid(i + 1, ny), "top"))
-    for j in range(ny):
-        tagged.append((nid(0, j), nid(0, j + 1), "left"))
-        tagged.append((nid(nx, j), nid(nx, j + 1), "right"))
+def _split_quads(a, b, c, d):
+    """Two CCW triangles per quad of a (rows, cols) grid, in row-major order.
 
-    return Mesh.from_arrays(points, np.array(tris), tagged)
+    ``a``, ``b``, ``c``, ``d`` hold the node ids of each quad's corners in
+    counter-clockwise order.  The diagonal is a-c where row + col is even
+    and b-d where it is odd, so the diagonals alternate in a checkerboard.
+    Returns (2 rows cols, 3) node ids.
+    """
+    rows, cols = np.indices(a.shape)
+    even = ((rows + cols) % 2 == 0)[..., None]
+    first = np.where(even, np.stack([a, b, c], axis=-1), np.stack([a, b, d], axis=-1))
+    second = np.where(even, np.stack([a, c, d], axis=-1), np.stack([b, c, d], axis=-1))
+    return np.stack([first, second], axis=-2).reshape(-1, 3)
+
+
+def _chain(ids, tag):
+    """Tagged edges joining consecutive node ids of the 1-D array ``ids``."""
+    ids = ids.tolist()
+    return list(zip(ids[:-1], ids[1:], itertools.repeat(tag)))
 
 
 def _ray_exit_distance(cx, cy, theta, rect):
@@ -85,6 +89,14 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     for upstream-half domains).  Boundary tags: "wall" (inner circle),
     "farfield" (outer boundary), and for half rings "exit" (the two cut
     segments on x = x1, normally bound to an outflow condition).
+
+    Nodes are numbered level by level from the wall outward: node
+    ``level * ncols + column`` sits at radial level ``level`` (0 on the
+    wall, ``n_radial`` on the outer boundary) on the ray of angle column
+    ``column``.  A full ring has ``ncols = n_circum`` columns starting at
+    angle 0; a half ring has ``ncols = n_circum + 1`` running from 90 to
+    270 degrees.  Triangles come two per quad in the same order, level by
+    level (see ``_split_quads``).
     """
     cx, cy = map(float, center)
     radius = float(radius)
@@ -119,11 +131,9 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     if half:
         thetas = np.pi / 2 + np.pi * np.arange(n_circum + 1) / n_circum
         ncols = n_circum + 1
-        wrap = False
     else:
         thetas = 2.0 * np.pi * np.arange(n_circum) / n_circum
         ncols = n_circum
-        wrap = True
 
     router_vals = np.array([outer_of(t) for t in thetas])
     if np.any(router_vals <= radius):
@@ -136,45 +146,22 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     else:
         t_lvl = (grading**k - 1.0) / (grading**n_radial - 1.0)
 
-    points = np.empty(((n_radial + 1) * ncols, 2))
-    for lvl in range(n_radial + 1):
-        r = radius + t_lvl[lvl] * (router_vals - radius)
-        points[lvl * ncols : (lvl + 1) * ncols, 0] = cx + r * np.cos(thetas)
-        points[lvl * ncols : (lvl + 1) * ncols, 1] = cy + r * np.sin(thetas)
+    r = radius + t_lvl[:, None] * (router_vals - radius)
+    points = np.stack([cx + r * np.cos(thetas), cy + r * np.sin(thetas)], axis=-1).reshape(-1, 2)
     if half:
         # The seam columns live exactly on x = x1.
         points[0::ncols, 0] = cx
         points[ncols - 1 :: ncols, 0] = cx
 
-    def nid(lvl, j):
-        return lvl * ncols + (j % ncols if wrap else j)
-
-    tris = []
-    ncells = n_circum
-    for lvl in range(n_radial):
-        for j in range(ncells):
-            # CCW quad cycle: out along the ray, then around, then back in.
-            a = nid(lvl, j)
-            b = nid(lvl + 1, j)
-            c = nid(lvl + 1, j + 1)
-            d = nid(lvl, j + 1)
-            if (lvl + j) % 2 == 0:
-                tris.append((a, b, c))
-                tris.append((a, c, d))
-            else:
-                tris.append((a, b, d))
-                tris.append((b, c, d))
-
-    tagged = []
-    for j in range(ncells):
-        tagged.append((nid(0, j), nid(0, j + 1), "wall"))
-        tagged.append((nid(n_radial, j), nid(n_radial, j + 1), "farfield"))
+    # (level, column) grid of node ids over the quads' corners; a full
+    # ring's last column wraps to column 0.
+    nid = np.arange(n_radial + 1)[:, None] * ncols + np.arange(n_circum + 1) % ncols
+    # CCW quad cycle: out along the ray, then around, then back in.
+    tris = _split_quads(nid[:-1, :-1], nid[1:, :-1], nid[1:, 1:], nid[:-1, 1:])
+    tagged = _chain(nid[0], "wall") + _chain(nid[-1], "farfield")
     if half:
-        for lvl in range(n_radial):
-            tagged.append((nid(lvl, 0), nid(lvl + 1, 0), "exit"))
-            tagged.append((nid(lvl, n_circum), nid(lvl + 1, n_circum), "exit"))
-
-    return Mesh.from_arrays(points, np.array(tris), tagged)
+        tagged += _chain(nid[:, 0], "exit") + _chain(nid[:, -1], "exit")
+    return Mesh.from_arrays(points, tris, tagged)
 
 
 def perturb_interior(mesh, amplitude, seed=0):
@@ -183,7 +170,9 @@ def perturb_interior(mesh, amplitude, seed=0):
     ``amplitude`` (nonnegative) is relative to each node's local length
     scale sqrt(dual area).  Boundary nodes stay put.  Retries with halved
     amplitude if the jitter inverts a triangle, so the result is always a
-    valid mesh.  Intended for tests that need an irregular triangulation.
+    valid mesh.  Used by rect meshes with ``mesh.perturb`` > 0 (the
+    ``advection-rotating`` preset) and by tests that need an irregular
+    triangulation.
     """
     if amplitude < 0.0:
         raise InvalidArgument(f"perturbation amplitude must be nonnegative, got {amplitude}")

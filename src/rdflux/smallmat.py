@@ -10,8 +10,10 @@ relative to the item's own scale: near-singular upwind matrices are
 reported instead of producing garbage, and a scaled-down copy of a
 singular matrix is flagged too.  A flagged item divides by 1.0 and its
 solution is zeroed, so it raises no floating-point warning and leaves the
-other items alone.  ``solve_batched`` returns the flags; ``solve``, the
-batch of one, raises ``SingularMatrix``.
+other items alone.  ``solve_batched`` takes the augmented rows as they
+are, so a caller can write its systems there directly (``augment``
+builds them from a (T, m, m) batch); it returns the flags.  ``solve``,
+the batch of one, raises ``SingularMatrix``.
 """
 from __future__ import annotations
 
@@ -75,6 +77,22 @@ def _eliminate(aug, m):
     return x, bad
 
 
+def augment(a, b):
+    """The augmented rows [A_t | B_t] of a batch, laid out (m, m + k, T).
+
+    ``a`` is (T, m, m); ``b`` is (T, m) for one right-hand side per item,
+    or (T, m, k).  The result is a new array, the input of ``solve_batched``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    t, m = a.shape[:2]
+    b = b.reshape(t, m, -1)
+    aug = np.empty((m, m + b.shape[2], t))
+    aug[:, :m] = a.transpose(1, 2, 0)
+    aug[:, m:] = b.transpose(1, 2, 0)
+    return aug
+
+
 def solve(a, b):
     """Solve a @ x = b by Gaussian elimination with partial pivoting.
 
@@ -87,25 +105,21 @@ def solve(a, b):
     m = a.shape[0]
     if a.shape != (m, m):
         raise SingularMatrix(f"matrix must be square, got {a.shape}")
-    x, bad = _eliminate(np.concatenate([a, b.reshape(m, -1)], axis=1)[..., None], m)
+    x, bad = _eliminate(augment(a[None], b[None]), m)
     if bad[0]:
         raise SingularMatrix(f"a pivot is below {PIVOT_RTOL:.0e} * ||a||_inf")
     return x[..., 0].reshape(b.shape)
 
 
-def solve_batched(a, b):
+def solve_batched(aug):
     """Batched solve of a[t] @ x[t] = b[t] with singularity detection.
 
-    ``a`` is (T, m, m), ``b`` is (T, m).  Returns (x, bad) where ``bad`` is a
-    boolean mask of batch items whose system was singular (their x rows are
-    zero).  Every item follows ``solve``'s pivot rule and floor, and no
-    item's result depends on another's.
+    ``aug`` (m, m + 1, T) holds the augmented rows [a[t] | b[t]] (built by
+    ``augment``, or written in place by the caller) and is overwritten.
+    Returns (x, bad): x is (T, m) and ``bad`` a boolean mask of batch
+    items whose system was singular (their x rows are zero).  Every item
+    follows ``solve``'s pivot rule and floor, and no item's result depends
+    on another's.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = b.shape[1]
-    aug = np.empty((m, m + 1, b.shape[0]))
-    aug[:, :m] = a.transpose(1, 2, 0)
-    aug[:, m] = b.T
-    x, bad = _eliminate(aug, m)
+    x, bad = _eliminate(aug, aug.shape[0])
     return x[:, 0].T, bad

@@ -116,7 +116,7 @@ def write_history_csv(history, path):
     return path
 
 
-def _order_by_arc_length(points, edges):
+def _order_by_arc_length(edges):
     """Chain boundary edges into a path; return ordered node ids.
 
     Works for one open chain (ends found by degree-1 nodes) or one
@@ -162,7 +162,7 @@ def probe_surface(mesh, field, tag):
         raise InvalidArgument(
             f"field has {field.shape[0]} values for {mesh.n_nodes} mesh nodes"
         )
-    order = _order_by_arc_length(mesh.points, edges)
+    order = _order_by_arc_length(edges)
     pts = mesh.points[order]
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     arc = np.concatenate([[0.0], np.cumsum(seg)])

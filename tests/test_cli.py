@@ -1,8 +1,10 @@
 """Command-line exit codes, shipped presets and saved-state checks."""
 
+import numpy as np
 import pytest
 
 from rdflux import cli, config
+from rdflux.mesh import load_mesh
 
 # Burgers flow into a slower uniform state: the update rate first falls,
 # then grows past its first value at iteration 9 as the front steepens.
@@ -127,6 +129,28 @@ def test_mesh_gen_rejects_negative_perturbation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "configuration error: mesh: perturbation amplitude must be nonnegative, got -0.5\n"
     assert not (tmp_path / "out.mesh").exists()
+
+
+@pytest.mark.parametrize("name", config.preset_names())
+def test_mesh_gen_writes_the_preset_mesh_and_mesh_info_reads_it(tmp_path, capsys, name):
+    mapping = {k: v for k, v in config.preset(name).items() if k.startswith("mesh.")}
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("".join(f"{key} = {value}\n" for key, value in mapping.items()))
+    out = tmp_path / "out.mesh"
+    assert cli.main(["mesh-gen", str(spec), str(out)]) == 0
+    expected = config.build_mesh_only(mapping)
+    mesh = load_mesh(out)
+    for attr in ("points", "tris", "normals", "areas", "dual_areas", "bedges"):
+        assert np.array_equal(getattr(mesh, attr), getattr(expected, attr)), attr
+    assert mesh.btags == expected.btags
+    capsys.readouterr()
+    assert cli.main(["mesh-info", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"nodes:     {expected.n_nodes}" in lines
+    assert f"triangles: {expected.n_tris}" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("tag ")] == [
+        f"tag {tag!r}" for tag in expected.tags
+    ]
 
 
 def test_mesh_info_rejects_non_utf8_mesh(tmp_path, capsys):

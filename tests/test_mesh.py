@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdflux import meshgen
-from rdflux.errors import InvalidArgument, InvalidTopology
+from rdflux.errors import DegenerateElement, InvalidArgument, InvalidTopology
 from rdflux.mesh import Mesh, compute_normals, load_mesh, save_mesh, triangle_areas
 
 from .conftest import random_triangles
@@ -83,13 +83,40 @@ class TestMeshChecks:
 
     def test_degenerate_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateElement, match="^triangle 0 has zero area$"):
             Mesh.from_arrays(pts, np.array([[0, 1, 2]]), self.EDGES)
 
     def test_bad_index_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidTopology):
             Mesh.from_arrays(pts, np.array([[0, 1, 7]]), self.EDGES)
+
+    # The unit square split along 0-2, its four sides tagged.
+    SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    SQUARE_TRIS = [[0, 1, 2], [0, 2, 3]]
+    SQUARE_EDGES = [(0, 1, "bottom"), (1, 2, "right"), (2, 3, "top"), (3, 0, "left")]
+    # Three triangles on the edge 0-1: two above it, one below.
+    FAN = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.5, 2.0]]
+    FAN_TRIS = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+
+    @pytest.mark.parametrize("points, tris, edges, message", [
+        (SQUARE, [[0, 1, 1], [0, 2, 3]], SQUARE_EDGES, "triangle with repeated node ids"),
+        (SQUARE + [[2.0, 2.0]], SQUARE_TRIS, SQUARE_EDGES,
+         "dangling nodes not in any triangle: [4]"),
+        (FAN, FAN_TRIS, [], "edge (0, 1) shared by >2 triangles"),
+        (SQUARE, SQUARE_TRIS, SQUARE_EDGES + [(0, 2, "diagonal")],
+         "tagged edge (0, 2) is not a boundary edge"),
+        (SQUARE, SQUARE_TRIS, SQUARE_EDGES + [(1, 0, "again")],
+         "boundary edge (1, 0) tagged twice"),
+        (SQUARE, SQUARE_TRIS, SQUARE_EDGES[:3],
+         "1 boundary edge(s) without a tag, e.g. [(0, 3)]"),
+        (SQUARE, SQUARE_TRIS, [],
+         "4 boundary edge(s) without a tag, e.g. [(0, 1), (0, 3), (1, 2)]"),
+    ], ids=["repeated-node", "dangling-node", "edge-in-three", "tag-not-on-boundary",
+            "tagged-twice", "untagged-edge", "no-tags"])
+    def test_invalid_topology_names_the_fault(self, points, tris, edges, message):
+        with pytest.raises(InvalidTopology, match="^" + re.escape(message) + "$"):
+            Mesh.from_arrays(points, tris, edges)
 
 
 class TestFileRoundTrip:
@@ -193,6 +220,110 @@ class TestCylinderGenerator:
             meshgen.generate_cylinder_mesh(
                 (0.0, 0.0), 1.0, ("radius", 3.0), 8, 16, grading=1.5
             )
+
+
+def _split_reference(rows, cols, corners):
+    """Per-quad loop: two CCW triangles per quad, row by row, with the
+    diagonal a-c where row + col is even and b-d where it is odd."""
+    tris = []
+    for r in range(rows):
+        for c in range(cols):
+            a, b, cc, d = corners(r, c)
+            if (r + c) % 2 == 0:
+                tris += [(a, b, cc), (a, cc, d)]
+            else:
+                tris += [(a, b, d), (b, cc, d)]
+    return np.array(tris)
+
+
+def _rect_reference(nx, ny):
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    tris = _split_reference(
+        ny, nx, lambda j, i: (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
+    )
+    tagged = []
+    for i in range(nx):
+        tagged += [(nid(i, 0), nid(i + 1, 0), "bottom"), (nid(i, ny), nid(i + 1, ny), "top")]
+    for j in range(ny):
+        tagged += [(nid(0, j), nid(0, j + 1), "left"), (nid(nx, j), nid(nx, j + 1), "right")]
+    return tris, tagged
+
+
+def _ring_reference(n_radial, n_circum, half):
+    ncols = n_circum + 1 if half else n_circum
+
+    def nid(lvl, j):
+        return lvl * ncols + j % ncols
+
+    tris = _split_reference(
+        n_radial, n_circum,
+        lambda lvl, j: (nid(lvl, j), nid(lvl + 1, j), nid(lvl + 1, j + 1), nid(lvl, j + 1)),
+    )
+    tagged = []
+    for j in range(n_circum):
+        tagged += [(nid(0, j), nid(0, j + 1), "wall"),
+                   (nid(n_radial, j), nid(n_radial, j + 1), "farfield")]
+    if half:
+        for lvl in range(n_radial):
+            tagged += [(nid(lvl, 0), nid(lvl + 1, 0), "exit"),
+                       (nid(lvl, n_circum), nid(lvl + 1, n_circum), "exit")]
+    return tris, tagged
+
+
+def _boundary_reference(tris, tagged):
+    """Edges of one triangle, sorted by their node pair, each directed as
+    in its triangle, and their tags."""
+    seen = {}
+    for a, b, c in tris.tolist():
+        for u, v in ((a, b), (b, c), (c, a)):
+            seen.setdefault((min(u, v), max(u, v)), []).append((u, v))
+    tag_of = {(min(i, j), max(i, j)): tag for i, j, tag in tagged}
+    keys = sorted(k for k, dirs in seen.items() if len(dirs) == 1)
+    return np.array([seen[k][0] for k in keys]), tuple(tag_of[k] for k in keys)
+
+
+def _outward_reference(points, bedges, btags, tag):
+    """Per node of ``tag``, its edges' outward normals summed edge by edge,
+    then normalized."""
+    acc = {}
+    for (a, b), t in zip(bedges.tolist(), btags):
+        if t == tag:
+            dx, dy = points[b] - points[a]
+            for node in (a, b):
+                acc.setdefault(node, np.zeros(2))
+                acc[node] += (dy, -dx)
+    nodes = sorted(acc)
+    vec = np.array([acc[n] for n in nodes])
+    return np.array(nodes), vec / np.hypot(vec[:, 0], vec[:, 1])[:, None]
+
+
+@pytest.mark.parametrize("build, reference", [
+    (lambda: meshgen.generate_rect_mesh((0.0, 2.0, -1.0, 1.0), 5, 4),
+     lambda: _rect_reference(5, 4)),
+    (lambda: meshgen.generate_cylinder_mesh((0.0, 0.0), 1.0, ("radius", 3.0), 4, 7),
+     lambda: _ring_reference(4, 7, half=False)),
+    (lambda: meshgen.generate_cylinder_mesh(
+        (0.5, 0.0), 1.0, ("rect", (-3.0, 4.0, -3.0, 3.0)), 3, 8, grading=1.1),
+     lambda: _ring_reference(3, 8, half=False)),
+    (lambda: meshgen.generate_cylinder_mesh(
+        (0.0, 0.0), 1.0, ("rect", (-2.0, 0.0, -3.0, 3.0)), 3, 6),
+     lambda: _ring_reference(3, 6, half=True)),
+], ids=["rect", "full-ring", "clipped-ring", "half-ring"])
+def test_generator_order_matches_per_quad_loop(build, reference):
+    # Every trajectory depends on the triangle and boundary-edge order.
+    mesh = build()
+    tris, tagged = reference()
+    assert np.array_equal(mesh.tris, tris)
+    bedges, btags = _boundary_reference(tris, tagged)
+    assert np.array_equal(mesh.bedges, bedges)
+    assert mesh.btags == btags
+    for tag in mesh.tags:
+        nodes, normals = mesh.outward_normals(tag)
+        ref_nodes, ref_normals = _outward_reference(mesh.points, bedges, btags, tag)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(normals, ref_normals)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,7 +57,7 @@ class TestSolveBatched:
         a = rng.standard_normal((6, 3, 3)) + 3.0 * np.eye(3)
         a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
         b = rng.standard_normal((6, 3))
-        x, bad = smallmat.solve_batched(a, b)
+        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
         assert bad[2] and not bad[[0, 1, 3, 4, 5]].any()
         assert (x[2] == 0.0).all()
         good = np.flatnonzero(~bad)
@@ -101,7 +101,7 @@ def mixed_batch(rng, m):
 @pytest.mark.parametrize("m", M)
 def test_batch_matches_lapack(m):
     a, b = well_conditioned(np.random.default_rng(m), m)
-    x, bad = smallmat.solve_batched(a, b)
+    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert not bad.any()
     ref = np.linalg.solve(a, b[..., None])[..., 0]
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -114,7 +114,7 @@ def test_rank_deficient_items_are_flagged_and_zeroed(m):
     a = rank_deficient(rng, m, 40)
     a = np.concatenate([a, 1e-20 * a])
     b = rng.standard_normal((80, m))
-    x, bad = smallmat.solve_batched(a, b)
+    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert bad.all()
     assert (x == 0.0).all()
 
@@ -124,10 +124,10 @@ def test_items_do_not_interact(m):
     # Each item is solved exactly as it would be alone, whatever its
     # neighbours in the batch are.
     a, b, singular = mixed_batch(np.random.default_rng(20 + m), m)
-    x, bad = smallmat.solve_batched(a, b)
+    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert np.array_equal(bad, singular)
     for j in np.flatnonzero(~bad):
-        xj, bad_j = smallmat.solve_batched(a[j : j + 1], b[j : j + 1])
+        xj, bad_j = smallmat.solve_batched(smallmat.augment(a[j : j + 1], b[j : j + 1]))
         assert not bad_j[0]
         assert np.array_equal(x[j], xj[0])
         assert np.array_equal(x[j], smallmat.solve(a[j], b[j]))
@@ -138,13 +138,13 @@ def test_zero_leading_entry_needs_pivoting(m):
     # a[t, 0, 0] = 0: without a row exchange the first pivot is zero.
     a, b = well_conditioned(np.random.default_rng(30 + m), m)
     a[:, 0, 0] = 0.0
-    x, bad = smallmat.solve_batched(a, b)
+    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert not bad.any()
     ref = np.linalg.solve(a, b[..., None])[..., 0]
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # The exchange matrix is solved exactly: x is b reversed.
     flip = np.broadcast_to(np.eye(m)[::-1], (len(b), m, m))
-    assert np.array_equal(smallmat.solve_batched(flip, b)[0], b[:, ::-1])
+    assert np.array_equal(smallmat.solve_batched(smallmat.augment(flip, b))[0], b[:, ::-1])
 
 
 @pytest.mark.parametrize("m", M)
@@ -154,7 +154,7 @@ def test_singular_items_raise_no_floating_point_warning(m):
     singular[1] = True
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        x, bad = smallmat.solve_batched(a, b)
+        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert np.array_equal(bad, singular)
     assert np.isfinite(x).all() and (x[bad] == 0.0).all()
 
@@ -163,7 +163,7 @@ def test_singular_items_raise_no_floating_point_warning(m):
 def test_batched_inputs_not_mutated(m):
     a, b, _ = mixed_batch(np.random.default_rng(50 + m), m)
     a0, b0 = a.copy(), b.copy()
-    smallmat.solve_batched(a, b)
+    smallmat.solve_batched(smallmat.augment(a, b))
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
@@ -215,7 +215,7 @@ def test_guard_flags_items_of_reduction_form(kind, m):
     # finite x for a matrix with a NaN or an infinite entry.
     a, b = guard_batch(kind, m, np.random.default_rng(m))
     with np.errstate(all="ignore"):
-        x, bad = smallmat.solve_batched(a, b)
+        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
     assert kind in ("random", "inexact") or 0 < bad.sum() < len(b)
     assert (x[bad] == 0.0).all()
     finite = np.isfinite(x).all(axis=1)

@@ -63,8 +63,8 @@ def test_conservation_suite_pins_the_n_star_solve(monkeypatch):
     # relative 1e-8 must fail the suite's 1e-11 tolerance.
     solve_batched = dist.solve_batched
 
-    def inexact(a, b):
-        x, bad = solve_batched(a, b)
+    def inexact(aug):
+        x, bad = solve_batched(aug)
         return x * (1.0 + 1e-8), bad
 
     assert verify.suite_conservation(0, n=200).passed
