@@ -267,7 +267,7 @@ def _star_matrix(law, waves, nx, ny, split, rhs):
     return aug
 
 
-def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
+def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
@@ -297,17 +297,19 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
 
     ``z_nodes`` passes the nodal parameter vectors
     ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
-    them, e.g. gathered from one evaluation per mesh node.  The parts are
-    laid out like the transformed nodal states, so triangle-innermost
+    them, e.g. gathered from one evaluation per mesh node, and ``nlen``
+    the normals' lengths (T, 3), which must then be positive.  The parts
+    are laid out like the transformed nodal states, so triangle-innermost
     inputs give triangle-innermost parts.
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
     avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
     waves = law._waves(avg.qhat, avg.prim)
-    nlen = np.hypot(normals[..., 0], normals[..., 1])
-    if np.any(nlen <= 0.0):
-        raise InvalidArgument("zero direction vector")
+    if nlen is None:
+        nlen = np.hypot(normals[..., 0], normals[..., 1])
+        if np.any(nlen <= 0.0):
+            raise InvalidArgument("zero direction vector")
     nx = normals[..., 0] / nlen
     ny = normals[..., 1] / nlen
     node_waves = tuple(x[:, None] for x in waves)
@@ -324,7 +326,7 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None):
     parts = _apply_split(law, node_waves, nx, ny, un, plus, dq)
     if bad.any():
         idx = np.nonzero(bad)[0]
-        rx = rxn_scheme(law, normals[idx], q_nodes[idx])
+        rx = rxn_scheme(law, normals[idx], q_nodes[idx], nlen=nlen[idx])
         parts[idx] = rx.parts
         qstar[idx] = rx.star
     return DistributedResidual(parts, qstar, fallback=bad)
@@ -380,7 +382,7 @@ def advection_coefficients(normals, velocity):
     return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None, nlen=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ]
@@ -401,8 +403,8 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
     (discrete max principle under the strict time step), and ``s`` and
     ``flux`` are not read.
 
-    ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` when the
-    caller already has it.
+    ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` and
+    ``nlen`` the normals' lengths (T, 3) when the caller already has them.
     """
     q_nodes = _as_batch(q_nodes)
     if coefficients is not None:
@@ -415,7 +417,8 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None):
     else:
         s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
 
-    nlen = np.hypot(normals[..., 0], normals[..., 1])
+    if nlen is None:
+        nlen = np.hypot(normals[..., 0], normals[..., 1])
     snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
     nf_nodes = _nodal_normal_flux(law, normals, q_nodes, flux=flux)
     # One (T, 3, m) buffer: first s ||n_j|| Q_j - n_j . f(Q_j), then the parts.

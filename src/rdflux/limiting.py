@@ -36,20 +36,23 @@ CORRECTION_EPS = 1e-10
 
 
 def _signed_weights(parts, total):
-    """Clipped distribution weights w_i = [Phi_i/Phi^T]^+ / sum_j [...]^+.
+    """Limited parts w_i Phi^T, with the clipped weights
+    w_i = [Phi_i/Phi^T]^+ / sum_j [Phi_j/Phi^T]^+.
 
-    Implemented without dividing by the total: w_i is computed from
-    s_i = max(Phi_i * sign(Phi^T), 0), which is proportional to the
-    clipped weight and immune to overflow for tiny totals.  Fields with
-    zero total get all-zero weights.  Shapes: parts (..., 3, m) and
-    total (..., m); weights like parts.
+    With s_i = max(Phi_i * sign(Phi^T), 0), the clipped positives, and
+    their sum S^+, that is s_i (Phi^T / S^+): the ratio is formed once per
+    field on (..., m) and the parts take one multiply.  When ``total`` is
+    the parts' sum, |Phi^T| <= S^+, so the ratio lies in [-1, 1] and
+    nothing overflows for tiny totals.  Fields with S^+ = 0 (among them
+    every field with zero total) get all-zero outputs.  Shapes: parts
+    (..., 3, m) and total (..., m); the result like parts.
     """
     pos = parts * np.sign(total)[..., None, :]
     np.maximum(pos, 0.0, out=pos)
-    den = (pos[..., 0, :] + pos[..., 1, :] + pos[..., 2, :])[..., None, :]
-    live = den > 0.0
-    pos /= np.where(live, den, 1.0)
-    np.copyto(pos, 0.0, where=~live)
+    den = pos[..., 0, :] + pos[..., 1, :] + pos[..., 2, :]
+    ratio = np.zeros_like(den)
+    np.divide(total, den, out=ratio, where=den > 0.0)
+    pos *= ratio[..., None, :]
     return pos
 
 
@@ -57,11 +60,12 @@ def limit_scalar(parts, total):
     """Limit scalar parts: output_i = w_i * Phi^T, weights in [0, 1].
 
     ``parts`` is (T, 3, m) and ``total`` (T, m), the parts' sum; each of
-    the m columns is limited on its own.  A zero total yields all-zero
-    outputs.  The outputs sum to the total exactly (up to rounding) and
-    each shares its sign.
+    the m columns is limited on its own (``_signed_weights``, which
+    returns the limited parts).  A zero total yields all-zero outputs.
+    The outputs sum to the total exactly (up to rounding) and each shares
+    its sign.
     """
-    return _signed_weights(parts, total) * total[..., None, :]
+    return _signed_weights(parts, total)
 
 
 def limiting_direction(law, q, prim=None):
@@ -95,7 +99,8 @@ def limit_system(parts, law, q, direction, waves=None):
     data ``law._waves(q)`` when the caller already has it.  Each part is
     projected to characteristic amplitudes theta_i^p = l^p . Phi_i
     (``law.characteristic``); the scalar limiter runs per field on the
-    amplitudes; the limited parts are reassembled from the right
+    amplitudes (``_signed_weights``, which returns the limited
+    amplitudes); the limited parts are reassembled from the right
     eigenvectors (``law.from_characteristic``).  The per-field amplitude
     totals are redistributed by the clipped weights, so the parts' sum is
     preserved.  Both hooks are Euler's closed-form expressions: no
@@ -105,9 +110,7 @@ def limit_system(parts, law, q, direction, waves=None):
     q, direction, waves = _per_node(q, direction, waves)
     theta = law.characteristic(parts, q, direction, waves)
     tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
-    coef = _signed_weights(theta, tot)
-    coef *= tot[..., None, :]
-    return law.from_characteristic(coef, q, direction, waves)
+    return law.from_characteristic(_signed_weights(theta, tot), q, direction, waves)
 
 
 def correction_theta(areas, proj):
@@ -128,12 +131,14 @@ def correction_scalar(parts, total, areas, k):
     ``k`` is the (T, 3) upwind-parameter array of the scheme (equal to
     (n_i . u)/2); the three values sum to zero, so conservation is
     unchanged.  For scalar laws the shock marker is the residual itself.
+    The amplitude theta |T|^{-1/2} Phi^T is formed per triangle, (T, m),
+    before it meets the (T, 3) parameters.
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
     theta = correction_theta(areas, total[..., 0])
-    scale = theta / np.sqrt(np.asarray(areas, dtype=float))
-    return parts + (scale[..., None] * k)[..., None] * total[..., None, :]
+    amp = (theta / np.sqrt(np.asarray(areas, dtype=float)))[..., None] * total
+    return parts + np.asarray(k)[..., None] * amp[..., None, :]
 
 
 def correction_system(parts, total, areas, normals, law, q, direction, waves=None):

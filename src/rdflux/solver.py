@@ -21,7 +21,8 @@ One iteration runs in this order:
    computed once, or passed in from ``Solver`` where the mesh alone fixes
    it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
-   for scalars (``stable_dt``);
+   for scalars (``stable_dt``).  An advection field's step depends on the
+   mesh alone: ``Solver`` computes it once and every iteration reuses it;
 3. triangle pass (``Solver._distribute``, per chunk of triangles on the
    chunk's ``Sweep.take`` slice): each chunk gathers the nodal fields it
    needs, distributes its residual, and limits and corrects the parts at
@@ -33,6 +34,12 @@ One iteration runs in this order:
    Jacobians: no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.
+
+Every nodal sum (the scatter and the step rule's inflow coefficients) is
+one ``bincount`` that reads its per-triangle values in the order they are
+stored, triangle axis innermost: each node sums its entries by vertex
+slot, and within a slot by triangle.  No sum copies its weights into
+another order first.
 
 ``SolverConfig.n_threads`` sets the number of assembly threads
 (default 1).  Triangles are processed in fixed contiguous chunks either
@@ -149,13 +156,14 @@ class Sweep:
     """Every input of one iteration's triangle pass; ``Solver._sweep`` builds it.
 
     ``tris`` (3, T) holds the triangles' node ids, node-major, and
-    ``normals`` (T, 3, 2) and ``areas`` (T,) their geometry.  ``q_nodes``
-    is the state gathered to the triangles (T, 3, m), ``s`` the
-    per-triangle wave-speed bound (None where nothing reads it: a scalar
-    law reads it only under RXN without the advection map), ``k`` (T, 3)
-    a scalar law's upwind parameters and ``coefficients`` the relaxation
-    map (g, w) of an advection field under RXN, which carries its own
-    bound (``distribution.advection_coefficients``).
+    ``normals`` (T, 3, 2), their lengths ``nlen`` (T, 3) and ``areas``
+    (T,) their geometry.  ``q_nodes`` is the state gathered to the
+    triangles (T, 3, m), ``s`` the per-triangle wave-speed bound (None
+    where nothing reads it: a scalar law reads it only under RXN without
+    the advection map), ``k`` (T, 3) a scalar law's upwind parameters and
+    ``coefficients`` the relaxation map (g, w) of an advection field under
+    RXN, which carries its own bound
+    (``distribution.advection_coefficients``).
     For laws with primitive variables (Euler), ``flux`` (the pair f, g,
     read by RXN) or ``z`` (the parameter vector, read by the systems N
     scheme) holds values on the N mesh nodes, which the pass gathers
@@ -168,6 +176,7 @@ class Sweep:
 
     tris: np.ndarray
     normals: np.ndarray
+    nlen: np.ndarray
     areas: np.ndarray
     q_nodes: np.ndarray
     s: np.ndarray | None = None
@@ -189,8 +198,8 @@ class Sweep:
                 return tuple(cut(a) for a in x)
             return x if x is None else x[sl]
 
-        per_triangle = ("normals", "areas", "q_nodes", "s", "k", "coefficients", "q_mean",
-                        "prim_mean")
+        per_triangle = ("normals", "nlen", "areas", "q_nodes", "s", "k", "coefficients",
+                        "q_mean", "prim_mean")
         return replace(self, tris=self.tris[:, sl],
                        **{name: cut(getattr(self, name)) for name in per_triangle})
 
@@ -215,13 +224,16 @@ def _triangle_inner(a):
 class Solver:
     """Steady-state driver bound to one mesh, law, and boundary set.
 
-    Per-mesh geometry (scaled inward normals, areas, median dual areas)
-    and, for advection laws, what depends on the mesh alone are
-    precomputed once: the exact streamfunction-integrated upwind
-    parameters and the nodal inflow coefficients of the upwind step rule,
-    and on a ``velocity_at`` field under ``scheme="rxn"`` the relaxation
-    scheme's linear map (g, w) (``rxn_static``).  The first ``Solver`` of
-    a process keeps freed heap memory resident (see the module docstring).
+    Per-mesh geometry (scaled inward normals and their lengths, areas,
+    median dual areas) and, for advection laws, what depends on the mesh
+    alone are precomputed once: the exact streamfunction-integrated upwind
+    parameters, the step of the upwind step rule (``dt_static``,
+    read-only; None where the field is stagnant), and on a
+    ``velocity_at`` field under ``scheme="rxn"`` the
+    relaxation scheme's linear map (g, w) (``rxn_static``).  The bins of
+    the scatter are built once per chunk (``_chunk_bins``) in the memory
+    order of the parts.  The first ``Solver`` of a process keeps freed
+    heap memory resident (see the module docstring).
     """
 
     def __init__(self, mesh, law, boundaries=None, config=None):
@@ -234,14 +246,15 @@ class Solver:
         self.tris = np.asarray(mesh.tris)
         # Per-triangle arrays are stored with the triangle axis innermost
         # in memory (see ``_gather``).  For advection laws the mesh alone
-        # fixes the sweep's ``k`` and ``coefficients``: they are built here
-        # once, as ``k_static`` and ``rxn_static``.
+        # fixes the sweep's ``k`` and ``coefficients`` and the step: they
+        # are built here once, as ``k_static``, ``rxn_static`` and
+        # ``dt_static``.
         self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
         self.nlen = np.hypot(self.normals[..., 0], self.normals[..., 1])
         self.n_nodes = mesh.n_nodes
-        self.tris_flat = self.tris.ravel()
+        self._tris_t = np.ascontiguousarray(self.tris.T)
 
         tri_xy = mesh.tri_coords()
         self.rxn_static = None
@@ -250,20 +263,23 @@ class Solver:
             vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
             coef = dist.advection_coefficients(self.normals, vel)
             self.rxn_static = tuple(_triangle_inner(c) for c in coef)
+        self.k_static = self.dt_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
-            self.d_static = self._inflow_coefficients(None, self.k_static)
-        else:
-            self.k_static = self.d_static = None
+            d = self._inflow_coefficients(None, self.k_static)
+            if (d > 0.0).any():  # else stable_dt raises StagnantField on each call
+                self.dt_static = self._step_of(d)
+                if np.ndim(self.dt_static):
+                    self.dt_static.flags.writeable = False
 
         self.n_threads = self.cfg.n_threads
         self._chunks = self._plan_chunks()
-        # Entry (t, i, j) of a chunk's parts adds to the flat bin
-        # node * m + j of the (N, m) residual.
-        components = np.arange(law.m)
-        self._chunk_bins = [(self.tris[sl, :, None] * law.m + components).ravel()
+        # Entry (j, i, t) of a chunk's parts, in the (component, vertex
+        # slot, triangle) memory order of triangle-innermost parts, adds to
+        # the flat bin node * m + j of the (N, m) residual.
+        components = np.arange(law.m)[:, None, None]
+        self._chunk_bins = [(self._tris_t[:, sl] * law.m + components).ravel()
                             for sl in self._chunks]
-        self._tris_t = np.ascontiguousarray(self.tris.T)
         self._pool = None  # created on the first threaded assemble
 
     # -- assembly ------------------------------------------------------------
@@ -278,10 +294,13 @@ class Solver:
         """Accumulate per-triangle nodal values into ``out`` (N, m).
 
         One bincount over the flat bins ``bins`` of the (T, 3, m) ``parts``
-        in C order: each bin sums its entries in triangle order, so
-        repeated runs accumulate bit-identically.
+        read as ``parts.T``, in (component, vertex slot, triangle) order:
+        each bin sums its entries by slot, and within a slot in triangle
+        order, whatever the memory layout of ``parts``.  For
+        triangle-innermost parts that order is the memory order, and the
+        weights are a view, not a copy.
         """
-        out += np.bincount(bins, weights=parts.ravel(), minlength=out.size).reshape(out.shape)
+        out += np.bincount(bins, weights=parts.T.ravel(), minlength=out.size).reshape(out.shape)
 
     def _distribute(self, sweep):
         """Distributed parts of one sweep slice: scheme, limiter, correction.
@@ -300,12 +319,13 @@ class Solver:
         if cfg.scheme == "rxn":
             flux = None if sweep.flux is None else tuple(sweep.gather(f) for f in sweep.flux)
             res = dist.rxn_scheme(law, normals, q_nodes, s=sweep.s, flux=flux,
-                                  coefficients=sweep.coefficients)
+                                  coefficients=sweep.coefficients, nlen=sweep.nlen)
             flux = None  # the gathered flux is spent; free it before the limiter's temporaries
         elif law.m == 1:
             res = dist.n_scheme_scalar(q_nodes, sweep.k)
         else:
-            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=sweep.gather(sweep.z))
+            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=sweep.gather(sweep.z),
+                                       nlen=sweep.nlen)
         fallback = 0 if res.fallback is None else int(res.fallback.sum())
 
         parts = res.parts
@@ -385,19 +405,36 @@ class Solver:
                 nodal["flux"] = law.flux(q, prim)
             else:
                 nodal["z"] = law.to_params(q, prim)
-        return Sweep(self._tris_t, self.normals, self.areas, q_nodes, s, k, self.rxn_static,
-                     **nodal)
+        return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q_nodes, s, k,
+                     self.rxn_static, **nodal)
 
     def _inflow_coefficients(self, s, k):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.
 
         A system reads the wave-speed bound ``s``, a scalar law its upwind
-        parameters ``k``.
+        parameters ``k``.  The (T, 3) contributions are triangle-innermost,
+        so the bincount reads them as stored, by slot and then triangle.
         """
         contrib = self.nlen * s[:, None] if self.law.m > 1 else np.maximum(2.0 * k, 0.0)
         return np.bincount(
-            self.tris_flat, weights=contrib.ravel(), minlength=self.n_nodes
+            self._tris_t.ravel(), weights=contrib.T.ravel(), minlength=self.n_nodes
         )
+
+    def _step_of(self, d):
+        """The step of the inflow coefficients ``d``: global, or per node
+        under ``local_time_stepping``; StagnantField if no node is bounded."""
+        pos = d > 0.0
+        if not pos.any():
+            raise StagnantField(
+                "no wave crosses any dual-cell boundary; the time step is unbounded"
+            )
+        bounds = 2.0 * self.dual[pos] / d[pos]
+        dt_global = self.cfg.cfl_fraction * bounds.min()
+        if not self.cfg.local_time_stepping:
+            return dt_global
+        dt = np.full(self.n_nodes, dt_global)
+        dt[pos] = self.cfg.cfl_fraction * 2.0 * self.dual[pos] / d[pos]
+        return dt
 
     def stable_dt(self, q, sweep=None):
         """Largest step of the law's rule times ``cfl_fraction``.
@@ -413,27 +450,19 @@ class Solver:
 
         Nodes with zero inflow coefficient impose no bound and are
         skipped; if every node is unconstrained the field cannot evolve
-        and StagnantField is raised.  With ``local_time_stepping`` the
-        return is per-node (unconstrained nodes get the global value).
-        ``sweep`` passes the precomputed ``Sweep`` of ``q``.
+        and StagnantField is raised, on every call.  With
+        ``local_time_stepping`` the return is per-node (unconstrained
+        nodes get the global value).  An advection field's step depends
+        on the mesh alone: it is the step ``dt_static`` computed once at
+        construction, returned as is (a per-node step is read-only), and
+        ``q`` is not read.  ``sweep`` passes the precomputed ``Sweep`` of
+        ``q``.
         """
+        if self.dt_static is not None:
+            return self.dt_static
         if sweep is None:
             sweep = self._sweep(np.asarray(q, dtype=float))
-        d = self.d_static
-        if d is None:
-            d = self._inflow_coefficients(sweep.s, sweep.k)
-        pos = d > 0.0
-        if not pos.any():
-            raise StagnantField(
-                "no wave crosses any dual-cell boundary; the time step is unbounded"
-            )
-        bounds = 2.0 * self.dual[pos] / d[pos]
-        dt_global = self.cfg.cfl_fraction * bounds.min()
-        if not self.cfg.local_time_stepping:
-            return dt_global
-        dt = np.full(self.n_nodes, dt_global)
-        dt[pos] = self.cfg.cfl_fraction * 2.0 * self.dual[pos] / d[pos]
-        return dt
+        return self._step_of(self._inflow_coefficients(sweep.s, sweep.k))
 
     # -- marching ------------------------------------------------------------
 

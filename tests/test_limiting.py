@@ -62,6 +62,82 @@ class TestLimitScalar:
         assert np.allclose(b, 2.5 * a, rtol=1e-13)
 
 
+def divide_mask_multiply(parts, total):
+    """The scalar limiter as weights times the total: w_i = s_i / S^+ with
+    s_i = max(Phi_i sign(Phi^T), 0) and S^+ = sum_j s_j, masked to zero
+    where S^+ = 0, then multiplied by Phi^T."""
+    pos = np.maximum(parts * np.sign(total)[:, None, :], 0.0)
+    den = pos.sum(axis=1, keepdims=True)
+    live = den > 0.0
+    weights = np.where(live, pos / np.where(live, den, 1.0), 0.0)
+    return weights * total[:, None, :]
+
+
+def oracle_cases(rng):
+    """(parts, total) pairs with m = 3 fields over magnitudes 1e-8 to 1e8:
+    totals that are the parts' sum, rows summing to exactly zero, explicit
+    zero totals, and rows with S^+ = 0 (every part opposes the total)."""
+    n = 400
+    parts = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.integers(-8, 9, (n, 1, 3))
+    parts[:20] = np.array([0.75, -0.25, -0.5])[:, None]  # sums to exactly zero
+    total = parts.sum(axis=1)
+    yield parts, total
+    zero = total.copy()
+    zero[::3] = 0.0
+    yield parts, zero
+    opposed = -np.abs(parts[:40]) * np.sign(total[:40])[:, None, :]
+    yield opposed, total[:40]
+
+
+class TestLimitOracle:
+    """``limit_scalar`` and ``limit_system`` against the divide, mask and
+    multiply form of the limiter, written out here."""
+
+    def test_limit_scalar_matches_divide_mask_multiply(self, rng):
+        for parts, total in oracle_cases(rng):
+            expected = divide_mask_multiply(parts, total)
+            out = limiting.limit_scalar(parts, total)
+            assert (np.abs(out - expected) <= 1e-15 * np.abs(expected)).all()
+            assert ((out == 0.0) == (expected == 0.0)).all()
+
+    def test_zero_total_and_no_positive_part_give_zero(self, rng):
+        for parts, total in oracle_cases(rng):
+            pos = np.maximum(parts * np.sign(total)[:, None, :], 0.0).sum(axis=1)
+            dead = (total == 0.0) | (pos == 0.0)
+            assert dead.any()
+            out = limiting.limit_scalar(parts, total)
+            assert (out.transpose(0, 2, 1)[dead] == 0.0).all()
+
+    def test_sum_kept_and_sign_shared(self, rng):
+        parts, total = next(oracle_cases(rng))
+        out = limiting.limit_scalar(parts, total)
+        assert (np.abs(out.sum(axis=1) - total) <= 4e-16 * 3 * np.abs(total)).all()
+        assert (out * total[:, None, :] >= 0.0).all()
+
+    @pytest.mark.parametrize("mach_scale", [2.0, 8.0])
+    def test_limit_system_matches_divide_mask_multiply(self, rng, mach_scale):
+        # The limited amplitudes are compared before the reconstruction,
+        # which mixes the fields: a law whose ``from_characteristic`` is the
+        # identity returns them as they are.
+        class Amplitudes(physics.Euler):
+            def from_characteristic(self, coef, *args):
+                return coef
+
+        euler = Amplitudes()
+        q = random_euler_states(rng, (300,), mach_scale=mach_scale)
+        direction = limiting.limiting_direction(euler, q)
+        parts = rng.standard_normal((300, 3, 4)) * 10.0 ** rng.integers(-8, 9, (300, 1, 1))
+        parts[:10] = 0.0  # zero totals
+        theta = euler.characteristic(parts, q[:, None], direction[:, None])
+        total = theta[:, 0] + theta[:, 1] + theta[:, 2]
+        expected = divide_mask_multiply(theta, total)
+        out = limiting.limit_system(parts, euler, q, direction)
+        assert (np.abs(out - expected) <= 1e-15 * np.abs(expected)).all()
+        assert (out[:10] == 0.0).all()
+        assert (np.abs(out.sum(axis=1) - total) <= 4e-16 * 3 * np.abs(total)).all()
+        assert (out * total[:, None, :] >= 0.0).all()
+
+
 def matrix_limit(parts, eig):
     """The limiter written with the eigenvector matrices L and R of ``eig``."""
     theta = parts @ np.swapaxes(eig.left, -1, -2)

@@ -135,7 +135,9 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     each computing that state's primitives itself.  The time step is the
     relaxation bound of a system, and the step and scatter follow
     ``Solver``: chunks of contiguous triangles, each summed into the nodes
-    with one bincount per component.
+    with one bincount per component.  Every nodal sum adds each node's
+    entries in (vertex slot, triangle) order, the order of ``Solver``'s
+    triangle-innermost arrays.
     """
     tris = np.asarray(mesh.tris)
     normals = np.asarray(mesh.normals, dtype=float)
@@ -150,7 +152,7 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
         q_nodes = q[tris]
         s = dist.wave_speed_bound(law, q_nodes)
         contrib = nlen * s[:, None]
-        d = np.bincount(tris.ravel(), weights=contrib.ravel(), minlength=n_nodes)
+        d = np.bincount(tris.T.ravel(), weights=contrib.T.ravel(), minlength=n_nodes)
         pos = d > 0.0
         dt = cfg.cfl_fraction * (2.0 * dual[pos] / d[pos]).min()
         residual = np.zeros((n_nodes, m))
@@ -169,7 +171,7 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
             )
             for j in range(m):
                 residual[:, j] += np.bincount(
-                    tris[sl].ravel(), weights=parts[..., j].ravel(), minlength=n_nodes
+                    tris[sl].T.ravel(), weights=parts[..., j].T.ravel(), minlength=n_nodes
                 )
         q = q - dt / dual[:, None] * residual
         bcs.apply(q)

@@ -2,6 +2,7 @@
 
 import gc
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,28 @@ class TestStableDt:
         assert (dt >= dt_global * (1.0 - 1e-12)).all()
         assert np.isclose(dt.min(), dt_global, rtol=1e-12)
 
+    @pytest.mark.parametrize("lts", [False, True], ids=["global", "local"])
+    def test_advection_step_computed_once(self, rng, lts):
+        # An advection field's step depends on the mesh alone: the solver
+        # computes it at construction and returns that read-only step,
+        # whatever the state.
+        mesh, law, _ = scalar_problem()
+        cfg = SolverConfig(scheme="rxn", cfl_fraction=0.7, local_time_stepping=lts)
+        sol = solver.Solver(mesh, law, None, cfg)
+        d = sol._inflow_coefficients(None, sol.k_static)
+        pos = d > 0.0
+        expected = 0.7 * (2.0 * sol.dual[pos] / d[pos]).min()
+        if lts:
+            expected = np.full(mesh.n_nodes, expected)
+            expected[pos] = 0.7 * 2.0 * sol.dual[pos] / d[pos]
+        dt = sol.stable_dt(rng.standard_normal((mesh.n_nodes, 1)))
+        assert np.array_equal(dt, expected) and np.shape(dt) == np.shape(expected)
+        assert dt is sol.dt_static
+        assert sol.stable_dt(np.zeros((mesh.n_nodes, 1))) is dt
+        with pytest.raises((TypeError, ValueError)):
+            dt[...] = 1.0
+        assert np.array_equal(dt, expected)
+
     def test_stagnant_field_raises(self):
         mesh, _, _ = scalar_problem()
         law = physics.Advection((0.0, 0.0))
@@ -133,6 +156,16 @@ class TestStableDt:
         assert (g == 0.0).all() and np.isfinite(w).all()
         with pytest.raises(StagnantField):
             sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
+
+    @pytest.mark.parametrize("scheme", ["n", "rxn"])
+    def test_stagnant_field_raises_on_every_call(self, scheme):
+        mesh, _, _ = scalar_problem()
+        law = physics.Advection((0.0, 0.0))
+        sol = solver.Solver(mesh, law, None, SolverConfig(scheme=scheme))
+        assert sol.dt_static is None
+        for _ in range(2):
+            with pytest.raises(StagnantField):
+                sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
 
 
 class TestMarch:
@@ -218,9 +251,10 @@ class TestMeshStaticData:
     def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
         # Under a velocity_at law the relaxation scheme's linear map (g, w)
         # with its own wave-speed bound, the upwind parameters k and the
-        # upwind inflow coefficients depend on the mesh alone: the solver
-        # builds them once and passes its own arrays into each sweep,
-        # which computes no other bound.
+        # step depend on the mesh alone: the solver builds them once and
+        # passes its own arrays into each sweep, which computes no other
+        # bound, and each iteration steps by the one step built at
+        # construction, with no inflow coefficients.
         class Recomputing(solver.Solver):
             def _sweep(self, q):
                 xy = self.mesh.tri_coords()
@@ -228,10 +262,7 @@ class TestMeshStaticData:
                 coef = dist.advection_coefficients(self.normals, vel)
                 self.rxn_static = tuple(solver._triangle_inner(c) for c in coef)
                 self.k_static = solver._triangle_inner(dist.advection_upwind_k(self.law, xy))
-                self.d_static = np.bincount(
-                    self.tris_flat, weights=np.maximum(2.0 * self.k_static, 0.0).ravel(),
-                    minlength=self.n_nodes,
-                )
+                self.dt_static = None  # stable_dt rebuilds the step from the sweep's k
                 return super()._sweep(q)
 
         mapping = config.preset("advection-rotating")
@@ -245,11 +276,16 @@ class TestMeshStaticData:
         sweep = sol._sweep(problem.q0)
         assert sweep.s is None and sweep.k is sol.k_static
         assert sweep.coefficients is sol.rxn_static
+        assert sol.stable_dt(problem.q0, sweep) is sol.dt_static
         calls = []
         for name in ("wave_speed_bound", "advection_coefficients", "advection_upwind_k",
                      "scalar_upwind_k"):
             fn = getattr(dist, name)
             monkeypatch.setattr(dist, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        for name in ("_inflow_coefficients", "_step_of"):
+            fn = getattr(solver.Solver, name)
+            monkeypatch.setattr(solver.Solver, name,
+                                lambda *a, _fn=fn: calls.append(1) or _fn(*a))
         res = sol.march(problem.q0)
         assert res.iterations == 30
         assert not calls
@@ -292,19 +328,59 @@ class TestDeterminism:
 
 
     def test_scatter_adds_each_bin_in_triangle_order(self, euler, rng):
-        # One bincount over the flat (node, component) bins adds the same
-        # numbers in the same order as one bincount per component, whatever
-        # the memory layout of the parts.
+        # Each chunk's bincount adds a bin's entries by vertex slot, and
+        # within a slot in triangle order: the memory order of
+        # triangle-innermost parts.  The chunk sums are added in chunk
+        # order.  The bits do not depend on the parts' memory layout.
         mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 7, 5)
-        sol = solver.Solver(mesh, euler, None, SolverConfig(scheme="n"))
-        parts = rng.standard_normal((len(sol.tris), 3, 4))
-        nodes = sol.tris.ravel()
-        expected = np.stack([np.bincount(nodes, weights=parts[..., j].ravel(),
-                                         minlength=mesh.n_nodes) for j in range(4)], axis=1)
-        for layout in (parts, solver._triangle_inner(parts)):
-            out = np.zeros((mesh.n_nodes, 4))
-            sol._scatter_add(out, sol._chunk_bins[0], layout)
-            assert np.array_equal(out, expected)
+        tris = np.asarray(mesh.tris)
+        shape = (len(tris), 3, 4)
+        parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        for n_threads in (1, 2):
+            sol = solver.Solver(mesh, euler, None, SolverConfig(scheme="n", n_threads=n_threads))
+
+            def loop_sum(order):
+                total = np.zeros((mesh.n_nodes, 4))
+                for sl in sol._chunks:
+                    chunk = np.zeros((mesh.n_nodes, 4))
+                    for j in range(4):
+                        for i, t in order(range(sl.start, sl.stop)):
+                            chunk[tris[t, i], j] += parts[t, i, j]
+                    total += chunk
+                return total
+
+            expected = loop_sum(lambda ts: ((i, t) for i in range(3) for t in ts))
+            by_triangle = loop_sum(lambda ts: ((i, t) for t in ts for i in range(3)))
+            assert not np.array_equal(expected, by_triangle)  # the order shows in these sums
+            for layout in (parts, solver._triangle_inner(parts)):
+                out = np.zeros((mesh.n_nodes, 4))
+                for sl, bins in zip(sol._chunks, sol._chunk_bins):
+                    sol._scatter_add(out, bins, layout[sl])
+                assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("scheme", ["rxn", "n"])
+    @pytest.mark.parametrize("preset, size", [
+        ("advection-rotating", {"mesh.nx": "8", "mesh.ny": "8"}),
+        ("cylinder-supersonic", {"mesh.n_radial": "6", "mesh.n_circum": "16"}),
+    ], ids=["advection-rotating", "cylinder-supersonic"])
+    def test_march_scatters_parts_as_stored(self, monkeypatch, preset, size, scheme):
+        # The parts that reach the scatter are triangle-innermost, so the
+        # bincount reads them as a view, with no transposing copy.
+        mapping = config.preset(preset)
+        mapping.update({**size, "solver.scheme": scheme, "solver.max_iters": "2",
+                        "solver.stop_tol": "0"})
+        problem = config.build_problem(mapping)
+        seen = []
+        fn = solver.Solver._scatter_add
+
+        def scatter(self, out, bins, parts):
+            seen.append(np.shares_memory(parts.T.ravel(), parts))
+            return fn(self, out, bins, parts)
+
+        monkeypatch.setattr(solver.Solver, "_scatter_add", scatter)
+        cfg = replace(problem.solver_config, n_threads=2)
+        solver.Solver(problem.mesh, problem.law, problem.boundaries, cfg).march(problem.q0)
+        assert seen and all(seen)
 
 
 class TestThreads:
