@@ -102,8 +102,10 @@ class BoundarySet:
     of them at construction, raising ``ConfigError``: the bindings cover
     the mesh's tags exactly, each kind is one of ``KINDS``, ``slip_wall``
     and ``farfield`` need the gas-dynamics law, and the data has the
-    shape listed above.  Errors name a tag by its config key
-    ``boundary.<tag>``.
+    shape listed above, is finite, and passes the law's
+    ``check_physical`` (for gas dynamics: positive density and pressure).
+    Errors name a tag by its config key ``boundary.<tag>``, and faulty
+    per-node Dirichlet data its first faulty node.
     """
 
     def __init__(self, mesh, law, bindings):
@@ -135,10 +137,38 @@ class BoundarySet:
                 values = np.array(data, dtype=float)
                 if values.shape != (law.m,):
                     raise ConfigError(f"{key}: farfield data must be one state of {law.m} components")
+            if values is not None:
+                self._check_data(key, kind, law, nodes, values)
             if kind in ("slip_wall", "farfield"):
                 nodes, normals = mesh.outward_normals(tag)
             self._bindings.append(_Binding(tag, kind, nodes, values, normals))
         self._bindings.sort(key=lambda b: KIND_ORDER[b.kind])
+
+    @staticmethod
+    def _check_data(key, kind, law, nodes, values):
+        """ConfigError unless ``values`` (one state, or one per node of
+        ``nodes``) are finite and states of ``law`` (``check_physical``).
+
+        For per-node data the error names the first mesh node that fails
+        either check; the nodes are scanned one by one only then.
+        """
+        def fault(v):
+            if not np.isfinite(v).all():
+                return " is not finite"
+            try:
+                law.check_physical(v, item="state")
+            except NonPhysicalState as exc:
+                return f": {exc}"
+            return None
+
+        found = fault(values)
+        if found is None:
+            return
+        at = ""
+        if values.ndim == 2:
+            i = next(i for i, v in enumerate(values) if fault(v) is not None)
+            found, at = fault(values[i]), f" at node {int(nodes[i])}"
+        raise ConfigError(f"{key}: {kind} data{at}{found}")
 
     @staticmethod
     def _dirichlet_values(key, mesh, law, nodes, data):

@@ -61,8 +61,8 @@ class DistributedResidual:
 
     @property
     def total(self):
-        p = self.parts
-        return p[:, 0] + p[:, 1] + p[:, 2]
+        """The parts' sum per triangle, (T, m): a new array on each call."""
+        return _node_sum(self.parts)
 
 
 def _as_batch(q_nodes):
@@ -169,8 +169,11 @@ def n_scheme_scalar(q_nodes, k):
 
 def _node_sum(x):
     """Sum over the node axis of a (T, 3, ...) array, unrolled: a NumPy
-    reduction over an axis that short costs several times more."""
-    return x[:, 0] + x[:, 1] + x[:, 2]
+    reduction over an axis that short costs several times more.  The sum
+    (x_1 + x_2) + x_3 is formed in place in one new array."""
+    out = x[:, 0] + x[:, 1]
+    out += x[:, 2]
+    return out
 
 
 def _signed_split(lam2, half_a, clip):
@@ -409,8 +412,12 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None, n
     q_nodes = _as_batch(q_nodes)
     if coefficients is not None:
         g, w = coefficients
-        qstar = _node_sum(w[..., None] * q_nodes)
-        return DistributedResidual(g[..., None] * (q_nodes - qstar[:, None, :]), qstar)
+        # One (T, 3, m) buffer: first w_j Q_j, then the parts.
+        buf = w[..., None] * q_nodes
+        qstar = _node_sum(buf)
+        parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
+        parts *= g[..., None]
+        return DistributedResidual(parts, qstar)
     normals = np.asarray(normals, dtype=float)
     if s is None:
         s = wave_speed_bound(law, q_nodes)

@@ -41,18 +41,20 @@ def _signed_weights(parts, total):
 
     With s_i = max(Phi_i * sign(Phi^T), 0), the clipped positives, and
     their sum S^+, that is s_i (Phi^T / S^+): the ratio is formed once per
-    field on (..., m) and the parts take one multiply.  When ``total`` is
-    the parts' sum, |Phi^T| <= S^+, so the ratio lies in [-1, 1] and
-    nothing overflows for tiny totals.  Fields with S^+ = 0 (among them
-    every field with zero total) get all-zero outputs.  Shapes: parts
-    (..., 3, m) and total (..., m); the result like parts.
+    field on (..., m), in place, and the parts take one multiply.  When
+    ``total`` is the parts' sum, |Phi^T| <= S^+, so the ratio lies in
+    [-1, 1] and nothing overflows for tiny totals.  Fields with S^+ = 0
+    (among them every field with zero total) get all-zero outputs: there
+    every s_i is zero, and the ratio is formed as Phi^T / 1, which needs
+    no masked divide.  A NaN part makes every output of its field NaN.
+    Shapes: parts (..., 3, m) and total (..., m); the result like parts.
     """
     pos = parts * np.sign(total)[..., None, :]
     np.maximum(pos, 0.0, out=pos)
-    den = pos[..., 0, :] + pos[..., 1, :] + pos[..., 2, :]
-    ratio = np.zeros_like(den)
-    np.divide(total, den, out=ratio, where=den > 0.0)
-    pos *= ratio[..., None, :]
+    den = pos[..., 0, :] + pos[..., 1, :]
+    den += pos[..., 2, :]
+    den[den == 0.0] = 1.0  # S^+ = 0: every s_i is zero, so any finite ratio gives zeros
+    pos *= np.divide(total, den, out=den)[..., None, :]
     return pos
 
 
@@ -131,14 +133,18 @@ def correction_scalar(parts, total, areas, k):
     ``k`` is the (T, 3) upwind-parameter array of the scheme (equal to
     (n_i . u)/2); the three values sum to zero, so conservation is
     unchanged.  For scalar laws the shock marker is the residual itself.
-    The amplitude theta |T|^{-1/2} Phi^T is formed per triangle, (T, m),
-    before it meets the (T, 3) parameters.
+    The amplitude theta |T|^{-1/2} Phi^T is formed per triangle, in place
+    on theta, before it meets the (T, 3) parameters; the correction is
+    formed in one array laid out like ``parts``, which is not modified.
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    theta = correction_theta(areas, total[..., 0])
-    amp = (theta / np.sqrt(np.asarray(areas, dtype=float)))[..., None] * total
-    return parts + np.asarray(k)[..., None] * amp[..., None, :]
+    amp = correction_theta(areas, total[..., 0])
+    amp /= np.sqrt(np.asarray(areas, dtype=float))
+    amp = amp[..., None] * total
+    out = np.multiply(np.asarray(k)[..., None], amp[..., None, :], out=np.empty_like(parts))
+    out += parts
+    return out
 
 
 def correction_system(parts, total, areas, normals, law, q, direction, waves=None):

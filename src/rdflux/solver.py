@@ -33,7 +33,10 @@ One iteration runs in this order:
    closed-form expressions, and so is the systems N scheme's split of the
    Jacobians: no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
-   boundary conditions are enforced and the new state is checked.
+   boundary conditions are enforced and the new state is checked.  The
+   update is formed in place in the scatter's output, and the finiteness
+   check reads the one reduction that the update rate needs anyway
+   (``Solver.step``).
 
 Every nodal sum (the scatter and the step rule's inflow coefficients) is
 one ``bincount`` that reads its per-triangle values in the order they are
@@ -55,6 +58,7 @@ Elsewhere (macOS, Windows, musl) this is a no-op.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -215,6 +219,12 @@ def _gather(a, tris):
     return np.take(a.T, tris, axis=-1).T
 
 
+def _column(dt):
+    """A step as a factor of (N, m) nodal values: a per-node step (N,) as
+    (N, 1), a global step as it is."""
+    return dt[:, None] if np.ndim(dt) == 1 else dt
+
+
 def _triangle_inner(a):
     """``a`` (T, ...) stored with the triangle axis innermost (a copy unless
     it already is)."""
@@ -290,8 +300,8 @@ class Solver:
         bounds = np.linspace(0, n_tris, n + 1).astype(int)
         return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
-    def _scatter_add(self, out, bins, parts):
-        """Accumulate per-triangle nodal values into ``out`` (N, m).
+    def _scatter(self, bins, parts):
+        """Per-triangle nodal values summed into the nodes: a new (N, m) array.
 
         One bincount over the flat bins ``bins`` of the (T, 3, m) ``parts``
         read as ``parts.T``, in (component, vertex slot, triangle) order:
@@ -300,7 +310,13 @@ class Solver:
         triangle-innermost parts that order is the memory order, and the
         weights are a view, not a copy.
         """
-        out += np.bincount(bins, weights=parts.T.ravel(), minlength=out.size).reshape(out.shape)
+        m = self.law.m
+        return np.bincount(bins, weights=parts.T.ravel(),
+                           minlength=self.n_nodes * m).reshape(self.n_nodes, m)
+
+    def _scatter_add(self, out, bins, parts):
+        """Accumulate per-triangle nodal values into ``out`` (N, m) (``_scatter``)."""
+        out += self._scatter(bins, parts)
 
     def _distribute(self, sweep):
         """Distributed parts of one sweep slice: scheme, limiter, correction.
@@ -354,22 +370,24 @@ class Solver:
     def assemble(self, q, sweep=None):
         """Nodal residual sums R_i = sum over incident triangles of Phi_i.
 
-        Returns ``(residual (N, m), fallback_count)``.  ``sweep`` passes
-        the iteration's precomputed ``Sweep`` of ``q`` (the marching
-        loop shares one between the step-size rule and the assembly);
-        it is computed when None.  Chunks are accumulated in ascending
-        chunk order, whatever the number of threads.
+        Returns ``(residual (N, m), fallback_count)``; the residual is a
+        new array, which the caller may overwrite.  ``sweep`` passes the
+        iteration's precomputed ``Sweep`` of ``q`` (the marching loop
+        shares one between the step-size rule and the assembly); it is
+        computed when None.  With one chunk the residual is the scatter's
+        bincount itself.  Chunks are accumulated in ascending chunk order,
+        whatever the number of threads.
         """
         q = np.asarray(q, dtype=float)
         if sweep is None:
             sweep = self._sweep(q)
         if len(self._chunks) == 1:
-            results = [self._distribute(sweep)]
-        else:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
-                weakref.finalize(self, self._pool.shutdown, wait=False)
-            results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
+            parts, fallback = self._distribute(sweep)
+            return self._scatter(self._chunk_bins[0], parts), fallback
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
+            weakref.finalize(self, self._pool.shutdown, wait=False)
+        results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
         out = np.zeros((self.n_nodes, self.law.m))
         fallback = 0
         for bins, (parts, n_fb) in zip(self._chunk_bins, results):
@@ -474,24 +492,39 @@ class Solver:
         boundary enforcement, so it vanishes exactly at a steady state
         compatible with the boundary conditions.  ``sweep`` passes the
         precomputed ``Sweep`` of ``q``, shared by the step-size rule and
-        the assembly.
+        the assembly.  The update is formed in place in the residual.
+
+        The rate's squared norm is one pairwise sum of the squares, formed
+        in place; ``np.dot`` would be one pass less, but OpenBLAS runs a
+        vector as long as a cylinder mesh's (N, 4) rate on a second
+        thread, which then spins between iterations.  The norm's
+        finiteness gates the check of the new state: a non-finite q_new
+        makes it non-finite, and only then are the nodes scanned.
+        NonPhysicalState names the first node with a non-finite value,
+        before the law's ``check_physical`` runs.
         """
         q = np.asarray(q, dtype=float)
         if sweep is None:
             sweep = self._sweep(q)
         if dt is None:
             dt = self.stable_dt(q, sweep)
-        dt_col = dt[:, None] if np.ndim(dt) == 1 else dt
+        dt_col = _column(dt)
         residual, fallback = self.assemble(q, sweep)
-        q_new = q - dt_col / self.dual[:, None] * residual
+        residual *= dt_col / self.dual[:, None]
+        q_new = np.subtract(q, residual, out=residual)
         if self.boundaries is not None:
             self.boundaries.apply(q_new)
-        if not np.isfinite(q_new).all():
-            bad = int(np.nonzero(~np.isfinite(q_new).all(axis=1))[0][0])
-            raise NonPhysicalState(f"non-finite state at node {bad}")
+        rate = q_new - q
+        rate *= self.dual[:, None]
+        rate /= dt_col
+        rate *= rate
+        norm2 = float(rate.sum())
+        if not math.isfinite(norm2):
+            bad = np.nonzero(~np.isfinite(q_new).all(axis=1))[0]
+            if bad.size:
+                raise NonPhysicalState(f"non-finite state at node {int(bad[0])}")
         self.law.check_physical(q_new)
-        rate = self.dual[:, None] * (q_new - q) / dt_col
-        return q_new, float(np.sqrt((rate * rate).sum())), fallback
+        return q_new, math.sqrt(norm2), fallback
 
     def march(self, q0, *, callback=None):
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
@@ -566,6 +599,5 @@ class Solver:
 
     def _rate_scale(self, q, dt):
         """Rate magnitude of the state itself, |C| |q| / dt, for floors."""
-        dt_col = dt[:, None] if np.ndim(dt) == 1 else dt
-        ref = self.dual[:, None] * q / dt_col
+        ref = self.dual[:, None] * q / _column(dt)
         return max(float(np.sqrt((ref * ref).sum())), 1.0e-300)

@@ -74,6 +74,70 @@ class TestBindingValidation:
             boundary.BoundarySet(rect_mesh, euler, b)
 
 
+class TestBindingData:
+    """Far-field and Dirichlet data are checked at construction, not by
+    the first iteration of a march."""
+
+    def test_farfield_state_must_be_physical(self, rect_mesh, euler):
+        b = euler_bindings(euler, np.array([1.0, 0.5, 0.0, 0.0]))  # zero energy
+        with pytest.raises(ConfigError, match=r"^boundary\.left: farfield data: "
+                                              r"non-positive pressure -0\.05 "):
+            boundary.BoundarySet(rect_mesh, euler, b)
+
+    def test_farfield_state_must_be_finite(self, rect_mesh, euler):
+        q_inf = euler.freestream(0.5, 0.0)
+        q_inf[0] = np.nan
+        b = euler_bindings(euler, q_inf)
+        with pytest.raises(ConfigError, match=r"^boundary\.left: farfield data is not finite$"):
+            boundary.BoundarySet(rect_mesh, euler, b)
+
+    @pytest.mark.parametrize("data, node", [
+        (np.nan, 0),
+        (lambda xy: np.where(xy[:, 1] > 0.5, np.inf, 1.0), 28),
+    ], ids=["constant", "profile"])
+    def test_scalar_dirichlet_value_must_be_finite(self, rect_mesh, data, node):
+        # The error names the first node whose value is not finite.
+        law = physics.Advection((1.0, 1.0))
+        assert rect_mesh.points[node, 0] == 0.0
+        with pytest.raises(ConfigError, match=rf"^boundary\.left: dirichlet data at node "
+                                              rf"{node} is not finite$"):
+            boundary.BoundarySet(rect_mesh, law, {
+                "left": ("dirichlet", data), "right": ("outflow", None),
+                "top": ("outflow", None), "bottom": ("outflow", None),
+            })
+
+    def test_gas_dirichlet_states_must_be_physical(self, rect_mesh, euler):
+        # A profile whose upper half has negative density: the error names
+        # the mesh node of the first bad state, not its place in the binding.
+        q_inf = euler.freestream(0.5, 0.0)
+        b = euler_bindings(euler, q_inf)
+        b["right"] = ("dirichlet", lambda xy: np.where(
+            xy[:, 1:] > 0.5, np.array([-1.0, 0.0, 0.0, 2.5]), q_inf))
+        nodes = rect_mesh.boundary_nodes("right")
+        first = int(np.argmax(rect_mesh.points[nodes, 1] > 0.5))
+        assert first > 0
+        with pytest.raises(ConfigError, match=rf"^boundary\.right: dirichlet data at node "
+                                              rf"{nodes[first]}: non-positive density -1 "):
+            boundary.BoundarySet(rect_mesh, euler, b)
+
+    def test_first_faulty_node_named_whatever_the_fault(self, rect_mesh, euler):
+        # A non-physical state before a non-finite one: the earlier node wins.
+        q_inf = euler.freestream(0.5, 0.0)
+        nodes = rect_mesh.boundary_nodes("right")
+        values = np.tile(q_inf, (len(nodes), 1))
+        values[1, 0] = -1.0
+        values[2, 1] = np.nan
+        b = euler_bindings(euler, q_inf)
+        b["right"] = ("dirichlet", values)
+        with pytest.raises(ConfigError, match=rf"^boundary\.right: dirichlet data at node "
+                                              rf"{nodes[1]}: non-positive density -1 "):
+            boundary.BoundarySet(rect_mesh, euler, b)
+        values[1, 0] = q_inf[0]
+        with pytest.raises(ConfigError, match=rf"^boundary\.right: dirichlet data at node "
+                                              rf"{nodes[2]} is not finite$"):
+            boundary.BoundarySet(rect_mesh, euler, b)
+
+
 class TestDirichletForms:
     def _base(self, rect_mesh):
         law = physics.Advection((1.0, 1.0))

@@ -239,6 +239,16 @@ class TestCorrectionTheta:
         th = limiting.correction_theta(areas, proj)
         assert np.isclose(th[0], 5e-5, rtol=1e-6)
 
+    def test_scalars_integers_and_broadcasting(self):
+        # theta accepts what NumPy arithmetic does: a scalar projection, an
+        # integer one, and areas that broadcast against it.
+        assert limiting.correction_theta(2.0, 4.0) == 2.0 / (4.0 + 1e-10)
+        assert limiting.correction_theta(np.array(0.5), 0) == 1.0
+        th = limiting.correction_theta(np.array([1.0, 3.0]), np.array([[2], [6]]))
+        assert th.shape == (2, 2)
+        assert np.array_equal(th, np.minimum(1.0, [[1.0, 3.0], [1.0, 3.0]]
+                                             / (np.array([[2.0], [6.0]]) + 1e-10)))
+
 
 class TestCorrectionScalar:
     def test_conservation_unchanged(self, rng):

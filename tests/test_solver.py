@@ -224,6 +224,60 @@ class TestMarch:
         ):
             sol.march(problem.q0)
 
+    @staticmethod
+    def poison_assemble(monkeypatch, rows):
+        """Wrap ``Solver.assemble``: each (node, component) of ``rows`` gets
+        its residual entry replaced by the given value."""
+        fn = solver.Solver.assemble
+
+        def poisoned(self, q, sweep=None):
+            residual, fallback = fn(self, q, sweep)
+            for (node, j), value in rows.items():
+                residual[node, j] = value
+            return residual, fallback
+
+        monkeypatch.setattr(solver.Solver, "assemble", poisoned)
+
+    @staticmethod
+    def interior_nodes(mesh):
+        on_boundary = np.concatenate([mesh.boundary_nodes(t) for t in mesh.tags])
+        return np.setdiff1d(np.arange(mesh.n_nodes), on_boundary)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_names_iteration_and_first_node(self, monkeypatch, value):
+        mesh, law, bset = scalar_problem()
+        first, later = self.interior_nodes(mesh)[[3, 10]]
+        self.poison_assemble(monkeypatch, {(later, 0): np.nan, (first, 0): value})
+        cfg = SolverConfig(scheme="rxn", limited=True, corrected=True)
+        sol = solver.Solver(mesh, law, bset, cfg)
+        q0 = np.zeros((mesh.n_nodes, 1))
+        with pytest.raises(NonPhysicalState, match=rf"^non-finite state at node {first}$"):
+            sol.step(q0)
+        with pytest.raises(NonPhysicalState,
+                           match=rf"^iteration 1: non-finite state at node {first}$"):
+            sol.march(q0)
+
+    def test_non_finite_state_reported_before_non_physical_one(self, monkeypatch, euler):
+        # A lower node with a finite, negative density would be named by
+        # ``check_physical``; the non-finite node is reported first.
+        mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 8)
+        q_inf = euler.freestream(0.8, 3.0)
+        bset = boundary.BoundarySet(mesh, euler, {
+            t: ("farfield", q_inf) for t in ("left", "right", "top", "bottom")
+        })
+        negative, bad = self.interior_nodes(mesh)[[2, 7]]
+        self.poison_assemble(monkeypatch, {(negative, 0): 1e30, (bad, 1): np.nan})
+        sol = solver.Solver(mesh, euler, bset, SolverConfig(scheme="rxn"))
+        q0 = np.tile(q_inf, (mesh.n_nodes, 1))
+        with pytest.raises(NonPhysicalState,
+                           match=rf"^iteration 1: non-finite state at node {bad}$"):
+            sol.march(q0)
+        monkeypatch.undo()
+        self.poison_assemble(monkeypatch, {(negative, 0): 1e30})
+        with pytest.raises(NonPhysicalState, match=rf"^iteration 1: non-positive density "
+                                                   rf"-\S+ at node {negative} "):
+            sol.march(q0)
+
     def test_reduced_subsonic_preset_stays_physical(self):
         # The preset's CFL on a 25 x 64 mesh, where a step past the
         # relaxation bound loses positivity within 20 iterations.
