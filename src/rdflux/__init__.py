@@ -11,7 +11,7 @@ Modules
 -------
 mesh, meshgen          triangulations, geometry, generators
 physics                conservation laws (advection, Burgers, gas dynamics)
-smallmat               batched small-matrix kernels
+smallmat               the N scheme's batched star solve
 distribution           per-triangle residual splitting
 limiting               nonlinear limiting and the convergence correction
 boundary               strong boundary enforcement
@@ -30,7 +30,6 @@ from .errors import (
     InvalidTopology,
     NonPhysicalState,
     RdfluxError,
-    SingularMatrix,
     StagnantField,
 )
 from .mesh import Mesh, load_mesh, save_mesh
@@ -62,7 +61,6 @@ __all__ = [
     "NonPhysicalState",
     "DegenerateElement",
     "InvalidTopology",
-    "SingularMatrix",
     "StagnantField",
     "Diverged",
 ]

@@ -21,10 +21,6 @@ class NonPhysicalState(RdfluxError):
     """State with non-positive density or pressure where positivity is required."""
 
 
-class SingularMatrix(RdfluxError):
-    """Dense solve aborted because a pivot fell below the threshold."""
-
-
 class ConfigError(RdfluxError):
     """Run configuration that cannot be parsed or validated."""
 

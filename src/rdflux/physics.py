@@ -83,6 +83,13 @@ def _nonphysical(quantity, values, bad, item="state", where=""):
     )
 
 
+def _stack(entries, shape=(4,)):
+    """The ``entries``, broadcast together, on a new trailing axis that is
+    then reshaped to ``shape`` (row-major)."""
+    out = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return out.reshape(out.shape[:-1] + shape)
+
+
 def _vectors_like(shape, *arrays):
     """An empty (shape, 4) array, laid out like the first of ``arrays`` of
     that rank, so that its component slices match their operands' layout."""
@@ -350,67 +357,28 @@ class Euler(ConservationLaw):
         """
         u, v, h, k, a2, a = self._waves(q, prim)
         n = np.asarray(n, dtype=float)
-        g1 = self.gamma - 1.0
         nlen = np.hypot(n[..., 0], n[..., 1])
         if np.any(nlen <= 0.0):
             raise InvalidArgument("zero direction vector")
         nx = n[..., 0] / nlen
         ny = n[..., 1] / nlen
-        shape = np.broadcast_shapes(u.shape, nx.shape)
-        u, v, h, k, a, a2, nx, ny, nlen = np.broadcast_arrays(
-            u, v, h, k, a, a2, nx, ny, nlen
-        )
         un = u * nx + v * ny
         ut = -u * ny + v * nx
-
-        # Each entry is computed straight into its slot of the C-ordered
-        # outputs (``out=``), without a full-size temporary and a second
-        # strided pass per entry.  A component-major work buffer copied
-        # into the outputs measured slower: it is fresh memory, page
-        # faulted on every call.
-        lam = np.empty(shape + (4,))
-        np.multiply(un - a, nlen, out=lam[..., 0])
-        np.multiply(un, nlen, out=lam[..., 1])
-        lam[..., 2] = lam[..., 1]
-        np.multiply(un + a, nlen, out=lam[..., 3])
-
-        right = np.empty(shape + (4, 4))
-        right[..., 0, 0] = 1.0
-        np.subtract(u, a * nx, out=right[..., 1, 0])
-        np.subtract(v, a * ny, out=right[..., 2, 0])
-        np.subtract(h, a * un, out=right[..., 3, 0])
-        right[..., 0, 1] = 1.0
-        right[..., 1, 1] = u
-        right[..., 2, 1] = v
-        right[..., 3, 1] = k
-        right[..., 0, 2] = 0.0
-        np.negative(ny, out=right[..., 1, 2])
-        right[..., 2, 2] = nx
-        right[..., 3, 2] = ut
-        right[..., 0, 3] = 1.0
-        np.add(u, a * nx, out=right[..., 1, 3])
-        np.add(v, a * ny, out=right[..., 2, 3])
-        np.add(h, a * un, out=right[..., 3, 3])
-
-        b1 = g1 / a2
+        lam = _stack([(un - a) * nlen, un * nlen, un * nlen, (un + a) * nlen])
+        right = _stack([
+            1.0, 1.0, 0.0, 1.0,
+            u - a * nx, u, -ny, u + a * nx,
+            v - a * ny, v, nx, v + a * ny,
+            h - a * un, k, ut, h + a * un,
+        ], (4, 4))
+        b1 = (self.gamma - 1.0) / a2
         b2 = b1 * k
-        left = np.empty(shape + (4, 4))
-        np.multiply(0.5, b2 + un / a, out=left[..., 0, 0])
-        np.multiply(-0.5, b1 * u + nx / a, out=left[..., 0, 1])
-        np.multiply(-0.5, b1 * v + ny / a, out=left[..., 0, 2])
-        np.multiply(0.5, b1, out=left[..., 0, 3])
-        np.subtract(1.0, b2, out=left[..., 1, 0])
-        np.multiply(b1, u, out=left[..., 1, 1])
-        np.multiply(b1, v, out=left[..., 1, 2])
-        np.negative(b1, out=left[..., 1, 3])
-        np.negative(ut, out=left[..., 2, 0])
-        np.negative(ny, out=left[..., 2, 1])
-        left[..., 2, 2] = nx
-        left[..., 2, 3] = 0.0
-        np.multiply(0.5, b2 - un / a, out=left[..., 3, 0])
-        np.multiply(-0.5, b1 * u - nx / a, out=left[..., 3, 1])
-        np.multiply(-0.5, b1 * v - ny / a, out=left[..., 3, 2])
-        np.multiply(0.5, b1, out=left[..., 3, 3])
+        left = _stack([
+            0.5 * (b2 + un / a), -0.5 * (b1 * u + nx / a), -0.5 * (b1 * v + ny / a), 0.5 * b1,
+            1.0 - b2, b1 * u, b1 * v, -b1,
+            -ut, -ny, nx, 0.0,
+            0.5 * (b2 - un / a), -0.5 * (b1 * u - nx / a), -0.5 * (b1 * v - ny / a), 0.5 * b1,
+        ], (4, 4))
         return Eigensystem(lam, right, left)
 
     # -- closed-form characteristic algebra -----------------------------------

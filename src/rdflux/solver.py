@@ -219,6 +219,14 @@ def _gather(a, tris):
     return np.take(a.T, tris, axis=-1).T
 
 
+def _check_finite(q, where=""):
+    """Raise NonPhysicalState naming the first node of ``q`` (N, m) that
+    holds a non-finite value; ``where`` ends the message."""
+    bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+    if bad.size:
+        raise NonPhysicalState(f"non-finite state at node {int(bad[0])}{where}")
+
+
 def _column(dt):
     """A step as a factor of (N, m) nodal values: a per-node step (N,) as
     (N, 1), a global step as it is."""
@@ -520,20 +528,21 @@ class Solver:
         rate *= rate
         norm2 = float(rate.sum())
         if not math.isfinite(norm2):
-            bad = np.nonzero(~np.isfinite(q_new).all(axis=1))[0]
-            if bad.size:
-                raise NonPhysicalState(f"non-finite state at node {int(bad[0])}")
+            _check_finite(q_new)
         self.law.check_physical(q_new)
         return q_new, math.sqrt(norm2), fallback
 
     def march(self, q0, *, callback=None):
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
 
-        Boundary conditions are enforced on the initial state.  The
-        stopping test compares each iteration's update rate with the
-        first one's; a first rate already at rounding level (below
-        1e-13 of the rate scale of the state itself) counts as
-        converged immediately when ``stop_tol`` is positive.
+        Boundary conditions are enforced on the initial state, which must
+        then be finite at every node (NonPhysicalState names the first
+        node that is not, as ``step`` does) and pass the law's
+        ``check_physical``.  The stopping test compares each iteration's
+        update rate with the first one's; a first rate already at
+        rounding level (below 1e-13 of the rate scale of the state
+        itself) counts as converged immediately when ``stop_tol`` is
+        positive.
         ``callback(iteration, q, relative_rate)`` runs every iteration.
         """
         cfg = self.cfg
@@ -546,6 +555,7 @@ class Solver:
             )
         if self.boundaries is not None:
             self.boundaries.apply(q)
+        _check_finite(q, " in initial state")
         self.law.check_physical(q, "in initial state")
 
         history = []

@@ -1,4 +1,4 @@
-"""Small dense linear algebra: single and batched pivoted solves."""
+"""The N scheme's batched star solve, checked against ``np.linalg.solve``."""
 
 import warnings
 
@@ -8,48 +8,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdflux import smallmat
-from rdflux.errors import SingularMatrix
+
+
+def augment(a, b):
+    """The augmented rows [a_t | b_t] of a (T, m, m) batch and its (T, m)
+    right-hand sides, laid out (m, m + 1, T): a new array, the input of
+    ``solve_batched``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m = a.shape[1]
+    aug = np.empty((m, m + 1, len(a)))
+    aug[:, :m] = a.transpose(1, 2, 0)
+    aug[:, m] = b.T
+    return aug
+
+
+def solve(a, b):
+    """``solve_batched`` on the batch (a, b)."""
+    return smallmat.solve_batched(augment(a, b))
 
 
 class TestSolve:
     def test_matches_numpy(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-            b = rng.standard_normal(4)
-            assert np.allclose(smallmat.solve(a, b), np.linalg.solve(a, b), rtol=1e-12)
-
-    def test_multiple_rhs(self, rng):
-        a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-        b = rng.standard_normal((3, 5))
-        assert np.allclose(smallmat.solve(a, b), np.linalg.solve(a, b), rtol=1e-12)
+        a = rng.standard_normal((20, 4, 4)) + 4.0 * np.eye(4)
+        b = rng.standard_normal((20, 4))
+        x, bad = solve(a, b)
+        assert not bad.any()
+        assert np.allclose(x, np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-12)
 
     def test_needs_pivoting(self):
         # Zero on the first diagonal entry: only row exchange can solve it.
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        b = np.array([2.0, 3.0])
-        assert np.allclose(smallmat.solve(a, b), [3.0, 2.0])
+        a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        b = np.array([[2.0, 3.0]])
+        x, bad = solve(a, b)
+        assert not bad[0]
+        assert np.allclose(x[0], [3.0, 2.0])
 
-    def test_singular_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrix):
-            smallmat.solve(a, np.array([1.0, 1.0]))
+    def test_singular_flagged_and_zeroed(self):
+        a = np.array([[[1.0, 2.0], [2.0, 4.0]]])
+        x, bad = solve(a, np.array([[1.0, 1.0]]))
+        assert bad[0] and (x[0] == 0.0).all()
 
     def test_near_singular_relative_threshold(self):
-        # Scale invariance: scaled-down copies of a singular matrix still raise.
-        a = 1e-20 * np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrix):
-            smallmat.solve(a, np.array([1.0, 1.0]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(SingularMatrix):
-            smallmat.solve(np.ones((2, 3)), np.ones(2))
-
-    def test_inputs_not_mutated(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        b = np.array([1.0, 1.0])
-        a0, b0 = a.copy(), b.copy()
-        smallmat.solve(a, b)
-        assert (a == a0).all() and (b == b0).all()
+        # Scale invariance: a scaled-down copy of a singular matrix is
+        # flagged too, beside a well-conditioned copy at the same scale.
+        a = 1e-20 * np.array([[[1.0, 2.0], [2.0, 4.0]], [[2.0, 1.0], [1.0, 3.0]]])
+        b = np.ones((2, 2))
+        x, bad = solve(a, b)
+        assert bad.tolist() == [True, False]
+        assert np.allclose(x[1], np.linalg.solve(a[1], b[1]), rtol=1e-12)
 
 
 class TestSolveBatched:
@@ -57,7 +64,7 @@ class TestSolveBatched:
         a = rng.standard_normal((6, 3, 3)) + 3.0 * np.eye(3)
         a[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
         b = rng.standard_normal((6, 3))
-        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+        x, bad = solve(a, b)
         assert bad[2] and not bad[[0, 1, 3, 4, 5]].any()
         assert (x[2] == 0.0).all()
         good = np.flatnonzero(~bad)
@@ -101,7 +108,7 @@ def mixed_batch(rng, m):
 @pytest.mark.parametrize("m", M)
 def test_batch_matches_lapack(m):
     a, b = well_conditioned(np.random.default_rng(m), m)
-    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+    x, bad = solve(a, b)
     assert not bad.any()
     ref = np.linalg.solve(a, b[..., None])[..., 0]
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -114,7 +121,7 @@ def test_rank_deficient_items_are_flagged_and_zeroed(m):
     a = rank_deficient(rng, m, 40)
     a = np.concatenate([a, 1e-20 * a])
     b = rng.standard_normal((80, m))
-    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+    x, bad = solve(a, b)
     assert bad.all()
     assert (x == 0.0).all()
 
@@ -124,13 +131,14 @@ def test_items_do_not_interact(m):
     # Each item is solved exactly as it would be alone, whatever its
     # neighbours in the batch are.
     a, b, singular = mixed_batch(np.random.default_rng(20 + m), m)
-    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+    x, bad = solve(a, b)
     assert np.array_equal(bad, singular)
     for j in np.flatnonzero(~bad):
-        xj, bad_j = smallmat.solve_batched(smallmat.augment(a[j : j + 1], b[j : j + 1]))
+        xj, bad_j = solve(a[j : j + 1], b[j : j + 1])
         assert not bad_j[0]
         assert np.array_equal(x[j], xj[0])
-        assert np.array_equal(x[j], smallmat.solve(a[j], b[j]))
+        ref = np.linalg.solve(a[j], b[j])
+        np.testing.assert_allclose(x[j], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -138,13 +146,13 @@ def test_zero_leading_entry_needs_pivoting(m):
     # a[t, 0, 0] = 0: without a row exchange the first pivot is zero.
     a, b = well_conditioned(np.random.default_rng(30 + m), m)
     a[:, 0, 0] = 0.0
-    x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+    x, bad = solve(a, b)
     assert not bad.any()
     ref = np.linalg.solve(a, b[..., None])[..., 0]
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # The exchange matrix is solved exactly: x is b reversed.
     flip = np.broadcast_to(np.eye(m)[::-1], (len(b), m, m))
-    assert np.array_equal(smallmat.solve_batched(smallmat.augment(flip, b))[0], b[:, ::-1])
+    assert np.array_equal(solve(flip, b)[0], b[:, ::-1])
 
 
 @pytest.mark.parametrize("m", M)
@@ -154,16 +162,20 @@ def test_singular_items_raise_no_floating_point_warning(m):
     singular[1] = True
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
-        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+        x, bad = solve(a, b)
     assert np.array_equal(bad, singular)
     assert np.isfinite(x).all() and (x[bad] == 0.0).all()
 
 
 @pytest.mark.parametrize("m", M)
 def test_batched_inputs_not_mutated(m):
+    # The solve writes only into the augmented rows it is handed, and the
+    # solution it returns is a view of them.
     a, b, _ = mixed_batch(np.random.default_rng(50 + m), m)
     a0, b0 = a.copy(), b.copy()
-    smallmat.solve_batched(smallmat.augment(a, b))
+    aug = augment(a, b)
+    x, _ = smallmat.solve_batched(aug)
+    assert np.shares_memory(x, aug)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
@@ -215,7 +227,7 @@ def test_guard_flags_items_of_reduction_form(kind, m):
     # finite x for a matrix with a NaN or an infinite entry.
     a, b = guard_batch(kind, m, np.random.default_rng(m))
     with np.errstate(all="ignore"):
-        x, bad = smallmat.solve_batched(smallmat.augment(a, b))
+        x, bad = solve(a, b)
     assert kind in ("random", "inexact") or 0 < bad.sum() < len(b)
     assert (x[bad] == 0.0).all()
     finite = np.isfinite(x).all(axis=1)
@@ -224,12 +236,16 @@ def test_guard_flags_items_of_reduction_form(kind, m):
     assert not (reduction_guard(a, x, b) & answered).any()
     assert not (answered & ~np.isfinite(a).all(axis=(1, 2))).any()
 
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_solve_random_property(seed):
     r = np.random.default_rng(seed)
     m = int(r.integers(1, 5))
-    a = r.standard_normal((m, m)) + m * np.eye(m)
-    b = r.standard_normal(m)
-    x = smallmat.solve(a, b)
-    assert np.allclose(a @ x, b, atol=1e-9 * max(1.0, np.abs(b).max()))
+    t = int(r.integers(1, 9))
+    a = r.standard_normal((t, m, m)) + m * np.eye(m)
+    b = r.standard_normal((t, m))
+    x, bad = solve(a, b)
+    assert not bad.any()
+    assert np.allclose(np.einsum("tij,tj->ti", a, x), b, atol=1e-9 * max(1.0, np.abs(b).max()))
+    assert np.allclose(x, np.linalg.solve(a, b[..., None])[..., 0], rtol=1e-9, atol=1e-9)

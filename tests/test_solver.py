@@ -278,6 +278,28 @@ class TestMarch:
                                                    rf"-\S+ at node {negative} "):
             sol.march(q0)
 
+    @pytest.mark.parametrize("law_kind", ["advection", "euler"])
+    def test_non_finite_initial_state_rejected_before_iteration_1(self, law_kind, euler):
+        # Node 20 of the 6 x 6 rectangle lies on the outflow side, which
+        # enforcement leaves as it is; a march that let the NaN in would
+        # report the node it reached first in iteration 1.
+        if law_kind == "advection":
+            mesh, law, bset = scalar_problem(6, 6)
+            q0 = np.zeros((mesh.n_nodes, 1))
+        else:
+            mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 6, 6)
+            q_inf = euler.freestream(0.8, 3.0)
+            law, bset = euler, boundary.BoundarySet(mesh, euler, {
+                "left": ("farfield", q_inf), "bottom": ("farfield", q_inf),
+                "top": ("farfield", q_inf), "right": ("outflow", None),
+            })
+            q0 = np.tile(q_inf, (mesh.n_nodes, 1))
+        q0[20, 0] = np.nan
+        sol = solver.Solver(mesh, law, bset, SolverConfig(scheme="rxn"))
+        with pytest.raises(NonPhysicalState,
+                           match=r"^non-finite state at node 20 in initial state$"):
+            sol.march(q0)
+
     def test_reduced_subsonic_preset_stays_physical(self):
         # The preset's CFL on a 25 x 64 mesh, where a step past the
         # relaxation bound loses positivity within 20 iterations.
