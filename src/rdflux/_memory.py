@@ -1,7 +1,11 @@
 """Keep the heap that a march frees in the process, for its next iteration.
 
-An iteration allocates and frees about 10 MB of short-lived NumPy
-temporaries, spread over dozens of ufunc results.  By default glibc hands
+An iteration allocates and frees megabytes of short-lived NumPy
+temporaries, spread over dozens of ufunc results: a limited, corrected
+gas-dynamics step peaks at 5.4 parts-sized (T, 3, 4) arrays above the
+state, 2.6 MB on ``cylinder-supersonic`` and 6.5 MB on
+``cylinder-subsonic`` (9.3 parts-sizes, 4.5 and 11.2 MB, before its
+arrays were trimmed).  By default glibc hands
 them back to the kernel: each block above the mmap threshold is a fresh
 ``mmap`` that ``free`` unmaps, and free space above the trim threshold at
 the top of the heap is returned.  The next iteration then faults the same

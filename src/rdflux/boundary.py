@@ -24,7 +24,7 @@ KINDS = ("outflow", "slip_wall", "farfield", "dirichlet")
 KIND_ORDER = {kind: rank for rank, kind in enumerate(KINDS)}
 
 
-def farfield_blend(law, q_interior, q_inf, normals_out):
+def farfield_blend(law, q_interior, q_inf, normals_out, nodes=None):
     """Characteristic far-field state for each boundary node.
 
     ``normals_out`` are outward unit normals.  Classification by the
@@ -35,6 +35,12 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
     all other faces mix the outgoing acoustic invariant of the interior
     with the incoming one of the free stream, and entropy and tangential
     velocity follow the direction of the blended normal velocity.
+
+    A blended state whose sound speed is not positive raises
+    NonPhysicalState naming the first such state and its value: as mesh
+    node ``nodes[i]`` when ``nodes`` (the mesh ids of the states) is
+    given, else by its position.  Only kept states are checked; a node
+    that takes the free stream or keeps its interior state never fails.
     """
     g = law.gamma
     q_interior = np.asarray(q_interior, dtype=float)
@@ -51,8 +57,16 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
     r_in = un_f - 2.0 * a_f / (g - 1.0)  # enters the domain: free stream
     un_b = 0.5 * (r_out + r_in)
     a_b = 0.25 * (g - 1.0) * (r_out - r_in)
-    if np.any(a_b <= 0.0):
-        raise NonPhysicalState("far-field blend produced a non-positive sound speed")
+    inflow = un_i <= -a_i
+    supersonic_out = (un_i >= 0.0) & (np.hypot(u_i, v_i) >= a_i)
+    bad = (a_b <= 0.0) & ~inflow & ~supersonic_out
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        at = f"node {int(np.ravel(nodes)[i])}" if nodes is not None else f"state {i}"
+        raise NonPhysicalState(
+            f"far-field blend produced a non-positive sound speed "
+            f"{float(np.ravel(a_b)[i]):.6g} at {at}"
+        )
 
     outgoing = un_b > 0.0
     entropy = np.where(outgoing, p_i / rho_i**g, p_f / rho_f**g)
@@ -63,11 +77,8 @@ def farfield_blend(law, q_interior, q_inf, normals_out):
     p_b = rho_b * a_b * a_b / g
     q_b = law.conserved(rho_b, ut_x + un_b * nx, ut_y + un_b * ny, p_b)
 
-    q_out = q_b
-    q_out = np.where((un_i <= -a_i)[..., None], np.broadcast_to(q_inf, q_out.shape), q_out)
-    supersonic_out = (un_i >= 0.0) & (np.hypot(u_i, v_i) >= a_i)
-    q_out = np.where(supersonic_out[..., None], q_interior, q_out)
-    return q_out
+    q_out = np.where(inflow[..., None], np.broadcast_to(q_inf, q_b.shape), q_b)
+    return np.where(supersonic_out[..., None], q_interior, q_out)
 
 
 def _keys(tags):
@@ -191,7 +202,10 @@ class BoundarySet:
         return np.array(values)
 
     def apply(self, q):
-        """Impose all conditions on nodal states ``q`` (modified in place)."""
+        """Impose all conditions on nodal states ``q`` (modified in place).
+
+        A far-field blend that fails names the mesh node (``farfield_blend``).
+        """
         for b in self._bindings:
             if b.kind == "outflow":
                 continue
@@ -202,5 +216,5 @@ class BoundarySet:
                 mn = (mom * b.normals).sum(axis=1)
                 q[b.nodes, 1:3] = mom - mn[:, None] * b.normals
             elif b.kind == "farfield":
-                q[b.nodes] = farfield_blend(self.law, q[b.nodes], b.values, b.normals)
+                q[b.nodes] = farfield_blend(self.law, q[b.nodes], b.values, b.normals, b.nodes)
         return q

@@ -104,15 +104,6 @@ def scalar_upwind_k(law, normals, q_nodes):
     return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
 
 
-def _nodal_normal_flux(law, normals, q_nodes, flux=None):
-    """n_i . f(Q_i) per node, (T, 3, m); ``flux`` passes the nodal flux
-    pair ``law.flux(q_nodes)`` when the caller already has it."""
-    fx, fy = law.flux(q_nodes) if flux is None else flux
-    nf = normals[..., 0, None] * fx
-    nf += normals[..., 1, None] * fy
-    return nf
-
-
 def total_residual_linear(law, normals, q_nodes):
     """Total residual of the interpolated flux, two-point edge rule.
 
@@ -122,8 +113,7 @@ def total_residual_linear(law, normals, q_nodes):
     to zero.
     """
     q_nodes = _as_batch(q_nodes)
-    nf = _nodal_normal_flux(law, np.asarray(normals, dtype=float), q_nodes)
-    return 0.5 * nf.sum(axis=1)
+    return 0.5 * law.normal_flux(q_nodes, normals).sum(axis=1)
 
 
 def total_residual_rsd(law, normals, q_nodes):
@@ -385,7 +375,7 @@ def advection_coefficients(normals, velocity):
     return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None, nlen=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, coefficients=None, nlen=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ]
@@ -404,10 +394,15 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None, n
     mesh.  All fluxes are then evaluated at the per-triangle mean
     velocity, which makes the scheme that fixed positive linear map
     (discrete max principle under the strict time step), and ``s`` and
-    ``flux`` are not read.
+    ``pressure`` are not read.
 
-    ``flux`` passes the nodal flux pair ``law.flux(q_nodes)`` and
-    ``nlen`` the normals' lengths (T, 3) when the caller already has them.
+    The nodal normal fluxes n_i . f(Q_i) come from the law's
+    ``normal_flux`` (Euler's closed form) into one (T, 3, m) buffer,
+    which then becomes the parts: Q_star and the parts are formed one
+    component at a time, and n_i . f(Q_star) from the (T, m) flux pair
+    at Q_star, with no other (T, 3, m) array.  ``pressure`` passes the
+    nodal pressure (T, 3) of a gas and ``nlen`` the normals' lengths
+    (T, 3) when the caller already has them.
     """
     q_nodes = _as_batch(q_nodes)
     if coefficients is not None:
@@ -426,18 +421,25 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, flux=None, coefficients=None, n
 
     if nlen is None:
         nlen = np.hypot(normals[..., 0], normals[..., 1])
-    snlen = s[:, None, None] * nlen[..., None]  # (T, 3, 1)
-    nf_nodes = _nodal_normal_flux(law, normals, q_nodes, flux=flux)
-    # One (T, 3, m) buffer: first s ||n_j|| Q_j - n_j . f(Q_j), then the parts.
-    buf = snlen * q_nodes
-    buf -= nf_nodes
-    qstar = _node_sum(buf) / (s * _node_sum(nlen))[:, None]
+    snlen = s[:, None] * nlen  # (T, 3)
+    nx, ny = normals[..., 0], normals[..., 1]
+    m = q_nodes.shape[-1]
+    # One (T, 3, m) buffer: first n_j . f(Q_j), then the parts.
+    parts = law.normal_flux(q_nodes, normals, pressure)
+    den = s * _node_sum(nlen)
+    qstar = np.empty(q_nodes.shape[:1] + (m,))
+    for j in range(m):
+        qstar[:, j] = _node_sum(snlen * q_nodes[..., j] - parts[..., j]) / den
     law.check_physical(qstar, "in relaxation star state", item="triangle")
-    nf_star = _nodal_normal_flux(law, normals, qstar[:, None, :])
-    parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
-    parts *= snlen
-    parts += nf_nodes
-    parts -= nf_star
+    fx, fy = law.flux(qstar)
+    for j in range(m):
+        part = parts[..., j]
+        work = q_nodes[..., j] - qstar[:, None, j]
+        work *= snlen
+        part += work
+        nf_star = np.multiply(nx, fx[:, None, j], out=work)
+        nf_star += ny * fy[:, None, j]
+        part -= nf_star
     parts *= 0.25
     return DistributedResidual(parts, qstar)
 

@@ -35,7 +35,7 @@ __all__ = [
 CORRECTION_EPS = 1e-10
 
 
-def _signed_weights(parts, total):
+def _signed_weights(parts, total, out=None):
     """Limited parts w_i Phi^T, with the clipped weights
     w_i = [Phi_i/Phi^T]^+ / sum_j [Phi_j/Phi^T]^+.
 
@@ -47,9 +47,10 @@ def _signed_weights(parts, total):
     (among them every field with zero total) get all-zero outputs: there
     every s_i is zero, and the ratio is formed as Phi^T / 1, which needs
     no masked divide.  A NaN part makes every output of its field NaN.
-    Shapes: parts (..., 3, m) and total (..., m); the result like parts.
+    Shapes: parts (..., 3, m) and total (..., m); the result like parts,
+    a new array, or ``out`` (which may be ``parts`` itself).
     """
-    pos = parts * np.sign(total)[..., None, :]
+    pos = np.multiply(parts, np.sign(total)[..., None, :], out=out)
     np.maximum(pos, 0.0, out=pos)
     den = pos[..., 0, :] + pos[..., 1, :]
     den += pos[..., 2, :]
@@ -107,12 +108,16 @@ def limit_system(parts, law, q, direction, waves=None):
     totals are redistributed by the clipped weights, so the parts' sum is
     preserved.  Both hooks are Euler's closed-form expressions: no
     eigenvector matrix is built.
+
+    One (T, 3, m) array is allocated, the amplitudes: they are limited in
+    place and the reconstruction R c is written over them, and that
+    array is returned.  ``parts`` is not modified.
     """
     parts = np.asarray(parts, dtype=float)
     q, direction, waves = _per_node(q, direction, waves)
     theta = law.characteristic(parts, q, direction, waves)
-    tot = theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :]
-    return law.from_characteristic(_signed_weights(theta, tot), q, direction, waves)
+    _signed_weights(theta, theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :], out=theta)
+    return law.from_characteristic(theta, q, direction, waves, out=theta)
 
 
 def correction_theta(areas, proj):
@@ -148,21 +153,22 @@ def correction_scalar(parts, total, areas, k):
 
 
 def correction_system(parts, total, areas, normals, law, q, direction, waves=None):
-    """Add theta |T|^{-1/2} K_i Phi^T to system parts.
+    """Add theta |T|^{-1/2} K_i Phi^T to the system parts ``parts``, in place.
 
     K_i = (n_i . J)/2 at each triangle's arithmetic-mean state ``q``,
     applied to Phi^T by the law's closed-form ``jacobian_product``
     (no Jacobian matrix is built).  The shock marker is |theta_ent|, the
     amplitude of Phi^T on the entropy wave of the limiting ``direction``
     (``law.characteristic``).  ``waves`` passes the law's wave data
-    ``law._waves(q)`` when the caller already has it.
+    ``law._waves(q)`` when the caller already has it.  ``parts``, a
+    float (T, 3, m) array, is modified and returned; a caller that keeps
+    its input passes a copy.
     """
-    parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    proj = law.characteristic(total, q, direction, waves)[..., law.ENTROPY_WAVE]
-    theta = correction_theta(areas, proj)
+    theta = correction_theta(
+        areas, law.characteristic(total, q, direction, waves)[..., law.ENTROPY_WAVE]
+    )
     scale = 0.5 * theta / np.sqrt(np.asarray(areas, dtype=float))
     q, _, waves = _per_node(q, direction, waves)
-    out = law.jacobian_product((scale[..., None] * total)[..., None, :], q, normals, waves)
-    out += parts
-    return out
+    amp = (scale[..., None] * total)[..., None, :]
+    return law.jacobian_product(amp, q, normals, waves, add_to=parts)

@@ -1,20 +1,23 @@
 """Conservation laws: scalar advection, 2D Burgers, and 2D Euler.
 
 Every law exposes the same small surface: the flux pair (f, g)
-(``flux``), the directional Jacobian applied to vectors, (n.J) phi
+(``flux``) and the normal flux n . f (``normal_flux``, from the pair
+unless the law writes it in closed form, as Euler does from the
+pressure), the directional Jacobian applied to vectors, (n.J) phi
 (``jacobian_product``, the one linearization hook), a sub-characteristic
 wave-speed bound (``max_wavespeed``), and the parameter-vector machinery
 used by the conservative linearization (``rsd_average``).  A scalar law
 writes only ``flux`` and its characteristic velocity f'(q) (``fprime``);
-``ConservationLaw`` derives the bound |f'(q)| and the product
-(n.f'(q)) phi from it.  The characteristic projection and reconstruction
-read by the system limiter and correction (``characteristic``,
-``from_characteristic``) are Euler's alone: a scalar law is limited and
-corrected on its residual directly.  Euler writes the projection, the
-reconstruction and the product in closed form from its wave data
-(u, v, h, k, a^2, a) (``Euler._waves``), which a caller computes once per
-state and passes to all three; the systems N scheme (module
-``distribution``) applies its split Jacobians from the same data.
+``ConservationLaw`` derives the normal flux, the bound |f'(q)| and the
+product (n.f'(q)) phi from them.  The characteristic projection and
+reconstruction read by the system limiter and correction
+(``characteristic``, ``from_characteristic``) are Euler's alone: a
+scalar law is limited and corrected on its residual directly.  Euler
+writes the projection, the reconstruction and the product in closed form
+from its wave data (u, v, h, k, a^2, a) (``Euler._waves``), which a
+caller computes once per state and passes to all three; the systems N
+scheme (module ``distribution``) applies its split Jacobians from the
+same data.
 No law builds a Jacobian matrix, and a gas-dynamics march builds no
 m x m matrix beyond the N scheme's star matrix: Euler's ``eigensystem``
 is the reference the closed forms are tested against.  All methods
@@ -115,6 +118,16 @@ class ConservationLaw:
     def fprime(self, q):
         """Characteristic velocity f'(q) of a scalar law, (..., 1) -> (..., 2)."""
         raise NotImplementedError
+
+    def normal_flux(self, q, n, pressure=None):
+        """n . f(q) = n_x f + n_y g of (..., m) states for directions ``n``
+        (..., 2), from the flux pair; laid out like ``q``.  ``pressure`` is
+        Euler's (``Euler.normal_flux``): a law without one takes None."""
+        fx, fy = self.flux(q)
+        n = np.asarray(n, dtype=float)
+        nf = n[..., 0, None] * fx
+        nf += n[..., 1, None] * fy
+        return nf
 
     def jacobian_product(self, phi, q, n):
         """(n . J(q)) phi of (..., m) vectors, any n; a scalar law's is (n . f'(q)) phi."""
@@ -326,6 +339,32 @@ class Euler(ConservationLaw):
         g[..., 3] = v * (e + p)
         return f, g
 
+    def normal_flux(self, q, n, pressure=None):
+        """n . f(q) in closed form from the states and their pressure.
+
+        With the mass flux m_n = n . (rho u, rho v) and u_n = m_n / rho:
+        [m_n, rho u u_n + n_x p, rho v u_n + n_y p, (E + p) u_n], one
+        component at a time into an array laid out like ``q``, with no
+        flux pair.  ``n`` (..., 2) need not be unit length.  ``pressure``
+        passes the states' pressure (..., e.g. gathered from one
+        evaluation per mesh node) when the caller already has it.
+        """
+        q = np.asarray(q, dtype=float)
+        p = self.primitives(q)[3] if pressure is None else pressure
+        n = np.asarray(n, dtype=float)
+        nx, ny = n[..., 0], n[..., 1]
+        q0, q1, q2, q3 = (q[..., j] for j in range(4))
+        out = _vectors_like(np.broadcast_shapes(q0.shape, nx.shape), q, n)
+        mass = np.multiply(nx, q1, out=out[..., 0])
+        mass += ny * q2
+        un = mass / q0
+        mx = np.multiply(q1, un, out=out[..., 1])
+        mx += nx * p
+        my = np.multiply(q2, un, out=out[..., 2])
+        my += ny * p
+        np.multiply(q3 + p, un, out=out[..., 3])
+        return out
+
     # Index of the entropy wave inside the repeated middle eigenvalue pair:
     # its right eigenvector is the one with a nonzero density component.
     ENTROPY_WAVE = 1
@@ -413,25 +452,33 @@ class Euler(ConservationLaw):
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
         p0, p1, p2 = phi[..., 0], phi[..., 1], phi[..., 2]
+        shape = np.broadcast_shapes(p0.shape, nx.shape, u.shape, a.shape)
+        out = _vectors_like(shape, phi, n)
         dpa = self._pressure_jump(phi, u, v, k)
         dpa /= a2
-        wa = nx * p1 + ny * p2 - (u * nx + v * ny) * p0
+        # Each sum is accumulated in its output slot; w/a waits in the last.
+        wa = np.multiply(nx, p1, out=out[..., 3])
+        wa += ny * p2
+        wa -= (u * nx + v * ny) * p0
         wa /= a
-        out = _vectors_like(np.broadcast_shapes(dpa.shape, wa.shape), phi, n)
         np.subtract(dpa, wa, out=out[..., 0])
         out[..., 0] *= 0.5
         np.subtract(p0, dpa, out=out[..., 1])
-        np.subtract(nx * p2 - ny * p1, (v * nx - u * ny) * p0, out=out[..., 2])
-        np.add(dpa, wa, out=out[..., 3])
-        out[..., 3] *= 0.5
+        shear = np.multiply(nx, p2, out=out[..., 2])
+        shear -= ny * p1
+        shear -= (v * nx - u * ny) * p0
+        wa += dpa
+        wa *= 0.5
         return out
 
-    def from_characteristic(self, c, q, n, waves=None):
+    def from_characteristic(self, c, q, n, waves=None, out=None):
         """Vectors R c from the amplitudes ``c`` of ``characteristic``.
 
         With S = c_0 + c_3 and D = c_3 - c_0: [S + c_1,
         u (S + c_1) + a n_x D - n_y c_2, v (S + c_1) + a n_y D + n_x c_2,
-        h S + a u_n D + k c_1 + u_t c_2].
+        h S + a u_n D + k c_1 + u_t c_2].  ``out`` receives the result
+        and may be ``c`` itself: each component of ``c`` is read before
+        its slot is written.
         """
         u, v, h, k, _, a = self._waves(q) if waves is None else waves
         c = np.asarray(c, dtype=float)
@@ -440,22 +487,34 @@ class Euler(ConservationLaw):
         c0, c1, c2, c3 = (c[..., j] for j in range(4))
         s = c0 + c3
         ad = a * (c3 - c0)
-        out = _vectors_like(np.broadcast_shapes(s.shape, ad.shape, nx.shape), c, n)
-        mass = np.add(s, c1, out=out[..., 0])
-        np.add(u * mass + nx * ad, -ny * c2, out=out[..., 1])
-        np.add(v * mass + ny * ad, nx * c2, out=out[..., 2])
+        if out is None:
+            out = _vectors_like(np.broadcast_shapes(s.shape, ad.shape, nx.shape), c, n)
+        # Each sum is accumulated in its output slot, in the order that
+        # reads every component of ``c`` before its slot is written.
         e = np.multiply(h, s, out=out[..., 3])
         e += (u * nx + v * ny) * ad
         e += k * c1
         e += (v * nx - u * ny) * c2
+        mass = np.add(s, c1, out=out[..., 0])
+        del s
+        mx = np.multiply(u, mass, out=out[..., 1])
+        mx += nx * ad
+        mx += -ny * c2
+        shear = nx * c2
+        my = np.multiply(v, mass, out=out[..., 2])
+        my += ny * ad
+        my += shear
         return out
 
-    def jacobian_product(self, phi, q, n, waves=None):
+    def jacobian_product(self, phi, q, n, waves=None, add_to=None):
         """(n . J) phi for any direction ``n``, unit or not.
 
         With dp and w as in ``characteristic`` and dm = n . (phi_1, phi_2):
         [dm, u w + u_n phi_1 + n_x dp, v w + u_n phi_2 + n_y dp,
-        h w + u_n (phi_3 + dp)].
+        h w + u_n (phi_3 + dp)].  ``add_to`` passes an array of the
+        product's shape: the product is added into it in place, one
+        component at a time, and it is returned, so that no array of that
+        size is allocated; without it the product is a new array.
         """
         u, v, h, k, _, _ = self._waves(q) if waves is None else waves
         phi = np.asarray(phi, dtype=float)
@@ -464,12 +523,30 @@ class Euler(ConservationLaw):
         p0, p1, p2, p3 = (phi[..., j] for j in range(4))
         dp = self._pressure_jump(phi, u, v, k)
         un = u * nx + v * ny
-        out = _vectors_like(np.broadcast_shapes(dp.shape, un.shape), n, phi)
-        dm = np.add(nx * p1, ny * p2, out=out[..., 0])
+        out = add_to
+        if out is None:  # the product alone: added into zeros
+            out = _vectors_like(np.broadcast_shapes(dp.shape, un.shape), n, phi)
+            out.fill(0.0)
+
+        def emit(j, value):
+            slot = out[..., j]
+            slot += value
+
+        # Each component is formed in one temporary, then added into its slot.
+        dm = nx * p1
+        dm += ny * p2
+        emit(0, dm)
         w = dm - un * p0
-        np.add(u * w + un * p1, nx * dp, out=out[..., 1])
-        np.add(v * w + un * p2, ny * dp, out=out[..., 2])
-        np.add(h * w, un * (p3 + dp), out=out[..., 3])
+        del dm
+        for j, (vel, nj, pj) in enumerate(((u, nx, p1), (v, ny, p2)), start=1):
+            mom = vel * w
+            mom += un * pj
+            mom += nj * dp
+            emit(j, mom)
+            del mom
+        e = h * w
+        e += un * (p3 + dp)
+        emit(3, e)
         return out
 
     def max_wavespeed(self, q, prim=None):

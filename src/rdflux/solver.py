@@ -13,48 +13,60 @@ One iteration runs in this order:
 1. sweep (``Solver._sweep``, the one builder of the triangle pass's
    inputs): the state is gathered to the triangles once; for laws with
    primitive variables (Euler) the primitives are computed once on the N
-   mesh nodes, and from them the max wave speed, and the flux pair for
-   RXN or the parameter vector for the systems N scheme; and once on the
-   triangles' arithmetic-mean states.  It also holds the per-triangle
-   wave-speed bound where a scheme or step rule reads it, a scalar law's
-   upwind parameters k, and an advection field's relaxation map; each is
-   computed once, or passed in from ``Solver`` where the mesh alone fixes
-   it;
+   mesh nodes, and from them the max wave speed, and the pressure for
+   RXN (its normal fluxes are formed in closed form from the gathered
+   state and pressure) or the parameter vector for the systems N scheme;
+   and once on the triangles' arithmetic-mean states.  It also holds the
+   per-triangle wave-speed bound where a scheme or step rule reads it, a
+   scalar law's upwind parameters k, and an advection field's relaxation
+   map; each is computed once, or passed in from ``Solver`` where the
+   mesh alone fixes it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
    for scalars (``stable_dt``).  An advection field's step depends on the
    mesh alone: ``Solver`` computes it once and every iteration reuses it;
 3. triangle pass (``Solver._distribute``, per chunk of triangles on the
    chunk's ``Sweep.take`` slice): each chunk gathers the nodal fields it
    needs, distributes its residual, and limits and corrects the parts at
-   each triangle's arithmetic-mean state.  The limiting direction reads
-   that state's primitives from the sweep; the characteristic projection
-   and reconstruction, the entropy marker and the Jacobian-vector
-   products read its wave data, computed once from them.  All are
-   closed-form expressions, and so is the systems N scheme's split of the
-   Jacobians: no eigenvector or Jacobian matrix is built;
+   each triangle's arithmetic-mean state.  Beyond the sweep, an RXN pass
+   of a gas holds at most two (T, 3, m) arrays at a time: RXN forms its
+   parts in the buffer of its nodal normal fluxes, the limiter works in
+   its amplitude array, the raw parts are dropped once limited, and the
+   correction adds into the limited parts in place.  The limiting
+   direction reads that state's primitives from the sweep; the
+   characteristic projection and reconstruction, the entropy marker and
+   the Jacobian-vector products read its wave data, computed once from
+   them.  All are closed-form expressions, and so is the systems N
+   scheme's split of the Jacobians: no eigenvector or Jacobian matrix is
+   built;
 4. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.  The
    update is formed in place in the scatter's output, and the finiteness
    check reads the one reduction that the update rate needs anyway
    (``Solver.step``).
 
-Every nodal sum (the scatter and the step rule's inflow coefficients) is
-one ``bincount`` that reads its per-triangle values in the order they are
-stored, triangle axis innermost: each node sums its entries by vertex
-slot, and within a slot by triangle.  No sum copies its weights into
-another order first.
+Every nodal sum (the scatter, one per component, and the step rule's
+inflow coefficients) is a ``bincount`` over the triangles' node ids that
+reads its per-triangle values in the order they are stored, triangle
+axis innermost: each node sums its entries by vertex slot, and within a
+slot by triangle.  No sum copies its weights or its bins first.
 
 ``SolverConfig.n_threads`` sets the number of assembly threads
 (default 1).  Triangles are processed in fixed contiguous chunks either
 way, and the chunk results are accumulated in ascending chunk order, so
 repeated runs are bit-identical.
 
-Memory: an iteration allocates and frees about 10 MB of NumPy
-temporaries.  The first ``Solver`` of a process tells glibc's allocator
-to keep freed heap memory for reuse instead of returning it to the
-kernel (``_memory.retain_heap``), so a steady iteration takes no page
-faults.  The process's resident size then stays at its high-water mark.
-Elsewhere (macOS, Windows, musl) this is a no-op.
+Memory: the temporaries of one limited, corrected RXN iteration (sweep,
+step rule and step) peak at 5.4 times the size of the (T, 3, 4) parts
+above the state, as ``tracemalloc`` reads it: 2.6 MB on
+``cylinder-supersonic`` (5000 triangles) and 6.5 MB on
+``cylinder-subsonic`` (12544), down from 9.3 times (4.5 and 11.2 MB)
+when the sweep kept the nodal flux pair and the limiter and the
+correction each allocated new parts.  The first ``Solver`` of a process
+tells glibc's allocator to keep freed heap memory for reuse instead of
+returning it to the kernel (``_memory.retain_heap``), so a steady
+iteration takes no page faults.  The process's resident size then stays
+at its high-water mark.  Elsewhere (macOS, Windows, musl) this is a
+no-op.
 """
 from __future__ import annotations
 
@@ -168,14 +180,14 @@ class Sweep:
     ``coefficients`` the relaxation map (g, w) of an advection field under
     RXN, which carries its own bound
     (``distribution.advection_coefficients``).
-    For laws with primitive variables (Euler), ``flux`` (the pair f, g,
-    read by RXN) or ``z`` (the parameter vector, read by the systems N
-    scheme) holds values on the N mesh nodes, which the pass gathers
-    (``gather``); ``q_mean`` (T, m) is each triangle's arithmetic-mean
-    state and ``prim_mean`` its primitives, shared by the wave-speed
-    bound and the limiter and correction.  Fields that the mesh alone
-    fixes are the solver's own arrays, not copies.  A sweep lives for one
-    iteration only.
+    For laws with primitive variables (Euler), ``pressure`` (read by RXN,
+    whose normal fluxes come from it and the gathered state) or ``z``
+    (the parameter vector, read by the systems N scheme) holds values on
+    the N mesh nodes, which the pass gathers (``gather``); ``q_mean``
+    (T, m) is each triangle's arithmetic-mean state and ``prim_mean`` its
+    primitives, shared by the wave-speed bound and the limiter and
+    correction.  Fields that the mesh alone fixes are the solver's own
+    arrays, not copies.  A sweep lives for one iteration only.
     """
 
     tris: np.ndarray
@@ -186,7 +198,7 @@ class Sweep:
     s: np.ndarray | None = None
     k: np.ndarray | None = None
     coefficients: tuple | None = None
-    flux: tuple | None = None
+    pressure: np.ndarray | None = None
     z: np.ndarray | None = None
     q_mean: np.ndarray | None = None
     prim_mean: tuple | None = None
@@ -248,9 +260,10 @@ class Solver:
     parameters, the step of the upwind step rule (``dt_static``,
     read-only; None where the field is stagnant), and on a
     ``velocity_at`` field under ``scheme="rxn"`` the
-    relaxation scheme's linear map (g, w) (``rxn_static``).  The bins of
-    the scatter are built once per chunk (``_chunk_bins``) in the memory
-    order of the parts.  The first ``Solver`` of a process keeps freed
+    relaxation scheme's linear map (g, w) (``rxn_static``).  The scatter
+    reads each chunk's node ids (``_chunk_nodes``) in the memory order of
+    one component of the parts; with one chunk they are a view of the
+    triangles, not a copy.  The first ``Solver`` of a process keeps freed
     heap memory resident (see the module docstring).
     """
 
@@ -292,12 +305,10 @@ class Solver:
 
         self.n_threads = self.cfg.n_threads
         self._chunks = self._plan_chunks()
-        # Entry (j, i, t) of a chunk's parts, in the (component, vertex
-        # slot, triangle) memory order of triangle-innermost parts, adds to
-        # the flat bin node * m + j of the (N, m) residual.
-        components = np.arange(law.m)[:, None, None]
-        self._chunk_bins = [(self._tris_t[:, sl] * law.m + components).ravel()
-                            for sl in self._chunks]
+        # Each chunk's node ids (3, T) flattened in (vertex slot, triangle)
+        # order, the memory order of one component of triangle-innermost
+        # parts: with one chunk a view of ``_tris_t``, not a copy.
+        self._chunk_nodes = [self._tris_t[:, sl].ravel() for sl in self._chunks]
         self._pool = None  # created on the first threaded assemble
 
     # -- assembly ------------------------------------------------------------
@@ -308,23 +319,24 @@ class Solver:
         bounds = np.linspace(0, n_tris, n + 1).astype(int)
         return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
-    def _scatter(self, bins, parts):
+    def _scatter(self, nodes, parts):
         """Per-triangle nodal values summed into the nodes: a new (N, m) array.
 
-        One bincount over the flat bins ``bins`` of the (T, 3, m) ``parts``
-        read as ``parts.T``, in (component, vertex slot, triangle) order:
-        each bin sums its entries by slot, and within a slot in triangle
+        One bincount per component over the node ids ``nodes`` (a chunk's
+        ``_chunk_nodes``), whose weights are that component of the
+        (T, 3, m) ``parts`` read in (vertex slot, triangle) order: each
+        node sums its entries by slot, and within a slot in triangle
         order, whatever the memory layout of ``parts``.  For
         triangle-innermost parts that order is the memory order, and the
-        weights are a view, not a copy.
+        weights are a view, not a copy.  With m = 1 the residual is the
+        bincount itself.
         """
-        m = self.law.m
-        return np.bincount(bins, weights=parts.T.ravel(),
-                           minlength=self.n_nodes * m).reshape(self.n_nodes, m)
+        sums = [np.bincount(nodes, weights=c.ravel(), minlength=self.n_nodes) for c in parts.T]
+        return sums[0][:, None] if len(sums) == 1 else np.stack(sums, axis=1)
 
-    def _scatter_add(self, out, bins, parts):
+    def _scatter_add(self, out, nodes, parts):
         """Accumulate per-triangle nodal values into ``out`` (N, m) (``_scatter``)."""
-        out += self._scatter(bins, parts)
+        out += self._scatter(nodes, parts)
 
     def _distribute(self, sweep):
         """Distributed parts of one sweep slice: scheme, limiter, correction.
@@ -341,10 +353,10 @@ class Solver:
         law, cfg = self.law, self.cfg
         normals, q_nodes = sweep.normals, sweep.q_nodes
         if cfg.scheme == "rxn":
-            flux = None if sweep.flux is None else tuple(sweep.gather(f) for f in sweep.flux)
-            res = dist.rxn_scheme(law, normals, q_nodes, s=sweep.s, flux=flux,
+            pressure = None if sweep.pressure is None else sweep.gather(sweep.pressure)
+            res = dist.rxn_scheme(law, normals, q_nodes, s=sweep.s, pressure=pressure,
                                   coefficients=sweep.coefficients, nlen=sweep.nlen)
-            flux = None  # the gathered flux is spent; free it before the limiter's temporaries
+            del pressure  # spent: free it before the limiter's temporaries
         elif law.m == 1:
             res = dist.n_scheme_scalar(q_nodes, sweep.k)
         else:
@@ -356,6 +368,7 @@ class Solver:
         if not (cfg.limited or cfg.corrected):
             return parts, fallback
         total = res.total
+        del res  # the star states go now, the raw parts once the limiter replaces them
 
         if law.m == 1:
             if cfg.limited:
@@ -391,15 +404,15 @@ class Solver:
             sweep = self._sweep(q)
         if len(self._chunks) == 1:
             parts, fallback = self._distribute(sweep)
-            return self._scatter(self._chunk_bins[0], parts), fallback
+            return self._scatter(self._chunk_nodes[0], parts), fallback
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
             weakref.finalize(self, self._pool.shutdown, wait=False)
         results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
         out = np.zeros((self.n_nodes, self.law.m))
         fallback = 0
-        for bins, (parts, n_fb) in zip(self._chunk_bins, results):
-            self._scatter_add(out, bins, parts)
+        for nodes, (parts, n_fb) in zip(self._chunk_nodes, results):
+            self._scatter_add(out, nodes, parts)
             fallback += n_fb
         return out, fallback
 
@@ -428,7 +441,7 @@ class Solver:
             )
             nodal = {"q_mean": q_mean, "prim_mean": prim_mean}
             if cfg.scheme == "rxn":
-                nodal["flux"] = law.flux(q, prim)
+                nodal["pressure"] = prim[3]
             else:
                 nodal["z"] = law.to_params(q, prim)
         return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q_nodes, s, k,

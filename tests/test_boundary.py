@@ -7,7 +7,7 @@ import pytest
 
 from rdflux import boundary, config, meshgen, physics
 from rdflux.solver import Solver
-from rdflux.errors import ConfigError, InvalidArgument
+from rdflux.errors import ConfigError, InvalidArgument, NonPhysicalState
 
 from .conftest import random_euler_states
 
@@ -251,6 +251,40 @@ class TestFarfieldBlend:
         p_b = rho_b * a_b * a_b / g
         expect = euler.conserved(rho_b, un_b, v_i, p_b)
         assert np.allclose(out, expect, rtol=1e-12)
+
+    def test_supersonic_inflow_ignores_its_blended_sound_speed(self, euler):
+        # Inflow at normal Mach 12 against a Mach 0.5 free stream leaving
+        # through the face: the blended sound speed would be negative, but
+        # the node takes the free stream, so nothing is wrong.
+        q_inf = euler.freestream(0.5, 180.0)
+        p = euler.gamma**-euler.gamma
+        a = math.sqrt(euler.gamma * p)
+        interior = euler.conserved(1.0, -12.0 * a, 0.0, p)
+        out = boundary.farfield_blend(euler, interior[None], q_inf, np.array([[1.0, 0.0]]))
+        assert np.array_equal(out[0], q_inf)
+
+    def test_non_positive_blended_sound_speed_names_the_node(self, euler, rect_mesh):
+        # A Mach 8 free stream leaving through the right face, and one node
+        # there at rest with half its sound speed: that node is blended, at
+        # a_b = (gamma - 1)/4 (3 a_f / (gamma - 1) - 8 a_f) = -0.05 a_f.
+        # The error names the mesh node and that value.
+        g = euler.gamma
+        q_inf = euler.freestream(8.0, 0.0)
+        rho_f, _, _, p_f = euler.primitives(q_inf)
+        a_f = math.sqrt(g * p_f / rho_f)
+        bset = boundary.BoundarySet(rect_mesh, euler, {
+            "left": ("outflow", None), "right": ("farfield", q_inf),
+            "top": ("outflow", None), "bottom": ("outflow", None),
+        })
+        q = np.tile(q_inf, (rect_mesh.n_nodes, 1))
+        node = int(rect_mesh.boundary_nodes("right")[3])
+        q[node] = euler.conserved(1.0, 0.0, 0.0, 0.25 * p_f)  # a = a_f / 2
+        a_b = 0.25 * (g - 1.0) * (2.0 * (0.5 * a_f + a_f) / (g - 1.0) - 8.0 * a_f)
+        assert a_b < 0.0
+        with pytest.raises(NonPhysicalState, match=(
+            rf"^far-field blend produced a non-positive sound speed {a_b:.6g} at node {node}$"
+        )):
+            bset.apply(q)
 
     def test_uniform_freestream_is_fixed_point(self, euler, rng):
         q_inf = euler.freestream(0.8, 30.0)

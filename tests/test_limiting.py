@@ -118,9 +118,10 @@ class TestLimitOracle:
     def test_limit_system_matches_divide_mask_multiply(self, rng, mach_scale):
         # The limited amplitudes are compared before the reconstruction,
         # which mixes the fields: a law whose ``from_characteristic`` is the
-        # identity returns them as they are.
+        # identity returns them as they are (``limit_system`` passes its
+        # amplitude buffer as ``out``, which then already holds them).
         class Amplitudes(physics.Euler):
-            def from_characteristic(self, coef, *args):
+            def from_characteristic(self, coef, *args, out=None):
                 return coef
 
         euler = Amplitudes()
@@ -184,6 +185,22 @@ class TestLimitSystem:
         parts = rng.standard_normal((300, 3, 4))
         expected = matrix_limit(parts, euler.eigensystem(q, direction))
         assert_close_per_triangle(limiting.limit_system(parts, euler, q, direction), expected)
+
+    def test_input_unchanged_and_same_bits_as_allocating_hooks(self, rng):
+        # The limiter works in its own amplitude array: the parts passed in
+        # keep their values, whatever their layout, and the result equals,
+        # bit for bit, the hooks chained without reusing any array.
+        euler, q, direction = self._euler_setup(rng, 60)
+        q_n, d_n = q[:, None], direction[:, None]
+        parts = rng.standard_normal((60, 3, 4))
+        for parts in (parts, np.asfortranarray(parts)):
+            kept = parts.copy()
+            out = limiting.limit_system(parts, euler, q, direction)
+            assert np.array_equal(parts, kept)
+            assert not np.shares_memory(out, parts)
+            theta = euler.characteristic(kept, q_n, d_n)
+            limited = limiting.limit_scalar(theta, theta[:, 0] + theta[:, 1] + theta[:, 2])
+            assert np.array_equal(out, euler.from_characteristic(limited, q_n, d_n))
 
     def test_one_signed_fields_unchanged(self, rng):
         euler, q, direction = self._euler_setup(rng, 40)
@@ -305,8 +322,20 @@ class TestCorrectionSystem:
         parts = rng.standard_normal((10, 3, 4))
         parts -= parts.mean(axis=1, keepdims=True)
         total = parts.sum(axis=1)  # ~0
-        out = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
+        # The correction adds into the parts it is given: pass a copy.
+        out = limiting.correction_system(parts.copy(), total, areas, normals, euler, q, direction)
         assert np.allclose(out, parts, atol=1e-12)
+
+    def test_adds_into_the_given_parts(self, rng):
+        euler, normals, areas, q, direction = self._setup(rng, 50)
+        parts = rng.standard_normal((50, 3, 4))
+        kept = parts.copy()
+        total = kept.sum(axis=1)
+        data = (total, areas, normals, euler, q, direction)
+        correction = limiting.correction_system(np.zeros_like(parts), *data)
+        out = limiting.correction_system(parts, *data)
+        assert out is parts
+        assert np.array_equal(out, kept + correction)
 
     @pytest.mark.parametrize("mach_scale", [2.0, 8.0])
     def test_matches_matrix_formulation(self, rng, mach_scale):

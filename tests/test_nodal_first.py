@@ -61,8 +61,8 @@ class TestPrecomputedNodalData:
 
     def test_rxn_scheme(self, case):
         law, q, tris, normals = case
-        f, g = law.flux(q)
-        given = dist.rxn_scheme(law, normals, q[tris], flux=(f[tris], g[tris]))
+        pressure = law.primitives(q)[3][tris]
+        given = dist.rxn_scheme(law, normals, q[tris], pressure=pressure)
         own = dist.rxn_scheme(law, normals, q[tris])
         for name in ("parts", "star"):
             assert_same(getattr(given, name), getattr(own, name))
@@ -115,10 +115,11 @@ class TestPrecomputedNodalData:
             limiting.limit_system(res.parts, law, q_mean, direction),
         )
         areas = np.asarray(mesh.areas, dtype=float)
-        data = (res.parts, res.total, areas, normals, law, q_mean, direction)
-        assert_same(
-            limiting.correction_system(*data, waves), limiting.correction_system(*data)
-        )
+        data = (res.total, areas, normals, law, q_mean, direction)
+        # The correction adds into the parts it is given: each call gets a copy.
+        given = limiting.correction_system(res.parts.copy(), *data, waves)
+        assert_same(given, limiting.correction_system(res.parts.copy(), *data))
+        assert not np.array_equal(given, res.parts)
 
     def test_n_scheme_system(self, case):
         law, q, tris, normals = case

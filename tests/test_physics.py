@@ -92,6 +92,37 @@ class TestJacobians:
             assert np.array_equal(getattr(inner, name), getattr(eig, name))
 
 
+class TestNormalFlux:
+    def test_euler_closed_form_matches_flux_pair(self, euler, rng):
+        # Per-node states and non-unit normals, (T, 3, 4) against (T, 3, 2),
+        # and one state per triangle broadcast against three normals.
+        q = random_euler_states(rng, (200, 3), mach_scale=4.0)
+        n = rng.standard_normal((200, 3, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, (200, 3, 1))
+        for states in (q, q[:, :1]):
+            fx, fy = euler.flux(states)
+            expected = n[..., 0, None] * fx + n[..., 1, None] * fy
+            scale = np.abs(expected).max(axis=-1, keepdims=True)
+            actual = euler.normal_flux(states, n)
+            assert actual.shape == expected.shape
+            assert (np.abs(actual - expected) <= 1e-14 * scale).all()
+
+    def test_euler_given_pressure_changes_no_bit(self, euler, rng):
+        q = random_euler_states(rng, (50, 3))
+        n = rng.standard_normal((50, 3, 2))
+        given = euler.normal_flux(q, n, euler.primitives(q)[3])
+        assert np.array_equal(given, euler.normal_flux(q, n))
+
+    @pytest.mark.parametrize("name", ["advection", "burgers"])
+    def test_scalar_default_is_the_flux_pair(self, name, rng):
+        law = LAWS[name]
+        q = rng.standard_normal((40, 3, 1))
+        n = rng.standard_normal((40, 3, 2))
+        fx, fy = law.flux(q)
+        expected = n[..., 0, None] * fx
+        expected += n[..., 1, None] * fy
+        assert np.array_equal(law.normal_flux(q, n), expected)
+
+
 class TestMaxWavespeed:
     @pytest.mark.parametrize("name", ["advection", "burgers"])
     def test_scalar_bound_dominates_directions(self, name, rng):

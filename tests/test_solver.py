@@ -404,9 +404,9 @@ class TestDeterminism:
 
 
     def test_scatter_adds_each_bin_in_triangle_order(self, euler, rng):
-        # Each chunk's bincount adds a bin's entries by vertex slot, and
-        # within a slot in triangle order: the memory order of
-        # triangle-innermost parts.  The chunk sums are added in chunk
+        # Each chunk's bincounts, one per component, add a node's entries
+        # by vertex slot, and within a slot in triangle order: the memory
+        # order of triangle-innermost parts.  The chunk sums are added in chunk
         # order.  The bits do not depend on the parts' memory layout.
         mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 7, 5)
         tris = np.asarray(mesh.tris)
@@ -414,6 +414,8 @@ class TestDeterminism:
         parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         for n_threads in (1, 2):
             sol = solver.Solver(mesh, euler, None, SolverConfig(scheme="n", n_threads=n_threads))
+            if n_threads == 1:  # the one chunk's node ids are the triangles' own
+                assert np.shares_memory(sol._chunk_nodes[0], sol._tris_t)
 
             def loop_sum(order):
                 total = np.zeros((mesh.n_nodes, 4))
@@ -430,8 +432,8 @@ class TestDeterminism:
             assert not np.array_equal(expected, by_triangle)  # the order shows in these sums
             for layout in (parts, solver._triangle_inner(parts)):
                 out = np.zeros((mesh.n_nodes, 4))
-                for sl, bins in zip(sol._chunks, sol._chunk_bins):
-                    sol._scatter_add(out, bins, layout[sl])
+                for sl, nodes in zip(sol._chunks, sol._chunk_nodes):
+                    sol._scatter_add(out, nodes, layout[sl])
                 assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("scheme", ["rxn", "n"])
