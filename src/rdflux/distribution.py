@@ -179,84 +179,114 @@ def _signed_split(lam2, half_a, clip):
     return l2, 0.5 * (a1 + a4), 0.5 * (a4 - a1)
 
 
-def _apply_split(law, waves, nx, ny, un, split, phi):
-    """K_i^s phi_i for (T, 3, 4) vectors ``phi``, from the rank-2 form.
+def _node_geometry(normals, nlen, node_waves):
+    """(n_x, n_y, u_n, lam_2, |n| a / 2), each (T, 3): the unit normals,
+    the averaged state's normal velocity and the halved eigenvalues
+    |n| u_n / 2 and |n| a / 2 that ``_signed_split`` reads, from the wave
+    data broadcast over the nodes."""
+    nx = normals[..., 0] / nlen
+    ny = normals[..., 1] / nlen
+    un = node_waves[0] * nx + node_waves[1] * ny
+    return nx, ny, un, 0.5 * nlen * un, 0.5 * nlen * node_waves[5]
+
+
+def _split_components(law, waves, nx, ny, un, split, phi, out=None):
+    """The components of K_i^s phi_i for (T, 3, 4) vectors ``phi``, one
+    (T, 3) array at a time, from the rank-2 form.
 
     ``waves`` is the averaged state's wave data broadcast over the nodes,
     (nx, ny) the unit normals and ``un`` the normal velocities (T, 3);
     ``split`` is ``_signed_split``'s (lam_2^s, P, M).  With dp/a^2 and
     w/a as in ``Euler.characteristic``, S = P dp/a^2 + M w/a and
-    D = a (M dp/a^2 + P w/a), the result is
-    lam_2^s phi + S (1, u, v, h) + D (0, nx, ny, u_n).
+    D = a (M dp/a^2 + P w/a), component j is
+    lam_2^s phi_j + S (1, u, v, h)_j + D (0, nx, ny, u_n)_j.
+
+    A generator: S and D are formed from ``phi`` first, and then each
+    component reads only its own slot of ``phi``.  Component j is a new
+    array, or the slot ``out[..., j]`` when ``out`` is given; ``out`` may
+    be ``phi`` itself, as each slot is read before it is written.
     """
     u, v, h, k, a2, a = waves
     l2, p, mm = split
-    p0, p1, p2, p3 = (phi[..., j] for j in range(4))
     dpa = law._pressure_jump(phi, u, v, k)
     dpa /= a2
-    wa = nx * p1 + ny * p2 - un * p0
+    wa = nx * phi[..., 1] + ny * phi[..., 2] - un * phi[..., 0]
     wa /= a
     s = p * dpa + mm * wa
     d = a * (mm * dpa + p * wa)
-    out = np.empty_like(phi)
-    np.add(l2 * p0, s, out=out[..., 0])
-    np.add(l2 * p1 + u * s, nx * d, out=out[..., 1])
-    np.add(l2 * p2 + v * s, ny * d, out=out[..., 2])
-    np.add(l2 * p3 + h * s, un * d, out=out[..., 3])
-    return out
+    del dpa, wa
+    for j, (e, n) in enumerate(((None, None), (u, nx), (v, ny), (h, un))):
+        c = np.multiply(l2, phi[..., j], out=None if out is None else out[..., j])
+        c += s if e is None else e * s
+        if n is not None:
+            c += n * d
+        yield c
 
 
-def _star_matrix(law, waves, nx, ny, split, rhs):
+def _apply_split(law, waves, nx, ny, un, split, phi):
+    """K_i^s phi_i written over the (T, 3, 4) vectors ``phi``, which it
+    returns (``_split_components``)."""
+    for _ in _split_components(law, waves, nx, ny, un, split, phi, out=phi):
+        pass
+    return phi
+
+
+def _star_sums(split, nx, ny):
+    """The node sums of the minus split that the star matrix reads, each
+    (T,): sigma = sum lam_2^-, sum P, X_x = sum M n_x, X_y = sum M n_y,
+    S_xx = sum P n_x^2, S_xy = sum P n_x n_y and S_yy = sum P n_y^2
+    (``_star_matrix``).  With them taken, the split and the unit normals
+    can go before the matrix is built."""
+    l2, p, mm = split
+    pnx = p * nx
+    return (_node_sum(l2), _node_sum(p), _node_sum(mm * nx), _node_sum(mm * ny),
+            _node_sum(pnx * nx), _node_sum(pnx * ny), _node_sum(p * ny * ny))
+
+
+def _star_matrix(law, waves, sums, rhs):
     """The star system [sum_j K_j^- | rhs] as augmented rows (4, 5, T).
 
     Row i holds row i of the star matrix and then ``rhs[:, i]``
     (``rhs`` is (T, 4)), triangle axis innermost: the layout that
     ``smallmat.solve_batched`` eliminates in place.
 
-    Summing the rank-2 form over the nodes (``waves`` per triangle, (T,)):
+    Summing the rank-2 form over the nodes (``waves`` per triangle, (T,),
+    and ``sums`` from ``_star_sums``):
     sum_j K_j^- = sigma I + c d^T + e y^T / a + B with sigma = sum lam_2^-,
     e = (1, u, v, h), the pressure covector d = (gamma - 1)/a^2
     (k, -u, -v, 1), c = (sum P) e + a (0, X_x, X_y, X_n),
-    y = (-X_n, X_x, X_y, 0) where X_x = sum M n_x, X_y = sum M n_y,
-    X_n = u X_x + v X_y, and B the sum of P (0, n_x, n_y, u_n)
-    (-u_n, n_x, n_y, 0)^T, which the three sums S_xx = sum P n_x^2,
-    S_xy = sum P n_x n_y and S_yy = sum P n_y^2 fix.
+    y = (-X_n, X_x, X_y, 0) where X_n = u X_x + v X_y, and B the sum of
+    P (0, n_x, n_y, u_n) (-u_n, n_x, n_y, 0)^T, which S_xx, S_xy and S_yy
+    fix.  The rows are written one at a time, each row's c_i and B_i
+    formed just before it and dropped once its entries are in ``aug``;
+    beside the sums, only d, y / a and the B entries that a later row
+    reads again are live across the rows.
     """
     u, v, h, k, a2, a = waves
-    l2, p, mm = split
-    sigma = _node_sum(l2)
-    pt = _node_sum(p)
-    xx = _node_sum(mm * nx)
-    xy = _node_sum(mm * ny)
-    xn = u * xx + v * xy
-    pnx = p * nx
-    sxx = _node_sum(pnx * nx)
-    sxy = _node_sum(pnx * ny)
-    syy = _node_sum(p * ny * ny)
-    bx = u * sxx + v * sxy
-    by = u * sxy + v * syy
-    b1 = (law.gamma - 1.0) / a2
-    e = (1.0, u, v, h)
-    d = (b1 * k, -b1 * u, -b1 * v, b1)
-    c = (pt, pt * u + a * xx, pt * v + a * xy, pt * h + a * xn)
-    ya = (-xn / a, xx / a, xy / a, 0.0)
-    b = (
-        (0.0, 0.0, 0.0, 0.0),
-        (-bx, sxx, sxy, 0.0),
-        (-by, sxy, syy, 0.0),
-        (-(u * bx + v * by), bx, by, 0.0),
-    )
+    sigma, pt, xx, xy, sxx, sxy, syy = sums
     aug = np.empty((4, 5, len(u)))
-    for i in range(4):
+    aug[:, 4] = rhs.T
+    xn = u * xx + v * xy
+    b1 = (law.gamma - 1.0) / a2
+    d = (b1 * k, -b1 * u, -b1 * v, b1)
+    ya = (-xn / a, xx / a, xy / a)
+
+    def row(i, e, c, b=None):
         for j in range(4):
             entry = aug[i, j]
-            np.multiply(c[i], d[j], out=entry)
+            np.multiply(c, d[j], out=entry)
             if j < 3:
-                entry += e[i] * ya[j]
-                if i > 0:
-                    entry += b[i][j]
+                entry += e * ya[j]
+                if b is not None:
+                    entry += b[j]
         aug[i, i] += sigma
-    aug[:, 4] = rhs.T
+
+    row(0, 1.0, pt)
+    bx = u * sxx + v * sxy
+    row(1, u, pt * u + a * xx, (-bx, sxx, sxy))
+    by = u * sxy + v * syy
+    row(2, v, pt * v + a * xy, (-by, sxy, syy))
+    row(3, h, pt * h + a * xn, (-(u * bx + v * by), bx, by))
     return aug
 
 
@@ -285,41 +315,65 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
     with the acoustic eigenvectors r_{1,4} = (1, u -/+ a n_x, v -/+ a n_y,
     h -/+ a u_n) and amplitudes l_{1,4} . phi = (dp/a^2 -/+ w/a)/2 (see
     ``Euler.characteristic``).  The right-hand side, the parts and the
-    star matrix all come from this form (``_apply_split``,
+    star matrix all come from this form (``_split_components``,
     ``_star_matrix``); the star matrix is the only m x m matrix built.
+
+    One (T, 3, 4) buffer carries the pass: it holds the transformed nodal
+    states Qhat_i, then Qhat_i - Q_star (in place, after the star solve)
+    and then the parts, which ``_apply_split`` writes over it.  The
+    right-hand side sum_j K_j^- Qhat_j is summed one component at a time.
+    The minus split and the unit normals are dropped once their node sums
+    are taken (``_star_sums``), before the star matrix is built, and
+    Q_star is copied out of the solved rows so that they go before the
+    plus split, for which the unit normals and the eigenvalues are formed
+    again (``_node_geometry``, the same operations).
 
     ``z_nodes`` passes the nodal parameter vectors
     ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
     them, e.g. gathered from one evaluation per mesh node, and ``nlen``
-    the normals' lengths (T, 3), which must then be positive.  The parts
-    are laid out like the transformed nodal states, so triangle-innermost
-    inputs give triangle-innermost parts.
+    the normals' lengths (T, 3), which must then be positive.  With
+    ``z_nodes`` given, ``q_nodes`` is read only at the triangles that
+    fall back, as ``q_nodes[idx]`` for an integer array ``idx``: it may
+    be any object that gathers those states on indexing, as ``Solver``
+    passes, so that no (T, 3, m) copy of the state is held.  Neither
+    input is modified.  The parts are laid out like the transformed nodal
+    states, so triangle-innermost inputs give triangle-innermost parts.
     """
-    q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
+    if z_nodes is None:
+        q_nodes = _as_batch(q_nodes)
     avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
+    del z_nodes  # where the caller passed a temporary, it goes now
     waves = law._waves(avg.qhat, avg.prim)
+    buf = avg.qhat_nodes  # a new array: Qhat_i, then Qhat_i - Q_star, then the parts
+    del avg
     if nlen is None:
         nlen = np.hypot(normals[..., 0], normals[..., 1])
         if np.any(nlen <= 0.0):
             raise InvalidArgument("zero direction vector")
-    nx = normals[..., 0] / nlen
-    ny = normals[..., 1] / nlen
     node_waves = tuple(x[:, None] for x in waves)
-    u, v, _, _, _, a = node_waves
-    un = u * nx + v * ny
-    lam2 = 0.5 * nlen * un
-    half_a = 0.5 * nlen * a
+    nx, ny, un, lam2, half_a = _node_geometry(normals, nlen, node_waves)
     minus = _signed_split(lam2, half_a, np.minimum)
-    qhat_nodes = avg.qhat_nodes
-    rhs = _node_sum(_apply_split(law, node_waves, nx, ny, un, minus, qhat_nodes))
-    qstar, bad = solve_batched(_star_matrix(law, waves, nx, ny, minus, rhs))
+    del lam2, half_a
+    rhs = np.empty((len(buf), buf.shape[-1]))
+    for j, c in enumerate(_split_components(law, node_waves, nx, ny, un, minus, buf)):
+        rhs[:, j] = _node_sum(c)
+    del c, un
+    sums = _star_sums(minus, nx, ny)
+    del minus, nx, ny
+    aug = _star_matrix(law, waves, sums, rhs)
+    del sums, rhs
+    qstar, bad = solve_batched(aug)
+    qstar = qstar.copy(order="K")  # (T, 4) as laid out in the rows, which go
+    del aug
+    buf -= qstar[:, None, :]
+    nx, ny, un, lam2, half_a = _node_geometry(normals, nlen, node_waves)
     plus = _signed_split(lam2, half_a, np.maximum)
-    dq = np.subtract(qhat_nodes, qstar[:, None, :], out=np.empty_like(qhat_nodes))
-    parts = _apply_split(law, node_waves, nx, ny, un, plus, dq)
+    del lam2, half_a
+    parts = _apply_split(law, node_waves, nx, ny, un, plus, buf)
     if bad.any():
         idx = np.nonzero(bad)[0]
-        rx = rxn_scheme(law, normals[idx], q_nodes[idx], nlen=nlen[idx])
+        rx = rxn_scheme(law, normals[idx], _as_batch(q_nodes[idx]), nlen=nlen[idx])
         parts[idx] = rx.parts
         qstar[idx] = rx.star
     return DistributedResidual(parts, qstar, fallback=bad)

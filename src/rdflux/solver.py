@@ -11,9 +11,10 @@ rate grows past a divergence guard.
 One iteration runs in this order:
 
 1. sweep (``Solver._sweep``, the one builder of the triangle pass's
-   inputs): the state is gathered to the triangles once; for laws with
-   primitive variables (Euler) the primitives are computed once on the N
-   mesh nodes, and from them the max wave speed, and the pressure for
+   inputs): the state is gathered to the triangles once (under the
+   systems N scheme a gas keeps only the mean states from it); for laws
+   with primitive variables (Euler) the primitives are computed once on
+   the N mesh nodes, and from them the max wave speed, and the pressure for
    RXN (its normal fluxes are formed in closed form from the gathered
    state and pressure) or the parameter vector for the systems N scheme;
    and once on the triangles' arithmetic-mean states.  It also holds the
@@ -29,15 +30,19 @@ One iteration runs in this order:
    needs, distributes its residual, and limits and corrects the parts at
    each triangle's arithmetic-mean state.  Beyond the sweep, an RXN pass
    of a gas holds at most two (T, 3, m) arrays at a time: RXN forms its
-   parts in the buffer of its nodal normal fluxes, the limiter works in
-   its amplitude array, the raw parts are dropped once limited, and the
-   correction adds into the limited parts in place.  The limiting
-   direction reads that state's primitives from the sweep; the
-   characteristic projection and reconstruction, the entropy marker and
-   the Jacobian-vector products read its wave data, computed once from
-   them.  All are closed-form expressions, and so is the systems N
-   scheme's split of the Jacobians: no eigenvector or Jacobian matrix is
-   built;
+   parts in the buffer of its nodal normal fluxes, the sweep releases its
+   gathered state once the parts exist, the limiter works in its
+   amplitude array, the raw parts are dropped once limited, and the
+   correction adds into the limited parts in place.  The systems N
+   scheme of a gas reads no gathered state: it gathers the parameter
+   vector and carries one buffer from the transformed nodal states to
+   the parts, and its stagnation fallback gathers the states of the
+   triangles it flags only.  The limiting direction reads the mean
+   state's primitives from the sweep; the characteristic projection and
+   reconstruction, the entropy marker and the Jacobian-vector products
+   read its wave data, computed once from them.  All are closed-form
+   expressions, and so is the systems N scheme's split of the Jacobians:
+   no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
    boundary conditions are enforced and the new state is checked.  The
    update is formed in place in the scatter's output, and the finiteness
@@ -55,18 +60,22 @@ slot by triangle.  No sum copies its weights or its bins first.
 way, and the chunk results are accumulated in ascending chunk order, so
 repeated runs are bit-identical.
 
-Memory: the temporaries of one limited, corrected RXN iteration (sweep,
-step rule and step) peak at 5.4 times the size of the (T, 3, 4) parts
-above the state, as ``tracemalloc`` reads it: 2.6 MB on
-``cylinder-supersonic`` (5000 triangles) and 6.5 MB on
-``cylinder-subsonic`` (12544), down from 9.3 times (4.5 and 11.2 MB)
-when the sweep kept the nodal flux pair and the limiter and the
-correction each allocated new parts.  The first ``Solver`` of a process
-tells glibc's allocator to keep freed heap memory for reuse instead of
-returning it to the kernel (``_memory.retain_heap``), so a steady
-iteration takes no page faults.  The process's resident size then stays
-at its high-water mark.  Elsewhere (macOS, Windows, musl) this is a
-no-op.
+Memory: the temporaries of one limited, corrected iteration (sweep, step
+rule and step) peak above the state, as ``tracemalloc`` reads it, at 4.8
+times the size of the (T, 3, 4) parts under RXN and 6.1 times under the
+systems N scheme: 2.3 and 2.9 MB on ``cylinder-supersonic`` (5000
+triangles), 5.8 and 7.3 MB on ``cylinder-subsonic`` (12544).  They
+peaked at 5.4 and 13.6 times when the sweep's gathered state lived
+through the whole pass and the N scheme formed K^- Qhat, Qhat - Q_star
+and its parts as new arrays beside the transformed states, and RXN at
+9.3 times before its normal fluxes came from the gathered pressure and
+the limiter and the correction worked in place.  The RXN peak is now in
+the scheme's own loop, the N peak in the last rows of the star matrix.
+The first ``Solver`` of a process tells glibc's allocator to keep freed
+heap memory for reuse instead of returning it to the kernel
+(``_memory.retain_heap``), so a steady iteration takes no page faults.
+The process's resident size then stays at its high-water mark.
+Elsewhere (macOS, Windows, musl) this is a no-op.
 """
 from __future__ import annotations
 
@@ -167,19 +176,20 @@ class SolveResult:
         return self.reason == "converged"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Sweep:
     """Every input of one iteration's triangle pass; ``Solver._sweep`` builds it.
 
     ``tris`` (3, T) holds the triangles' node ids, node-major, and
     ``normals`` (T, 3, 2), their lengths ``nlen`` (T, 3) and ``areas``
-    (T,) their geometry.  ``q_nodes`` is the state gathered to the
-    triangles (T, 3, m), ``s`` the per-triangle wave-speed bound (None
-    where nothing reads it: a scalar law reads it only under RXN without
-    the advection map), ``k`` (T, 3) a scalar law's upwind parameters and
-    ``coefficients`` the relaxation map (g, w) of an advection field under
-    RXN, which carries its own bound
-    (``distribution.advection_coefficients``).
+    (T,) their geometry.  ``q`` is the state itself (N, m), not a copy,
+    and ``q_nodes`` the state gathered to the triangles (T, 3, m), None
+    under the systems N scheme, which reads the parameter vector instead.
+    ``s`` is the per-triangle wave-speed bound (None where nothing reads
+    it: a scalar law reads it only under RXN without the advection map),
+    ``k`` (T, 3) a scalar law's upwind parameters and ``coefficients`` the
+    relaxation map (g, w) of an advection field under RXN, which carries
+    its own bound (``distribution.advection_coefficients``).
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
@@ -187,14 +197,24 @@ class Sweep:
     (T, m) is each triangle's arithmetic-mean state and ``prim_mean`` its
     primitives, shared by the wave-speed bound and the limiter and
     correction.  Fields that the mesh alone fixes are the solver's own
-    arrays, not copies.  A sweep lives for one iteration only.
+    arrays, not copies.
+
+    A sweep serves one triangle pass, which releases what it has spent:
+    ``Solver._distribute`` sets ``q_nodes`` to None once the scheme has
+    formed its parts, so that the gathered state is freed before the
+    limiter and the correction (with threads, ``assemble`` drops its own
+    reference once each chunk holds its slice).  The N scheme of a gas
+    never holds a gathered state: the pass gathers the parameter vector,
+    and the stagnation fallback gathers, from ``q`` and ``tris``, only the
+    states of the triangles it flags.
     """
 
     tris: np.ndarray
     normals: np.ndarray
     nlen: np.ndarray
     areas: np.ndarray
-    q_nodes: np.ndarray
+    q: np.ndarray
+    q_nodes: np.ndarray | None = None
     s: np.ndarray | None = None
     k: np.ndarray | None = None
     coefficients: tuple | None = None
@@ -218,6 +238,18 @@ class Sweep:
                         "q_mean", "prim_mean")
         return replace(self, tris=self.tris[:, sl],
                        **{name: cut(getattr(self, name)) for name in per_triangle})
+
+
+class _Gathered:
+    """The state ``q`` (N, m) at the nodes of the triangles ``tris`` (3, T),
+    gathered on indexing: ``g[idx]`` is ``_gather(q, tris[:, idx])``, with
+    no (T, 3, m) copy held (``distribution.n_scheme_system``'s fallback)."""
+
+    def __init__(self, q, tris):
+        self.q, self.tris = q, tris
+
+    def __getitem__(self, idx):
+        return _gather(self.q, self.tris[:, idx])
 
 
 def _gather(a, tris):
@@ -345,23 +377,26 @@ class Solver:
         correction of a system are evaluated at each triangle's
         arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever the scheme;
         the mean of physical states is physical.  That state's wave data
-        (``law._waves``) is computed once and shared by both.
+        (``law._waves``) is computed once and shared by both.  Once the
+        scheme has formed its parts, the sweep's gathered state is
+        released (``Sweep``): a sweep serves one pass.
 
         Returns ``(parts, fallback_count)``: the final (T, 3, m) parts and
         the number of triangles whose N-scheme star solve fell back.
         """
         law, cfg = self.law, self.cfg
-        normals, q_nodes = sweep.normals, sweep.q_nodes
+        normals = sweep.normals
         if cfg.scheme == "rxn":
             pressure = None if sweep.pressure is None else sweep.gather(sweep.pressure)
-            res = dist.rxn_scheme(law, normals, q_nodes, s=sweep.s, pressure=pressure,
+            res = dist.rxn_scheme(law, normals, sweep.q_nodes, s=sweep.s, pressure=pressure,
                                   coefficients=sweep.coefficients, nlen=sweep.nlen)
             del pressure  # spent: free it before the limiter's temporaries
         elif law.m == 1:
-            res = dist.n_scheme_scalar(q_nodes, sweep.k)
+            res = dist.n_scheme_scalar(sweep.q_nodes, sweep.k)
         else:
-            res = dist.n_scheme_system(law, normals, q_nodes, z_nodes=sweep.gather(sweep.z),
-                                       nlen=sweep.nlen)
+            res = dist.n_scheme_system(law, normals, _Gathered(sweep.q, sweep.tris),
+                                       z_nodes=sweep.gather(sweep.z), nlen=sweep.nlen)
+        sweep.q_nodes = None  # spent: the sweep releases the gathered state
         fallback = 0 if res.fallback is None else int(res.fallback.sum())
 
         parts = res.parts
@@ -395,7 +430,8 @@ class Solver:
         new array, which the caller may overwrite.  ``sweep`` passes the
         iteration's precomputed ``Sweep`` of ``q`` (the marching loop
         shares one between the step-size rule and the assembly); it is
-        computed when None.  With one chunk the residual is the scatter's
+        computed when None, and the pass releases its gathered state, so
+        a sweep serves one call.  With one chunk the residual is the scatter's
         bincount itself.  Chunks are accumulated in ascending chunk order,
         whatever the number of threads.
         """
@@ -408,7 +444,9 @@ class Solver:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.n_threads)
             weakref.finalize(self, self._pool.shutdown, wait=False)
-        results = self._pool.map(self._distribute, [sweep.take(sl) for sl in self._chunks])
+        chunks = [sweep.take(sl) for sl in self._chunks]
+        sweep.q_nodes = None  # each chunk holds its slice and releases it
+        results = self._pool.map(self._distribute, chunks)
         out = np.zeros((self.n_nodes, self.law.m))
         fallback = 0
         for nodes, (parts, n_fb) in zip(self._chunk_nodes, results):
@@ -444,7 +482,8 @@ class Solver:
                 nodal["pressure"] = prim[3]
             else:
                 nodal["z"] = law.to_params(q, prim)
-        return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q_nodes, s, k,
+                q_nodes = None  # the N pass gathers z, not the state
+        return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q, q_nodes, s, k,
                      self.rxn_static, **nodal)
 
     def _inflow_coefficients(self, s, k):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdflux import config, physics, solver, verify
+from rdflux import config, physics, smallmat, solver, verify
 from rdflux import distribution as dist
 from rdflux.mesh import compute_normals, triangle_areas
 
@@ -157,6 +157,118 @@ class TestNSchemeSystem:
         keep = [0, 1, 3, 4, 5]
         alone = dist.n_scheme_system(euler, normals[keep], q[keep])
         assert np.allclose(r.parts[keep], alone.parts, rtol=1e-13, atol=1e-13)
+
+
+def allocating_n_scheme(law, normals, q_nodes, z_nodes=None):
+    """The systems N scheme as a chain of allocating steps: Qhat, K^- Qhat,
+    Q_star, Qhat - Q_star and the parts each a new array, every star
+    matrix coefficient formed before the rows are filled.  The operations
+    and their order are ``n_scheme_system``'s, so the two agree bit for bit.
+    Returns (parts, star, fallback)."""
+    avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
+    u, v, h, k, a2, a = waves = law._waves(avg.qhat, avg.prim)
+    nlen = np.hypot(normals[..., 0], normals[..., 1])
+    nx = normals[..., 0] / nlen
+    ny = normals[..., 1] / nlen
+    node_waves = tuple(x[:, None] for x in waves)
+    un = node_waves[0] * nx + node_waves[1] * ny
+    lam2 = 0.5 * nlen * un
+    half_a = 0.5 * nlen * node_waves[5]
+
+    def split(clip):
+        l2 = clip(lam2, 0.0)
+        a1 = clip(lam2 - half_a, 0.0) - l2
+        a4 = clip(lam2 + half_a, 0.0) - l2
+        return l2, 0.5 * (a1 + a4), 0.5 * (a4 - a1)
+
+    def apply(sp, phi):
+        nu, nv, nh, nk, na2, na = node_waves
+        l2, pp, mm = sp
+        p0, p1, p2, p3 = (phi[..., j] for j in range(4))
+        dpa = (law.gamma - 1.0) * (((nk * p0 - nu * p1) - nv * p2) + p3) / na2
+        wa = (nx * p1 + ny * p2 - un * p0) / na
+        s = pp * dpa + mm * wa
+        d = na * (mm * dpa + pp * wa)
+        return np.stack([l2 * p0 + s, l2 * p1 + nu * s + nx * d,
+                         l2 * p2 + nv * s + ny * d, l2 * p3 + nh * s + un * d], axis=-1)
+
+    def tsum(x):
+        return (x[:, 0] + x[:, 1]) + x[:, 2]
+
+    minus = split(np.minimum)
+    rhs = tsum(apply(minus, avg.qhat_nodes))
+    l2, pp, mm = minus
+    sigma, pt = tsum(l2), tsum(pp)
+    xx, xy = tsum(mm * nx), tsum(mm * ny)
+    sxx, sxy, syy = tsum(pp * nx * nx), tsum(pp * nx * ny), tsum(pp * ny * ny)
+    xn = u * xx + v * xy
+    bx, by = u * sxx + v * sxy, u * sxy + v * syy
+    b1 = (law.gamma - 1.0) / a2
+    d = (b1 * k, -b1 * u, -b1 * v, b1)
+    c = (pt, pt * u + a * xx, pt * v + a * xy, pt * h + a * xn)
+    e = (1.0, u, v, h)
+    ya = (-xn / a, xx / a, xy / a)
+    b = ((0.0, 0.0, 0.0), (-bx, sxx, sxy), (-by, sxy, syy), (-(u * bx + v * by), bx, by))
+    aug = np.empty((4, 5, len(u)))
+    for i in range(4):
+        for j in range(4):
+            entry = c[i] * d[j]
+            if j < 3:
+                entry = entry + e[i] * ya[j]
+                if i > 0:
+                    entry = entry + b[i][j]
+            aug[i, j] = entry + sigma if i == j else entry
+    aug[:, 4] = rhs.T
+    qstar, bad = smallmat.solve_batched(aug)
+    qstar = qstar.copy()
+    parts = apply(split(np.maximum), avg.qhat_nodes - qstar[:, None, :])
+    idx = np.nonzero(bad)[0]
+    if idx.size:
+        rx = dist.rxn_scheme(law, normals[idx], q_nodes[idx], nlen=nlen[idx])
+        parts[idx] = rx.parts
+        qstar[idx] = rx.star
+    return parts, qstar, bad
+
+
+class TestNSchemeKernel:
+    """``n_scheme_system`` against the allocating chain, on a batch with one
+    stagnant triangle (``TestNSchemeSystem._with_stagnant_triangle``)."""
+
+    @pytest.mark.parametrize("layout", ["c-order", "triangle-innermost"])
+    @pytest.mark.parametrize("given_z", [False, True], ids=["own-z", "given-z"])
+    def test_same_bits_as_allocating_chain(self, euler, rng, layout, given_z):
+        normals, q = TestNSchemeSystem._with_stagnant_triangle(euler, rng)
+        if layout == "triangle-innermost":
+            normals, q = solver._triangle_inner(normals), solver._triangle_inner(q)
+            assert q[..., 0].strides[0] == 8
+        z = solver._triangle_inner(euler.to_params(q)) if given_z else None
+        q_before = q.copy()
+        z_before = None if z is None else z.copy()
+        r = dist.n_scheme_system(euler, normals, q, z_nodes=z)
+        assert np.array_equal(q, q_before)
+        if given_z:
+            assert np.array_equal(z, z_before)
+        parts, star, bad = allocating_n_scheme(euler, normals, q_before, z_before)
+        assert bad.tolist() == [False, False, True, False, False, False]
+        assert np.array_equal(r.fallback, bad)
+        assert np.array_equal(r.parts, parts)
+        assert np.array_equal(r.star, star)
+        assert not np.shares_memory(r.parts, q) and not np.shares_memory(r.star, q)
+
+    def test_given_z_reads_states_only_where_it_falls_back(self, euler, rng):
+        # With z given, the states are read only by indexing, at the
+        # triangles that fall back.
+        normals, q = TestNSchemeSystem._with_stagnant_triangle(euler, rng)
+        reads = []
+
+        class Indexed:
+            def __getitem__(self, idx):
+                reads.append(np.asarray(idx).tolist())
+                return q[idx]
+
+        r = dist.n_scheme_system(euler, normals, Indexed(), z_nodes=euler.to_params(q))
+        assert reads == [[2]]
+        assert np.array_equal(r.parts, dist.n_scheme_system(euler, normals, q).parts)
 
 
 class TestRxnQstar:

@@ -90,21 +90,16 @@ def test_import_leaves_the_allocator_alone():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_euler_step_high_water():
-    """One limited, corrected RXN step of ``cylinder-supersonic`` (5000
-    triangles): the sweep, the step rule and the step allocate at most 7
-    (T, 3, 4) parts-sized arrays above the state at their high-water mark.
-
-    Measured with ``tracemalloc`` (which sees NumPy's buffers on every
-    platform): 9.3 parts-sizes when the sweep kept the nodal flux pair,
-    the limiter and the correction each allocated a new parts array, and
-    the scatter read m-fold bins; 5.4 with the normal flux formed from the
-    gathered pressure in one buffer that becomes the parts, the limiter
-    working in its amplitude array and the correction adding in place.
-    """
-    problem = config.build_problem(config.preset("cylinder-supersonic"))
-    cfg = replace(problem.solver_config, max_iters=3, stop_tol=0.0)
-    assert cfg.scheme == "rxn" and cfg.limited and cfg.corrected
+def _step_high_water(scheme):
+    """``tracemalloc`` high-water of one limited, corrected step of
+    ``cylinder-supersonic`` (5000 triangles) under ``scheme``, after 3
+    iterations: the sweep, the step rule and the step, above the state, in
+    (T, 3, 4) parts-sizes."""
+    mapping = config.preset("cylinder-supersonic")
+    mapping.update({"solver.scheme": scheme, "solver.max_iters": "3", "solver.stop_tol": "0"})
+    problem = config.build_problem(mapping)
+    cfg = problem.solver_config
+    assert cfg.scheme == scheme and cfg.limited and cfg.corrected
     sol = Solver(problem.mesh, problem.law, problem.boundaries, cfg)
     q = sol.march(problem.q0).q
     parts_size = sol.tris.shape[0] * 3 * problem.law.m * 8
@@ -116,5 +111,36 @@ def test_euler_step_high_water():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    high_water = (peak - base) / parts_size
-    assert high_water < 7.0, f"{high_water:.2f} parts-sized arrays"
+    return (peak - base) / parts_size
+
+
+def test_euler_step_high_water():
+    """One limited, corrected RXN step allocates at most 6 parts-sized
+    arrays above the state at its high-water mark.
+
+    Measured with ``tracemalloc`` (which sees NumPy's buffers on every
+    platform): 9.3 parts-sizes when the sweep kept the nodal flux pair,
+    the limiter and the correction each allocated a new parts array, and
+    the scatter read m-fold bins; 5.4 with the normal flux formed from the
+    gathered pressure in one buffer that becomes the parts, the limiter
+    working in its amplitude array and the correction adding in place;
+    4.8 once the pass releases the sweep's gathered state after the scheme.
+    """
+    high_water = _step_high_water("rxn")
+    assert high_water < 6.0, f"{high_water:.2f} parts-sized arrays"
+
+
+def test_n_step_high_water():
+    """One limited, corrected step of the systems N scheme allocates at most
+    7.5 parts-sized arrays above the state at its high-water mark.
+
+    13.6 parts-sizes when the sweep kept the gathered state, the pass the
+    transformed nodal states, K^- Qhat, Qhat - Q_star and the parts as four
+    arrays, and the star matrix thirty coefficient arrays at once; 6.1
+    with one buffer carried from Qhat to the parts, the minus split and
+    the unit normals dropped once their node sums are taken, the star
+    matrix written row by row and the solved rows freed before the plus
+    split.
+    """
+    high_water = _step_high_water("n")
+    assert high_water < 7.5, f"{high_water:.2f} parts-sized arrays"

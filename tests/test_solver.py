@@ -389,6 +389,32 @@ class TestSweep:
         assert len(calls) == 10
 
 
+class TestNSchemeFallback:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_assemble_gathers_the_fallback_states(self, euler, rng, n_threads):
+        # One triangle's nodes hold equal densities and pressures with
+        # cancelling velocities, so its averaged state is at rest and its
+        # star matrix singular.  The pass keeps no gathered state: the
+        # fallback gathers that triangle's states from the nodal state,
+        # and the residual is the scatter of the kernel's parts on q[tris].
+        mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4)
+        tris = np.asarray(mesh.tris)
+        q = random_euler_states(rng, (mesh.n_nodes,))
+        q[tris[7]] = euler.conserved(1.2, np.array([0.3, -0.3, 0.0]),
+                                     np.array([0.1, -0.1, 0.0]), 0.9)
+        cfg = SolverConfig(scheme="n", limited=False, corrected=False, n_threads=n_threads)
+        sol = solver.Solver(mesh, euler, None, cfg)
+        assert len(sol._chunks) == n_threads
+        residual, fallback = sol.assemble(q)
+        res = dist.n_scheme_system(euler, np.asarray(mesh.normals), q[tris])
+        assert np.flatnonzero(res.fallback).tolist() == [7]
+        assert fallback == 1
+        expected = np.zeros((mesh.n_nodes, 4))
+        for sl, nodes in zip(sol._chunks, sol._chunk_nodes):
+            sol._scatter_add(expected, nodes, res.parts[sl])
+        assert np.array_equal(residual, expected)
+
+
 class TestDeterminism:
     def test_env_flag_bit_identical(self):
         # Threaded chunks are accumulated in chunk order, so repeated
