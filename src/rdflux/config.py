@@ -326,6 +326,7 @@ def _rotating_band_preset():
         "boundary.left": "outflow",
         "solver.scheme": "rxn",
         "solver.cfl_fraction": "0.25",
+        "solver.local_time_stepping": "true",
         "solver.max_iters": "20000",
         "solver.stop_tol": "1e-07",
         "solver.history_stride": "100",

@@ -7,17 +7,21 @@ residuals are limited directly; system residuals are projected onto the
 characteristic fields of the flux Jacobian in a chosen direction, limited
 field by field, and reassembled.  A system is linearized at the
 triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
-scheme, and read through the law's closed-form hooks
-(``characteristic``, ``from_characteristic``, ``jacobian_product``):
+scheme, and read through the law's closed-form hooks (``characteristic``,
+``entropy_amplitude``, ``from_characteristic``, ``jacobian_product``):
 no eigenvector or Jacobian matrix is built.  The hooks read the state's
 wave data ``waves`` (``Euler._waves``), which the caller computes once
 and passes to the limiter and the correction alike.
 
 The limited scheme alone tends to stall before reaching steady state; a
-small dissipative correction proportional to (n_i . J) Phi^T restores
-convergence without breaking conservation (the inward normals sum to
-zero).  Its strength is throttled near shocks through the projection of
-Phi^T onto the entropy wave.
+small dissipative correction proportional to k_i Phi^T (scalar laws) or
+(n_i . J) Phi^T (systems) restores convergence without breaking
+conservation (the upwind parameters and the inward normals sum to zero).
+Its strength is throttled near shocks through the projection of Phi^T
+onto the entropy wave (for scalar laws, Phi^T itself).  The scalar
+correction is theta times the dimensionless inflow weight
+k_i / sum_j max(k_j, 0) times Phi^T, so it scales with the parts; the
+system correction's factor theta |T|^{-1/2} K_i still carries units.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ __all__ = [
     "limit_system",
     "limiting_direction",
     "correction_theta",
+    "correction_weights",
     "correction_scalar",
     "correction_system",
 ]
@@ -132,22 +137,45 @@ def correction_theta(areas, proj):
     return np.minimum(1.0, areas / (np.abs(proj) + CORRECTION_EPS))
 
 
-def correction_scalar(parts, total, areas, k):
-    """Add theta |T|^{-1/2} k_i Phi^T to scalar parts.
+def correction_weights(k):
+    """Inflow weights k_i / sum_j max(k_j, 0) of the (T, 3) upwind
+    parameters ``k``: dimensionless, 0 on a triangle with no inflow.
+
+    The sum is formed slot by slot, and a triangle without inflow divides
+    by infinity, so no divide warns.  A new array laid out like ``k``.
+    """
+    k = np.asarray(k, dtype=float)
+    pos = np.maximum(k, 0.0)
+    inflow = pos[..., 0] + pos[..., 1]
+    inflow += pos[..., 2]
+    inflow[inflow == 0.0] = np.inf  # no inflow: every k_i / inf is zero
+    return np.divide(k, inflow[..., None], out=pos)
+
+
+def correction_scalar(parts, total, areas, k, weights=None):
+    """Add theta (k_i / sum_j k_j^+) Phi^T to scalar parts.
 
     ``k`` is the (T, 3) upwind-parameter array of the scheme (equal to
-    (n_i . u)/2); the three values sum to zero, so conservation is
-    unchanged.  For scalar laws the shock marker is the residual itself.
-    The amplitude theta |T|^{-1/2} Phi^T is formed per triangle, in place
-    on theta, before it meets the (T, 3) parameters; the correction is
-    formed in one array laid out like ``parts``, which is not modified.
+    (n_i . u)/2) and k_j^+ = max(k_j, 0).  The weight k_i / sum_j k_j^+
+    (``correction_weights``) is dimensionless, so the correction scales
+    like the parts, and its three values sum to zero as the k_i do, so
+    conservation is unchanged; a triangle with no inflow gets no
+    correction.  This is the
+    inverse inflow tau of the filtering term of Abgrall, Larat and
+    Ricchiuto (JCP 230, 2011) applied to k_i Phi^T.  For scalar laws the
+    shock marker is the residual itself.  ``weights`` passes
+    ``correction_weights(k)`` when the caller already has them (an
+    advection field's depend on the mesh alone), and ``k`` is then not
+    read.  The amplitude theta Phi^T is formed per triangle before it
+    meets the (T, 3) weights; the correction is formed in one array laid
+    out like ``parts``, which is not modified.
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    amp = correction_theta(areas, total[..., 0])
-    amp /= np.sqrt(np.asarray(areas, dtype=float))
-    amp = amp[..., None] * total
-    out = np.multiply(np.asarray(k)[..., None], amp[..., None, :], out=np.empty_like(parts))
+    if weights is None:
+        weights = correction_weights(k)
+    amp = correction_theta(areas, total[..., 0])[..., None] * total
+    out = np.multiply(weights[..., None], amp[..., None, :], out=np.empty_like(parts))
     out += parts
     return out
 
@@ -158,16 +186,15 @@ def correction_system(parts, total, areas, normals, law, q, direction, waves=Non
     K_i = (n_i . J)/2 at each triangle's arithmetic-mean state ``q``,
     applied to Phi^T by the law's closed-form ``jacobian_product``
     (no Jacobian matrix is built).  The shock marker is |theta_ent|, the
-    amplitude of Phi^T on the entropy wave of the limiting ``direction``
-    (``law.characteristic``).  ``waves`` passes the law's wave data
+    amplitude of Phi^T on the entropy wave (``law.entropy_amplitude``,
+    the one field of ``law.characteristic`` it needs); it does not depend
+    on the limiting ``direction``.  ``waves`` passes the law's wave data
     ``law._waves(q)`` when the caller already has it.  ``parts``, a
     float (T, 3, m) array, is modified and returned; a caller that keeps
     its input passes a copy.
     """
     total = np.asarray(total, dtype=float)
-    theta = correction_theta(
-        areas, law.characteristic(total, q, direction, waves)[..., law.ENTROPY_WAVE]
-    )
+    theta = correction_theta(areas, law.entropy_amplitude(total, q, waves))
     scale = 0.5 * theta / np.sqrt(np.asarray(areas, dtype=float))
     q, _, waves = _per_node(q, direction, waves)
     amp = (scale[..., None] * total)[..., None, :]

@@ -422,7 +422,7 @@ class Euler(ConservationLaw):
 
     # -- closed-form characteristic algebra -----------------------------------
     # The limiter and the correction apply L, R and n.J to vectors only; the
-    # three methods below do so from (u, v, h, a) without building them.
+    # methods below do so from (u, v, h, a) without building them.
     # Shapes broadcast: ``phi`` (..., 4) against the states' and the
     # direction's leading axes.  ``waves`` passes ``_waves(q)`` (broadcast
     # like the states) when the caller already has it.
@@ -470,6 +470,16 @@ class Euler(ConservationLaw):
         wa += dpa
         wa *= 0.5
         return out
+
+    def entropy_amplitude(self, phi, q, waves=None):
+        """The entropy amplitude phi_0 - dp/a^2 of ``characteristic`` alone,
+        by the same operations (the same bits), without the other three
+        fields.  It does not depend on the direction."""
+        u, v, _, k, a2, _ = self._waves(q) if waves is None else waves
+        phi = np.asarray(phi, dtype=float)
+        dpa = self._pressure_jump(phi, u, v, k)
+        dpa /= a2
+        return np.subtract(phi[..., 0], dpa, out=dpa)
 
     def from_characteristic(self, c, q, n, waves=None, out=None):
         """Vectors R c from the amplitudes ``c`` of ``characteristic``.

@@ -19,9 +19,9 @@ One iteration runs in this order:
    state and pressure) or the parameter vector for the systems N scheme;
    and once on the triangles' arithmetic-mean states.  It also holds the
    per-triangle wave-speed bound where a scheme or step rule reads it, a
-   scalar law's upwind parameters k, and an advection field's relaxation
-   map; each is computed once, or passed in from ``Solver`` where the
-   mesh alone fixes it;
+   scalar law's upwind parameters k, and an advection field's correction
+   weights and relaxation map; each is computed once, or passed in from
+   ``Solver`` where the mesh alone fixes it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
    for scalars (``stable_dt``).  An advection field's step depends on the
    mesh alone: ``Solver`` computes it once and every iteration reuses it;
@@ -187,9 +187,12 @@ class Sweep:
     under the systems N scheme, which reads the parameter vector instead.
     ``s`` is the per-triangle wave-speed bound (None where nothing reads
     it: a scalar law reads it only under RXN without the advection map),
-    ``k`` (T, 3) a scalar law's upwind parameters and ``coefficients`` the
-    relaxation map (g, w) of an advection field under RXN, which carries
-    its own bound (``distribution.advection_coefficients``).
+    ``k`` (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) an
+    advection field's correction weights k_i / sum_j max(k_j, 0)
+    (``limiting.correction_weights``; None elsewhere, and the correction
+    forms them from ``k``) and ``coefficients`` the relaxation map (g, w)
+    of an advection field under RXN, which carries its own bound
+    (``distribution.advection_coefficients``).
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
@@ -217,6 +220,7 @@ class Sweep:
     q_nodes: np.ndarray | None = None
     s: np.ndarray | None = None
     k: np.ndarray | None = None
+    weights: np.ndarray | None = None
     coefficients: tuple | None = None
     pressure: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -234,8 +238,8 @@ class Sweep:
                 return tuple(cut(a) for a in x)
             return x if x is None else x[sl]
 
-        per_triangle = ("normals", "nlen", "areas", "q_nodes", "s", "k", "coefficients",
-                        "q_mean", "prim_mean")
+        per_triangle = ("normals", "nlen", "areas", "q_nodes", "s", "k", "weights",
+                        "coefficients", "q_mean", "prim_mean")
         return replace(self, tris=self.tris[:, sl],
                        **{name: cut(getattr(self, name)) for name in per_triangle})
 
@@ -290,7 +294,8 @@ class Solver:
     median dual areas) and, for advection laws, what depends on the mesh
     alone are precomputed once: the exact streamfunction-integrated upwind
     parameters, the step of the upwind step rule (``dt_static``,
-    read-only; None where the field is stagnant), and on a
+    read-only; None where the field is stagnant), the correction's inflow
+    weights (``weights_static``, when ``corrected``), and on a
     ``velocity_at`` field under ``scheme="rxn"`` the
     relaxation scheme's linear map (g, w) (``rxn_static``).  The scatter
     reads each chunk's node ids (``_chunk_nodes``) in the memory order of
@@ -309,9 +314,9 @@ class Solver:
         self.tris = np.asarray(mesh.tris)
         # Per-triangle arrays are stored with the triangle axis innermost
         # in memory (see ``_gather``).  For advection laws the mesh alone
-        # fixes the sweep's ``k`` and ``coefficients`` and the step: they
-        # are built here once, as ``k_static``, ``rxn_static`` and
-        # ``dt_static``.
+        # fixes the sweep's ``k``, ``weights`` and ``coefficients`` and the
+        # step: they are built here once, as ``k_static``, ``weights_static``,
+        # ``rxn_static`` and ``dt_static``.
         self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
@@ -326,9 +331,11 @@ class Solver:
             vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
             coef = dist.advection_coefficients(self.normals, vel)
             self.rxn_static = tuple(_triangle_inner(c) for c in coef)
-        self.k_static = self.dt_static = None
+        self.k_static = self.weights_static = self.dt_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
+            if self.cfg.corrected:
+                self.weights_static = limiting.correction_weights(self.k_static)
             d = self._inflow_coefficients(None, self.k_static)
             if (d > 0.0).any():  # else stable_dt raises StagnantField on each call
                 self.dt_static = self._step_of(d)
@@ -409,7 +416,8 @@ class Solver:
             if cfg.limited:
                 parts = limiting.limit_scalar(parts, total)
             if cfg.corrected:
-                parts = limiting.correction_scalar(parts, total, sweep.areas, sweep.k)
+                parts = limiting.correction_scalar(parts, total, sweep.areas, sweep.k,
+                                                   sweep.weights)
             return parts, fallback
 
         q_mean = sweep.q_mean
@@ -484,7 +492,7 @@ class Solver:
                 nodal["z"] = law.to_params(q, prim)
                 q_nodes = None  # the N pass gathers z, not the state
         return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q, q_nodes, s, k,
-                     self.rxn_static, **nodal)
+                     weights=self.weights_static, coefficients=self.rxn_static, **nodal)
 
     def _inflow_coefficients(self, s, k):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.

@@ -119,3 +119,21 @@ def test_broadcast_over_nodes(euler):
     eig = euler.eigensystem(q, unit)
     theta = euler.characteristic(phi, q, unit)
     assert_close(theta, np.einsum("tnij,tnj->tni", eig.left, phi), np.abs(theta).max())
+
+
+@pytest.mark.parametrize("kind", ["random", "supersonic", "stagnant"])
+def test_entropy_amplitude(euler, kind):
+    """The entropy field alone: the entropy row of the left eigenvectors
+    applied to phi, whatever the direction, and the bits of that field of
+    ``characteristic`` (the correction's shock marker reads it alone)."""
+    rng = np.random.default_rng(11)
+    q, n = states(kind, rng)
+    phi = rng.standard_normal(q.shape) * 10.0 ** rng.uniform(-3.0, 3.0, (len(q), 1))
+    actual = euler.entropy_amplitude(phi, q)
+    left = euler.eigensystem(q, n).left[:, euler.ENTROPY_WAVE]
+    for t in range(len(q)):
+        assert abs(actual[t] - left[t] @ phi[t]) <= RTOL * np.abs(left[t]).max() * np.abs(
+            phi[t]).max()
+    for direction in (n, n[::-1]):
+        theta = euler.characteristic(phi, q, direction, euler._waves(q))
+        assert np.array_equal(actual, theta[:, euler.ENTROPY_WAVE])

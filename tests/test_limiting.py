@@ -1,5 +1,7 @@
 """Linear-preserving limiter and the steady-convergence correction term."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,15 +291,61 @@ class TestCorrectionScalar:
         assert np.allclose(out, parts, atol=1e-13)
 
     def test_magnitude_formula(self):
-        # Single triangle, hand-evaluated: theta |T|^{-1/2} k_i total.
-        parts = np.zeros((1, 3, 1))
-        total = np.array([[2.0]])
-        areas = np.array([4.0])
-        k = np.array([[1.0, -0.5, -0.5]])
+        # Two triangles, hand-evaluated: theta (k_i / sum_j k_j^+) total.
+        # The first has one inflow node (sum 1), the second two (sum 1.5).
+        parts = np.zeros((2, 3, 1))
+        total = np.array([[2.0], [-3.0]])
+        areas = np.array([4.0, 0.5])
+        k = np.array([[1.0, -0.5, -0.5], [0.5, 1.0, -1.5]])
         out = limiting.correction_scalar(parts, total, areas, k)
-        theta = min(1.0, 4.0 / (2.0 + 1e-10))
-        expect = theta / 2.0 * np.array([1.0, -0.5, -0.5]) * 2.0
-        assert np.allclose(out[0, :, 0], expect, rtol=1e-12)
+        theta = [min(1.0, 4.0 / (2.0 + 1e-10)), min(1.0, 0.5 / (3.0 + 1e-10))]
+        assert np.allclose(out[0, :, 0], theta[0] * np.array([1.0, -0.5, -0.5]) * 2.0,
+                           rtol=1e-12)
+        assert np.allclose(out[1, :, 0], theta[1] * np.array([0.5, 1.0, -1.5]) / 1.5 * -3.0,
+                           rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.37, 10.0, 4.0e3])
+    def test_scales_like_the_parts(self, rng, c):
+        # Areas far above every total hold theta at 1.  Scaling k, the parts
+        # and the total by c then scales the correction by c, as it scales
+        # the parts: the amplitude carries no units of k.
+        parts = rng.standard_normal((50, 3, 1))
+        total = parts.sum(axis=1)
+        areas = np.full(50, 1e6)
+        k = rng.standard_normal((50, 3))
+        k -= k.mean(axis=1, keepdims=True)
+        correction = limiting.correction_scalar(parts, total, areas, k) - parts
+        scaled = limiting.correction_scalar(c * parts, c * total, areas, c * k) - c * parts
+        assert np.allclose(scaled, c * correction, rtol=1e-10, atol=1e-12 * c)
+        assert np.abs(correction).max() > 0.1
+
+    def test_no_inflow_no_correction(self, rng):
+        # Every k is zero: the triangle has no inflow and gets no correction,
+        # with no RuntimeWarning from a zero inflow sum.
+        parts = rng.standard_normal((4, 3, 1))
+        total = parts.sum(axis=1)
+        k = np.zeros((4, 3))
+        k[0] = [1.0, -0.25, -0.75]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = limiting.correction_scalar(parts, total, np.full(4, 0.5), k)
+            weights = limiting.correction_weights(k)
+        assert np.array_equal(out[1:], parts[1:])
+        assert not np.array_equal(out[0], parts[0])
+        assert np.array_equal(weights[1:], np.zeros((3, 3)))
+
+    def test_given_weights_match_the_formed_ones(self, rng):
+        # Weights built once (an advection field's) give the same bits as
+        # those formed from k in the call; k is then not read.
+        parts = rng.standard_normal((30, 3, 1))
+        total = parts.sum(axis=1)
+        areas = 0.1 + rng.random(30)
+        k = rng.standard_normal((30, 3))
+        k -= k.mean(axis=1, keepdims=True)  # every triangle has inflow
+        weights = limiting.correction_weights(k)
+        out = limiting.correction_scalar(parts, total, areas, None, weights)
+        assert np.array_equal(out, limiting.correction_scalar(parts, total, areas, k))
+        assert np.allclose(np.maximum(weights, 0.0).sum(axis=1), 1.0, rtol=1e-14)
 
 
 class TestCorrectionSystem:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rdflux import boundary, config, meshgen, physics, solver
+from rdflux import boundary, config, limiting, meshgen, physics, solver
 from rdflux import distribution as dist
 from rdflux.errors import Diverged, NonPhysicalState, StagnantField
 from rdflux.solver import SolverConfig
@@ -366,6 +366,30 @@ class TestMeshStaticData:
         assert res.iterations == 30
         assert not calls
         assert np.array_equal(res.q, reference)
+
+    @pytest.mark.parametrize("scheme", ["rxn", "n"])
+    def test_correction_weights_built_once(self, monkeypatch, scheme):
+        # An advection field's correction weights depend on the mesh alone:
+        # the solver builds them once, each sweep carries the solver's own
+        # array, and no iteration forms them again.  Uncorrected, none are
+        # built.
+        mapping = config.preset("advection-rotating")
+        mapping.update({"mesh.nx": "8", "mesh.ny": "8", "solver.scheme": scheme,
+                        "solver.max_iters": "5", "solver.stop_tol": "0"})
+        problem = config.build_problem(mapping)
+        args = (problem.mesh, problem.law, problem.boundaries)
+        sol = solver.Solver(*args, problem.solver_config)
+        assert sol._sweep(problem.q0).weights is sol.weights_static
+        assert np.array_equal(sol.weights_static,
+                              limiting.correction_weights(sol.k_static))
+        calls = []
+        fn = limiting.correction_weights
+        monkeypatch.setattr(limiting, "correction_weights",
+                            lambda k: calls.append(1) or fn(k))
+        assert sol.march(problem.q0).iterations == 5
+        assert not calls
+        plain = solver.Solver(*args, replace(problem.solver_config, corrected=False))
+        assert plain.weights_static is None
 
 
 class TestSweep:
