@@ -2,11 +2,11 @@
 
 An iteration allocates and frees megabytes of short-lived NumPy
 temporaries, spread over dozens of ufunc results: a limited, corrected
-gas-dynamics step peaks at 5.4 parts-sized (T, 3, 4) arrays above the
-state, 2.6 MB on ``cylinder-supersonic`` and 6.5 MB on
-``cylinder-subsonic`` (9.3 parts-sizes, 4.5 and 11.2 MB, before its
-arrays were trimmed).  By default glibc hands
-them back to the kernel: each block above the mmap threshold is a fresh
+gas-dynamics step peaks at 4.7 parts-sized (T, 3, 4) arrays above the
+state under RXN and 6.0 under the systems N scheme, 2.3 and 2.9 MB on
+``cylinder-supersonic`` and 5.7 and 7.2 MB on ``cylinder-subsonic``
+(``solver``'s module docstring).  By default glibc hands them back to
+the kernel: each block above the mmap threshold is a fresh
 ``mmap`` that ``free`` unmaps, and free space above the trim threshold at
 the top of the heap is returned.  The next iteration then faults the same
 pages in again, which cost about a third of the wall time of a steady gas

@@ -124,8 +124,7 @@ def total_residual_rsd(law, normals, q_nodes):
     quadratic in Z, this equals the exact contour integral of f(z^h) for
     the Z-linear interpolant.
     """
-    q_nodes = _as_batch(q_nodes)
-    avg = law.rsd_average(q_nodes)
+    avg = law.rsd_average(law.to_params(_as_batch(q_nodes)))
     nj = law.jacobian_product(avg.qhat_nodes, avg.qhat[:, None, :], normals)
     return 0.5 * nj.sum(axis=1)
 
@@ -330,21 +329,27 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
 
     ``z_nodes`` passes the nodal parameter vectors
     ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
-    them, e.g. gathered from one evaluation per mesh node, and ``nlen``
-    the normals' lengths (T, 3), which must then be positive.  With
-    ``z_nodes`` given, ``q_nodes`` is read only at the triangles that
-    fall back, as ``q_nodes[idx]`` for an integer array ``idx``: it may
-    be any object that gathers those states on indexing, as ``Solver``
-    passes, so that no (T, 3, m) copy of the state is held.  Neither
-    input is modified.  The parts are laid out like the transformed nodal
-    states, so triangle-innermost inputs give triangle-innermost parts.
+    them, and ``nlen`` the normals' lengths (T, 3), which must then be
+    positive.  ``z_nodes`` is read once, as ``z_nodes[:]``: it may be any
+    object that gathers the parameter vectors on indexing, as ``Solver``
+    passes from one evaluation per mesh node, so that the gathered
+    (T, 3, m) array lives in this call alone and goes once the average is
+    formed.  With ``z_nodes`` given, ``q_nodes`` is read only at the
+    triangles that fall back, as ``q_nodes[idx]`` for an integer array
+    ``idx``, and may likewise be a gatherer, so that no (T, 3, m) copy of
+    the state is held.  Neither input is modified.  The parts are laid out
+    like the transformed nodal states, so triangle-innermost inputs give
+    triangle-innermost parts.
     """
     normals = np.asarray(normals, dtype=float)
     if z_nodes is None:
         q_nodes = _as_batch(q_nodes)
-    avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
-    del z_nodes  # where the caller passed a temporary, it goes now
-    waves = law._waves(avg.qhat, avg.prim)
+        z_nodes = law.to_params(q_nodes)
+    else:
+        z_nodes = z_nodes[:]  # a gatherer gathers here
+    avg = law.rsd_average(z_nodes)
+    del z_nodes  # a gathered temporary goes now
+    waves = law.waves(avg.qhat, avg.prim)
     buf = avg.qhat_nodes  # a new array: Qhat_i, then Qhat_i - Q_star, then the parts
     del avg
     if nlen is None:

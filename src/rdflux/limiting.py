@@ -7,11 +7,11 @@ residuals are limited directly; system residuals are projected onto the
 characteristic fields of the flux Jacobian in a chosen direction, limited
 field by field, and reassembled.  A system is linearized at the
 triangle's arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, with either
-scheme, and read through the law's closed-form hooks (``characteristic``,
-``entropy_amplitude``, ``from_characteristic``, ``jacobian_product``):
-no eigenvector or Jacobian matrix is built.  The hooks read the state's
-wave data ``waves`` (``Euler._waves``), which the caller computes once
-and passes to the limiter and the correction alike.
+scheme.  That state enters as its wave data ``waves`` (``Euler.waves``)
+alone: the one input from which the limiting direction, the law's
+closed-form hooks (``characteristic``, ``entropy_amplitude``,
+``from_characteristic``, ``jacobian_product``) and so the limiter and
+the correction are formed, with no eigenvector or Jacobian matrix built.
 
 The limited scheme alone tends to stall before reaching steady state; a
 small dissipative correction proportional to k_i Phi^T (scalar laws) or
@@ -76,53 +76,49 @@ def limit_scalar(parts, total):
     return _signed_weights(parts, total)
 
 
-def limiting_direction(law, q, prim=None):
+def limiting_direction(waves):
     """Unit direction used for characteristic projection: the flow
-    velocity of the (T, m) states ``q``, falling back to (1, 0) where the
-    flow is essentially stagnant (speed below 1e-12 of the sound speed).
-    ``prim`` passes ``law.primitives(q)`` when the caller already has it."""
-    rho, u, v, p = law.primitives(q) if prim is None else prim
-    a = np.sqrt(law.gamma * p / rho)
+    velocity (u, v) of the wave data ``waves`` ((T,) arrays, as
+    ``Euler.waves`` returns them), falling back to (1, 0) where the flow
+    is essentially stagnant (speed below 1e-12 of the sound speed a)."""
+    u, v, *_, a = waves
     speed = np.hypot(u, v)
     still = speed < 1e-12 * a
     safe = np.where(still, 1.0, speed)
-    direction = np.empty(q.shape[:-1] + (2,))
+    direction = np.empty(u.shape + (2,))
     direction[..., 0] = np.where(still, 1.0, u / safe)
     direction[..., 1] = np.where(still, 0.0, v / safe)
     return direction
 
 
-def _per_node(q, direction, waves):
-    """Triangle data (..., m), (..., 2) and wave data, broadcast against
-    (..., 3, m) parts."""
-    waves = None if waves is None else tuple(x[..., None] for x in waves)
-    return q[..., None, :], direction[..., None, :], waves
+def _per_node(waves):
+    """Per-triangle wave data, broadcast against (..., 3, m) parts."""
+    return tuple(x[..., None] for x in waves)
 
 
-def limit_system(parts, law, q, direction, waves=None):
+def limit_system(parts, law, direction, waves):
     """Characteristic-wise limiting of system parts.
 
-    ``q`` is each triangle's arithmetic-mean state, ``direction`` the
-    unit limiting direction there and ``waves`` passes the law's wave
-    data ``law._waves(q)`` when the caller already has it.  Each part is
-    projected to characteristic amplitudes theta_i^p = l^p . Phi_i
-    (``law.characteristic``); the scalar limiter runs per field on the
-    amplitudes (``_signed_weights``, which returns the limited
-    amplitudes); the limited parts are reassembled from the right
-    eigenvectors (``law.from_characteristic``).  The per-field amplitude
-    totals are redistributed by the clipped weights, so the parts' sum is
-    preserved.  Both hooks are Euler's closed-form expressions: no
-    eigenvector matrix is built.
+    ``waves`` is the wave data of each triangle's arithmetic-mean state
+    (``law.waves``) and ``direction`` the unit limiting direction there
+    (``limiting_direction``).  Each part is projected to characteristic
+    amplitudes theta_i^p = l^p . Phi_i (``law.characteristic``); the
+    scalar limiter runs per field on the amplitudes (``_signed_weights``,
+    which returns the limited amplitudes); the limited parts are
+    reassembled from the right eigenvectors (``law.from_characteristic``).
+    The per-field amplitude totals are redistributed by the clipped
+    weights, so the parts' sum is preserved.  Both hooks are Euler's
+    closed-form expressions: no eigenvector matrix is built.
 
     One (T, 3, m) array is allocated, the amplitudes: they are limited in
     place and the reconstruction R c is written over them, and that
     array is returned.  ``parts`` is not modified.
     """
     parts = np.asarray(parts, dtype=float)
-    q, direction, waves = _per_node(q, direction, waves)
-    theta = law.characteristic(parts, q, direction, waves)
+    waves, direction = _per_node(waves), direction[..., None, :]
+    theta = law.characteristic(parts, waves, direction)
     _signed_weights(theta, theta[..., 0, :] + theta[..., 1, :] + theta[..., 2, :], out=theta)
-    return law.from_characteristic(theta, q, direction, waves, out=theta)
+    return law.from_characteristic(theta, waves, direction, out=theta)
 
 
 def correction_theta(areas, proj):
@@ -152,50 +148,43 @@ def correction_weights(k):
     return np.divide(k, inflow[..., None], out=pos)
 
 
-def correction_scalar(parts, total, areas, k, weights=None):
+def correction_scalar(parts, total, areas, weights):
     """Add theta (k_i / sum_j k_j^+) Phi^T to scalar parts.
 
-    ``k`` is the (T, 3) upwind-parameter array of the scheme (equal to
-    (n_i . u)/2) and k_j^+ = max(k_j, 0).  The weight k_i / sum_j k_j^+
-    (``correction_weights``) is dimensionless, so the correction scales
-    like the parts, and its three values sum to zero as the k_i do, so
-    conservation is unchanged; a triangle with no inflow gets no
-    correction.  This is the
-    inverse inflow tau of the filtering term of Abgrall, Larat and
-    Ricchiuto (JCP 230, 2011) applied to k_i Phi^T.  For scalar laws the
-    shock marker is the residual itself.  ``weights`` passes
-    ``correction_weights(k)`` when the caller already has them (an
-    advection field's depend on the mesh alone), and ``k`` is then not
-    read.  The amplitude theta Phi^T is formed per triangle before it
-    meets the (T, 3) weights; the correction is formed in one array laid
-    out like ``parts``, which is not modified.
+    ``weights`` (T, 3) holds the weights k_i / sum_j k_j^+
+    (``correction_weights``) of the scheme's upwind parameters k (equal
+    to (n_i . u)/2), with k_j^+ = max(k_j, 0).  Each weight is
+    dimensionless, so the correction scales like the parts, and the three
+    sum to zero as the k_i do, so conservation is unchanged; a triangle
+    with no inflow gets no correction.  This is the inverse inflow tau of
+    the filtering term of Abgrall, Larat and Ricchiuto (JCP 230, 2011)
+    applied to k_i Phi^T.  For scalar laws the shock marker is the
+    residual itself.  The amplitude theta Phi^T is formed per triangle
+    before it meets the (T, 3) weights; the correction is formed in one
+    array laid out like ``parts``, which is not modified.
     """
     parts = np.asarray(parts, dtype=float)
     total = np.asarray(total, dtype=float)
-    if weights is None:
-        weights = correction_weights(k)
     amp = correction_theta(areas, total[..., 0])[..., None] * total
     out = np.multiply(weights[..., None], amp[..., None, :], out=np.empty_like(parts))
     out += parts
     return out
 
 
-def correction_system(parts, total, areas, normals, law, q, direction, waves=None):
+def correction_system(parts, total, areas, normals, law, waves):
     """Add theta |T|^{-1/2} K_i Phi^T to the system parts ``parts``, in place.
 
-    K_i = (n_i . J)/2 at each triangle's arithmetic-mean state ``q``,
-    applied to Phi^T by the law's closed-form ``jacobian_product``
-    (no Jacobian matrix is built).  The shock marker is |theta_ent|, the
-    amplitude of Phi^T on the entropy wave (``law.entropy_amplitude``,
-    the one field of ``law.characteristic`` it needs); it does not depend
-    on the limiting ``direction``.  ``waves`` passes the law's wave data
-    ``law._waves(q)`` when the caller already has it.  ``parts``, a
-    float (T, 3, m) array, is modified and returned; a caller that keeps
-    its input passes a copy.
+    K_i = (n_i . J)/2 at each triangle's arithmetic-mean state, whose wave
+    data is ``waves`` (``law.waves``), applied to Phi^T by the law's
+    closed-form ``jacobian_product`` (no Jacobian matrix is built).  The
+    shock marker is |theta_ent|, the amplitude of Phi^T on the entropy
+    wave (``law.entropy_amplitude``, the one field of
+    ``law.characteristic`` it needs, which depends on no direction).
+    ``parts``, a float (T, 3, m) array, is modified and returned; a
+    caller that keeps its input passes a copy.
     """
     total = np.asarray(total, dtype=float)
-    theta = correction_theta(areas, law.entropy_amplitude(total, q, waves))
+    theta = correction_theta(areas, law.entropy_amplitude(total, waves))
     scale = 0.5 * theta / np.sqrt(np.asarray(areas, dtype=float))
-    q, _, waves = _per_node(q, direction, waves)
     amp = (scale[..., None] * total)[..., None, :]
-    return law.jacobian_product(amp, q, normals, waves, add_to=parts)
+    return law.jacobian_product(amp, None, normals, _per_node(waves), add_to=parts)

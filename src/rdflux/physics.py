@@ -13,11 +13,11 @@ product (n.f'(q)) phi from them.  The characteristic projection and
 reconstruction read by the system limiter and correction
 (``characteristic``, ``from_characteristic``) are Euler's alone: a
 scalar law is limited and corrected on its residual directly.  Euler
-writes the projection, the reconstruction and the product in closed form
-from its wave data (u, v, h, k, a^2, a) (``Euler._waves``), which a
-caller computes once per state and passes to all three; the systems N
-scheme (module ``distribution``) applies its split Jacobians from the
-same data.
+writes the projection, the reconstruction, the entropy marker and the
+product in closed form from its wave data (u, v, h, k, a^2, a)
+(``Euler.waves``): the first three take that tuple in place of the
+state, so a caller forms it once per state; the systems N scheme (module
+``distribution``) applies its split Jacobians from the same data.
 No law builds a Jacobian matrix, and a gas-dynamics march builds no
 m x m matrix beyond the N scheme's star matrix: Euler's ``eigensystem``
 is the reference the closed forms are tested against.  All methods
@@ -109,9 +109,6 @@ class ConservationLaw:
     name: str = "law"
 
     # -- flux and derivatives -------------------------------------------
-    # Most Euler methods also take a ``prim`` argument: the law's
-    # primitive variables of ``q`` when the caller already has them; the
-    # closed-form characteristic hooks take its wave data ``waves``.
     def flux(self, q):
         raise NotImplementedError
 
@@ -161,19 +158,14 @@ class ConservationLaw:
         """
         return np.asarray(z_nodes, dtype=float)
 
-    def rsd_average(self, q_nodes=None, *, z_nodes=None):
-        """Average a (..., 3, m) nodal batch per the parameter-vector rule.
+    def rsd_average(self, z_nodes):
+        """Average a (..., 3, m) batch of nodal parameter vectors
+        ``z_nodes`` (``to_params`` of the nodal states).
 
         Qhat is the state at the mean Zhat of the nodal parameter vectors
         and the transformed nodal states Qhat_i come from
-        ``transform_nodes``: no m x m matrix is built.  ``z_nodes`` passes
-        the nodal parameter vectors ``to_params(q_nodes)`` when the caller
-        already has them; the states themselves are then not needed.
+        ``transform_nodes``: no m x m matrix is built.
         """
-        if z_nodes is None:
-            if q_nodes is None:
-                raise InvalidArgument("rsd_average needs q_nodes or z_nodes")
-            z_nodes = self.to_params(np.asarray(q_nodes, dtype=float))
         zhat = (z_nodes[..., 0, :] + z_nodes[..., 1, :] + z_nodes[..., 2, :]) / 3.0
         qhat = self.from_params(zhat)
         qhat_nodes = self.transform_nodes(zhat, z_nodes)
@@ -323,8 +315,8 @@ class Euler(ConservationLaw):
                 raise _nonphysical(quantity, values, bad, item, where)
 
     # -- flux and derivatives ---------------------------------------------
-    def flux(self, q, prim=None):
-        rho, u, v, p = self.primitives(q) if prim is None else prim
+    def flux(self, q):
+        rho, u, v, p = self.primitives(q)
         q = np.asarray(q, dtype=float)
         e = q[..., 3]
         f = np.empty_like(q)
@@ -369,13 +361,13 @@ class Euler(ConservationLaw):
     # its right eigenvector is the one with a nonzero density component.
     ENTROPY_WAVE = 1
 
-    def _waves(self, q, prim=None):
+    def waves(self, q, prim=None):
         """(u, v, h, k, a^2, a) of the states ``q``: velocity, total
         enthalpy, kinetic energy per unit mass and sound speed.
 
-        The closed-form hooks below take this tuple as ``waves``; a caller
-        that applies several of them at one state computes it once.
-        ``prim`` passes ``primitives(q)`` when the caller already has it.
+        The closed-form hooks below take this tuple as ``waves``, in place
+        of the state.  ``prim`` passes ``primitives(q)`` when the caller
+        already has it.
         Raises NonPhysicalState on a non-positive a^2.
         """
         rho, u, v, p = self.primitives(q) if prim is None else prim
@@ -394,7 +386,7 @@ class Euler(ConservationLaw):
         is the reference for the closed forms of the limiter, the
         correction and the systems N scheme.
         """
-        u, v, h, k, a2, a = self._waves(q, prim)
+        u, v, h, k, a2, a = self.waves(q, prim)
         n = np.asarray(n, dtype=float)
         nlen = np.hypot(n[..., 0], n[..., 1])
         if np.any(nlen <= 0.0):
@@ -422,10 +414,9 @@ class Euler(ConservationLaw):
 
     # -- closed-form characteristic algebra -----------------------------------
     # The limiter and the correction apply L, R and n.J to vectors only; the
-    # methods below do so from (u, v, h, a) without building them.
-    # Shapes broadcast: ``phi`` (..., 4) against the states' and the
-    # direction's leading axes.  ``waves`` passes ``_waves(q)`` (broadcast
-    # like the states) when the caller already has it.
+    # methods below do so from the wave data ``waves`` (``waves(q)``)
+    # without building them.  Shapes broadcast: ``phi`` (..., 4) against
+    # the wave data's and the direction's leading axes.
 
     def _pressure_jump(self, phi, u, v, k):
         """dp = (gamma - 1)(k phi_0 - u phi_1 - v phi_2 + phi_3): the pressure
@@ -437,7 +428,7 @@ class Euler(ConservationLaw):
         dp *= self.gamma - 1.0
         return dp
 
-    def characteristic(self, phi, q, n, waves=None):
+    def characteristic(self, phi, waves, n):
         """Amplitudes L phi on the waves of n.J, for the unit direction ``n``.
 
         The fields are ordered as in ``eigensystem``: acoustic (u_n - a),
@@ -447,7 +438,7 @@ class Euler(ConservationLaw):
         (dp/a^2 - w/a)/2, phi_0 - dp/a^2, n x (phi_1, phi_2) - u_t phi_0 and
         (dp/a^2 + w/a)/2.  The entropy amplitude does not depend on ``n``.
         """
-        u, v, _, k, a2, a = self._waves(q) if waves is None else waves
+        u, v, _, k, a2, a = waves
         phi = np.asarray(phi, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
@@ -471,17 +462,17 @@ class Euler(ConservationLaw):
         wa *= 0.5
         return out
 
-    def entropy_amplitude(self, phi, q, waves=None):
+    def entropy_amplitude(self, phi, waves):
         """The entropy amplitude phi_0 - dp/a^2 of ``characteristic`` alone,
         by the same operations (the same bits), without the other three
         fields.  It does not depend on the direction."""
-        u, v, _, k, a2, _ = self._waves(q) if waves is None else waves
+        u, v, _, k, a2, _ = waves
         phi = np.asarray(phi, dtype=float)
         dpa = self._pressure_jump(phi, u, v, k)
         dpa /= a2
         return np.subtract(phi[..., 0], dpa, out=dpa)
 
-    def from_characteristic(self, c, q, n, waves=None, out=None):
+    def from_characteristic(self, c, waves, n, out=None):
         """Vectors R c from the amplitudes ``c`` of ``characteristic``.
 
         With S = c_0 + c_3 and D = c_3 - c_0: [S + c_1,
@@ -490,7 +481,7 @@ class Euler(ConservationLaw):
         and may be ``c`` itself: each component of ``c`` is read before
         its slot is written.
         """
-        u, v, h, k, _, a = self._waves(q) if waves is None else waves
+        u, v, h, k, _, a = waves
         c = np.asarray(c, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]
@@ -521,12 +512,15 @@ class Euler(ConservationLaw):
 
         With dp and w as in ``characteristic`` and dm = n . (phi_1, phi_2):
         [dm, u w + u_n phi_1 + n_x dp, v w + u_n phi_2 + n_y dp,
-        h w + u_n (phi_3 + dp)].  ``add_to`` passes an array of the
-        product's shape: the product is added into it in place, one
-        component at a time, and it is returned, so that no array of that
-        size is allocated; without it the product is a new array.
+        h w + u_n (phi_3 + dp)].  ``waves`` passes the wave data of ``q``
+        in place of the states, which are then not read (the system
+        correction passes its mean states' this way).  ``add_to`` passes
+        an array of the product's shape: the product is added into it in
+        place, one component at a time, and it is returned, so that no
+        array of that size is allocated; without it the product is a new
+        array.
         """
-        u, v, h, k, _, _ = self._waves(q) if waves is None else waves
+        u, v, h, k, _, _ = self.waves(q) if waves is None else waves
         phi = np.asarray(phi, dtype=float)
         n = np.asarray(n, dtype=float)
         nx, ny = n[..., 0], n[..., 1]

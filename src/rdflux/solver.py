@@ -12,16 +12,19 @@ One iteration runs in this order:
 
 1. sweep (``Solver._sweep``, the one builder of the triangle pass's
    inputs): the state is gathered to the triangles once (under the
-   systems N scheme a gas keeps only the mean states from it); for laws
-   with primitive variables (Euler) the primitives are computed once on
-   the N mesh nodes, and from them the max wave speed, and the pressure for
-   RXN (its normal fluxes are formed in closed form from the gathered
-   state and pressure) or the parameter vector for the systems N scheme;
-   and once on the triangles' arithmetic-mean states.  It also holds the
-   per-triangle wave-speed bound where a scheme or step rule reads it, a
-   scalar law's upwind parameters k, and an advection field's correction
-   weights and relaxation map; each is computed once, or passed in from
-   ``Solver`` where the mesh alone fixes it;
+   systems N scheme a gas keeps none of it: the pass gathers the
+   parameter vector); for laws with primitive variables (Euler) the
+   primitives are computed once on the N mesh nodes, and from them the
+   max wave speed, and the pressure for RXN (its normal fluxes are formed
+   in closed form from the gathered state and pressure) or the parameter
+   vector for the systems N scheme; and once on the triangles'
+   arithmetic-mean states, for the wave-speed bound and, where the gas is
+   limited or corrected, the mean states' wave data (``Euler.waves``).
+   It also holds the per-triangle wave-speed bound where a scheme or step
+   rule reads it, a scalar law's upwind parameters k and, where it is
+   corrected, their correction weights, and an advection field's
+   relaxation map; each is computed once, or passed in from ``Solver``
+   where the mesh alone fixes it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
    for scalars (``stable_dt``).  An advection field's step depends on the
    mesh alone: ``Solver`` computes it once and every iteration reuses it;
@@ -37,10 +40,11 @@ One iteration runs in this order:
    scheme of a gas reads no gathered state: it gathers the parameter
    vector and carries one buffer from the transformed nodal states to
    the parts, and its stagnation fallback gathers the states of the
-   triangles it flags only.  The limiting direction reads the mean
-   state's primitives from the sweep; the characteristic projection and
-   reconstruction, the entropy marker and the Jacobian-vector products
-   read its wave data, computed once from them.  All are closed-form
+   triangles it flags only.  The mean states' wave data is the one input
+   that the limiter and the correction read of the linearization: the
+   limiting direction (formed only where the limiter runs), the
+   characteristic projection and reconstruction, the entropy marker and
+   the Jacobian-vector products all come from it.  All are closed-form
    expressions, and so is the systems N scheme's split of the Jacobians:
    no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
@@ -61,16 +65,12 @@ way, and the chunk results are accumulated in ascending chunk order, so
 repeated runs are bit-identical.
 
 Memory: the temporaries of one limited, corrected iteration (sweep, step
-rule and step) peak above the state, as ``tracemalloc`` reads it, at 4.8
-times the size of the (T, 3, 4) parts under RXN and 6.1 times under the
+rule and step) peak above the state, as ``tracemalloc`` reads it, at 4.7
+times the size of the (T, 3, 4) parts under RXN and 6.0 times under the
 systems N scheme: 2.3 and 2.9 MB on ``cylinder-supersonic`` (5000
-triangles), 5.8 and 7.3 MB on ``cylinder-subsonic`` (12544).  They
-peaked at 5.4 and 13.6 times when the sweep's gathered state lived
-through the whole pass and the N scheme formed K^- Qhat, Qhat - Q_star
-and its parts as new arrays beside the transformed states, and RXN at
-9.3 times before its normal fluxes came from the gathered pressure and
-the limiter and the correction worked in place.  The RXN peak is now in
-the scheme's own loop, the N peak in the last rows of the star matrix.
+triangles), 5.7 and 7.2 MB on ``cylinder-subsonic`` (12544).  The RXN
+peak is in the scheme's own loop, the N peak in the last rows of the
+star matrix.
 The first ``Solver`` of a process tells glibc's allocator to keep freed
 heap memory for reuse instead of returning it to the kernel
 (``_memory.retain_heap``), so a steady iteration takes no page faults.
@@ -187,20 +187,20 @@ class Sweep:
     under the systems N scheme, which reads the parameter vector instead.
     ``s`` is the per-triangle wave-speed bound (None where nothing reads
     it: a scalar law reads it only under RXN without the advection map),
-    ``k`` (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) an
-    advection field's correction weights k_i / sum_j max(k_j, 0)
-    (``limiting.correction_weights``; None elsewhere, and the correction
-    forms them from ``k``) and ``coefficients`` the relaxation map (g, w)
-    of an advection field under RXN, which carries its own bound
+    ``k`` (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) a
+    corrected scalar law's correction weights k_i / sum_j max(k_j, 0)
+    (``limiting.correction_weights``; an advection field's are built once
+    per mesh) and ``coefficients`` the relaxation map (g, w) of an
+    advection field under RXN, which carries its own bound
     (``distribution.advection_coefficients``).
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
-    the N mesh nodes, which the pass gathers (``gather``); ``q_mean``
-    (T, m) is each triangle's arithmetic-mean state and ``prim_mean`` its
-    primitives, shared by the wave-speed bound and the limiter and
-    correction.  Fields that the mesh alone fixes are the solver's own
-    arrays, not copies.
+    the N mesh nodes, which the pass gathers (``gather``); ``waves`` is
+    the wave data (u, v, h, k, a^2, a) of each triangle's arithmetic-mean
+    state (``Euler.waves``, each (T,)), the one linearization input of
+    the limiter and the correction (None where neither runs).  Fields
+    that the mesh alone fixes are the solver's own arrays, not copies.
 
     A sweep serves one triangle pass, which releases what it has spent:
     ``Solver._distribute`` sets ``q_nodes`` to None once the scheme has
@@ -224,8 +224,7 @@ class Sweep:
     coefficients: tuple | None = None
     pressure: np.ndarray | None = None
     z: np.ndarray | None = None
-    q_mean: np.ndarray | None = None
-    prim_mean: tuple | None = None
+    waves: tuple | None = None
 
     def gather(self, a):
         """Nodal values ``a`` (N, ...) at the nodes of these triangles: (T, 3, ...)."""
@@ -239,21 +238,23 @@ class Sweep:
             return x if x is None else x[sl]
 
         per_triangle = ("normals", "nlen", "areas", "q_nodes", "s", "k", "weights",
-                        "coefficients", "q_mean", "prim_mean")
+                        "coefficients", "waves")
         return replace(self, tris=self.tris[:, sl],
                        **{name: cut(getattr(self, name)) for name in per_triangle})
 
 
 class _Gathered:
-    """The state ``q`` (N, m) at the nodes of the triangles ``tris`` (3, T),
-    gathered on indexing: ``g[idx]`` is ``_gather(q, tris[:, idx])``, with
-    no (T, 3, m) copy held (``distribution.n_scheme_system``'s fallback)."""
+    """Nodal values ``a`` (N, m) at the nodes of the triangles ``tris``
+    (3, T), gathered on indexing: ``g[idx]`` is ``_gather(a, tris[:, idx])``.
+    ``distribution.n_scheme_system`` reads the parameter vector as ``g[:]``
+    and its fallback's states as ``g[idx]``, so that no (T, 3, m) array
+    sits in the caller's arguments through the call."""
 
-    def __init__(self, q, tris):
-        self.q, self.tris = q, tris
+    def __init__(self, a, tris):
+        self.a, self.tris = a, tris
 
     def __getitem__(self, idx):
-        return _gather(self.q, self.tris[:, idx])
+        return _gather(self.a, self.tris[:, idx])
 
 
 def _gather(a, tris):
@@ -383,10 +384,10 @@ class Solver:
         The one pipeline behind ``assemble``.  The limiter and the
         correction of a system are evaluated at each triangle's
         arithmetic-mean state (Q_1 + Q_2 + Q_3) / 3, whichever the scheme;
-        the mean of physical states is physical.  That state's wave data
-        (``law._waves``) is computed once and shared by both.  Once the
-        scheme has formed its parts, the sweep's gathered state is
-        released (``Sweep``): a sweep serves one pass.
+        the mean of physical states is physical.  Both read that state's
+        wave data, ``Sweep.waves``, alone.  Once the scheme has formed its
+        parts, the sweep's gathered state is released (``Sweep``): a sweep
+        serves one pass.
 
         Returns ``(parts, fallback_count)``: the final (T, 3, m) parts and
         the number of triangles whose N-scheme star solve fell back.
@@ -402,7 +403,7 @@ class Solver:
             res = dist.n_scheme_scalar(sweep.q_nodes, sweep.k)
         else:
             res = dist.n_scheme_system(law, normals, _Gathered(sweep.q, sweep.tris),
-                                       z_nodes=sweep.gather(sweep.z), nlen=sweep.nlen)
+                                       z_nodes=_Gathered(sweep.z, sweep.tris), nlen=sweep.nlen)
         sweep.q_nodes = None  # spent: the sweep releases the gathered state
         fallback = 0 if res.fallback is None else int(res.fallback.sum())
 
@@ -416,19 +417,15 @@ class Solver:
             if cfg.limited:
                 parts = limiting.limit_scalar(parts, total)
             if cfg.corrected:
-                parts = limiting.correction_scalar(parts, total, sweep.areas, sweep.k,
-                                                   sweep.weights)
+                parts = limiting.correction_scalar(parts, total, sweep.areas, sweep.weights)
             return parts, fallback
 
-        q_mean = sweep.q_mean
-        direction = limiting.limiting_direction(law, q_mean, sweep.prim_mean)
-        waves = law._waves(q_mean, sweep.prim_mean)
         if cfg.limited:
-            parts = limiting.limit_system(parts, law, q_mean, direction, waves)
+            direction = limiting.limiting_direction(sweep.waves)
+            parts = limiting.limit_system(parts, law, direction, sweep.waves)
         if cfg.corrected:
-            parts = limiting.correction_system(
-                parts, total, sweep.areas, normals, law, q_mean, direction, waves
-            )
+            parts = limiting.correction_system(parts, total, sweep.areas, normals, law,
+                                               sweep.waves)
         return parts, fallback
 
     def assemble(self, q, sweep=None):
@@ -465,14 +462,17 @@ class Solver:
     # -- time step -----------------------------------------------------------
 
     def _sweep(self, q):
-        """The ``Sweep`` of state ``q``: one gather, nodal fields, bound, k."""
+        """The ``Sweep`` of state ``q``: one gather, nodal fields, bound, k,
+        correction weights and the mean states' wave data."""
         law, cfg = self.law, self.cfg
         q_nodes = _gather(q, self._tris_t)
-        s, k = None, self.k_static
+        s, k, weights = None, self.k_static, self.weights_static
         nodal = {}
         if law.m == 1:
             if k is None:
                 k = dist.scalar_upwind_k(law, self.normals, q_nodes)
+                if cfg.corrected:
+                    weights = limiting.correction_weights(k)
             # A scalar law steps by k; of its schemes only the flux form
             # of RXN reads the bound (the advection map carries its own).
             if cfg.scheme == "rxn" and self.rxn_static is None:
@@ -485,14 +485,15 @@ class Solver:
             s = dist.wave_speed_bound(
                 law, q_nodes, speeds=speeds, mean_speed=law.max_wavespeed(q_mean, prim_mean)
             )
-            nodal = {"q_mean": q_mean, "prim_mean": prim_mean}
+            if cfg.limited or cfg.corrected:
+                nodal["waves"] = law.waves(q_mean, prim_mean)
             if cfg.scheme == "rxn":
                 nodal["pressure"] = prim[3]
             else:
                 nodal["z"] = law.to_params(q, prim)
                 q_nodes = None  # the N pass gathers z, not the state
         return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q, q_nodes, s, k,
-                     weights=self.weights_static, coefficients=self.rxn_static, **nodal)
+                     weights=weights, coefficients=self.rxn_static, **nodal)
 
     def _inflow_coefficients(self, s, k):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.

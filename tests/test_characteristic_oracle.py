@@ -61,8 +61,9 @@ def test_projection_and_reconstruction_match_spectral_projectors(euler, kind):
     rng = np.random.default_rng(7)
     q, n = states(kind, rng)
     phi = rng.standard_normal(q.shape)
-    theta = euler.characteristic(phi, q, n)
-    assert_close(euler.from_characteristic(theta, q, n), phi, np.abs(phi).max())
+    waves = euler.waves(q)
+    theta = euler.characteristic(phi, waves, n)
+    assert_close(euler.from_characteristic(theta, waves, n), phi, np.abs(phi).max())
     for t in range(len(q)):
         speeds = field_speeds(euler, q[t], n[t])
         pieces = [(proj @ phi[t], np.abs(speeds - mu) <= 1e-8 * max(1.0, np.abs(mu)))
@@ -70,7 +71,8 @@ def test_projection_and_reconstruction_match_spectral_projectors(euler, kind):
         assert sum(fields.sum() for _, fields in pieces) == 4
         scale = max(np.abs(p).max() for p, _ in pieces)
         for expected, fields in pieces:
-            part = euler.from_characteristic(np.where(fields, theta[t], 0.0), q[t], n[t])
+            part = euler.from_characteristic(np.where(fields, theta[t], 0.0),
+                                             euler.waves(q[t]), n[t])
             assert_close(part, expected, scale)
 
 
@@ -82,12 +84,13 @@ def test_entropy_and_shear_waves(euler, kind):
     zero, one = np.zeros_like(u), np.ones_like(u)
     entropy = np.stack([one, u, v, 0.5 * (u * u + v * v)], axis=1)
     shear = np.stack([zero, -n[:, 1], n[:, 0], v * n[:, 0] - u * n[:, 1]], axis=1)
+    waves = euler.waves(q)
     for wave, vector in ((euler.ENTROPY_WAVE, entropy), (2, shear)):
         unit = np.zeros_like(q)
         unit[:, wave] = 1.0
         scale = np.abs(vector).max()
-        assert_close(euler.characteristic(vector, q, n), unit, scale)
-        assert_close(euler.from_characteristic(unit, q, n), vector, scale)
+        assert_close(euler.characteristic(vector, waves, n), unit, scale)
+        assert_close(euler.from_characteristic(unit, waves, n), vector, scale)
 
 
 @pytest.mark.parametrize("kind", ["random", "supersonic", "stagnant"])
@@ -117,7 +120,7 @@ def test_broadcast_over_nodes(euler):
     assert_close(euler.jacobian_product(phi, q, n), expected, np.abs(expected).max())
     unit = n / np.hypot(n[..., 0], n[..., 1])[..., None]
     eig = euler.eigensystem(q, unit)
-    theta = euler.characteristic(phi, q, unit)
+    theta = euler.characteristic(phi, euler.waves(q), unit)
     assert_close(theta, np.einsum("tnij,tnj->tni", eig.left, phi), np.abs(theta).max())
 
 
@@ -129,11 +132,12 @@ def test_entropy_amplitude(euler, kind):
     rng = np.random.default_rng(11)
     q, n = states(kind, rng)
     phi = rng.standard_normal(q.shape) * 10.0 ** rng.uniform(-3.0, 3.0, (len(q), 1))
-    actual = euler.entropy_amplitude(phi, q)
+    waves = euler.waves(q)
+    actual = euler.entropy_amplitude(phi, waves)
     left = euler.eigensystem(q, n).left[:, euler.ENTROPY_WAVE]
     for t in range(len(q)):
         assert abs(actual[t] - left[t] @ phi[t]) <= RTOL * np.abs(left[t]).max() * np.abs(
             phi[t]).max()
     for direction in (n, n[::-1]):
-        theta = euler.characteristic(phi, q, direction, euler._waves(q))
+        theta = euler.characteristic(phi, waves, direction)
         assert np.array_equal(actual, theta[:, euler.ENTROPY_WAVE])

@@ -165,8 +165,8 @@ def allocating_n_scheme(law, normals, q_nodes, z_nodes=None):
     matrix coefficient formed before the rows are filled.  The operations
     and their order are ``n_scheme_system``'s, so the two agree bit for bit.
     Returns (parts, star, fallback)."""
-    avg = law.rsd_average(q_nodes, z_nodes=z_nodes)
-    u, v, h, k, a2, a = waves = law._waves(avg.qhat, avg.prim)
+    avg = law.rsd_average(law.to_params(q_nodes) if z_nodes is None else z_nodes)
+    u, v, h, k, a2, a = waves = law.waves(avg.qhat, avg.prim)
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     nx = normals[..., 0] / nlen
     ny = normals[..., 1] / nlen

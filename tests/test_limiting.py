@@ -127,18 +127,23 @@ class TestLimitOracle:
                 return coef
 
         euler = Amplitudes()
-        q = random_euler_states(rng, (300,), mach_scale=mach_scale)
-        direction = limiting.limiting_direction(euler, q)
+        waves = euler.waves(random_euler_states(rng, (300,), mach_scale=mach_scale))
+        direction = limiting.limiting_direction(waves)
         parts = rng.standard_normal((300, 3, 4)) * 10.0 ** rng.integers(-8, 9, (300, 1, 1))
         parts[:10] = 0.0  # zero totals
-        theta = euler.characteristic(parts, q[:, None], direction[:, None])
+        theta = euler.characteristic(parts, per_node(waves), direction[:, None])
         total = theta[:, 0] + theta[:, 1] + theta[:, 2]
         expected = divide_mask_multiply(theta, total)
-        out = limiting.limit_system(parts, euler, q, direction)
+        out = limiting.limit_system(parts, euler, direction, waves)
         assert (np.abs(out - expected) <= 1e-15 * np.abs(expected)).all()
         assert (out[:10] == 0.0).all()
         assert (np.abs(out.sum(axis=1) - total) <= 4e-16 * 3 * np.abs(total)).all()
         assert (out * total[:, None, :] >= 0.0).all()
+
+
+def per_node(waves):
+    """Per-triangle wave data broadcast over a triangle's three nodes."""
+    return tuple(x[:, None] for x in waves)
 
 
 def matrix_limit(parts, eig):
@@ -167,13 +172,13 @@ class TestLimitSystem:
     def _euler_setup(self, rng, n):
         euler = physics.Euler()
         q = random_euler_states(rng, (n,))
-        direction = limiting.limiting_direction(euler, q)
-        return euler, q, direction
+        waves = euler.waves(q)
+        return euler, q, waves, limiting.limiting_direction(waves)
 
     def test_conservation(self, rng):
-        euler, q, direction = self._euler_setup(rng, 200)
+        euler, _, waves, direction = self._euler_setup(rng, 200)
         parts = rng.standard_normal((200, 3, 4))
-        out = limiting.limit_system(parts, euler, q, direction)
+        out = limiting.limit_system(parts, euler, direction, waves)
         before = parts.sum(axis=1)
         after = out.sum(axis=1)
         assert np.abs(after - before).max() <= 1e-12 * max(1.0, np.abs(before).max())
@@ -183,29 +188,30 @@ class TestLimitSystem:
         euler = physics.Euler()
         q = random_euler_states(rng, (300,), mach_scale=mach_scale)
         q[:20] = euler.conserved(1.0 + rng.random(20), 0.0, 0.0, 1.0)  # stagnant: (1, 0)
-        direction = limiting.limiting_direction(euler, q)
+        waves = euler.waves(q)
+        direction = limiting.limiting_direction(waves)
         parts = rng.standard_normal((300, 3, 4))
         expected = matrix_limit(parts, euler.eigensystem(q, direction))
-        assert_close_per_triangle(limiting.limit_system(parts, euler, q, direction), expected)
+        assert_close_per_triangle(limiting.limit_system(parts, euler, direction, waves), expected)
 
     def test_input_unchanged_and_same_bits_as_allocating_hooks(self, rng):
         # The limiter works in its own amplitude array: the parts passed in
         # keep their values, whatever their layout, and the result equals,
         # bit for bit, the hooks chained without reusing any array.
-        euler, q, direction = self._euler_setup(rng, 60)
-        q_n, d_n = q[:, None], direction[:, None]
+        euler, _, waves, direction = self._euler_setup(rng, 60)
+        w_n, d_n = per_node(waves), direction[:, None]
         parts = rng.standard_normal((60, 3, 4))
         for parts in (parts, np.asfortranarray(parts)):
             kept = parts.copy()
-            out = limiting.limit_system(parts, euler, q, direction)
+            out = limiting.limit_system(parts, euler, direction, waves)
             assert np.array_equal(parts, kept)
             assert not np.shares_memory(out, parts)
-            theta = euler.characteristic(kept, q_n, d_n)
+            theta = euler.characteristic(kept, w_n, d_n)
             limited = limiting.limit_scalar(theta, theta[:, 0] + theta[:, 1] + theta[:, 2])
-            assert np.array_equal(out, euler.from_characteristic(limited, q_n, d_n))
+            assert np.array_equal(out, euler.from_characteristic(limited, w_n, d_n))
 
     def test_one_signed_fields_unchanged(self, rng):
-        euler, q, direction = self._euler_setup(rng, 40)
+        euler, q, waves, direction = self._euler_setup(rng, 40)
         eig = euler.eigensystem(q, direction)
         # Parts whose characteristic components are already one-signed
         # (theta_i^p >= 0 for every node), and parts where one node
@@ -215,7 +221,7 @@ class TestLimitSystem:
         one_hot[:, 0, :] = rng.standard_normal((40, 4))
         for theta in (np.abs(rng.standard_normal((40, 3, 4))), one_hot):
             parts = np.einsum("tnp,tpj->tnj", theta, np.swapaxes(eig.right, -1, -2))
-            out = limiting.limit_system(parts, euler, q, direction)
+            out = limiting.limit_system(parts, euler, direction, waves)
             scale = np.abs(parts).max()
             assert np.abs(out - parts).max() <= 1e-13 * scale
 
@@ -224,19 +230,19 @@ class TestLimitingDirection:
     def test_follows_velocity(self, rng):
         euler = physics.Euler()
         q = euler.conserved(1.0, 3.0, 4.0, 2.0)[None]
-        d = limiting.limiting_direction(euler, q)
+        d = limiting.limiting_direction(euler.waves(q))
         assert np.allclose(d[0], [0.6, 0.8], rtol=1e-13)
 
     def test_stagnation_fallback(self):
         euler = physics.Euler()
         q = euler.conserved(1.0, 0.0, 0.0, 1.0)[None]
-        d = limiting.limiting_direction(euler, q)
+        d = limiting.limiting_direction(euler.waves(q))
         assert np.allclose(d[0], [1.0, 0.0])
 
     def test_unit_norm(self, rng):
         euler = physics.Euler()
         q = random_euler_states(rng, (50,))
-        d = limiting.limiting_direction(euler, q)
+        d = limiting.limiting_direction(euler.waves(q))
         assert np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0, rtol=1e-13)
 
 
@@ -276,7 +282,7 @@ class TestCorrectionScalar:
         areas = 0.1 + rng.random(100)
         k = rng.standard_normal((100, 3))
         k -= k.mean(axis=1, keepdims=True)  # sum_i k_i = 0
-        out = limiting.correction_scalar(parts, total, areas, k)
+        out = limiting.correction_scalar(parts, total, areas, limiting.correction_weights(k))
         assert np.abs(out.sum(axis=1) - total).max() < 1e-12 * max(
             1.0, np.abs(total).max()
         )
@@ -287,7 +293,7 @@ class TestCorrectionScalar:
         total = parts.sum(axis=1)
         areas = np.full(20, 0.3)
         k = rng.standard_normal((20, 3))
-        out = limiting.correction_scalar(parts, total, areas, k)
+        out = limiting.correction_scalar(parts, total, areas, limiting.correction_weights(k))
         assert np.allclose(out, parts, atol=1e-13)
 
     def test_magnitude_formula(self):
@@ -297,7 +303,7 @@ class TestCorrectionScalar:
         total = np.array([[2.0], [-3.0]])
         areas = np.array([4.0, 0.5])
         k = np.array([[1.0, -0.5, -0.5], [0.5, 1.0, -1.5]])
-        out = limiting.correction_scalar(parts, total, areas, k)
+        out = limiting.correction_scalar(parts, total, areas, limiting.correction_weights(k))
         theta = [min(1.0, 4.0 / (2.0 + 1e-10)), min(1.0, 0.5 / (3.0 + 1e-10))]
         assert np.allclose(out[0, :, 0], theta[0] * np.array([1.0, -0.5, -0.5]) * 2.0,
                            rtol=1e-12)
@@ -314,8 +320,10 @@ class TestCorrectionScalar:
         areas = np.full(50, 1e6)
         k = rng.standard_normal((50, 3))
         k -= k.mean(axis=1, keepdims=True)
-        correction = limiting.correction_scalar(parts, total, areas, k) - parts
-        scaled = limiting.correction_scalar(c * parts, c * total, areas, c * k) - c * parts
+        weights = limiting.correction_weights(k)
+        correction = limiting.correction_scalar(parts, total, areas, weights) - parts
+        c_weights = limiting.correction_weights(c * k)
+        scaled = limiting.correction_scalar(c * parts, c * total, areas, c_weights) - c * parts
         assert np.allclose(scaled, c * correction, rtol=1e-10, atol=1e-12 * c)
         assert np.abs(correction).max() > 0.1
 
@@ -328,24 +336,29 @@ class TestCorrectionScalar:
         k[0] = [1.0, -0.25, -0.75]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = limiting.correction_scalar(parts, total, np.full(4, 0.5), k)
             weights = limiting.correction_weights(k)
+            out = limiting.correction_scalar(parts, total, np.full(4, 0.5), weights)
         assert np.array_equal(out[1:], parts[1:])
         assert not np.array_equal(out[0], parts[0])
         assert np.array_equal(weights[1:], np.zeros((3, 3)))
 
     def test_given_weights_match_the_formed_ones(self, rng):
-        # Weights built once (an advection field's) give the same bits as
-        # those formed from k in the call; k is then not read.
+        # The weights that the correction is given match k_i / sum_j k_j^+
+        # formed here, and the correction adds theta times them times the
+        # total, with theta from the total as ``correction_theta`` forms it.
         parts = rng.standard_normal((30, 3, 1))
         total = parts.sum(axis=1)
         areas = 0.1 + rng.random(30)
         k = rng.standard_normal((30, 3))
         k -= k.mean(axis=1, keepdims=True)  # every triangle has inflow
         weights = limiting.correction_weights(k)
-        out = limiting.correction_scalar(parts, total, areas, None, weights)
-        assert np.array_equal(out, limiting.correction_scalar(parts, total, areas, k))
+        formed = k / np.maximum(k, 0.0).sum(axis=1, keepdims=True)
+        assert np.allclose(weights, formed, rtol=1e-15, atol=0.0)
         assert np.allclose(np.maximum(weights, 0.0).sum(axis=1), 1.0, rtol=1e-14)
+        theta = limiting.correction_theta(areas, total[:, 0])
+        out = limiting.correction_scalar(parts, total, areas, weights)
+        expected = parts + (theta[:, None] * formed * total)[..., None]
+        assert np.allclose(out, expected, rtol=1e-14, atol=1e-15)
 
 
 class TestCorrectionSystem:
@@ -353,33 +366,32 @@ class TestCorrectionSystem:
         euler = physics.Euler()
         coords = random_triangles(rng, n)
         q = random_euler_states(rng, (n,), mach_scale=mach_scale)
-        direction = limiting.limiting_direction(euler, q)
-        return euler, compute_normals(coords), triangle_areas(coords), q, direction
+        return euler, compute_normals(coords), triangle_areas(coords), q, euler.waves(q)
 
     def test_conservation_unchanged(self, rng):
-        euler, normals, areas, q, direction = self._setup(rng, 120)
+        euler, normals, areas, _, waves = self._setup(rng, 120)
         parts = rng.standard_normal((120, 3, 4))
         total = parts.sum(axis=1)
-        out = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
+        out = limiting.correction_system(parts, total, areas, normals, euler, waves)
         assert np.abs(out.sum(axis=1) - total).max() <= 1e-12 * max(
             1.0, np.abs(total).max()
         )
 
     def test_zero_total_identity(self, rng):
-        euler, normals, areas, q, direction = self._setup(rng, 10)
+        euler, normals, areas, _, waves = self._setup(rng, 10)
         parts = rng.standard_normal((10, 3, 4))
         parts -= parts.mean(axis=1, keepdims=True)
         total = parts.sum(axis=1)  # ~0
         # The correction adds into the parts it is given: pass a copy.
-        out = limiting.correction_system(parts.copy(), total, areas, normals, euler, q, direction)
+        out = limiting.correction_system(parts.copy(), total, areas, normals, euler, waves)
         assert np.allclose(out, parts, atol=1e-12)
 
     def test_adds_into_the_given_parts(self, rng):
-        euler, normals, areas, q, direction = self._setup(rng, 50)
+        euler, normals, areas, _, waves = self._setup(rng, 50)
         parts = rng.standard_normal((50, 3, 4))
         kept = parts.copy()
         total = kept.sum(axis=1)
-        data = (total, areas, normals, euler, q, direction)
+        data = (total, areas, normals, euler, waves)
         correction = limiting.correction_system(np.zeros_like(parts), *data)
         out = limiting.correction_system(parts, *data)
         assert out is parts
@@ -387,18 +399,18 @@ class TestCorrectionSystem:
 
     @pytest.mark.parametrize("mach_scale", [2.0, 8.0])
     def test_matches_matrix_formulation(self, rng, mach_scale):
-        euler, normals, areas, q, direction = self._setup(rng, 300, mach_scale)
+        euler, normals, areas, q, waves = self._setup(rng, 300, mach_scale)
         parts = rng.standard_normal((300, 3, 4))
         # Totals from tiny (theta = 1) to large (theta < 1, shock-like).
         total = parts.sum(axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1))
-        eig = euler.eigensystem(q, direction)
+        eig = euler.eigensystem(q, limiting.limiting_direction(waves))
         expected = matrix_correction(
             parts, total, areas, normals,
             flux_jacobian(euler, q, np.array([1.0, 0.0])),
             flux_jacobian(euler, q, np.array([0.0, 1.0])),
             eig.left[:, euler.ENTROPY_WAVE],
         )
-        actual = limiting.correction_system(parts, total, areas, normals, euler, q, direction)
+        actual = limiting.correction_system(parts, total, areas, normals, euler, waves)
         assert_close_per_triangle(actual, expected)
 
 

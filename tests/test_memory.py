@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import rdflux
-from rdflux import _memory, config
+from rdflux import _memory, config, distribution, physics
 from rdflux.solver import Solver, SolverConfig
 
 from .test_solver import scalar_problem
@@ -119,12 +120,10 @@ def test_euler_step_high_water():
     arrays above the state at its high-water mark.
 
     Measured with ``tracemalloc`` (which sees NumPy's buffers on every
-    platform): 9.3 parts-sizes when the sweep kept the nodal flux pair,
-    the limiter and the correction each allocated a new parts array, and
-    the scatter read m-fold bins; 5.4 with the normal flux formed from the
-    gathered pressure in one buffer that becomes the parts, the limiter
-    working in its amplitude array and the correction adding in place;
-    4.8 once the pass releases the sweep's gathered state after the scheme.
+    platform): 4.7 parts-sizes, with the normal flux formed from the
+    gathered pressure in one buffer that becomes the parts, the sweep's
+    gathered state released once the parts exist, the limiter working in
+    its amplitude array and the correction adding in place.
     """
     high_water = _step_high_water("rxn")
     assert high_water < 6.0, f"{high_water:.2f} parts-sized arrays"
@@ -134,13 +133,40 @@ def test_n_step_high_water():
     """One limited, corrected step of the systems N scheme allocates at most
     7.5 parts-sized arrays above the state at its high-water mark.
 
-    13.6 parts-sizes when the sweep kept the gathered state, the pass the
-    transformed nodal states, K^- Qhat, Qhat - Q_star and the parts as four
-    arrays, and the star matrix thirty coefficient arrays at once; 6.1
-    with one buffer carried from Qhat to the parts, the minus split and
-    the unit normals dropped once their node sums are taken, the star
-    matrix written row by row and the solved rows freed before the plus
-    split.
+    Measured as above: 6.0 parts-sizes, with one buffer carried from Qhat
+    to the parts, the gathered parameter vector freed once averaged, the
+    minus split and the unit normals dropped once their node sums are
+    taken, the star matrix written row by row and the solved rows freed
+    before the plus split.
     """
     high_water = _step_high_water("n")
     assert high_water < 7.5, f"{high_water:.2f} parts-sized arrays"
+
+
+def test_n_pass_frees_the_gathered_parameter_vector(monkeypatch):
+    """The systems N pass's gathered (T, 3, 4) parameter vector is dead
+    before the star solve, whatever the interpreter keeps alive in the
+    caller's frame: ``Solver`` hands the pass a gatherer, not the array."""
+    mapping = config.preset("cylinder-supersonic")
+    mapping.update({"mesh.n_radial": "6", "mesh.n_circum": "16", "solver.scheme": "n",
+                    "solver.max_iters": "2", "solver.stop_tol": "0"})
+    problem = config.build_problem(mapping)
+    received, dead = [], []
+    rsd_average = physics.ConservationLaw.rsd_average
+    solve_batched = distribution.solve_batched
+
+    def recording(self, z_nodes):
+        owner = z_nodes  # the array that owns the memory, not a view of it
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        received.append(weakref.ref(owner))
+        return rsd_average(self, z_nodes)
+
+    def checking(aug):
+        dead.append(received[-1]() is None)
+        return solve_batched(aug)
+
+    monkeypatch.setattr(physics.ConservationLaw, "rsd_average", recording)
+    monkeypatch.setattr(distribution, "solve_batched", checking)
+    Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config).march(problem.q0)
+    assert dead == [True, True]

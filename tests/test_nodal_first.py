@@ -4,12 +4,14 @@ Every public function that accepts nodal data computed once per mesh node
 (and gathered to the triangles) must return exactly what it returns when
 it evaluates the same quantities itself on the (T, 3) triangle nodes.  The
 solver's march must reproduce a reference loop written out here from the
-public functions called without precomputed data: bit for bit with the RXN
-scheme, on a gas and on a rotating scalar field, and to 1e-12 relative with
-the systems N scheme.
+public functions called without precomputed data (the limiter and the
+correction take the wave data of the mean states, which the loop forms per
+chunk from its own): bit for bit with the RXN scheme, on a gas and on a
+rotating scalar field, and to 1e-12 relative with the systems N scheme.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,8 +71,8 @@ class TestPrecomputedNodalData:
 
     def test_rsd_average(self, case):
         law, q, tris, _ = case
-        given = law.rsd_average(z_nodes=law.to_params(q)[tris])
-        own = law.rsd_average(q[tris])
+        given = law.rsd_average(law.to_params(q)[tris])
+        own = law.rsd_average(law.to_params(q[tris]))
         for name in ("zhat", "qhat", "qhat_nodes"):
             assert_same(getattr(given, name), getattr(own, name))
         for a, b in zip(given.prim, own.prim):
@@ -81,8 +83,8 @@ class TestPrecomputedNodalData:
         gathered parameter vectors, and match (dq/dz)(Zhat) Z_i with the
         matrix written out here."""
         law, q, tris, _ = case
-        avg = law.rsd_average(q[tris])
         z_nodes = law.to_params(q[tris])
+        avg = law.rsd_average(z_nodes)
         assert_same(avg.qhat_nodes, law.transform_nodes(avg.zhat, z_nodes))
         g = law.gamma
         z0, z1, z2, z3 = np.moveaxis(avg.zhat, -1, 0)
@@ -96,30 +98,20 @@ class TestPrecomputedNodalData:
         expected = np.einsum("tij,tnj->tni", dqdz, z_nodes)
         assert np.abs(avg.qhat_nodes - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    def test_limit_system(self, case, mesh):
-        law, q, tris, normals = case
-        res = dist.rxn_scheme(law, normals, q[tris])
+    def test_limit_system(self, case):
+        """The limiter's linearization: the mean states' wave data and the
+        reference eigensystem, from the primitives the sweep already has."""
+        law, q, tris, _ = case
         q_mean = q[tris].mean(axis=1)
         prim = law.primitives(q_mean)
-        direction = limiting.limiting_direction(law, q_mean, prim)
-        assert_same(direction, limiting.limiting_direction(law, q_mean))
+        waves = law.waves(q_mean, prim)
+        for a, b in zip(waves, law.waves(q_mean)):
+            assert_same(a, b)
+        direction = limiting.limiting_direction(waves)
         given = law.eigensystem(q_mean, direction, prim)
         own = law.eigensystem(q_mean, direction)
         for name in ("lam", "right", "left"):
             assert_same(getattr(given, name), getattr(own, name))
-        waves = law._waves(q_mean, prim)
-        for a, b in zip(waves, law._waves(q_mean)):
-            assert_same(a, b)
-        assert_same(
-            limiting.limit_system(res.parts, law, q_mean, direction, waves),
-            limiting.limit_system(res.parts, law, q_mean, direction),
-        )
-        areas = np.asarray(mesh.areas, dtype=float)
-        data = (res.total, areas, normals, law, q_mean, direction)
-        # The correction adds into the parts it is given: each call gets a copy.
-        given = limiting.correction_system(res.parts.copy(), *data, waves)
-        assert_same(given, limiting.correction_system(res.parts.copy(), *data))
-        assert not np.array_equal(given, res.parts)
 
     def test_n_scheme_system(self, case):
         law, q, tris, normals = case
@@ -134,12 +126,12 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
 
     ``cfg.scheme`` picks the RXN or the systems N scheme.  The limiter and
     the correction are evaluated at each triangle's arithmetic-mean state,
-    each computing that state's primitives itself.  The time step is the
-    relaxation bound of a system, and the step and scatter follow
-    ``Solver``: chunks of contiguous triangles, each summed into the nodes
-    with one bincount per component.  Every nodal sum adds each node's
-    entries in (vertex slot, triangle) order, the order of ``Solver``'s
-    triangle-innermost arrays.
+    from that state's wave data, which each chunk forms itself.  The time
+    step is the relaxation bound of a system, and the step and scatter
+    follow ``Solver``: chunks of contiguous triangles, each summed into the
+    nodes with one bincount per component.  Every nodal sum adds each
+    node's entries in (vertex slot, triangle) order, the order of
+    ``Solver``'s triangle-innermost arrays.
     """
     tris = np.asarray(mesh.tris)
     normals = np.asarray(mesh.normals, dtype=float)
@@ -165,12 +157,11 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
                 assert not res.fallback.any()
             else:
                 res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl])
-            q_mean = (q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0
-            direction = limiting.limiting_direction(law, q_mean)
-            parts = limiting.limit_system(res.parts, law, q_mean, direction)
-            parts = limiting.correction_system(
-                parts, res.total, areas[sl], normals[sl], law, q_mean, direction
-            )
+            waves = law.waves((q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0)
+            direction = limiting.limiting_direction(waves)
+            parts = limiting.limit_system(res.parts, law, direction, waves)
+            parts = limiting.correction_system(parts, res.total, areas[sl], normals[sl], law,
+                                               waves)
             for j in range(m):
                 residual[:, j] += np.bincount(
                     tris[sl].T.ravel(), weights=parts[..., j].T.ravel(), minlength=n_nodes
@@ -225,9 +216,9 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
 
     Each iteration builds the relaxation map (g, w) and the upwind
     parameters k from the mesh, steps by the upwind bound of k (per node
-    under ``lts``), and calls the public correction.  Nodal
-    sums add each node's entries in (vertex slot, triangle) order, as
-    ``Solver`` does.
+    under ``lts``), and calls the public correction with the weights of k.
+    Nodal sums add each node's entries in (vertex slot, triangle) order,
+    as ``Solver`` does.
     """
     tris = np.asarray(mesh.tris)
     normals = np.asarray(mesh.normals, dtype=float)
@@ -251,7 +242,8 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
             dt = dt[:, None]
         res = dist.rxn_scheme(law, normals, q[tris], coefficients=coefficients)
         parts = limiting.limit_scalar(res.parts, res.total)
-        parts = limiting.correction_scalar(parts, res.total, areas, k)
+        parts = limiting.correction_scalar(parts, res.total, areas,
+                                           limiting.correction_weights(k))
         residual = np.bincount(slots, weights=parts[..., 0].T.ravel(), minlength=n_nodes)
         q = q - dt / dual[:, None] * residual[:, None]
         bcs.apply(q)
@@ -388,11 +380,27 @@ def test_no_matrices_for_limiter_and_correction(monkeypatch, scheme):
         assert len(excess) == 5 and max(excess) < 0.5
 
 
+@pytest.mark.parametrize("limited", [False, True], ids=["corrected-only", "limited"])
+def test_limiting_direction_only_for_the_limiter(monkeypatch, limited):
+    """The limiting direction is formed once per iteration when the limiter
+    runs, and never when only the correction does: the correction reads no
+    direction."""
+    problem = small_supersonic("rxn")
+    cfg = replace(problem.solver_config, limited=limited)
+    assert cfg.corrected
+    calls = []
+    fn = limiting.limiting_direction
+    monkeypatch.setattr(limiting, "limiting_direction", lambda *a: calls.append(1) or fn(*a))
+    result = Solver(problem.mesh, problem.law, problem.boundaries, cfg).march(problem.q0)
+    assert result.iterations == 5
+    assert len(calls) == (5 if limited else 0)
+
+
 @pytest.mark.parametrize("scheme", ["rxn", "n"])
 def test_wave_data_once_per_state(monkeypatch, scheme):
     """A limited and corrected iteration computes the wave data (u, v, h, k,
     a^2, a) once for the triangles' mean states, shared by the limiter and
     the correction, and the systems N scheme once more for its
     parameter-vector average."""
-    calls = counted_march(monkeypatch, scheme, [(physics.Euler, "_waves")])
-    assert calls == {"_waves": 5 if scheme == "rxn" else 10}
+    calls = counted_march(monkeypatch, scheme, [(physics.Euler, "waves")])
+    assert calls == {"waves": 5 if scheme == "rxn" else 10}

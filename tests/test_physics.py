@@ -244,7 +244,7 @@ class TestParameterVector:
 
     def test_average_is_exact_for_uniform(self, euler):
         q = euler.freestream(0.8, 10.0)
-        avg = euler.rsd_average(np.tile(q, (1, 3, 1)))
+        avg = euler.rsd_average(euler.to_params(np.tile(q, (1, 3, 1))))
         assert np.allclose(avg.qhat[0], q, rtol=1e-14)
         # The conserved state is homogeneous of degree two in the parameter
         # vector, so (dq/dz)(z) @ z = 2q; the nodal transformed states carry
@@ -261,7 +261,7 @@ class TestParameterVector:
             zl, zr = euler.to_params(pair[0]), euler.to_params(pair[1])
             third = euler.from_params(0.5 * (zl + zr))
             trip = np.stack([pair[0], pair[1], third])
-            avg = euler.rsd_average(trip[None])
+            avg = euler.rsd_average(euler.to_params(trip[None]))
             fxl, fyl = euler.flux(pair[0][None])
             fxr, fyr = euler.flux(pair[1][None])
             jx = flux_jacobian(euler, avg.qhat[0], np.array([1.0, 0.0]))
