@@ -16,7 +16,6 @@ distribution           per-triangle residual splitting
 limiting               nonlinear limiting and the convergence correction
 boundary               strong boundary enforcement
 solver                 pseudo-time marching driver
-oracle1d               1D fluctuation oracles for verification
 config, vtkio, cli     run configuration, result emission, command line
 verify                 built-in property suites
 """

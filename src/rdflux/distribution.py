@@ -12,8 +12,12 @@ Two families of distribution schemes are provided:
   Gaussian elimination with partial pivoting over the element axis; and
 * the relaxation-derived scheme ("RXN"), which needs only a wave-speed
   bound — no parameter-vector average, no eigensystem and no matrix
-  inversion per element.  On an advection field it is a fixed positive
-  linear map per triangle (``advection_coefficients``).
+  inversion per element.
+
+For a scalar law with frozen upwind parameters each is a positive linear
+map per triangle, which ``linear_scheme`` applies: N's from
+``upwind_coefficients``, RXN's on an advection field from
+``advection_coefficients``.
 
 Every function is batched over a leading triangle axis: ``normals`` is
 ``(T, 3, 2)`` (inward scaled edge normals, as produced by module
@@ -38,12 +42,12 @@ __all__ = [
     "scalar_upwind_k",
     "total_residual_linear",
     "total_residual_rsd",
-    "n_scheme_scalar",
+    "upwind_coefficients",
+    "linear_scheme",
     "n_scheme_system",
     "wave_speed_bound",
     "advection_coefficients",
     "rxn_scheme",
-    "rxn_scheme_1d",
 ]
 
 
@@ -133,27 +137,38 @@ def total_residual_rsd(law, normals, q_nodes):
 # narrow upwind scheme
 # ---------------------------------------------------------------------------
 
-def n_scheme_scalar(q_nodes, k):
-    """Scalar upwind scheme: Phi_i = [k_i]+ (Q_i - Q_star).
+def upwind_coefficients(k):
+    """The scalar N scheme as a linear map: (g, w), each (T, 3).
 
-    ``k`` (T, 3) holds the upwind parameters k_i = (u . n_i)/2
-    (``scalar_upwind_k``, or ``advection_upwind_k``'s streamfunction form
-    for variable velocity fields).  Q_star is the inflow state fixed by
-    requiring the parts to sum to sum_i k_i Q_i.  Zero flow yields zero
-    parts.
+    With the upwind parameters ``k`` (T, 3) frozen (``scalar_upwind_k``,
+    or ``advection_upwind_k``'s streamfunction form), the N scheme
+    Phi_i = k_i^+ (Q_i - Q_star), whose inflow state Q_star makes the
+    parts sum to sum_i k_i Q_i, is ``linear_scheme``'s map with
+    g_i = k_i^+ and w_j = k_j^- / sum_l k_l^-: all nonnegative, and the w_j
+    sum to one.  A triangle with no negative k (every k vanishes, as they
+    sum to zero) gets g = 0 and w = 1/3: zero parts.
     """
-    q = _as_batch(q_nodes)[..., 0]
     k = np.asarray(k, dtype=float)
-    kp = np.maximum(k, 0.0)
     kn = np.minimum(k, 0.0)
-    denom = kn.sum(axis=-1)
-    dead = denom == 0.0  # no inflow direction: all k vanish (sum k = 0)
-    safe = np.where(dead, 1.0, denom)
-    qstar = (kn * q).sum(axis=-1) / safe
-    qstar = np.where(dead, q.mean(axis=-1), qstar)
-    parts = kp * (q - qstar[..., None])
-    parts = np.where(dead[..., None], 0.0, parts)
-    return DistributedResidual(parts[..., None], qstar[..., None])
+    denom = _node_sum(kn)[:, None]
+    dead = denom == 0.0
+    g = np.where(dead, 0.0, np.maximum(k, 0.0))
+    return g, np.where(dead, 1.0 / 3.0, kn / np.where(dead, 1.0, denom))
+
+
+def linear_scheme(q_nodes, coefficients):
+    """Phi_i = g_i (Q_i - Q_star), Q_star = sum_j w_j Q_j, for the map
+    ``coefficients`` = (g, w), each (T, 3), of ``upwind_coefficients`` or
+    ``advection_coefficients``.  One (T, 3, m) buffer holds first w_j Q_j
+    and then the parts.
+    """
+    q_nodes = _as_batch(q_nodes)
+    g, w = coefficients
+    buf = w[..., None] * q_nodes
+    qstar = _node_sum(buf)
+    parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
+    parts *= g[..., None]
+    return DistributedResidual(parts, qstar)
 
 
 def _node_sum(x):
@@ -434,7 +449,7 @@ def advection_coefficients(normals, velocity):
     return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, coefficients=None, nlen=None):
+def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, nlen=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ]
@@ -448,12 +463,8 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, coefficients=Non
     physical; otherwise NonPhysicalState is raised (no clamping).  ``s``
     is the per-triangle wave-speed bound, ``wave_speed_bound`` when None.
 
-    ``coefficients`` passes the pair (g, w) of ``advection_coefficients``
-    for advection by a velocity field, as ``Solver`` builds it once per
-    mesh.  All fluxes are then evaluated at the per-triangle mean
-    velocity, which makes the scheme that fixed positive linear map
-    (discrete max principle under the strict time step), and ``s`` and
-    ``pressure`` are not read.
+    With every flux at the per-triangle mean velocity, the scheme of an
+    advection field is the linear map ``advection_coefficients``.
 
     The nodal normal fluxes n_i . f(Q_i) come from the law's
     ``normal_flux`` (Euler's closed form) into one (T, 3, m) buffer,
@@ -464,14 +475,6 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, coefficients=Non
     (T, 3) when the caller already has them.
     """
     q_nodes = _as_batch(q_nodes)
-    if coefficients is not None:
-        g, w = coefficients
-        # One (T, 3, m) buffer: first w_j Q_j, then the parts.
-        buf = w[..., None] * q_nodes
-        qstar = _node_sum(buf)
-        parts = np.subtract(q_nodes, qstar[:, None, :], out=buf)
-        parts *= g[..., None]
-        return DistributedResidual(parts, qstar)
     normals = np.asarray(normals, dtype=float)
     if s is None:
         s = wave_speed_bound(law, q_nodes)
@@ -501,30 +504,3 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, coefficients=Non
         part -= nf_star
     parts *= 0.25
     return DistributedResidual(parts, qstar)
-
-
-def rxn_scheme_1d(law, q_left, q_right, s):
-    """One-dimensional specialization of the relaxation scheme.
-
-    On a segment the element "normals" are the signed directions -1/+1
-    and the star system is square, so the interface flux mu_star is
-    determined rather than approximated:
-
-        Q_star  = (Q_l + Q_r)/2 - (f(Q_r) - f(Q_l)) / (2 s)
-        mu_star = (f(Q_l) + f(Q_r))/2 - s (Q_r - Q_l) / 2
-
-    Phi_i = (1/2)[ s (Q_i - Q_star) + n_i (f(Q_i) - mu_star) ] then
-    reproduces the classic local Lax-Friedrichs fluctuations exactly,
-    for any flux and any admissible s.  Returns (minus, plus) parts for
-    the left and right states, each (..., m).
-    """
-    q_left = np.asarray(q_left, dtype=float)
-    q_right = np.asarray(q_right, dtype=float)
-    s = np.asarray(s, dtype=float)[..., None]
-    fl = law.flux(q_left)[0]
-    fr = law.flux(q_right)[0]
-    qstar = 0.5 * (q_left + q_right) - (fr - fl) / (2.0 * s)
-    mustar = 0.5 * (fl + fr) - 0.5 * s * (q_right - q_left)
-    minus = 0.5 * (s * (q_left - qstar) - (fl - mustar))
-    plus = 0.5 * (s * (q_right - qstar) + (fr - mustar))
-    return minus, plus

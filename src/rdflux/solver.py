@@ -22,9 +22,10 @@ One iteration runs in this order:
    limited or corrected, the mean states' wave data (``Euler.waves``).
    It also holds the per-triangle wave-speed bound where a scheme or step
    rule reads it, a scalar law's upwind parameters k and, where it is
-   corrected, their correction weights, and an advection field's
-   relaxation map; each is computed once, or passed in from ``Solver``
-   where the mesh alone fixes it;
+   corrected, their correction weights, and the linear map (g, w) of a
+   scalar law's scheme where it is one (``Sweep.coefficients``); each is
+   computed once, or passed in from ``Solver`` where the mesh alone fixes
+   it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
    for scalars (``stable_dt``).  An advection field's step depends on the
    mesh alone: ``Solver`` computes it once and every iteration reuses it;
@@ -186,13 +187,14 @@ class Sweep:
     and ``q_nodes`` the state gathered to the triangles (T, 3, m), None
     under the systems N scheme, which reads the parameter vector instead.
     ``s`` is the per-triangle wave-speed bound (None where nothing reads
-    it: a scalar law reads it only under RXN without the advection map),
-    ``k`` (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) a
+    it: a scalar law reads it only under the flux form of RXN), ``k``
+    (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) a
     corrected scalar law's correction weights k_i / sum_j max(k_j, 0)
     (``limiting.correction_weights``; an advection field's are built once
-    per mesh) and ``coefficients`` the relaxation map (g, w) of an
-    advection field under RXN, which carries its own bound
-    (``distribution.advection_coefficients``).
+    per mesh) and ``coefficients`` the scalar scheme's linear map (g, w)
+    where it is one (``distribution.linear_scheme``): an advection field's
+    is the solver's ``map_static``, a Burgers sweep under N forms it from
+    ``k``.
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
@@ -296,9 +298,9 @@ class Solver:
     alone are precomputed once: the exact streamfunction-integrated upwind
     parameters, the step of the upwind step rule (``dt_static``,
     read-only; None where the field is stagnant), the correction's inflow
-    weights (``weights_static``, when ``corrected``), and on a
-    ``velocity_at`` field under ``scheme="rxn"`` the
-    relaxation scheme's linear map (g, w) (``rxn_static``).  The scatter
+    weights (``weights_static``, when ``corrected``) and the scheme's
+    linear map (g, w) (``map_static``: under RXN the relaxation map of the
+    velocity field, under N the upwind map of k).  The scatter
     reads each chunk's node ids (``_chunk_nodes``) in the memory order of
     one component of the parts; with one chunk they are a view of the
     triangles, not a copy.  The first ``Solver`` of a process keeps freed
@@ -317,7 +319,7 @@ class Solver:
         # in memory (see ``_gather``).  For advection laws the mesh alone
         # fixes the sweep's ``k``, ``weights`` and ``coefficients`` and the
         # step: they are built here once, as ``k_static``, ``weights_static``,
-        # ``rxn_static`` and ``dt_static``.
+        # ``map_static`` and ``dt_static``.
         self.normals = _triangle_inner(np.asarray(mesh.normals, dtype=float))
         self.areas = np.asarray(mesh.areas, dtype=float)
         self.dual = np.asarray(mesh.dual_areas, dtype=float)
@@ -325,16 +327,17 @@ class Solver:
         self.n_nodes = mesh.n_nodes
         self._tris_t = np.ascontiguousarray(self.tris.T)
 
-        tri_xy = mesh.tri_coords()
-        self.rxn_static = None
-        if hasattr(law, "velocity_at") and self.cfg.scheme == "rxn":
-            vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
-            vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
-            coef = dist.advection_coefficients(self.normals, vel)
-            self.rxn_static = tuple(_triangle_inner(c) for c in coef)
-        self.k_static = self.weights_static = self.dt_static = None
+        self.k_static = self.weights_static = self.map_static = self.dt_static = None
         if law.m == 1 and hasattr(law, "streamfunction"):
+            tri_xy = mesh.tri_coords()
             self.k_static = _triangle_inner(dist.advection_upwind_k(law, tri_xy))
+            if self.cfg.scheme == "rxn":
+                vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
+                vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
+                coef = dist.advection_coefficients(self.normals, vel)
+            else:
+                coef = dist.upwind_coefficients(self.k_static)
+            self.map_static = tuple(_triangle_inner(c) for c in coef)
             if self.cfg.corrected:
                 self.weights_static = limiting.correction_weights(self.k_static)
             d = self._inflow_coefficients(None, self.k_static)
@@ -394,13 +397,13 @@ class Solver:
         """
         law, cfg = self.law, self.cfg
         normals = sweep.normals
-        if cfg.scheme == "rxn":
+        if sweep.coefficients is not None:
+            res = dist.linear_scheme(sweep.q_nodes, sweep.coefficients)
+        elif cfg.scheme == "rxn":
             pressure = None if sweep.pressure is None else sweep.gather(sweep.pressure)
             res = dist.rxn_scheme(law, normals, sweep.q_nodes, s=sweep.s, pressure=pressure,
-                                  coefficients=sweep.coefficients, nlen=sweep.nlen)
+                                  nlen=sweep.nlen)
             del pressure  # spent: free it before the limiter's temporaries
-        elif law.m == 1:
-            res = dist.n_scheme_scalar(sweep.q_nodes, sweep.k)
         else:
             res = dist.n_scheme_system(law, normals, _Gathered(sweep.q, sweep.tris),
                                        z_nodes=_Gathered(sweep.z, sweep.tris), nlen=sweep.nlen)
@@ -463,10 +466,11 @@ class Solver:
 
     def _sweep(self, q):
         """The ``Sweep`` of state ``q``: one gather, nodal fields, bound, k,
-        correction weights and the mean states' wave data."""
+        correction weights, a scalar scheme's linear map and the mean
+        states' wave data."""
         law, cfg = self.law, self.cfg
         q_nodes = _gather(q, self._tris_t)
-        s, k, weights = None, self.k_static, self.weights_static
+        s, k, weights, linear_map = None, self.k_static, self.weights_static, self.map_static
         nodal = {}
         if law.m == 1:
             if k is None:
@@ -475,8 +479,11 @@ class Solver:
                     weights = limiting.correction_weights(k)
             # A scalar law steps by k; of its schemes only the flux form
             # of RXN reads the bound (the advection map carries its own).
-            if cfg.scheme == "rxn" and self.rxn_static is None:
-                s = dist.wave_speed_bound(law, q_nodes)
+            if linear_map is None:
+                if cfg.scheme == "rxn":
+                    s = dist.wave_speed_bound(law, q_nodes)
+                else:
+                    linear_map = dist.upwind_coefficients(k)
         else:
             prim = law.primitives(q)
             q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
@@ -493,7 +500,7 @@ class Solver:
                 nodal["z"] = law.to_params(q, prim)
                 q_nodes = None  # the N pass gathers z, not the state
         return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q, q_nodes, s, k,
-                     weights=weights, coefficients=self.rxn_static, **nodal)
+                     weights, linear_map, **nodal)
 
     def _inflow_coefficients(self, s, k):
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.
@@ -626,6 +633,8 @@ class Solver:
         reason = "max_iters"
         it = 0
         fallback_total = 0
+        # A static step's minimum, the pseudo-time increment, is taken once.
+        dt_min = None if self.dt_static is None else float(np.min(self.dt_static))
         for it in range(1, cfg.max_iters + 1):
             try:
                 sweep = self._sweep(q)
@@ -635,7 +644,9 @@ class Solver:
                 raise NonPhysicalState(f"iteration {it}: {exc}") from exc
             del sweep
             fallback_total += n_fb
-            t += float(dt) if np.ndim(dt) == 0 else float(np.min(dt))
+            if dt is not self.dt_static:
+                dt_min = float(dt) if np.ndim(dt) == 0 else float(np.min(dt))
+            t += dt_min
             if r0 is None:
                 r0 = rate
                 rel = 1.0

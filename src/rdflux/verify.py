@@ -1,12 +1,11 @@
 """Built-in self-check suites, runnable from the command line.
 
-Five seeded property suites cover the core guarantees of the package:
+Four seeded property suites cover the core guarantees of the package:
 conservation of the distributed parts, nonnegativity of the
-monotonicity coefficients, the one-dimensional reduction to classic
-fluctuations, the limiter's weight bounds, and free-stream preservation
-of the full solver.  Each suite returns a pass/fail verdict plus the
-worst observed metric, so a regression shows up as a number and not
-just a flag.
+monotonicity coefficients, the limiter's weight bounds, and free-stream
+preservation of the full solver.  Each suite returns a pass/fail verdict
+plus the worst observed metric, so a regression shows up as a number and
+not just a flag.
 
 Where the march has the kernel, a suite runs it.  The conservation and
 limiter-bounds suites run the distribution variants through
@@ -15,8 +14,8 @@ limiter-bounds suites run the distribution variants through
 Under RXN the conservation identity also fixes the star state, as no
 other state makes the parts sum to the total; under N it also pins the
 star solve (see ``suite_conservation``).  The monotonicity suite
-probes the march's scalar N scheme column by column at its frozen
-upwind parameters.
+probes the march's scalar N scheme, the linear map of its frozen upwind
+parameters, column by column through ``distribution.linear_scheme``.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import distribution as dist
-from . import limiting, meshgen, oracle1d, physics
+from . import limiting, meshgen, physics
 from .boundary import BoundarySet
 from .mesh import Mesh, compute_normals, triangle_areas
 from .solver import Solver, SolverConfig
@@ -130,10 +129,11 @@ def suite_monotone_coefficients(seed, n=2000):
     """Monotone update coefficients on a convex scalar flux (Burgers).
 
     For the characteristic scheme, probed through the march's
-    ``n_scheme_scalar`` at the march's ``scalar_upwind_k``: with k frozen
-    the scheme is linear, Phi_i = sum_j C_ij Q_j, and column j of C is
-    the parts of the unit state e_j.  Monotone means Phi_i = sum_j c_ij
-    (Q_i - Q_j) with c_ij >= 0, so every off-diagonal C_ij must be <= 0.
+    ``linear_scheme`` with the map ``upwind_coefficients`` of the march's
+    ``scalar_upwind_k``: with k frozen the scheme is linear,
+    Phi_i = sum_j C_ij Q_j, and column j of C is the parts of the unit
+    state e_j.  Monotone means Phi_i = sum_j c_ij (Q_i - Q_j) with
+    c_ij >= 0, so every off-diagonal C_ij must be <= 0.
     For the relaxation scheme: the inflow/outflow factors
     P_i = (s ||n_i|| + n_i . f'(mean Q_i-star pair)) / 4 and
     N_j = s ||n_j|| - n_j . f'(tilde Q) are nonnegative whenever s
@@ -146,9 +146,9 @@ def suite_monotone_coefficients(seed, n=2000):
     q_nodes = rng.normal(0.0, 2.0, size=(n, 3, 1))
     worst = 0.0
 
-    k = dist.scalar_upwind_k(law, normals, q_nodes)
+    coefficients = dist.upwind_coefficients(dist.scalar_upwind_k(law, normals, q_nodes))
     unit = np.eye(3)[:, None, :, None]  # unit[j]: the (1, 3, 1) state e_j
-    c = np.stack([dist.n_scheme_scalar(np.broadcast_to(e, q_nodes.shape), k).parts[..., 0]
+    c = np.stack([dist.linear_scheme(np.broadcast_to(e, q_nodes.shape), coefficients).parts[..., 0]
                   for e in unit], axis=-1)  # (T, 3, 3): c[t, i, j] = C_ij
     off = c[:, ~np.eye(3, dtype=bool)]
     worst = max(worst, float(off.max()))
@@ -165,30 +165,6 @@ def suite_monotone_coefficients(seed, n=2000):
     return SuiteResult(
         "monotone-coefficients", worst <= 1e-13, worst, 1e-13,
         f"{n} convex-flux instances",
-    )
-
-
-def suite_1d_reduction(seed, n=1000):
-    """Relaxation scheme on a segment equals local Lax-Friedrichs, to
-    rounding relative to max(1, |LLF parts|) as in the conservation suite."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for law in (physics.Advection((1.0, 0.0)), physics.Burgers()):
-        for _ in range(n):
-            ql, qr = rng.normal(0.0, 2.0, 2)
-            s = 1.1 * max(abs(ql), abs(qr), 1e-3) + rng.uniform(0.0, 1.0)
-            minus, plus = dist.rxn_scheme_1d(law, np.array([ql]), np.array([qr]), s)
-            ref = oracle1d.llf_1d(law, [ql], [qr], s)
-            hll = oracle1d.hll_1d(law, [ql], [qr], -s, s)
-            scale = max(1.0, float(np.abs(ref.minus).max()), float(np.abs(ref.plus).max()))
-            err = max(
-                np.abs(minus - ref.minus).max(), np.abs(plus - ref.plus).max(),
-                np.abs(hll.minus - ref.minus).max(), np.abs(hll.plus - ref.plus).max(),
-            )
-            worst = max(worst, float(err) / scale)
-    return SuiteResult(
-        "1d-reduction", worst <= 1e-14, worst, 1e-14,
-        f"{n} Riemann pairs x 2 scalar laws",
     )
 
 
@@ -255,7 +231,6 @@ def suite_free_stream(seed, steps=20):
 SUITES = {
     "conservation": suite_conservation,
     "monotone-coefficients": suite_monotone_coefficients,
-    "1d-reduction": suite_1d_reduction,
     "limiter-bounds": suite_limiter_bounds,
     "free-stream": suite_free_stream,
 }

@@ -4,7 +4,9 @@
 (``jacobian_product``) and builds no Jacobian matrix.  The tests compare
 those closed forms, the systems N scheme and the limiter with matrix
 formulations built from the Euler flux Jacobian written out here, entry
-by entry in the conserved variables.
+by entry in the conserved variables.  ``relaxation_scheme`` is the
+paper's relaxation form with one matrix per node, of which both schemes
+of the package are choices; it reads no function of ``distribution``.
 """
 
 import numpy as np
@@ -38,3 +40,35 @@ def flux_jacobian(euler, q, n):
     jac[..., 3, 2] = h * ny - g1 * v * un
     jac[..., 3, 3] = euler.gamma * un
     return jac
+
+
+def relaxation_scheme(S, q_nodes, normal_flux):
+    """The relaxation scheme with one matrix S_i per node: (parts, Q_star).
+
+        Phi_i = (1/4) [S_i (Q_i - Q_star) + n_i . f(Q_i) - n_i . f(Q_star)],
+        (sum_j S_j) Q_star = sum_j (S_j Q_j - n_j . f(Q_j)),
+
+    with ``S`` (T, 3, m, m), ``q_nodes`` (T, 3, m) and ``normal_flux(x)``
+    the (T, 3, m) values n_i . f(x_i) for states ``x`` (T, 3, m).  The
+    star system is solved by ``np.linalg.solve``.  S_i = s_T ||n_i|| I
+    with the nonlinear flux is the relaxation (RXN) scheme; S_i = 2 |K_i|
+    with the flux linearized as n_i . f(Q) = 2 K_i Q is the N scheme, as
+    then Q_star solves (sum K_j^-) Q_star = sum K_j^- Q_j and
+    Phi_i = K_i^+ (Q_i - Q_star).
+    """
+    S = np.asarray(S, dtype=float)
+    q_nodes = np.asarray(q_nodes, dtype=float)
+    f_nodes = normal_flux(q_nodes)
+    rhs = np.einsum("tiab,tib->ta", S, q_nodes) - f_nodes.sum(axis=1)
+    qstar = np.linalg.solve(S.sum(axis=1), rhs[..., None])[..., 0]
+    q_star_nodes = np.broadcast_to(qstar[:, None, :], q_nodes.shape)
+    parts = np.einsum("tiab,tib->tia", S, q_nodes - q_star_nodes)
+    parts += f_nodes - normal_flux(q_star_nodes)
+    return 0.25 * parts, qstar
+
+
+def abs_matrix(a):
+    """|A| = R |Lambda| R^-1 of diagonalizable matrices ``a`` (..., m, m)
+    with real eigenvalues, from ``np.linalg.eig``."""
+    lam, r = np.linalg.eig(a)  # complex where rounding splits a double eigenvalue
+    return (r @ (np.abs(lam.real)[..., None] * np.linalg.inv(r))).real

@@ -11,6 +11,7 @@ from rdflux import config, physics, smallmat, solver, verify
 from rdflux import distribution as dist
 from rdflux.mesh import compute_normals, triangle_areas
 
+from . import oracle1d
 from .conftest import REF_TRI, random_euler_states, random_triangles
 
 GAUSS_4PT = (
@@ -67,18 +68,23 @@ class TestTotals:
         assert np.isclose(tot[0, 0], 0.5, rtol=1e-14)
 
 
+def n_scheme_scalar(q, k):
+    """The scalar N scheme as the march applies it: the map of frozen k."""
+    return dist.linear_scheme(q, dist.upwind_coefficients(k))
+
+
 class TestNSchemeScalar:
     def test_one_target(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 0.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
     def test_two_target(self, ref_normals):
         law = physics.Advection((1.0, 1.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 1.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
@@ -87,14 +93,14 @@ class TestNSchemeScalar:
         normals = compute_normals(coords)
         q = rng.standard_normal((200, 3, 1)) * 2.0
         law = physics.Advection((0.8, 0.3))
-        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
         tot = dist.total_residual_linear(law, normals, q)
         assert np.abs(r.total - tot).max() < 1e-13
 
     def test_zero_velocity_zero_parts(self, ref_normals):
         law = physics.Advection((0.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
         assert (r.parts == 0.0).all()
 
     def test_parts_upwind_sign_structure(self, rng):
@@ -104,8 +110,18 @@ class TestNSchemeScalar:
         q = rng.standard_normal((100, 3, 1))
         law = physics.Advection((1.0, 0.4))
         k = 0.5 * (normals * np.array([1.0, 0.4])).sum(axis=-1)
-        r = dist.n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
         assert (np.abs(r.parts[..., 0][k <= 0.0]) < 1e-14).all()
+
+    def test_map_without_inflow(self):
+        # Where no k is negative the map is g = 0, w = 1/3, formed without
+        # a 0/0 (RuntimeWarning is an error here); a live triangle gets
+        # g = k^+ and w = k^- / sum k^-.
+        k = np.array([[0.0, 0.0, 0.0], [0.5, -0.2, -0.3]])
+        g, w = dist.upwind_coefficients(k)
+        assert np.array_equal(g, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        assert np.array_equal(w[0], np.full(3, 1.0 / 3.0))
+        assert np.allclose(w[1], [0.0, 0.4, 0.6], rtol=1e-15, atol=0.0)
 
     def test_burgers_upwind_k_at_nodal_mean(self, burgers, rng):
         # f'(q) = (q, 0), so k_i = n_i,x (Q_1 + Q_2 + Q_3) / 6.
@@ -357,7 +373,7 @@ class TestRxnAdvectionMap:
         q = rng.normal(0.0, 2.0, size=(500, 3, 1))
         vel = np.broadcast_to(law.velocity, normals.shape)
         coefficients = dist.advection_coefficients(normals, vel)
-        mapped = dist.rxn_scheme(law, normals, q, coefficients=coefficients)
+        mapped = dist.linear_scheme(q, coefficients)
         direct = dist.rxn_scheme(law, normals, q)
         for a, b in ((mapped.parts, direct.parts), (mapped.star, direct.star)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -383,7 +399,7 @@ class TestRxnAdvectionMap:
         w = (s[:, None] * nlen - un) / (s * nlen.sum(axis=1))[:, None]
         assert (g >= 0.0).all() and (w >= 0.0).all()
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-14
-        cached_g, cached_w = solver.Solver(mesh, law, problem.boundaries).rxn_static
+        cached_g, cached_w = solver.Solver(mesh, law, problem.boundaries).map_static
         assert np.abs(cached_g - g).max() <= 1e-14 * np.abs(g).max()
         assert np.abs(cached_w - w).max() <= 1e-14
 
@@ -418,7 +434,7 @@ class TestWaveSpeedBound:
 class TestRxn1D:
     def test_pure_advection_split(self):
         law = physics.Advection((1.0, 0.0))
-        minus, plus = dist.rxn_scheme_1d(
+        minus, plus = oracle1d.rxn_scheme_1d(
             law, np.array([0.0]), np.array([2.0]), np.array([1.0])
         )
         assert np.isclose(minus[0], 0.0, atol=1e-15)
@@ -429,7 +445,7 @@ class TestRxn1D:
         ql = rng.standard_normal((50, 1))
         qr = rng.standard_normal((50, 1))
         s = 1.0 + np.maximum(np.abs(ql), np.abs(qr))[:, 0]
-        minus, plus = dist.rxn_scheme_1d(law, ql, qr, s)
+        minus, plus = oracle1d.rxn_scheme_1d(law, ql, qr, s)
         df = 0.5 * (qr**2 - ql**2)
         assert np.abs(minus + plus - df).max() < 1e-12
 
@@ -437,8 +453,7 @@ class TestRxn1D:
     def test_verify_suite_passes_on_large_parts(self, seed):
         # These seeds draw parts of size 35-40, where the split agrees with
         # local Lax-Friedrichs to 1e-14 only relative to the parts' size.
-        result = verify.suite_1d_reduction(seed)
-        assert result.passed, result.row()
+        assert oracle1d.reduction_1d(seed) <= 1e-14
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,7 +7,8 @@ solver's march must reproduce a reference loop written out here from the
 public functions called without precomputed data (the limiter and the
 correction take the wave data of the mean states, which the loop forms per
 chunk from its own): bit for bit with the RXN scheme, on a gas and on a
-rotating scalar field, and to 1e-12 relative with the systems N scheme.
+rotating scalar field, bit for bit with the N scheme on that field, and
+to 1e-12 relative with the systems N scheme.
 """
 
 import tracemalloc
@@ -210,13 +211,14 @@ def test_n_scheme_march_matches_reference_pipeline(mesh, n_threads):
     assert np.abs(result.q - q0).max() > 1e-3 * np.abs(q0).max()
 
 
-def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
-    """RXN+limit+correction march of an advection field from public
+def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts, scheme):
+    """Limited and corrected march of an advection field from public
     functions, with nothing hoisted out of the loop.
 
-    Each iteration builds the relaxation map (g, w) and the upwind
-    parameters k from the mesh, steps by the upwind bound of k (per node
-    under ``lts``), and calls the public correction with the weights of k.
+    Each iteration builds the upwind parameters k and the scheme's linear
+    map (g, w) from the mesh (the relaxation map under RXN, the upwind map
+    of k under N), steps by the upwind bound of k (per node under
+    ``lts``), and calls the public correction with the weights of k.
     Nodal sums add each node's entries in (vertex slot, triangle) order,
     as ``Solver`` does.
     """
@@ -230,9 +232,12 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
     q = q.copy()
     bcs.apply(q)
     for _ in range(iters):
-        vel = np.broadcast_to(law.velocity_at(tri_xy), tri_xy.shape)
-        coefficients = dist.advection_coefficients(normals, vel)
         k = dist.advection_upwind_k(law, tri_xy)
+        if scheme == "rxn":
+            vel = np.broadcast_to(law.velocity_at(tri_xy), tri_xy.shape)
+            coefficients = dist.advection_coefficients(normals, vel)
+        else:
+            coefficients = dist.upwind_coefficients(k)
         d = np.bincount(slots, weights=np.maximum(2.0 * k, 0.0).T.ravel(), minlength=n_nodes)
         pos = d > 0.0
         dt = cfl * (2.0 * dual[pos] / d[pos]).min()
@@ -240,7 +245,7 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
             dt = np.full(n_nodes, dt)
             dt[pos] = cfl * 2.0 * dual[pos] / d[pos]
             dt = dt[:, None]
-        res = dist.rxn_scheme(law, normals, q[tris], coefficients=coefficients)
+        res = dist.linear_scheme(q[tris], coefficients)
         parts = limiting.limit_scalar(res.parts, res.total)
         parts = limiting.correction_scalar(parts, res.total, areas,
                                            limiting.correction_weights(k))
@@ -250,23 +255,26 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts):
     return q
 
 
-@pytest.mark.parametrize("lts", [False, True], ids=["global", "local"])
-def test_scalar_march_matches_reference_pipeline(mesh, lts):
-    """A rotating field under RXN with the limiter, the correction, the
-    static step and Dirichlet inflow: bit for bit against the reference."""
+@pytest.mark.parametrize(("scheme", "lts"),
+                         [("rxn", False), ("rxn", True), ("n", False), ("n", True)],
+                         ids=["global", "local", "n-global", "n-local"])
+def test_scalar_march_matches_reference_pipeline(mesh, scheme, lts):
+    """A rotating field under RXN or N with the limiter, the correction,
+    the static step and Dirichlet inflow: bit for bit against the
+    reference."""
     law = physics.RotatingAdvection()
     bcs = boundary.BoundarySet(mesh, law, {
         "bottom": ("dirichlet", lambda xy: np.sin(0.5 * np.pi * xy[:, 0]) ** 2),
         "right": ("dirichlet", 0.0), "top": ("outflow", None), "left": ("outflow", None),
     })
     q0 = np.random.default_rng(3).random((mesh.n_nodes, 1))
-    cfg = SolverConfig(scheme="rxn", limited=True, corrected=True, cfl_fraction=0.5,
+    cfg = SolverConfig(scheme=scheme, limited=True, corrected=True, cfl_fraction=0.5,
                        max_iters=40, stop_tol=0.0, local_time_stepping=lts)
     sol = Solver(mesh, law, bcs, cfg)
-    assert sol.dt_static is not None and sol.rxn_static is not None
+    assert sol.dt_static is not None and sol.map_static is not None
     result = sol.march(q0)
     assert result.iterations == 40
-    expected = reference_scalar_march(mesh, law, bcs, q0, 0.5, 40, lts)
+    expected = reference_scalar_march(mesh, law, bcs, q0, 0.5, 40, lts, scheme)
     assert_same(result.q, expected)
     assert np.abs(expected - q0).max() > 0.1
 

@@ -1,13 +1,15 @@
-"""Reference 1D interface-splitting oracles."""
+"""Reference 1D interface-splitting oracles, and the relaxation scheme on a
+segment against them (LeVeque and Pelanti's LLF/HLL identity)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdflux import oracle1d, physics
+from rdflux import physics
 from rdflux.errors import InvalidArgument
 
+from . import oracle1d
 from .conftest import random_euler_states
 
 
@@ -88,3 +90,11 @@ def test_conservation_property_all_solvers(ql, qr, margin):
         oracle1d.hll_1d(burgers, [ql], [qr], -s, s),
     ):
         assert abs(float(r.total[0]) - df) < 1e-12 * max(1.0, abs(df))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relaxation_segment_is_llf_and_hll(seed):
+    # The seeds that the command-line property suites run: the relaxation
+    # scheme on a segment and the symmetric HLL split both equal local
+    # Lax-Friedrichs, to rounding relative to max(1, |LLF parts|).
+    assert oracle1d.reduction_1d(seed) <= 1e-14

@@ -152,7 +152,7 @@ class TestStableDt:
         mesh, _, _ = scalar_problem()
         law = physics.Advection((0.0, 0.0))
         sol = solver.Solver(mesh, law, None, SolverConfig(scheme="rxn"))
-        g, w = sol.rxn_static
+        g, w = sol.map_static
         assert (g == 0.0).all() and np.isfinite(w).all()
         with pytest.raises(StagnantField):
             sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
@@ -324,38 +324,43 @@ class TestMarch:
 
 
 class TestMeshStaticData:
-    def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch):
-        # Under a velocity_at law the relaxation scheme's linear map (g, w)
-        # with its own wave-speed bound, the upwind parameters k and the
-        # step depend on the mesh alone: the solver builds them once and
-        # passes its own arrays into each sweep, which computes no other
-        # bound, and each iteration steps by the one step built at
-        # construction, with no inflow coefficients.
+    @pytest.mark.parametrize("scheme", ["rxn", "n"])
+    def test_advection_bound_and_inflow_coefficients_computed_once(self, monkeypatch, scheme):
+        # Under a velocity_at law the scheme's linear map (g, w) (under RXN
+        # the relaxation map with its own wave-speed bound, under N the
+        # upwind map of k), the upwind parameters k and the step depend on
+        # the mesh alone: the solver builds them once and passes its own
+        # arrays into each sweep, which computes no bound and no map, and
+        # each iteration steps by the one step built at construction, with
+        # no inflow coefficients.
         class Recomputing(solver.Solver):
             def _sweep(self, q):
                 xy = self.mesh.tri_coords()
-                vel = solver._triangle_inner(np.broadcast_to(self.law.velocity_at(xy), xy.shape))
-                coef = dist.advection_coefficients(self.normals, vel)
-                self.rxn_static = tuple(solver._triangle_inner(c) for c in coef)
                 self.k_static = solver._triangle_inner(dist.advection_upwind_k(self.law, xy))
+                if scheme == "rxn":
+                    vel = np.broadcast_to(self.law.velocity_at(xy), xy.shape)
+                    coef = dist.advection_coefficients(self.normals, solver._triangle_inner(vel))
+                else:
+                    coef = dist.upwind_coefficients(self.k_static)
+                self.map_static = tuple(solver._triangle_inner(c) for c in coef)
                 self.dt_static = None  # stable_dt rebuilds the step from the sweep's k
                 return super()._sweep(q)
 
         mapping = config.preset("advection-rotating")
-        mapping.update({"solver.max_iters": "30", "solver.stop_tol": "0"})
+        mapping.update({"solver.max_iters": "30", "solver.stop_tol": "0",
+                        "solver.scheme": scheme})
         problem = config.build_problem(mapping)
         args = (problem.mesh, problem.law, problem.boundaries, problem.solver_config)
-        assert problem.solver_config.scheme == "rxn"
         reference = Recomputing(*args).march(problem.q0).q
 
         sol = solver.Solver(*args)
         sweep = sol._sweep(problem.q0)
         assert sweep.s is None and sweep.k is sol.k_static
-        assert sweep.coefficients is sol.rxn_static
+        assert sweep.coefficients is sol.map_static
         assert sol.stable_dt(problem.q0, sweep) is sol.dt_static
         calls = []
         for name in ("wave_speed_bound", "advection_coefficients", "advection_upwind_k",
-                     "scalar_upwind_k"):
+                     "scalar_upwind_k", "upwind_coefficients"):
             fn = getattr(dist, name)
             monkeypatch.setattr(dist, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
         for name in ("_inflow_coefficients", "_step_of"):
@@ -366,6 +371,22 @@ class TestMeshStaticData:
         assert res.iterations == 30
         assert not calls
         assert np.array_equal(res.q, reference)
+
+    @pytest.mark.parametrize("lts", [False, True], ids=["global", "local"])
+    def test_static_step_advances_pseudo_time_by_its_minimum(self, lts):
+        # Each iteration adds the smallest nodal step of the static step
+        # to the pseudo-time that ``history`` records.
+        mesh, law, bset = scalar_problem(6, 6)
+        cfg = SolverConfig(scheme="n", max_iters=12, stop_tol=0.0, history_stride=1,
+                           local_time_stepping=lts)
+        sol = solver.Solver(mesh, law, bset, cfg)
+        res = sol.march(np.zeros((mesh.n_nodes, 1)))
+        assert np.ndim(sol.dt_static) == int(lts)
+        t, expected = 0.0, []
+        for _ in range(12):
+            t += float(np.min(sol.dt_static))
+            expected.append(t)
+        assert [h[1] for h in res.history] == expected
 
     @pytest.mark.parametrize("scheme", ["rxn", "n"])
     def test_correction_weights_built_once(self, monkeypatch, scheme):

@@ -41,18 +41,17 @@ def test_conservation_suite_runs_the_advection_map(monkeypatch):
 
 
 def test_monotone_suite_catches_a_sign_error_in_the_n_scheme(monkeypatch):
-    # Plant parts built from k^- instead of k^+: Phi_i = k_i^- (Q_i - Q_star).
+    # Plant the map g = k^- instead of k^+: Phi_i = k_i^- (Q_i - Q_star).
     # A triangle with two inflow nodes then couples them with the wrong
     # sign, and the suite, which probes the march's scheme, must fail.
-    n_scheme_scalar = dist.n_scheme_scalar
+    upwind_coefficients = dist.upwind_coefficients
 
-    def mutant(q_nodes, k):
-        res = n_scheme_scalar(q_nodes, k)
-        kn = np.minimum(k, 0.0)[..., None]
-        return dist.DistributedResidual(kn * (q_nodes - res.star[:, None, :]), res.star)
+    def mutant(k):
+        _, w = upwind_coefficients(k)
+        return np.minimum(k, 0.0), w
 
     assert verify.suite_monotone_coefficients(0, n=200).passed
-    monkeypatch.setattr(dist, "n_scheme_scalar", mutant)
+    monkeypatch.setattr(dist, "upwind_coefficients", mutant)
     result = verify.suite_monotone_coefficients(0, n=200)
     assert not result.passed and result.metric > 1e-3, result.row()
 
