@@ -19,6 +19,12 @@ map per triangle, which ``linear_scheme`` applies: N's from
 ``upwind_coefficients``, RXN's on an advection field from
 ``advection_coefficients``.
 
+The kernels take as arguments what the march's sweep (``Solver._sweep``)
+forms once per iteration, and work none of it out again: the wave-speed
+bound (``wave_speed_bound`` of the law's nodal and mean-state speeds),
+the normals' lengths, a scalar law's upwind parameters at the triangles'
+mean states, and the systems N scheme's nodal parameter vectors.
+
 Every function is batched over a leading triangle axis: ``normals`` is
 ``(T, 3, 2)`` (inward scaled edge normals, as produced by module
 ``mesh``), ``q_nodes`` is ``(T, 3, m)`` nodal states.  Scalar laws use
@@ -97,14 +103,14 @@ def advection_upwind_k(law, tri_xy):
     return k
 
 
-def scalar_upwind_k(law, normals, q_nodes):
+def scalar_upwind_k(law, normals, q_mean):
     """Upwind parameters k_i = (n_i . f'(Qbar))/2 of a scalar law, (T, 3).
 
     f' is the law's characteristic velocity (``fprime``) at the nodal
-    mean Qbar: exact for constant advection, a secant-type mean for
-    scalar quadratic fluxes.
+    mean Qbar, ``q_mean`` (T, 1): exact for constant advection, a
+    secant-type mean for scalar quadratic fluxes.
     """
-    u = law.fprime(_node_sum(_as_batch(q_nodes)) / 3.0)  # (T, 2)
+    u = law.fprime(q_mean)  # (T, 2)
     return 0.5 * (normals * u[..., None, :]).sum(axis=-1)
 
 
@@ -304,7 +310,7 @@ def _star_matrix(law, waves, sums, rhs):
     return aug
 
 
-def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
+def n_scheme_system(law, normals, q_nodes, z_nodes, nlen, s):
     """Systems upwind scheme via characteristic decomposition.
 
     Phi_i = K_i^+ (Qhat_i - Q_star) with K_i^{+/-} the signed parts of
@@ -342,35 +348,27 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
     plus split, for which the unit normals and the eigenvalues are formed
     again (``_node_geometry``, the same operations).
 
-    ``z_nodes`` passes the nodal parameter vectors
-    ``law.to_params(q_nodes)`` (T, 3, m) when the caller already has
-    them, and ``nlen`` the normals' lengths (T, 3), which must then be
-    positive.  ``z_nodes`` is read once, as ``z_nodes[:]``: it may be any
-    object that gathers the parameter vectors on indexing, as ``Solver``
-    passes from one evaluation per mesh node, so that the gathered
-    (T, 3, m) array lives in this call alone and goes once the average is
-    formed.  With ``z_nodes`` given, ``q_nodes`` is read only at the
-    triangles that fall back, as ``q_nodes[idx]`` for an integer array
-    ``idx``, and may likewise be a gatherer, so that no (T, 3, m) copy of
-    the state is held.  Neither input is modified.  The parts are laid out
-    like the transformed nodal states, so triangle-innermost inputs give
-    triangle-innermost parts.
+    The inputs are the sweep's (``Solver._sweep``): ``z_nodes`` the nodal
+    parameter vectors ``law.to_params(q_nodes)`` (T, 3, m), ``nlen`` the
+    normals' lengths (T, 3), all positive, and ``s`` the wave-speed bound
+    (T,), which the fallback's relaxation scheme reads.  ``z_nodes`` is
+    read once, as ``z_nodes[:]``: it may be any object that gathers the
+    parameter vectors on indexing, as ``Solver`` passes from one
+    evaluation per mesh node, so that the gathered (T, 3, m) array lives
+    in this call alone and goes once the average is formed.  ``q_nodes``
+    is read only at the triangles that fall back, as ``q_nodes[idx]`` for
+    an integer array ``idx``, and may likewise be a gatherer, so that no
+    (T, 3, m) copy of the state is held.  Neither input is modified.  The
+    parts are laid out like the transformed nodal states, so
+    triangle-innermost inputs give triangle-innermost parts.
     """
     normals = np.asarray(normals, dtype=float)
-    if z_nodes is None:
-        q_nodes = _as_batch(q_nodes)
-        z_nodes = law.to_params(q_nodes)
-    else:
-        z_nodes = z_nodes[:]  # a gatherer gathers here
+    z_nodes = z_nodes[:]  # a gatherer gathers here
     avg = law.rsd_average(z_nodes)
     del z_nodes  # a gathered temporary goes now
     waves = law.waves(avg.qhat, avg.prim)
     buf = avg.qhat_nodes  # a new array: Qhat_i, then Qhat_i - Q_star, then the parts
     del avg
-    if nlen is None:
-        nlen = np.hypot(normals[..., 0], normals[..., 1])
-        if np.any(nlen <= 0.0):
-            raise InvalidArgument("zero direction vector")
     node_waves = tuple(x[:, None] for x in waves)
     nx, ny, un, lam2, half_a = _node_geometry(normals, nlen, node_waves)
     minus = _signed_split(lam2, half_a, np.minimum)
@@ -393,7 +391,7 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
     parts = _apply_split(law, node_waves, nx, ny, un, plus, buf)
     if bad.any():
         idx = np.nonzero(bad)[0]
-        rx = rxn_scheme(law, normals[idx], _as_batch(q_nodes[idx]), nlen=nlen[idx])
+        rx = rxn_scheme(law, normals[idx], _as_batch(q_nodes[idx]), s[idx], nlen[idx])
         parts[idx] = rx.parts
         qstar[idx] = rx.star
     return DistributedResidual(parts, qstar, fallback=bad)
@@ -403,26 +401,21 @@ def n_scheme_system(law, normals, q_nodes, *, z_nodes=None, nlen=None):
 # relaxation scheme
 # ---------------------------------------------------------------------------
 
-def wave_speed_bound(law, q_nodes, *, speeds=None, mean_speed=None):
-    """Per-triangle wave-speed bound s_T.
+def wave_speed_bound(speeds, mean_speed):
+    """Per-triangle wave-speed bound s_T, (T,).
 
     The sub-characteristic condition requires s_T at least the largest
     characteristic speed over the element; the bound is taken as
-    ``WAVE_SPEED_SAFETY`` times the max of the nodal speeds and the
-    arithmetic-mean state's speed.  The margin stands in for speeds at
-    intermediate states that are not directly computable.  ``speeds``
-    passes the nodal speeds ``law.max_wavespeed(q_nodes)`` (T, 3) when
-    the caller already has them, e.g. gathered from one evaluation per
-    mesh node, and ``mean_speed`` the mean state's speed (T,).
+    ``WAVE_SPEED_SAFETY`` times the max of the nodal speeds ``speeds``
+    (T, 3) and the arithmetic-mean state's speed ``mean_speed`` (T,), each
+    the law's ``max_wavespeed`` (an advection map's are its velocities'
+    norms).  The margin stands in for speeds at intermediate states that
+    are not directly computable.
     """
-    q_nodes = _as_batch(q_nodes)
-    nodal = law.max_wavespeed(q_nodes) if speeds is None else speeds  # (T, 3)
-    if mean_speed is None:
-        mean_speed = law.max_wavespeed((q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0)
-    return WAVE_SPEED_SAFETY * np.maximum(nodal.max(axis=-1), mean_speed)
+    return WAVE_SPEED_SAFETY * np.maximum(speeds.max(axis=-1), mean_speed)
 
 
-def advection_coefficients(normals, velocity):
+def advection_coefficients(normals, nlen, velocity):
     """The relaxation scheme of advection as a linear map: (g, w), each (T, 3).
 
     With every flux evaluated at the triangle's mean velocity vbar (the
@@ -432,24 +425,24 @@ def advection_coefficients(normals, velocity):
         g_i = (s ||n_i|| + n_i . vbar) / 4,
         w_j = (s ||n_j|| - n_j . vbar) / (s sum_k ||n_k||).
 
-    The map owns its wave-speed bound, s = ``WAVE_SPEED_SAFETY``
-    max(|v_i|, |vbar|) from the nodal velocities, so both depend on the
-    mesh alone.  As s >= |vbar| all are nonnegative (a discrete maximum
-    principle), and the w_j sum to one as the normals sum to zero.  Where
-    s = 0 (no flow) g = 0 and w_j = ||n_j|| / sum ||n||.
+    ``nlen`` holds the normals' lengths (T, 3).  The map owns its
+    wave-speed bound, ``wave_speed_bound`` of the nodal speeds |v_i| and
+    the mean speed |vbar|, so both depend on the mesh alone.  As
+    s >= |vbar| all are nonnegative (a discrete maximum principle), and
+    the w_j sum to one as the normals sum to zero.  Where s = 0 (no flow)
+    g = 0 and w_j = ||n_j|| / sum ||n||.
     """
     velocity = np.asarray(velocity, dtype=float)
     vbar = velocity.mean(axis=1)
-    speed = np.hypot(velocity[..., 0], velocity[..., 1])
-    s = WAVE_SPEED_SAFETY * np.maximum(speed.max(axis=1), np.hypot(vbar[:, 0], vbar[:, 1]))
+    s = wave_speed_bound(np.hypot(velocity[..., 0], velocity[..., 1]),
+                         np.hypot(vbar[:, 0], vbar[:, 1]))
     un = normals[..., 0] * vbar[:, None, 0] + normals[..., 1] * vbar[:, None, 1]
-    nlen = np.hypot(normals[..., 0], normals[..., 1])
     g = 0.25 * (s[:, None] * nlen + un)
     s = np.where(s > 0.0, s, 1.0)[:, None]  # s = 0 only where vbar = 0
     return g, (s * nlen - un) / (s * _node_sum(nlen)[:, None])
 
 
-def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, nlen=None):
+def rxn_scheme(law, normals, q_nodes, s, nlen, *, pressure=None):
     """Relaxation distribution scheme (two space dimensions).
 
     Phi_i = (1/4)[ s ||n_i|| (Q_i - Q_star) + n_i . (f(Q_i) - f(Q_star)) ]
@@ -461,7 +454,8 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, nlen=None):
     residual because the normals sum to zero and Q_star absorbs the flux
     imbalance.  For Euler, f(Q_star) is evaluated only if Q_star is
     physical; otherwise NonPhysicalState is raised (no clamping).  ``s``
-    is the per-triangle wave-speed bound, ``wave_speed_bound`` when None.
+    is the per-triangle wave-speed bound (T,) (``wave_speed_bound``) and
+    ``nlen`` the normals' lengths (T, 3), both the sweep's.
 
     With every flux at the per-triangle mean velocity, the scheme of an
     advection field is the linear map ``advection_coefficients``.
@@ -471,18 +465,11 @@ def rxn_scheme(law, normals, q_nodes, *, s=None, pressure=None, nlen=None):
     which then becomes the parts: Q_star and the parts are formed one
     component at a time, and n_i . f(Q_star) from the (T, m) flux pair
     at Q_star, with no other (T, 3, m) array.  ``pressure`` passes the
-    nodal pressure (T, 3) of a gas and ``nlen`` the normals' lengths
-    (T, 3) when the caller already has them.
+    nodal pressure (T, 3) of a gas, which ``Euler.normal_flux`` reads;
+    the N scheme's fallback passes none.
     """
     q_nodes = _as_batch(q_nodes)
     normals = np.asarray(normals, dtype=float)
-    if s is None:
-        s = wave_speed_bound(law, q_nodes)
-    else:
-        s = np.broadcast_to(np.asarray(s, dtype=float), q_nodes.shape[:1])
-
-    if nlen is None:
-        nlen = np.hypot(normals[..., 0], normals[..., 1])
     snlen = s[:, None] * nlen  # (T, 3)
     nx, ny = normals[..., 0], normals[..., 1]
     m = q_nodes.shape[-1]

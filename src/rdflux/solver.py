@@ -20,6 +20,9 @@ One iteration runs in this order:
    vector for the systems N scheme; and once on the triangles'
    arithmetic-mean states, for the wave-speed bound and, where the gas is
    limited or corrected, the mean states' wave data (``Euler.waves``).
+   The mean states are formed once, for every law but an advection field,
+   whose sweep reads the mesh's arrays alone; a Burgers sweep forms its
+   upwind parameters and its bound from them.
    It also holds the per-triangle wave-speed bound where a scheme or step
    rule reads it, a scalar law's upwind parameters k and, where it is
    corrected, their correction weights, and the linear map (g, w) of a
@@ -41,11 +44,12 @@ One iteration runs in this order:
    scheme of a gas reads no gathered state: it gathers the parameter
    vector and carries one buffer from the transformed nodal states to
    the parts, and its stagnation fallback gathers the states of the
-   triangles it flags only.  The mean states' wave data is the one input
-   that the limiter and the correction read of the linearization: the
-   limiting direction (formed only where the limiter runs), the
-   characteristic projection and reconstruction, the entropy marker and
-   the Jacobian-vector products all come from it.  All are closed-form
+   triangles it flags only, and takes their bound from the sweep.  The
+   mean states' wave data is the one input that the limiter and the
+   correction read of the linearization: the limiting direction (formed
+   only where the limiter runs), the characteristic projection and
+   reconstruction, the entropy marker and the Jacobian-vector products
+   all come from it.  All are closed-form
    expressions, and so is the systems N scheme's split of the Jacobians:
    no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
@@ -81,6 +85,7 @@ Elsewhere (macOS, Windows, musl) this is a no-op.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -138,18 +143,17 @@ class SolverConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise InvalidArgument(f"{name} must be one of {allowed}, got {value!r}")
+        # Each check is written so that NaN fails it.
         if not 0.0 < self.cfl_fraction <= 1.0:
             raise InvalidArgument("cfl_fraction must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise InvalidArgument("max_iters must be at least 1")
-        if self.stop_tol < 0.0:
-            raise InvalidArgument("stop_tol must be nonnegative")
-        if self.divergence_factor <= 1.0:
-            raise InvalidArgument("divergence_factor must exceed 1")
-        if self.history_stride < 1:
-            raise InvalidArgument("history_stride must be at least 1")
-        if self.n_threads < 1:
-            raise InvalidArgument("n_threads must be at least 1")
+        for name in ("max_iters", "history_stride", "n_threads"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise InvalidArgument(f"{name} must be an integer of at least 1, got {value!r}")
+        if not self.stop_tol >= 0.0:
+            raise InvalidArgument(f"stop_tol must be nonnegative, got {self.stop_tol!r}")
+        if not self.divergence_factor > 1.0:
+            raise InvalidArgument(f"divergence_factor must exceed 1, got {self.divergence_factor!r}")
         return self
 
 
@@ -186,15 +190,16 @@ class Sweep:
     (T,) their geometry.  ``q`` is the state itself (N, m), not a copy,
     and ``q_nodes`` the state gathered to the triangles (T, 3, m), None
     under the systems N scheme, which reads the parameter vector instead.
-    ``s`` is the per-triangle wave-speed bound (None where nothing reads
-    it: a scalar law reads it only under the flux form of RXN), ``k``
-    (T, 3) a scalar law's upwind parameters, ``weights`` (T, 3) a
-    corrected scalar law's correction weights k_i / sum_j max(k_j, 0)
-    (``limiting.correction_weights``; an advection field's are built once
-    per mesh) and ``coefficients`` the scalar scheme's linear map (g, w)
-    where it is one (``distribution.linear_scheme``): an advection field's
-    is the solver's ``map_static``, a Burgers sweep under N forms it from
-    ``k``.
+    ``s`` is the per-triangle wave-speed bound, read by a system's step
+    rule, by RXN's flux form and by the N scheme's stagnation fallback
+    (None where nothing reads it: a scalar law reads it only under the
+    flux form of RXN), ``k`` (T, 3) a scalar law's upwind parameters,
+    ``weights`` (T, 3) a corrected scalar law's correction weights
+    k_i / sum_j max(k_j, 0) (``limiting.correction_weights``; an advection
+    field's are built once per mesh) and ``coefficients`` the scalar
+    scheme's linear map (g, w) where it is one
+    (``distribution.linear_scheme``): an advection field's is the solver's
+    ``map_static``, a Burgers sweep under N forms it from ``k``.
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
@@ -211,7 +216,7 @@ class Sweep:
     reference once each chunk holds its slice).  The N scheme of a gas
     never holds a gathered state: the pass gathers the parameter vector,
     and the stagnation fallback gathers, from ``q`` and ``tris``, only the
-    states of the triangles it flags.
+    states of the triangles it flags, and reads their bound from ``s``.
     """
 
     tris: np.ndarray
@@ -334,7 +339,7 @@ class Solver:
             if self.cfg.scheme == "rxn":
                 vel = np.asarray(law.velocity_at(tri_xy), dtype=float)
                 vel = _triangle_inner(np.broadcast_to(vel, tri_xy.shape))
-                coef = dist.advection_coefficients(self.normals, vel)
+                coef = dist.advection_coefficients(self.normals, self.nlen, vel)
             else:
                 coef = dist.upwind_coefficients(self.k_static)
             self.map_static = tuple(_triangle_inner(c) for c in coef)
@@ -401,12 +406,12 @@ class Solver:
             res = dist.linear_scheme(sweep.q_nodes, sweep.coefficients)
         elif cfg.scheme == "rxn":
             pressure = None if sweep.pressure is None else sweep.gather(sweep.pressure)
-            res = dist.rxn_scheme(law, normals, sweep.q_nodes, s=sweep.s, pressure=pressure,
-                                  nlen=sweep.nlen)
+            res = dist.rxn_scheme(law, normals, sweep.q_nodes, sweep.s, sweep.nlen,
+                                  pressure=pressure)
             del pressure  # spent: free it before the limiter's temporaries
         else:
             res = dist.n_scheme_system(law, normals, _Gathered(sweep.q, sweep.tris),
-                                       z_nodes=_Gathered(sweep.z, sweep.tris), nlen=sweep.nlen)
+                                       _Gathered(sweep.z, sweep.tris), sweep.nlen, sweep.s)
         sweep.q_nodes = None  # spent: the sweep releases the gathered state
         fallback = 0 if res.fallback is None else int(res.fallback.sum())
 
@@ -472,33 +477,31 @@ class Solver:
         q_nodes = _gather(q, self._tris_t)
         s, k, weights, linear_map = None, self.k_static, self.weights_static, self.map_static
         nodal = {}
-        if law.m == 1:
-            if k is None:
-                k = dist.scalar_upwind_k(law, self.normals, q_nodes)
+        if linear_map is None:  # else an advection field: the mesh fixes k, weights and map
+            q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+            if law.m == 1:
+                k = dist.scalar_upwind_k(law, self.normals, q_mean)
                 if cfg.corrected:
                     weights = limiting.correction_weights(k)
-            # A scalar law steps by k; of its schemes only the flux form
-            # of RXN reads the bound (the advection map carries its own).
-            if linear_map is None:
+                # A scalar law steps by k; of its schemes only the flux form
+                # of RXN reads the bound.
                 if cfg.scheme == "rxn":
-                    s = dist.wave_speed_bound(law, q_nodes)
+                    s = dist.wave_speed_bound(_gather(law.max_wavespeed(q), self._tris_t),
+                                              law.max_wavespeed(q_mean))
                 else:
                     linear_map = dist.upwind_coefficients(k)
-        else:
-            prim = law.primitives(q)
-            q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
-            prim_mean = law.primitives(q_mean)
-            speeds = _gather(law.max_wavespeed(q, prim), self._tris_t)
-            s = dist.wave_speed_bound(
-                law, q_nodes, speeds=speeds, mean_speed=law.max_wavespeed(q_mean, prim_mean)
-            )
-            if cfg.limited or cfg.corrected:
-                nodal["waves"] = law.waves(q_mean, prim_mean)
-            if cfg.scheme == "rxn":
-                nodal["pressure"] = prim[3]
             else:
-                nodal["z"] = law.to_params(q, prim)
-                q_nodes = None  # the N pass gathers z, not the state
+                prim = law.primitives(q)
+                prim_mean = law.primitives(q_mean)
+                s = dist.wave_speed_bound(_gather(law.max_wavespeed(q, prim), self._tris_t),
+                                          law.max_wavespeed(q_mean, prim_mean))
+                if cfg.limited or cfg.corrected:
+                    nodal["waves"] = law.waves(q_mean, prim_mean)
+                if cfg.scheme == "rxn":
+                    nodal["pressure"] = prim[3]
+                else:
+                    nodal["z"] = law.to_params(q, prim)
+                    q_nodes = None  # the N pass gathers z, not the state
         return Sweep(self._tris_t, self.normals, self.nlen, self.areas, q, q_nodes, s, k,
                      weights, linear_map, **nodal)
 

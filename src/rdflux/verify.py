@@ -134,7 +134,8 @@ def suite_monotone_coefficients(seed, n=2000):
     Phi_i = sum_j C_ij Q_j, and column j of C is the parts of the unit
     state e_j.  Monotone means Phi_i = sum_j c_ij (Q_i - Q_j) with
     c_ij >= 0, so every off-diagonal C_ij must be <= 0.
-    For the relaxation scheme: the inflow/outflow factors
+    For the relaxation scheme, with the bound of the nodal and mean-state
+    speeds as the march's sweep forms it: the inflow/outflow factors
     P_i = (s ||n_i|| + n_i . f'(mean Q_i-star pair)) / 4 and
     N_j = s ||n_j|| - n_j . f'(tilde Q) are nonnegative whenever s
     satisfies the speed bound.
@@ -146,16 +147,17 @@ def suite_monotone_coefficients(seed, n=2000):
     q_nodes = rng.normal(0.0, 2.0, size=(n, 3, 1))
     worst = 0.0
 
-    coefficients = dist.upwind_coefficients(dist.scalar_upwind_k(law, normals, q_nodes))
+    q_mean = (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+    coefficients = dist.upwind_coefficients(dist.scalar_upwind_k(law, normals, q_mean))
     unit = np.eye(3)[:, None, :, None]  # unit[j]: the (1, 3, 1) state e_j
     c = np.stack([dist.linear_scheme(np.broadcast_to(e, q_nodes.shape), coefficients).parts[..., 0]
                   for e in unit], axis=-1)  # (T, 3, 3): c[t, i, j] = C_ij
     off = c[:, ~np.eye(3, dtype=bool)]
     worst = max(worst, float(off.max()))
 
-    s = dist.wave_speed_bound(law, q_nodes)
-    qstar = dist.rxn_scheme(law, normals, q_nodes, s=s).star
+    s = dist.wave_speed_bound(law.max_wavespeed(q_nodes), law.max_wavespeed(q_mean))
     nlen = np.hypot(normals[..., 0], normals[..., 1])
+    qstar = dist.rxn_scheme(law, normals, q_nodes, s, nlen).star
     qbar = 0.5 * (q_nodes + qstar[:, None, :])  # secant mean per node
     fp_bar = law.fprime(qbar)
     fp_star = law.fprime(qstar)

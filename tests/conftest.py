@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rdflux import distribution as dist
 from rdflux import meshgen, physics
 from rdflux.mesh import compute_normals, triangle_areas
 
@@ -57,6 +58,38 @@ def random_euler_states(rng, shape, mach_scale=2.0):
     u = mach_scale * (rng.random(shape) - 0.5) * a
     v = mach_scale * (rng.random(shape) - 0.5) * a
     return law.conserved(rho, u, v, p)
+
+
+def edge_lengths(normals):
+    """The lengths ||n_i|| (T, 3) of scaled edge normals (T, 3, 2)."""
+    return np.hypot(normals[..., 0], normals[..., 1])
+
+
+def mean_state(q_nodes):
+    """The arithmetic-mean states (T, m) of nodal states (T, 3, m), summed
+    in the march's order."""
+    return (q_nodes[:, 0] + q_nodes[:, 1] + q_nodes[:, 2]) / 3.0
+
+
+def sweep_bound(law, q_nodes):
+    """The wave-speed bound (T,) of nodal states (T, 3, m) as the march's
+    sweep forms it: from the law's speeds at the nodes and at the
+    arithmetic-mean state."""
+    return dist.wave_speed_bound(law.max_wavespeed(q_nodes),
+                                 law.max_wavespeed(mean_state(q_nodes)))
+
+
+def rxn(law, normals, q_nodes, **kwargs):
+    """``rxn_scheme`` with the sweep's bound and edge lengths."""
+    return dist.rxn_scheme(law, normals, q_nodes, sweep_bound(law, q_nodes),
+                           edge_lengths(normals), **kwargs)
+
+
+def n_system(law, normals, q_nodes):
+    """``n_scheme_system`` with the sweep's parameter vectors, edge lengths
+    and bound."""
+    return dist.n_scheme_system(law, normals, q_nodes, law.to_params(q_nodes),
+                                edge_lengths(normals), sweep_bound(law, q_nodes))
 
 
 @pytest.fixture

@@ -12,7 +12,16 @@ from rdflux import distribution as dist
 from rdflux.mesh import compute_normals, triangle_areas
 
 from . import oracle1d
-from .conftest import REF_TRI, random_euler_states, random_triangles
+from .conftest import (
+    REF_TRI,
+    edge_lengths,
+    mean_state,
+    n_system,
+    random_euler_states,
+    random_triangles,
+    rxn,
+    sweep_bound,
+)
 
 GAUSS_4PT = (
     # 4-point Gauss-Legendre rule on [0, 1]: (position, weight).
@@ -77,14 +86,14 @@ class TestNSchemeScalar:
     def test_one_target(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], mean_state(q)))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 0.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
     def test_two_target(self, ref_normals):
         law = physics.Advection((1.0, 1.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], mean_state(q)))
         assert np.allclose(r.parts[0, :, 0], [0.0, 0.5, 1.0], atol=1e-14)
         assert np.isclose(r.star[0, 0], 1.0)
 
@@ -93,14 +102,14 @@ class TestNSchemeScalar:
         normals = compute_normals(coords)
         q = rng.standard_normal((200, 3, 1)) * 2.0
         law = physics.Advection((0.8, 0.3))
-        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, mean_state(q)))
         tot = dist.total_residual_linear(law, normals, q)
         assert np.abs(r.total - tot).max() < 1e-13
 
     def test_zero_velocity_zero_parts(self, ref_normals):
         law = physics.Advection((0.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, ref_normals[None], mean_state(q)))
         assert (r.parts == 0.0).all()
 
     def test_parts_upwind_sign_structure(self, rng):
@@ -110,7 +119,7 @@ class TestNSchemeScalar:
         q = rng.standard_normal((100, 3, 1))
         law = physics.Advection((1.0, 0.4))
         k = 0.5 * (normals * np.array([1.0, 0.4])).sum(axis=-1)
-        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, q))
+        r = n_scheme_scalar(q, dist.scalar_upwind_k(law, normals, mean_state(q)))
         assert (np.abs(r.parts[..., 0][k <= 0.0]) < 1e-14).all()
 
     def test_map_without_inflow(self):
@@ -128,21 +137,21 @@ class TestNSchemeScalar:
         normals = compute_normals(random_triangles(rng, 50))
         q = rng.standard_normal((50, 3, 1))
         expected = normals[..., 0] * q.sum(axis=1) / 6.0
-        k = dist.scalar_upwind_k(burgers, normals, q)
+        k = dist.scalar_upwind_k(burgers, normals, mean_state(q))
         assert np.abs(k - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestNSchemeSystem:
     def test_uniform_zero(self, euler, ref_normals):
         q = np.tile(euler.freestream(0.9, 0.0), (1, 3, 1))
-        r = dist.n_scheme_system(euler, ref_normals[None], q)
+        r = n_system(euler, ref_normals[None], q)
         assert np.abs(r.parts).max() < 1e-12
 
     def test_conservation_matches_rsd_total(self, euler, rng):
         coords = random_triangles(rng, 150)
         normals = compute_normals(coords)
         q = random_euler_states(rng, (150, 3))
-        r = dist.n_scheme_system(euler, normals, q)
+        r = n_system(euler, normals, q)
         tot = dist.total_residual_rsd(euler, normals, q)
         scale = np.abs(tot).max()
         assert np.abs(r.total - tot).max() <= 1e-11 * max(scale, 1.0)
@@ -165,23 +174,23 @@ class TestNSchemeSystem:
 
     def test_singular_star_falls_back_to_rxn(self, euler, rng):
         normals, q = self._with_stagnant_triangle(euler, rng)
-        r = dist.n_scheme_system(euler, normals, q)
+        r = n_system(euler, normals, q)
         assert r.fallback.tolist() == [False, False, True, False, False, False]
-        rx = dist.rxn_scheme(euler, normals[[2]], q[[2]])
+        rx = rxn(euler, normals[[2]], q[[2]])
         assert np.array_equal(r.parts[2], rx.parts[0])
         assert np.array_equal(r.star[2], rx.star[0])
         keep = [0, 1, 3, 4, 5]
-        alone = dist.n_scheme_system(euler, normals[keep], q[keep])
+        alone = n_system(euler, normals[keep], q[keep])
         assert np.allclose(r.parts[keep], alone.parts, rtol=1e-13, atol=1e-13)
 
 
-def allocating_n_scheme(law, normals, q_nodes, z_nodes=None):
+def allocating_n_scheme(law, normals, q_nodes, z_nodes, s):
     """The systems N scheme as a chain of allocating steps: Qhat, K^- Qhat,
     Q_star, Qhat - Q_star and the parts each a new array, every star
     matrix coefficient formed before the rows are filled.  The operations
     and their order are ``n_scheme_system``'s, so the two agree bit for bit.
     Returns (parts, star, fallback)."""
-    avg = law.rsd_average(law.to_params(q_nodes) if z_nodes is None else z_nodes)
+    avg = law.rsd_average(z_nodes)
     u, v, h, k, a2, a = waves = law.waves(avg.qhat, avg.prim)
     nlen = np.hypot(normals[..., 0], normals[..., 1])
     nx = normals[..., 0] / nlen
@@ -240,7 +249,7 @@ def allocating_n_scheme(law, normals, q_nodes, z_nodes=None):
     parts = apply(split(np.maximum), avg.qhat_nodes - qstar[:, None, :])
     idx = np.nonzero(bad)[0]
     if idx.size:
-        rx = dist.rxn_scheme(law, normals[idx], q_nodes[idx], nlen=nlen[idx])
+        rx = dist.rxn_scheme(law, normals[idx], q_nodes[idx], s[idx], nlen[idx])
         parts[idx] = rx.parts
         qstar[idx] = rx.star
     return parts, qstar, bad
@@ -250,21 +259,21 @@ class TestNSchemeKernel:
     """``n_scheme_system`` against the allocating chain, on a batch with one
     stagnant triangle (``TestNSchemeSystem._with_stagnant_triangle``)."""
 
-    @pytest.mark.parametrize("layout", ["c-order", "triangle-innermost"])
-    @pytest.mark.parametrize("given_z", [False, True], ids=["own-z", "given-z"])
-    def test_same_bits_as_allocating_chain(self, euler, rng, layout, given_z):
+    # The kernel is given the nodal parameter vectors, as the sweep gives them.
+    @pytest.mark.parametrize("layout", ["c-order", "triangle-innermost"],
+                             ids=["given-z-c-order", "given-z-triangle-innermost"])
+    def test_same_bits_as_allocating_chain(self, euler, rng, layout):
         normals, q = TestNSchemeSystem._with_stagnant_triangle(euler, rng)
         if layout == "triangle-innermost":
             normals, q = solver._triangle_inner(normals), solver._triangle_inner(q)
             assert q[..., 0].strides[0] == 8
-        z = solver._triangle_inner(euler.to_params(q)) if given_z else None
-        q_before = q.copy()
-        z_before = None if z is None else z.copy()
-        r = dist.n_scheme_system(euler, normals, q, z_nodes=z)
+        z = solver._triangle_inner(euler.to_params(q))
+        s = sweep_bound(euler, q)
+        q_before, z_before = q.copy(), z.copy()
+        r = dist.n_scheme_system(euler, normals, q, z, edge_lengths(normals), s)
         assert np.array_equal(q, q_before)
-        if given_z:
-            assert np.array_equal(z, z_before)
-        parts, star, bad = allocating_n_scheme(euler, normals, q_before, z_before)
+        assert np.array_equal(z, z_before)
+        parts, star, bad = allocating_n_scheme(euler, normals, q_before, z_before, s)
         assert bad.tolist() == [False, False, True, False, False, False]
         assert np.array_equal(r.fallback, bad)
         assert np.array_equal(r.parts, parts)
@@ -273,7 +282,7 @@ class TestNSchemeKernel:
 
     def test_given_z_reads_states_only_where_it_falls_back(self, euler, rng):
         # With z given, the states are read only by indexing, at the
-        # triangles that fall back.
+        # triangles that fall back, whose bound is the one given.
         normals, q = TestNSchemeSystem._with_stagnant_triangle(euler, rng)
         reads = []
 
@@ -282,30 +291,33 @@ class TestNSchemeKernel:
                 reads.append(np.asarray(idx).tolist())
                 return q[idx]
 
-        r = dist.n_scheme_system(euler, normals, Indexed(), z_nodes=euler.to_params(q))
+        r = dist.n_scheme_system(euler, normals, Indexed(), euler.to_params(q),
+                                 edge_lengths(normals), sweep_bound(euler, q))
         assert reads == [[2]]
-        assert np.array_equal(r.parts, dist.n_scheme_system(euler, normals, q).parts)
+        assert np.array_equal(r.parts, n_system(euler, normals, q).parts)
 
 
 class TestRxnQstar:
     # The relaxation scheme's star state Q_star, as the march computes it.
     def test_uniform(self, euler, ref_normals):
         q = np.tile(euler.freestream(1.2, 0.0), (1, 3, 1))
-        star = dist.rxn_scheme(euler, ref_normals[None], q, s=np.array([3.0])).star
+        star = dist.rxn_scheme(euler, ref_normals[None], q, np.array([3.0]),
+                               edge_lengths(ref_normals[None])).star
         assert np.allclose(star[0], q[0, 0], rtol=1e-13)
 
     def test_reference_value(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        star = dist.rxn_scheme(law, ref_normals[None], q, s=np.array([1.0])).star
+        star = dist.rxn_scheme(law, ref_normals[None], q, np.array([1.0]),
+                               edge_lengths(ref_normals[None])).star
         assert np.isclose(star[0, 0], 3.0 - math.sqrt(2.0), rtol=1e-14)
 
     def test_linear_scaling(self, ref_normals, rng):
         law = physics.Advection((0.5, -0.2))
         q = rng.standard_normal((1, 3, 1))
-        s = np.array([2.0])
-        a = dist.rxn_scheme(law, ref_normals[None], q, s=s).star
-        b = dist.rxn_scheme(law, ref_normals[None], 3.0 * q, s=s).star
+        s, nlen = np.array([2.0]), edge_lengths(ref_normals[None])
+        a = dist.rxn_scheme(law, ref_normals[None], q, s, nlen).star
+        b = dist.rxn_scheme(law, ref_normals[None], 3.0 * q, s, nlen).star
         assert np.allclose(b, 3.0 * a, rtol=1e-13)
 
 
@@ -313,14 +325,15 @@ class TestRxnScheme:
     def test_reference_conservation(self, ref_normals):
         law = physics.Advection((1.0, 0.0))
         q = np.array([[[1.0], [2.0], [3.0]]])
-        r = dist.rxn_scheme(law, ref_normals[None], q, s=np.array([1.0]))
+        r = dist.rxn_scheme(law, ref_normals[None], q, np.array([1.0]),
+                            edge_lengths(ref_normals[None]))
         assert np.isclose(r.total[0, 0], 0.5, rtol=1e-13)
 
     def test_conservation_random_euler(self, euler, rng):
         coords = random_triangles(rng, 200)
         normals = compute_normals(coords)
         q = random_euler_states(rng, (200, 3))
-        r = dist.rxn_scheme(euler, normals, q)
+        r = rxn(euler, normals, q)
         tot = dist.total_residual_linear(euler, normals, q)
         scale = max(np.abs(tot).max(), 1.0)
         assert np.abs(r.total - tot).max() <= 1e-11 * scale
@@ -334,11 +347,10 @@ class TestRxnScheme:
         coords = random_triangles(rng, 300)
         normals = compute_normals(coords)
         q = rng.standard_normal((300, 3, 1)) * 2.0
-        s = dist.wave_speed_bound(law, q)
-        r = dist.rxn_scheme(law, normals, q, s=s)
+        s, nlen = sweep_bound(law, q), edge_lengths(normals)
+        r = dist.rxn_scheme(law, normals, q, s, nlen)
         s = s[:, None]
         star = r.star[..., 0][:, None]
-        nlen = np.hypot(normals[..., 0], normals[..., 1])
         nx = normals[..., 0]  # f' = (q, 0) for this Burgers convention
         p_coef = s * nlen + nx * 0.5 * (q[..., 0] + star)
         n_coef = s * nlen - nx * star
@@ -356,7 +368,7 @@ class TestRxnScheme:
             ]
         )[None]
         try:
-            r = dist.rxn_scheme(euler, ref_normals[None], q)
+            r = rxn(euler, ref_normals[None], q)
         except Exception as exc:  # noqa: BLE001
             assert type(exc).__name__ == "NonPhysicalState"
         else:
@@ -372,9 +384,9 @@ class TestRxnAdvectionMap:
         normals = compute_normals(verify.random_triangles(rng, 500))
         q = rng.normal(0.0, 2.0, size=(500, 3, 1))
         vel = np.broadcast_to(law.velocity, normals.shape)
-        coefficients = dist.advection_coefficients(normals, vel)
+        coefficients = dist.advection_coefficients(normals, edge_lengths(normals), vel)
         mapped = dist.linear_scheme(q, coefficients)
-        direct = dist.rxn_scheme(law, normals, q)
+        direct = rxn(law, normals, q)
         for a, b in ((mapped.parts, direct.parts), (mapped.star, direct.star)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
         tot = dist.total_residual_linear(law, normals, q)
@@ -405,18 +417,23 @@ class TestRxnAdvectionMap:
 
 
 class TestWaveSpeedBound:
-    def test_dominates_nodal_speeds(self, euler, rng):
-        q = random_euler_states(rng, (100, 3))
-        s = dist.wave_speed_bound(euler, q)
-        assert (s >= 1.1 * euler.max_wavespeed(q).max(axis=1) - 1e-13).all()
+    def test_dominates_nodal_speeds(self, rng):
+        # s_T is the margin times the largest of the three nodal speeds and
+        # the mean state's speed, whichever of the four is largest.
+        speeds = rng.random((200, 3))
+        mean_speed = 1.5 * rng.random(200)
+        s = dist.wave_speed_bound(speeds, mean_speed)
+        expected = [1.1 * max(*speeds[t], mean_speed[t]) for t in range(200)]
+        assert np.array_equal(s, expected)
+        assert (mean_speed > speeds.max(axis=1)).any() and (mean_speed < speeds.max(axis=1)).any()
 
     def test_safety_scales(self, euler, rng, monkeypatch):
         # WAVE_SPEED_SAFETY is the one home of the margin.
         q = random_euler_states(rng, (10, 3))
         monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 1.0)
-        a = dist.wave_speed_bound(euler, q)
+        a = sweep_bound(euler, q)
         monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 2.0)
-        b = dist.wave_speed_bound(euler, q)
+        b = sweep_bound(euler, q)
         assert np.allclose(b, 2.0 * a, rtol=1e-14)
 
     def test_velocity_field_override(self, ref_normals, monkeypatch):
@@ -425,8 +442,8 @@ class TestWaveSpeedBound:
         # g_i = (s ||n_i|| + n_i . vbar) / 4.
         monkeypatch.setattr(dist, "WAVE_SPEED_SAFETY", 1.0)
         vel = np.array([[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]])
-        g, _ = dist.advection_coefficients(ref_normals[None], vel)
-        nlen = np.hypot(ref_normals[:, 0], ref_normals[:, 1])
+        nlen = edge_lengths(ref_normals)
+        g, _ = dist.advection_coefficients(ref_normals[None], nlen[None], vel)
         expected = 0.25 * (5.0 * nlen + ref_normals @ np.array([1.0, 4.0 / 3.0]))
         assert np.allclose(g[0], expected, rtol=1e-14)
 
@@ -464,11 +481,11 @@ def test_conservation_property_all_schemes(seed):
     normals = compute_normals(coords)
     euler = physics.Euler()
     q = random_euler_states(rng, (10, 3))
-    n_r = dist.n_scheme_system(euler, normals, q)
+    n_r = n_system(euler, normals, q)
     tot_rsd = dist.total_residual_rsd(euler, normals, q)
     scale = max(np.abs(tot_rsd).max(), 1.0)
     assert np.abs(n_r.total - tot_rsd).max() <= 1e-11 * scale
-    x_r = dist.rxn_scheme(euler, normals, q)
+    x_r = rxn(euler, normals, q)
     tot_lin = dist.total_residual_linear(euler, normals, q)
     scale = max(np.abs(tot_lin).max(), 1.0)
     assert np.abs(x_r.total - tot_lin).max() <= 1e-11 * scale

@@ -14,7 +14,7 @@ import pytest
 from rdflux import distribution as dist
 from rdflux.mesh import compute_normals
 
-from .conftest import random_euler_states, random_triangles
+from .conftest import n_system, random_euler_states, random_triangles
 from .oracles import flux_jacobian
 
 RTOL = 1e-10
@@ -112,7 +112,7 @@ def test_matches_eig_oracle(euler, seed, layout):
     parts, star = oracle(euler, normals, q)
     if layout == "triangle_innermost":
         normals, q = triangle_inner(normals), triangle_inner(q)
-    r = dist.n_scheme_system(euler, normals, q)
+    r = n_system(euler, normals, q)
     assert not r.fallback.any()
     assert_close_per_triangle(r.parts, parts)
     assert_close_per_triangle(r.star, star)
@@ -178,7 +178,7 @@ def degenerate_case(law, name, n=8):
 def test_degenerate_eigenvalues_match_eig_oracle(euler, name):
     normals, q = degenerate_case(euler, name)
     parts, star = oracle(euler, normals, q)
-    r = dist.n_scheme_system(euler, normals, q)
+    r = n_system(euler, normals, q)
     assert not r.fallback.any()
     assert_close_per_triangle(r.parts, parts)
     assert_close_per_triangle(r.star, star)

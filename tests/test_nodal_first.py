@@ -1,14 +1,14 @@
 """Nodal-first iteration: precomputed nodal data changes no bit of a result.
 
-Every public function that accepts nodal data computed once per mesh node
-(and gathered to the triangles) must return exactly what it returns when
-it evaluates the same quantities itself on the (T, 3) triangle nodes.  The
-solver's march must reproduce a reference loop written out here from the
-public functions called without precomputed data (the limiter and the
-correction take the wave data of the mean states, which the loop forms per
-chunk from its own): bit for bit with the RXN scheme, on a gas and on a
-rotating scalar field, bit for bit with the N scheme on that field, and
-to 1e-12 relative with the systems N scheme.
+Nodal data computed once per mesh node and gathered to the triangles must
+give exactly what the same quantities give when evaluated on the (T, 3)
+triangle nodes.  The solver's march must reproduce a reference loop
+written out here from the public functions, fed with inputs the loop forms
+itself per triangle (the wave-speed bound from the speeds of the gathered
+and mean states, the parameter vectors of the gathered states, and the
+mean states' wave data per chunk): bit for bit with the RXN scheme, on a
+gas and on a rotating scalar field, bit for bit with the N scheme on that
+field, and to 1e-12 relative with the systems N scheme.
 """
 
 import tracemalloc
@@ -21,6 +21,8 @@ from rdflux import boundary, config, meshgen, physics
 from rdflux import distribution as dist
 from rdflux import limiting
 from rdflux.solver import Solver, SolverConfig
+
+from .conftest import edge_lengths, sweep_bound
 
 
 @pytest.fixture(scope="module")
@@ -54,19 +56,12 @@ class TestPrecomputedNodalData:
         q = perturbed_gas(law, mesh, seed=1)
         return law, q, np.asarray(mesh.tris), np.asarray(mesh.normals, dtype=float)
 
-    def test_wave_speed_bound(self, case):
-        law, q, tris, _ = case
-        speeds = law.max_wavespeed(q)[tris]
-        assert_same(
-            dist.wave_speed_bound(law, q[tris], speeds=speeds),
-            dist.wave_speed_bound(law, q[tris]),
-        )
-
     def test_rxn_scheme(self, case):
         law, q, tris, normals = case
         pressure = law.primitives(q)[3][tris]
-        given = dist.rxn_scheme(law, normals, q[tris], pressure=pressure)
-        own = dist.rxn_scheme(law, normals, q[tris])
+        args = (law, normals, q[tris], sweep_bound(law, q[tris]), edge_lengths(normals))
+        given = dist.rxn_scheme(*args, pressure=pressure)
+        own = dist.rxn_scheme(*args)
         for name in ("parts", "star"):
             assert_same(getattr(given, name), getattr(own, name))
 
@@ -114,13 +109,6 @@ class TestPrecomputedNodalData:
         for name in ("lam", "right", "left"):
             assert_same(getattr(given, name), getattr(own, name))
 
-    def test_n_scheme_system(self, case):
-        law, q, tris, normals = case
-        given = dist.n_scheme_system(law, normals, q[tris], z_nodes=law.to_params(q)[tris])
-        own = dist.n_scheme_system(law, normals, q[tris])
-        assert_same(given.parts, own.parts)
-        assert_same(given.fallback, own.fallback)
-
 
 def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     """Scheme+limit+correction march from public functions, no shared data.
@@ -145,7 +133,7 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
     bcs.apply(q)
     for _ in range(iters):
         q_nodes = q[tris]
-        s = dist.wave_speed_bound(law, q_nodes)
+        s = sweep_bound(law, q_nodes)
         contrib = nlen * s[:, None]
         d = np.bincount(tris.T.ravel(), weights=contrib.T.ravel(), minlength=n_nodes)
         pos = d > 0.0
@@ -154,10 +142,11 @@ def reference_march(mesh, law, bcs, q, cfg, n_chunks, iters):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             sl = slice(lo, hi)
             if cfg.scheme == "n":
-                res = dist.n_scheme_system(law, normals[sl], q_nodes[sl])
+                res = dist.n_scheme_system(law, normals[sl], q_nodes[sl],
+                                           law.to_params(q_nodes[sl]), nlen[sl], s[sl])
                 assert not res.fallback.any()
             else:
-                res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s=s[sl])
+                res = dist.rxn_scheme(law, normals[sl], q_nodes[sl], s[sl], nlen[sl])
             waves = law.waves((q_nodes[sl, 0] + q_nodes[sl, 1] + q_nodes[sl, 2]) / 3.0)
             direction = limiting.limiting_direction(waves)
             parts = limiting.limit_system(res.parts, law, direction, waves)
@@ -235,7 +224,7 @@ def reference_scalar_march(mesh, law, bcs, q, cfl, iters, lts, scheme):
         k = dist.advection_upwind_k(law, tri_xy)
         if scheme == "rxn":
             vel = np.broadcast_to(law.velocity_at(tri_xy), tri_xy.shape)
-            coefficients = dist.advection_coefficients(normals, vel)
+            coefficients = dist.advection_coefficients(normals, edge_lengths(normals), vel)
         else:
             coefficients = dist.upwind_coefficients(k)
         d = np.bincount(slots, weights=np.maximum(2.0 * k, 0.0).T.ravel(), minlength=n_nodes)

@@ -1,6 +1,7 @@
 """Steady-state marching loop: stepping, step sizes, convergence control."""
 
 import gc
+import math
 import threading
 from dataclasses import replace
 
@@ -9,10 +10,10 @@ import pytest
 
 from rdflux import boundary, config, limiting, meshgen, physics, solver
 from rdflux import distribution as dist
-from rdflux.errors import Diverged, NonPhysicalState, StagnantField
+from rdflux.errors import Diverged, InvalidArgument, NonPhysicalState, StagnantField
 from rdflux.solver import SolverConfig
 
-from .conftest import random_euler_states
+from .conftest import n_system, random_euler_states, sweep_bound
 
 
 def scalar_problem(nx=12, ny=12, speed=(1.0, 0.0)):
@@ -29,6 +30,26 @@ def scalar_problem(nx=12, ny=12, speed=(1.0, 0.0)):
         "right": ("outflow", None),
     })
     return mesh, law, bset
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(("name", "value"), [
+        ("stop_tol", math.nan), ("divergence_factor", math.nan),
+        ("max_iters", 2.5), ("history_stride", 2.5), ("n_threads", 1.5),
+    ], ids=["nan-stop_tol", "nan-divergence_factor", "fractional-max_iters",
+            "fractional-history_stride", "fractional-n_threads"])
+    def test_validate_rejects(self, name, value):
+        # A NaN tolerance never converges, a NaN divergence factor turns the
+        # guard off (rel > nan is False), and a fractional budget, stride or
+        # thread count fails only later, in the march or the solver.
+        with pytest.raises(InvalidArgument, match=f"^{name} must"):
+            SolverConfig(**{name: value}).validate()
+
+    def test_build_problem_rejects_a_nan_stop_tol(self):
+        mapping = config.preset("advection-rotating")
+        mapping["solver.stop_tol"] = "nan"
+        with pytest.raises(InvalidArgument, match="^stop_tol must"):
+            config.build_problem(mapping)
 
 
 class TestStep:
@@ -98,7 +119,7 @@ class TestStableDt:
         dt = solver.Solver(mesh, law, None, cfg).stable_dt(q)
         tris = np.asarray(mesh.tris)
         normals = np.asarray(mesh.normals, dtype=float)
-        s = dist.wave_speed_bound(law, q[tris])
+        s = sweep_bound(law, q[tris])
         d = np.zeros(mesh.n_nodes)
         np.add.at(d, tris, s[:, None] * np.hypot(normals[..., 0], normals[..., 1]))
         expected = 0.7 * (2.0 * np.asarray(mesh.dual_areas) / d).min()
@@ -339,7 +360,8 @@ class TestMeshStaticData:
                 self.k_static = solver._triangle_inner(dist.advection_upwind_k(self.law, xy))
                 if scheme == "rxn":
                     vel = np.broadcast_to(self.law.velocity_at(xy), xy.shape)
-                    coef = dist.advection_coefficients(self.normals, solver._triangle_inner(vel))
+                    coef = dist.advection_coefficients(self.normals, self.nlen,
+                                                       solver._triangle_inner(vel))
                 else:
                     coef = dist.upwind_coefficients(self.k_static)
                 self.map_static = tuple(solver._triangle_inner(c) for c in coef)
@@ -436,12 +458,15 @@ class TestSweep:
 
 class TestNSchemeFallback:
     @pytest.mark.parametrize("n_threads", [1, 2])
-    def test_assemble_gathers_the_fallback_states(self, euler, rng, n_threads):
+    def test_assemble_gathers_the_fallback_states(self, euler, rng, monkeypatch, n_threads):
         # One triangle's nodes hold equal densities and pressures with
         # cancelling velocities, so its averaged state is at rest and its
         # star matrix singular.  The pass keeps no gathered state: the
         # fallback gathers that triangle's states from the nodal state,
         # and the residual is the scatter of the kernel's parts on q[tris].
+        # The fallback takes its bound from the sweep: the assembly
+        # evaluates the speeds twice, once for the nodes and once for the
+        # mean states.
         mesh = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4)
         tris = np.asarray(mesh.tris)
         q = random_euler_states(rng, (mesh.n_nodes,))
@@ -450,8 +475,14 @@ class TestNSchemeFallback:
         cfg = SolverConfig(scheme="n", limited=False, corrected=False, n_threads=n_threads)
         sol = solver.Solver(mesh, euler, None, cfg)
         assert len(sol._chunks) == n_threads
+        calls = []
+        fn = physics.Euler.max_wavespeed
+        monkeypatch.setattr(physics.Euler, "max_wavespeed",
+                            lambda *a, **k: calls.append(1) or fn(*a, **k))
         residual, fallback = sol.assemble(q)
-        res = dist.n_scheme_system(euler, np.asarray(mesh.normals), q[tris])
+        assert len(calls) == 2
+        monkeypatch.undo()
+        res = n_system(euler, np.asarray(mesh.normals), q[tris])
         assert np.flatnonzero(res.fallback).tolist() == [7]
         assert fallback == 1
         expected = np.zeros((mesh.n_nodes, 4))

@@ -6,7 +6,7 @@ from rdflux import distribution as dist
 from rdflux import physics, verify
 from rdflux.solver import SolverConfig
 
-from .conftest import random_euler_states
+from .conftest import random_euler_states, rxn
 
 
 def test_free_triangle_residuals_are_the_parts(rng):
@@ -19,7 +19,7 @@ def test_free_triangle_residuals_are_the_parts(rng):
     q_nodes = random_euler_states(rng, (40, 3))
     cfg = SolverConfig(scheme="rxn", limited=False, corrected=False)
     parts = verify._assembled_parts(mesh, law, cfg, q_nodes)
-    expected = dist.rxn_scheme(law, mesh.normals, q_nodes).parts
+    expected = rxn(law, mesh.normals, q_nodes).parts
     assert np.abs(parts - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
