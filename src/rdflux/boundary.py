@@ -36,15 +36,17 @@ def farfield_blend(law, q_interior, q_inf, normals_out, nodes=None):
     with the incoming one of the free stream, and entropy and tangential
     velocity follow the direction of the blended normal velocity.
 
-    A blended state whose sound speed is not positive raises
-    NonPhysicalState naming the first such state and its value: as mesh
-    node ``nodes[i]`` when ``nodes`` (the mesh ids of the states) is
-    given, else by its position.  Only kept states are checked; a node
-    that takes the free stream or keeps its interior state never fails.
+    An interior state of non-positive density or pressure, and a blended
+    state whose sound speed is not positive, raise NonPhysicalState naming
+    the first such state and its value: as mesh node ``nodes[i]`` when
+    ``nodes`` (the mesh ids of the states) is given, else by its position.
+    Only kept blended states are checked; a node that takes the free
+    stream or keeps its interior state never fails that check.
     """
     g = law.gamma
     q_interior = np.asarray(q_interior, dtype=float)
-    rho_i, u_i, v_i, p_i = law.primitives(q_interior)
+    rho_i, u_i, v_i, p_i = law.primitives(
+        q_interior, item="state" if nodes is None else "node", ids=nodes)
     a_i = np.sqrt(g * p_i / rho_i)
     rho_f, u_f, v_f, p_f = law.primitives(np.asarray(q_inf, dtype=float))
     a_f = np.sqrt(g * p_f / rho_f)

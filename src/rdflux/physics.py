@@ -71,17 +71,24 @@ class RsdAverage:
     prim: tuple | None = field(repr=False)
 
 
-def _nonphysical(quantity, values, bad, item="state", where=""):
+def _place(first, item, where, ids=None):
+    """The words " at <item> <index> <where>" of an error message, for the
+    index ``first`` (a tuple, empty for a single state, which has no
+    index); ``ids`` (the mesh ids of 1-D states) replace positions."""
+    at = ""
+    if first:
+        index = int(first[0]) if len(first) == 1 else tuple(int(i) for i in first)
+        at = f" at {item} {index if ids is None else int(ids[index])}"
+    return f"{at} {where}" if where else at
+
+
+def _nonphysical(quantity, values, bad, item="state", where="", ids=None):
     """NonPhysicalState naming ``quantity``, its first ``bad`` entry and value."""
     first = np.unravel_index(np.argmax(bad), bad.shape)
     value = float(values[first])
     kind = "non-positive" if np.isfinite(value) else "non-finite"
-    at = ""
-    if bad.ndim:
-        index = int(first[0]) if bad.ndim == 1 else tuple(int(i) for i in first)
-        at = f" at {item} {index}"
     return NonPhysicalState(
-        f"{kind} {quantity} {value:.6g}{at}{' ' + where if where else ''} "
+        f"{kind} {quantity} {value:.6g}{_place(first, item, where, ids)} "
         f"({int(bad.sum())} of {bad.size} {item}s)"
     )
 
@@ -173,11 +180,19 @@ class ConservationLaw:
         return RsdAverage(zhat, qhat, qhat_nodes, prim)
 
     def check_physical(self, q, where="", item="node"):
-        """Hook for positivity checks; scalar laws accept everything.
+        """Raise NonPhysicalState naming the first state of ``q`` (..., m)
+        that holds a non-finite value: "non-finite state at node i".  A
+        scalar law accepts every finite state; Euler adds its positivity
+        rule.
 
         ``where`` and ``item`` (what one state of ``q`` is: a node, a
         triangle) go into the error message.
         """
+        finite = np.isfinite(q)
+        if not finite.all():
+            bad = ~finite.all(axis=-1)
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            raise NonPhysicalState(f"non-finite state{_place(first, item, where)}")
 
 
 class Advection(ConservationLaw):
@@ -276,20 +291,22 @@ class Euler(ConservationLaw):
         self.gamma = float(gamma)
 
     # -- primitive access -------------------------------------------------
-    def primitives(self, q):
+    def primitives(self, q, where="", item="state", ids=None):
         """(rho, u, v, p) from conserved variables.
 
-        Raises NonPhysicalState on non-positive density or pressure.
+        Raises NonPhysicalState on non-positive density or pressure, naming
+        the first such state as ``check_physical`` does; ``ids`` (the mesh
+        ids of 1-D states) name it in place of its position.
         """
         q = np.asarray(q, dtype=float)
         rho = q[..., 0]
         if np.any(rho <= 0.0):
-            raise _nonphysical("density", rho, rho <= 0.0)
+            raise _nonphysical("density", rho, rho <= 0.0, item, where, ids)
         u = q[..., 1] / rho
         v = q[..., 2] / rho
         p = (self.gamma - 1.0) * (q[..., 3] - 0.5 * rho * (u * u + v * v))
         if np.any(p <= 0.0):
-            raise _nonphysical("pressure", p, p <= 0.0)
+            raise _nonphysical("pressure", p, p <= 0.0, item, where, ids)
         return rho, u, v, p
 
     def conserved(self, rho, u, v, p):
@@ -304,15 +321,10 @@ class Euler(ConservationLaw):
         return q
 
     def check_physical(self, q, where="", item="node"):
-        q = np.asarray(q, dtype=float)
-        rho = q[..., 0]
-        p = (self.gamma - 1.0) * (
-            q[..., 3] - 0.5 * (q[..., 1] ** 2 + q[..., 2] ** 2) / np.where(rho > 0, rho, 1.0)
-        )
-        for quantity, values in (("density", rho), ("pressure", p)):
-            bad = (values <= 0.0) | ~np.isfinite(values)
-            if np.any(bad):
-                raise _nonphysical(quantity, values, bad, item, where)
+        """Finite states (``ConservationLaw.check_physical``), then the
+        positive density and pressure of ``primitives``."""
+        super().check_physical(q, where, item)
+        self.primitives(q, where, item)
 
     # -- flux and derivatives ---------------------------------------------
     def flux(self, q):

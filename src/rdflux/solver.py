@@ -53,16 +53,17 @@ One iteration runs in this order:
    expressions, and so is the systems N scheme's split of the Jacobians:
    no eigenvector or Jacobian matrix is built;
 4. scatter: the parts are summed into the nodes, the state is updated,
-   boundary conditions are enforced and the new state is checked.  The
-   update is formed in place in the scatter's output, and the finiteness
-   check reads the one reduction that the update rate needs anyway
-   (``Solver.step``).
+   boundary conditions are enforced and the new state is checked once,
+   by the law's ``check_physical`` (every state finite; a gas's density
+   and pressure positive).  The update is formed in place in the
+   scatter's output (``Solver.step``).
 
 Every nodal sum (the scatter, one per component, and the step rule's
-inflow coefficients) is a ``bincount`` over the triangles' node ids that
-reads its per-triangle values in the order they are stored, triangle
-axis innermost: each node sums its entries by vertex slot, and within a
-slot by triangle.  No sum copies its weights or its bins first.
+inflow coefficients) is ``Solver._scatter``: a ``bincount`` over the
+triangles' node ids that reads its per-triangle values in the order they
+are stored, triangle axis innermost: each node sums its entries by
+vertex slot, and within a slot by triangle.  No sum copies its weights
+or its bins first.
 
 ``SolverConfig.n_threads`` sets the number of assembly threads
 (default 1).  Triangles are processed in fixed contiguous chunks either
@@ -203,7 +204,7 @@ class Sweep:
     For laws with primitive variables (Euler), ``pressure`` (read by RXN,
     whose normal fluxes come from it and the gathered state) or ``z``
     (the parameter vector, read by the systems N scheme) holds values on
-    the N mesh nodes, which the pass gathers (``gather``); ``waves`` is
+    the N mesh nodes, which the pass gathers (``_gather``); ``waves`` is
     the wave data (u, v, h, k, a^2, a) of each triangle's arithmetic-mean
     state (``Euler.waves``, each (T,)), the one linearization input of
     the limiter and the correction (None where neither runs).  Fields
@@ -232,10 +233,6 @@ class Sweep:
     pressure: np.ndarray | None = None
     z: np.ndarray | None = None
     waves: tuple | None = None
-
-    def gather(self, a):
-        """Nodal values ``a`` (N, ...) at the nodes of these triangles: (T, 3, ...)."""
-        return _gather(a, self.tris)
 
     def take(self, sl):
         """The sweep of the triangles ``sl``; nodal fields stay shared."""
@@ -273,14 +270,6 @@ def _gather(a, tris):
     triangle; values and summation orders do not depend on the layout.
     """
     return np.take(a.T, tris, axis=-1).T
-
-
-def _check_finite(q, where=""):
-    """Raise NonPhysicalState naming the first node of ``q`` (N, m) that
-    holds a non-finite value; ``where`` ends the message."""
-    bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
-    if bad.size:
-        raise NonPhysicalState(f"non-finite state at node {int(bad[0])}{where}")
 
 
 def _column(dt):
@@ -371,12 +360,12 @@ class Solver:
         """Per-triangle nodal values summed into the nodes: a new (N, m) array.
 
         One bincount per component over the node ids ``nodes`` (a chunk's
-        ``_chunk_nodes``), whose weights are that component of the
-        (T, 3, m) ``parts`` read in (vertex slot, triangle) order: each
-        node sums its entries by slot, and within a slot in triangle
-        order, whatever the memory layout of ``parts``.  For
-        triangle-innermost parts that order is the memory order, and the
-        weights are a view, not a copy.  With m = 1 the residual is the
+        ``_chunk_nodes``, or all of ``_tris_t``), whose weights are that
+        component of the (T, 3, m) ``parts`` read in (vertex slot,
+        triangle) order: each node sums its entries by slot, and within a
+        slot in triangle order, whatever the memory layout of ``parts``.
+        For triangle-innermost parts that order is the memory order, and
+        the weights are a view, not a copy.  With m = 1 the residual is the
         bincount itself.
         """
         sums = [np.bincount(nodes, weights=c.ravel(), minlength=self.n_nodes) for c in parts.T]
@@ -405,7 +394,7 @@ class Solver:
         if sweep.coefficients is not None:
             res = dist.linear_scheme(sweep.q_nodes, sweep.coefficients)
         elif cfg.scheme == "rxn":
-            pressure = None if sweep.pressure is None else sweep.gather(sweep.pressure)
+            pressure = None if sweep.pressure is None else _gather(sweep.pressure, sweep.tris)
             res = dist.rxn_scheme(law, normals, sweep.q_nodes, sweep.s, sweep.nlen,
                                   pressure=pressure)
             del pressure  # spent: free it before the limiter's temporaries
@@ -509,13 +498,11 @@ class Solver:
         """Nodal coefficients D_i bounding the update: dt_i <= 2 |C_i| / D_i.
 
         A system reads the wave-speed bound ``s``, a scalar law its upwind
-        parameters ``k``.  The (T, 3) contributions are triangle-innermost,
-        so the bincount reads them as stored, by slot and then triangle.
+        parameters ``k``.  The (T, 3) contributions are summed into the
+        nodes by ``_scatter``.
         """
         contrib = self.nlen * s[:, None] if self.law.m > 1 else np.maximum(2.0 * k, 0.0)
-        return np.bincount(
-            self._tris_t.ravel(), weights=contrib.T.ravel(), minlength=self.n_nodes
-        )
+        return self._scatter(self._tris_t.ravel(), contrib[..., None])[:, 0]
 
     def _step_of(self, d):
         """The step of the inflow coefficients ``d``: global, or per node
@@ -567,53 +554,52 @@ class Solver:
         """One forward pseudo-time step.
 
         Returns ``(q_new, update_rate, fallback_count)`` where the rate
-        is the nodal L2 norm of |C_i| (q_new - q) / dt measured *after*
-        boundary enforcement, so it vanishes exactly at a steady state
-        compatible with the boundary conditions.  ``sweep`` passes the
-        precomputed ``Sweep`` of ``q``, shared by the step-size rule and
-        the assembly.  The update is formed in place in the residual.
-
-        The rate's squared norm is one pairwise sum of the squares, formed
-        in place; ``np.dot`` would be one pass less, but OpenBLAS runs a
-        vector as long as a cylinder mesh's (N, 4) rate on a second
-        thread, which then spins between iterations.  The norm's
-        finiteness gates the check of the new state: a non-finite q_new
-        makes it non-finite, and only then are the nodes scanned.
-        NonPhysicalState names the first node with a non-finite value,
-        before the law's ``check_physical`` runs.
+        is the nodal L2 norm of |C_i| (q_new - q) / dt (``_rate_norm``)
+        measured *after* boundary enforcement, so it vanishes exactly at a
+        steady state compatible with the boundary conditions.  ``sweep``
+        passes the precomputed ``Sweep`` of ``q``, shared by the step-size
+        rule and the assembly.  The update is formed in place in the
+        residual.  The new state is checked once, by the law's
+        ``check_physical``: NonPhysicalState names the first node with a
+        non-finite value, and for a gas then the first of non-positive
+        density or pressure.
         """
         q = np.asarray(q, dtype=float)
         if sweep is None:
             sweep = self._sweep(q)
         if dt is None:
             dt = self.stable_dt(q, sweep)
-        dt_col = _column(dt)
         residual, fallback = self.assemble(q, sweep)
-        residual *= dt_col / self.dual[:, None]
+        residual *= _column(dt) / self.dual[:, None]
         q_new = np.subtract(q, residual, out=residual)
         if self.boundaries is not None:
             self.boundaries.apply(q_new)
-        rate = q_new - q
-        rate *= self.dual[:, None]
-        rate /= dt_col
-        rate *= rate
-        norm2 = float(rate.sum())
-        if not math.isfinite(norm2):
-            _check_finite(q_new)
         self.law.check_physical(q_new)
-        return q_new, math.sqrt(norm2), fallback
+        return q_new, self._rate_norm(q_new - q, dt), fallback
+
+    def _rate_norm(self, dq, dt):
+        """The nodal L2 norm of |C_i| dq / dt, formed in place in ``dq`` (N, m).
+
+        The squared norm is one pairwise sum of the squares; ``np.dot``
+        would be one pass less, but OpenBLAS runs a vector as long as a
+        cylinder mesh's (N, 4) rate on a second thread, which then spins
+        between iterations.
+        """
+        dq *= self.dual[:, None]
+        dq /= _column(dt)
+        dq *= dq
+        return math.sqrt(float(dq.sum()))
 
     def march(self, q0, *, callback=None):
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
 
         Boundary conditions are enforced on the initial state, which must
-        then be finite at every node (NonPhysicalState names the first
-        node that is not, as ``step`` does) and pass the law's
-        ``check_physical``.  The stopping test compares each iteration's
-        update rate with the first one's; a first rate already at
-        rounding level (below 1e-13 of the rate scale of the state
-        itself) counts as converged immediately when ``stop_tol`` is
-        positive.
+        then pass the law's ``check_physical`` (NonPhysicalState names the
+        first node that does not, as in ``step``).  The stopping test
+        compares each iteration's update rate with the first one's; a
+        first rate already at rounding level (below 1e-13 of the rate of
+        the state itself, |C| |q| / dt) counts as converged immediately
+        when ``stop_tol`` is positive.
         ``callback(iteration, q, relative_rate)`` runs every iteration.
         """
         cfg = self.cfg
@@ -626,7 +612,6 @@ class Solver:
             )
         if self.boundaries is not None:
             self.boundaries.apply(q)
-        _check_finite(q, " in initial state")
         self.law.check_physical(q, "in initial state")
 
         history = []
@@ -653,7 +638,8 @@ class Solver:
             if r0 is None:
                 r0 = rate
                 rel = 1.0
-                if cfg.stop_tol > 0.0 and r0 <= 1.0e-13 * self._rate_scale(q, dt):
+                if cfg.stop_tol > 0.0 and r0 <= 1.0e-13 * max(self._rate_norm(q.copy(), dt),
+                                                               1.0e-300):
                     rel = 0.0
             else:
                 rel = rate / r0 if r0 > 0.0 else 0.0
@@ -681,8 +667,3 @@ class Solver:
             history=history,
             fallback_triangles=fallback_total,
         )
-
-    def _rate_scale(self, q, dt):
-        """Rate magnitude of the state itself, |C| |q| / dt, for floors."""
-        ref = self.dual[:, None] * q / _column(dt)
-        return max(float(np.sqrt((ref * ref).sum())), 1.0e-300)

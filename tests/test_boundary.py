@@ -286,6 +286,22 @@ class TestFarfieldBlend:
         )):
             bset.apply(q)
 
+    def test_non_physical_interior_state_names_the_mesh_node(self):
+        # Mesh node 2537 of the preset is the 13th of its 101 far-field
+        # nodes; the error names the mesh node, not its place in the binding.
+        problem = config.build_problem(config.preset("cylinder-supersonic"))
+        law, node = problem.law, 2537
+        assert list(problem.mesh.boundary_nodes("farfield")).index(node) == 12
+        q = np.array(problem.q0)
+        rho, u, v, _ = law.primitives(q[node])
+        q[node] = law.conserved(rho, u, v, -0.004)
+        message = rf"^non-positive pressure -0\.004 at node {node} \(1 of 101 nodes\)$"
+        with pytest.raises(NonPhysicalState, match=message):
+            problem.boundaries.apply(q.copy())
+        sol = Solver(problem.mesh, law, problem.boundaries, problem.solver_config)
+        with pytest.raises(NonPhysicalState, match=message):
+            sol.march(q)
+
     def test_uniform_freestream_is_fixed_point(self, euler, rng):
         q_inf = euler.freestream(0.8, 30.0)
         normals = rng.standard_normal((40, 2))

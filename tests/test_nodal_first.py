@@ -277,12 +277,14 @@ def small_supersonic(scheme):
 
 
 def test_primitive_conversions_per_iteration(monkeypatch):
-    """Each iteration converts to primitives at most five times.
+    """Each iteration converts to primitives at most seven times.
 
-    Once each for the nodes, the triangles' mean states (shared by the
-    wave-speed bound, the limiter and the correction), the relaxation
-    star states, and twice in the far-field blend.  Every conversion goes
-    through ``Euler.primitives``, so the count is complete.
+    Once each for the nodes and the triangles' mean states (shared by the
+    wave-speed bound, the limiter and the correction), twice for the
+    relaxation star states (their check and their flux), twice in the
+    far-field blend, and once in the check of the new state.  Every
+    conversion, the checks' included, goes through ``Euler.primitives``,
+    so the count is complete.
     """
     problem = small_supersonic("rxn")
     calls = []
@@ -297,9 +299,10 @@ def test_primitive_conversions_per_iteration(monkeypatch):
     solver = Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
     solver.march(problem.q0, callback=lambda it, q, rel: seen.append(len(calls)))
     assert len(seen) == 5
-    # The first count also holds the boundary enforcement on the initial state.
-    assert seen[0] <= 5 + 2
-    assert np.diff(seen).max() <= 5
+    # The first count also holds the boundary enforcement on the initial
+    # state and its check.
+    assert seen[0] <= 7 + 3
+    assert np.diff(seen).max() <= 7
 
 
 def counted_march(monkeypatch, scheme, methods):

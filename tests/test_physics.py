@@ -184,9 +184,14 @@ class TestEulerBasics:
         q[1, 0] = -2.0
         with pytest.raises(NonPhysicalState, match=r"non-positive density -2 at triangle 1 "):
             euler.check_physical(q, item="triangle")
+        # A non-finite state is named before any positivity rule runs.
         q[1, 0] = np.nan
-        with pytest.raises(NonPhysicalState, match=r"non-finite density nan at node 1"):
+        with pytest.raises(NonPhysicalState, match=r"^non-finite state at node 1$"):
             euler.check_physical(q)
+        # Mesh ids name the states in place of their positions.
+        q[1, 0] = 1.0
+        with pytest.raises(NonPhysicalState, match=pressure + r"node 17 \(1 of 5 nodes\)"):
+            euler.primitives(q, item="node", ids=np.arange(14, 19))
 
     def test_freestream_frozen_values(self, euler):
         q = euler.freestream(5.0, 0.0)
