@@ -330,6 +330,7 @@ def _rotating_band_preset():
         "solver.max_iters": "20000",
         "solver.stop_tol": "1e-07",
         "solver.history_stride": "100",
+        "solver.acceleration": "anderson",
         "output.basename": "advection-rotating",
     }
 

@@ -453,7 +453,8 @@ def rxn_scheme(law, normals, q_nodes, s, nlen, *, pressure=None):
     componentwise for systems.  The parts sum to the two-point-rule total
     residual because the normals sum to zero and Q_star absorbs the flux
     imbalance.  For Euler, f(Q_star) is evaluated only if Q_star is
-    physical; otherwise NonPhysicalState is raised (no clamping).  ``s``
+    physical; otherwise NonPhysicalState is raised (no clamping).  The
+    check's primitives of Q_star serve its flux: one conversion.  ``s``
     is the per-triangle wave-speed bound (T,) (``wave_speed_bound``) and
     ``nlen`` the normals' lengths (T, 3), both the sweep's.
 
@@ -479,8 +480,8 @@ def rxn_scheme(law, normals, q_nodes, s, nlen, *, pressure=None):
     qstar = np.empty(q_nodes.shape[:1] + (m,))
     for j in range(m):
         qstar[:, j] = _node_sum(snlen * q_nodes[..., j] - parts[..., j]) / den
-    law.check_physical(qstar, "in relaxation star state", item="triangle")
-    fx, fy = law.flux(qstar)
+    prim = law.check_physical(qstar, "in relaxation star state", item="triangle")
+    fx, fy = law.flux(qstar) if prim is None else law.flux(qstar, prim)
     for j in range(m):
         part = parts[..., j]
         work = q_nodes[..., j] - qstar[:, None, j]

@@ -186,7 +186,8 @@ class ConservationLaw:
         rule.
 
         ``where`` and ``item`` (what one state of ``q`` is: a node, a
-        triangle) go into the error message.
+        triangle) go into the error message.  Returns the law's primitive
+        variables of ``q`` where it has them (Euler), else None.
         """
         finite = np.isfinite(q)
         if not finite.all():
@@ -322,13 +323,15 @@ class Euler(ConservationLaw):
 
     def check_physical(self, q, where="", item="node"):
         """Finite states (``ConservationLaw.check_physical``), then the
-        positive density and pressure of ``primitives``."""
+        positive density and pressure of ``primitives``, which it returns."""
         super().check_physical(q, where, item)
-        self.primitives(q, where, item)
+        return self.primitives(q, where, item)
 
     # -- flux and derivatives ---------------------------------------------
-    def flux(self, q):
-        rho, u, v, p = self.primitives(q)
+    def flux(self, q, prim=None):
+        """The flux pair (f, g) of the states ``q``; ``prim`` passes
+        ``primitives(q)`` when the caller already has it."""
+        rho, u, v, p = self.primitives(q) if prim is None else prim
         q = np.asarray(q, dtype=float)
         e = q[..., 3]
         f = np.empty_like(q)

@@ -56,7 +56,14 @@ One iteration runs in this order:
    boundary conditions are enforced and the new state is checked once,
    by the law's ``check_physical`` (every state finite; a gas's density
    and pressure positive).  The update is formed in place in the
-   scatter's output (``Solver.step``).
+   scatter's output (``Solver.step``).  The rate of this plain step at
+   the current iterate is the march's stop test and its ``history``;
+5. mixing, under ``solver.acceleration = anderson`` and until the stop
+   test passes (``_Anderson``): the plain step g and its residual
+   f = g - q go into rings of the last six, and the next iterate is
+   their type-II Anderson mix, with boundary conditions enforced on it
+   and checked once.  A mix that is not physical, or a floating-point
+   fault in forming it, gives way to g.
 
 Every nodal sum (the scatter, one per component, and the step rule's
 inflow coefficients) is ``Solver._scatter``: a ``bincount`` over the
@@ -92,6 +99,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import distribution as dist
 from . import limiting
@@ -107,8 +115,11 @@ __all__ = [
 ]
 
 SCHEMES = ("n", "rxn")
+ACCELERATIONS = ("none", "anderson")
 # Allowed values of each choice field of ``SolverConfig``.
-CHOICES = {"scheme": SCHEMES}
+CHOICES = {"scheme": SCHEMES, "acceleration": ACCELERATIONS}
+# Number of difference columns that Anderson mixing keeps (``_Anderson``).
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,10 @@ class SolverConfig:
     limiter and the smooth-region correction on top of it.  The time
     step is ``cfl_fraction`` times the step bound of the law (see
     ``Solver.stable_dt``).  ``stop_tol`` is relative to the first
-    iteration's update rate.  ``n_threads`` is the number of assembly
-    threads; it is an argument of the library call only.
+    iteration's update rate.  ``acceleration`` is "none" (the plain
+    march) or "anderson" (type-II Anderson mixing of the steps, see
+    ``_Anderson``).  ``n_threads`` is the number of assembly threads; it
+    is an argument of the library call only.
     """
 
     scheme: str = "rxn"
@@ -137,6 +150,7 @@ class SolverConfig:
     divergence_factor: float = 1.0e6
     history_stride: int = 10
     local_time_stepping: bool = False
+    acceleration: str = "none"
     n_threads: int = 1
 
     def validate(self):
@@ -166,7 +180,8 @@ class SolveResult:
     triples sampled every ``history_stride`` iterations plus the first
     and last.  ``reason`` is "converged" or "max_iters"; a run whose
     residual blows past ``divergence_factor`` raises ``Diverged``
-    instead of returning.
+    instead of returning.  ``acceleration_resets`` counts the Anderson
+    mixes that were replaced by the plain step (0 for a plain march).
     """
 
     q: np.ndarray
@@ -176,6 +191,7 @@ class SolveResult:
     final_residual: float
     history: list = field(default_factory=list)
     fallback_triangles: int = 0
+    acceleration_resets: int = 0
 
     @property
     def converged(self):
@@ -282,6 +298,86 @@ def _triangle_inner(a):
     """``a`` (T, ...) stored with the triangle axis innermost (a copy unless
     it already is)."""
     return np.ascontiguousarray(a.T).T
+
+
+class _Anderson:
+    """Type-II Anderson mixing of the step map G (Anderson, J. ACM 12,
+    1965), in the constrained form of Walker & Ni's Algorithm AA (SIAM J.
+    Numer. Anal. 49, 2011), at depth ``ANDERSON_DEPTH``.
+
+    ``next(q, g)`` takes the iterate q and its plain step g = G(q) and
+    returns the next iterate sum_j a_j g_j over the last
+    ``ANDERSON_DEPTH`` + 1 steps, whose weights minimize
+    ||sum_j a_j f_j|| subject to sum_j a_j = 1, with f = g - q.  That is
+    the mix g - dG gamma, gamma the least-squares fit of f by the
+    differences dF of successive f (dG those of g), formed without the
+    differences.  A system's f is scaled per component by the largest
+    |q0| of that component (a zero maximum takes the largest of the
+    others, or 1); a scalar law's is not scaled.
+
+    The rings ``F`` and ``G`` hold the f and g, the newest overwriting the
+    oldest: the weights do not depend on their order.  The weights solve
+    the bordered normal equations [[0, 1^T], [1, M]] [lambda, a] = [1, 0]
+    with M = F^T F, of which each call forms one new row and column.  The
+    mix is formed in one new buffer, boundary conditions are enforced on
+    it, and it is checked with the law's ``check_physical``.  A
+    floating-point fault in the solve or the mix (a singular system among
+    them), or a mix that is not physical, gives way to the step g: the
+    history is cleared and ``resets`` counts one.
+    """
+
+    def __init__(self, q0, boundaries, law):
+        n, shape = q0.size, q0.shape
+        self.boundaries, self.law = boundaries, law
+        rows = ANDERSON_DEPTH + 1
+        self.F = np.empty((rows, n))
+        self.G = np.empty((rows, n))
+        self.F_rows = self.F.reshape((rows,) + shape)
+        self.G_rows = self.G.reshape((rows,) + shape)
+        # The bordered system: M in [1:, 1:], the constraint in row and
+        # column 0, and its right-hand side e_0.
+        self.system = np.ones((rows + 1, rows + 1))
+        self.system[0, 0] = 0.0
+        self.e0 = np.zeros(rows + 1)
+        self.e0[0] = 1.0
+        self.k = 0  # steps held, in rows 0 to k - 1
+        self.slot = 0  # the row the next step overwrites
+        self.resets = 0
+        self.inv_scale = None
+        if shape[1] > 1:
+            scale = np.abs(q0).max(axis=0)
+            scale[scale == 0.0] = scale.max() or 1.0
+            self.inv_scale = 1.0 / scale
+
+    def next(self, q, g):
+        s, F = self.slot, self.F
+        f = np.subtract(g, q, out=self.F_rows[s])
+        if self.inv_scale is not None:
+            f *= self.inv_scale
+        self.G_rows[s] = g
+        k = self.k = min(self.k + 1, len(F))
+        self.slot = (s + 1) % len(F)
+        system = self.system
+        row = np.matmul(F[:k], F[s], out=system[s + 1, 1:k + 1])
+        system[1:k + 1, s + 1] = row
+        if k == 1:
+            return g
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                # The kernel of np.linalg.solve, called directly: the
+                # wrapper's checks cost more than this solve.  A singular
+                # system raises as an invalid value.
+                x = _umath_linalg.solve1(system[:k + 1, :k + 1], self.e0[:k + 1],
+                                         signature="dd->d")
+                mix = (x[1:] @ self.G[:k]).reshape(g.shape)
+            if self.boundaries is not None:
+                self.boundaries.apply(mix)
+            self.law.check_physical(mix)
+        except (FloatingPointError, NonPhysicalState):
+            self.k = self.slot = 0
+            self.resets += 1
+            return g
+        return mix
 
 
 class Solver:
@@ -613,6 +709,7 @@ class Solver:
         if self.boundaries is not None:
             self.boundaries.apply(q)
         self.law.check_physical(q, "in initial state")
+        accel = _Anderson(q, self.boundaries, self.law) if cfg.acceleration == "anderson" else None
 
         history = []
         r0 = None
@@ -645,6 +742,8 @@ class Solver:
                 rel = rate / r0 if r0 > 0.0 else 0.0
             if it == 1 or it % cfg.history_stride == 0:
                 history.append((it, t, rel))
+            if accel is not None and rel > cfg.stop_tol:
+                q_new = accel.next(q, q_new)
             q = q_new
             if callback is not None:
                 callback(it, q, rel)
@@ -666,4 +765,5 @@ class Solver:
             final_residual=float(rel),
             history=history,
             fallback_triangles=fallback_total,
+            acceleration_resets=0 if accel is None else accel.resets,
         )

@@ -277,12 +277,12 @@ def small_supersonic(scheme):
 
 
 def test_primitive_conversions_per_iteration(monkeypatch):
-    """Each iteration converts to primitives at most seven times.
+    """Each iteration converts to primitives at most six times.
 
     Once each for the nodes and the triangles' mean states (shared by the
-    wave-speed bound, the limiter and the correction), twice for the
-    relaxation star states (their check and their flux), twice in the
-    far-field blend, and once in the check of the new state.  Every
+    wave-speed bound, the limiter and the correction), once for the
+    relaxation star states (their check's primitives serve their flux),
+    twice in the far-field blend, and once in the check of the new state.  Every
     conversion, the checks' included, goes through ``Euler.primitives``,
     so the count is complete.
     """
@@ -301,8 +301,8 @@ def test_primitive_conversions_per_iteration(monkeypatch):
     assert len(seen) == 5
     # The first count also holds the boundary enforcement on the initial
     # state and its check.
-    assert seen[0] <= 7 + 3
-    assert np.diff(seen).max() <= 7
+    assert seen[0] <= 6 + 3
+    assert np.diff(seen).max() <= 6
 
 
 def counted_march(monkeypatch, scheme, methods):

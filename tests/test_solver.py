@@ -52,6 +52,136 @@ class TestSolverConfig:
             config.build_problem(mapping)
 
 
+class TestAnderson:
+    """Type-II Anderson mixing of the march (``solver.acceleration``)."""
+
+    @staticmethod
+    def rotating(**keys):
+        """The ``advection-rotating`` preset on a 27 x 27 mesh, and its solver."""
+        mapping = config.preset("advection-rotating")
+        mapping.update({"mesh.nx": "27", "mesh.ny": "27", **keys})
+        problem = config.build_problem(mapping)
+        return problem, solver.Solver(problem.mesh, problem.law, problem.boundaries,
+                                      problem.solver_config)
+
+    def test_validate_rejects_an_unknown_acceleration(self):
+        with pytest.raises(InvalidArgument, match="^acceleration must"):
+            SolverConfig(acceleration="x").validate()
+
+    def test_a_plain_march_counts_no_resets(self):
+        problem, sol = self.rotating(**{"solver.acceleration": "none",
+                                        "solver.stop_tol": "1e-3"})
+        res = sol.march(problem.q0)
+        assert res.converged and res.acceleration_resets == 0
+
+    def test_a_nonphysical_mix_falls_back_to_the_plain_step(self, monkeypatch):
+        # The law's check rejects the first mixed state once; that
+        # iteration takes the plain step of its iterate instead, and the
+        # march still converges.
+        problem, sol = self.rotating(**{"solver.stop_tol": "1e-3"})
+        inside, planted = [], []
+        real_next, real_check = solver._Anderson.next, problem.law.check_physical
+
+        def mixing(self, q, g):
+            inside.append(True)
+            try:
+                return real_next(self, q, g)
+            finally:
+                inside.pop()
+
+        def check(q, *args, **kwargs):
+            if inside and not planted:
+                planted.append(True)
+                raise NonPhysicalState("planted")
+            return real_check(q, *args, **kwargs)
+
+        monkeypatch.setattr(solver._Anderson, "next", mixing)
+        monkeypatch.setattr(problem.law, "check_physical", check)
+        states = []
+        res = sol.march(problem.q0, callback=lambda it, q, rel: states.append(q.copy()))
+        assert planted and res.acceleration_resets == 1
+        assert res.converged
+        # The first mix is formed at iteration 2.
+        plain = solver.Solver(problem.mesh, problem.law, problem.boundaries,
+                              replace(problem.solver_config, acceleration="none"))
+        np.testing.assert_array_equal(states[1], plain.step(states[0])[0])
+
+    @staticmethod
+    def feed(acc, sol, q, n):
+        """``n`` calls of ``acc.next`` along the accelerated march from ``q``."""
+        for _ in range(n):
+            q = acc.next(q, sol.step(q)[0])
+        return q
+
+    def test_a_reset_clears_the_history(self):
+        problem, sol = self.rotating()
+        q = sol.boundaries.apply(problem.q0.copy())
+
+        class Rejecting:
+            reject = False
+
+            def check_physical(self, q):
+                if self.reject:
+                    raise NonPhysicalState("planted")
+
+        law = Rejecting()
+        acc = solver._Anderson(q, sol.boundaries, law)
+        q = self.feed(acc, sol, q, 4)
+        assert acc.k == 4 and acc.resets == 0
+        law.reject = True
+        g = sol.step(q)[0]
+        assert acc.next(q, g) is g
+        assert acc.k == 0 and acc.resets == 1
+        law.reject = False
+        # The history starts again: the first step held is taken as it is.
+        g2 = sol.step(g)[0]
+        assert acc.next(g, g2) is g2
+        assert acc.k == 1 and acc.resets == 1
+
+    def test_the_mix_is_the_type_ii_least_squares_step(self):
+        # Seven calls fill the ring and overwrite its oldest row once; the
+        # mix of the last six steps is g - dG gamma, with gamma the
+        # least-squares fit of f by the differences of successive f.
+        problem, sol = self.rotating()
+        q = sol.boundaries.apply(problem.q0.copy())
+        acc = solver._Anderson(q, sol.boundaries, problem.law)
+        qs, gs = [], []
+        for _ in range(7):
+            g = sol.step(q)[0]
+            qs.append(q)
+            gs.append(g)
+            q = acc.next(q, g)
+        f = np.array([(b - a).ravel() for a, b in zip(qs[1:], gs[1:])])
+        g_rows = np.array([b.ravel() for b in gs[1:]])
+        gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+        expected = g_rows[-1] - np.diff(g_rows, axis=0).T @ gamma
+        assert acc.k == solver.ANDERSON_DEPTH + 1 and acc.resets == 0
+        np.testing.assert_allclose(q.ravel(), expected, rtol=1e-9, atol=1e-12)
+
+    def test_a_singular_gram_system_falls_back(self):
+        # A steady state twice: both residuals held are zero, so the
+        # bordered system is singular.
+        problem, sol = self.rotating()
+        acc = solver._Anderson(problem.q0, sol.boundaries, problem.law)
+        g = sol.step(sol.boundaries.apply(problem.q0.copy()))[0]
+        assert acc.next(g, g) is g and acc.k == 1
+        assert acc.next(g, g) is g
+        assert acc.k == 0 and acc.resets == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_long_march_stays_finite(self):
+        # Past convergence, as the benchmark's traced run marches: 500
+        # iterations at stop_tol 0 on the preset itself.
+        mapping = config.preset("advection-rotating")
+        mapping.update({"solver.stop_tol": "0", "solver.max_iters": "500"})
+        problem = config.build_problem(mapping)
+        res = solver.Solver(problem.mesh, problem.law, problem.boundaries,
+                            problem.solver_config).march(problem.q0)
+        assert res.iterations == 500
+        assert np.isfinite(res.q).all()
+        assert res.final_residual < 1e-10  # 1.03e-12 with no reset when measured
+
+
 class TestStep:
     def test_uniform_euler_state_is_steady(self, euler):
         mesh = meshgen.perturb_interior(
