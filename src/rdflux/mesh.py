@@ -5,6 +5,11 @@ stored with shape (M, 3, ...) so the distribution schemes can run batched
 over all elements.  Node ordering inside each triangle is counter-clockwise;
 ``normals[t, i]`` is the inward normal of the edge opposite local node i,
 scaled by that edge's length.
+
+The topology (node ids, conformity, boundary edges and their tags) is
+validated once, by :meth:`Mesh.from_arrays`.  :meth:`Mesh.with_points`
+moves the nodes of a built mesh and recomputes only its geometry; a move
+may not invert a triangle.
 """
 from __future__ import annotations
 
@@ -29,15 +34,13 @@ __all__ = [
 _DEGENERATE_RTOL = 1e-14
 
 
-def compute_normals(coords):
-    """Scaled inward edge normals of one triangle or a batch.
+def _normals_and_areas(coords):
+    """Scaled inward normals (..., 3, 2) and signed areas (...,) of
+    (..., 3, 2) coordinates, unchecked.
 
-    ``coords`` has shape (..., 3, 2) with counter-clockwise node order.
-    Returns (..., 3, 2); row i is the inward normal of the edge opposite
-    node i, with length equal to that edge's length.  The three rows sum
-    to zero.
+    The areas are :func:`triangle_areas`' expression, bit for bit: the
+    normals hold its coordinate differences, two of them negated.
     """
-    coords = np.asarray(coords, dtype=float)
     x = coords[..., 0]
     y = coords[..., 1]
     n = np.empty_like(coords)
@@ -47,13 +50,48 @@ def compute_normals(coords):
     n[..., 1, 1] = x[..., 0] - x[..., 2]
     n[..., 2, 0] = y[..., 0] - y[..., 1]
     n[..., 2, 1] = x[..., 1] - x[..., 0]
-    area2 = (x[..., 1] - x[..., 0]) * (y[..., 2] - y[..., 0]) - (
-        x[..., 2] - x[..., 0]
-    ) * (y[..., 1] - y[..., 0])
-    scale = np.square(n).sum(axis=(-1, -2))
-    if np.any(area2 <= _DEGENERATE_RTOL * scale):
+    areas = 0.5 * (n[..., 2, 1] * n[..., 1, 0] - n[..., 2, 0] * n[..., 1, 1])
+    return n, areas
+
+
+def compute_normals(coords):
+    """Scaled inward edge normals of one triangle or a batch.
+
+    ``coords`` has shape (..., 3, 2) with counter-clockwise node order.
+    Returns (..., 3, 2); row i is the inward normal of the edge opposite
+    node i, with length equal to that edge's length.  The three rows sum
+    to zero.
+    """
+    n, areas = _normals_and_areas(np.asarray(coords, dtype=float))
+    scale = np.einsum("...ij,...ij->...", n, n)
+    if np.any(2.0 * areas <= _DEGENERATE_RTOL * scale):
         raise DegenerateElement("zero-area or inverted triangle")
     return n
+
+
+def _check_areas(normals, areas):
+    """Raise DegenerateElement naming the thinnest triangle when one is
+    flat or inverted: its signed area at most _DEGENERATE_RTOL times the
+    sum of its squared edge lengths."""
+    scale = np.einsum("tij,tij->t", normals, normals)
+    if np.any(areas <= _DEGENERATE_RTOL * scale):
+        bad = int(np.argmin(areas / np.maximum(scale, 1e-300)))
+        fault = "is inverted" if areas[bad] < 0.0 else "has zero area"
+        raise DegenerateElement(f"triangle {bad} {fault}")
+
+
+def _as_points(points, n_nodes=None):
+    """A fresh read-only (N, 2) float copy of finite node coordinates."""
+    points = np.array(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 or (
+        n_nodes is not None and points.shape[0] != n_nodes
+    ):
+        want = "(N, 2)" if n_nodes is None else f"({n_nodes}, 2)"
+        raise InvalidTopology(f"points must be {want}, got {points.shape}")
+    if not np.isfinite(points).all():
+        raise InvalidTopology("non-finite node coordinates")
+    points.setflags(write=False)
+    return points
 
 
 def triangle_areas(coords):
@@ -75,8 +113,9 @@ class Mesh:
     normals : (M, 3, 2) scaled inward normals
     areas : (M,) triangle areas
     dual_areas : (N,) median dual-cell areas
-    bedges : (K, 2) boundary edges, interior on the left
-    btags : length-K list of tag strings
+    bedges : (K, 2) boundary edges, interior on the left, in ascending
+        order of their sorted node pairs
+    btags : length-K tuple of tag strings
     """
 
     points: np.ndarray
@@ -110,7 +149,14 @@ class Mesh:
             else:
                 mask = np.array([t == tag for t in self.btags], dtype=bool)
                 edges = self.bedges[mask]
-            self._cache[key] = np.unique(edges)
+            # Sorted, first of each run of equal ids: np.unique without the
+            # masked-array check that makes it import numpy.ma.
+            ids = np.sort(edges, axis=None)
+            first = np.ones(ids.shape, dtype=bool)
+            np.not_equal(ids[1:], ids[:-1], out=first[1:])
+            nodes = ids[first]
+            nodes.setflags(write=False)
+            self._cache[key] = nodes
         return self._cache[key]
 
     def boundary_edges(self, tag):
@@ -144,14 +190,38 @@ class Mesh:
     def tri_coords(self):
         """(M, 3, 2) coordinates of triangle nodes."""
         if "tcoords" not in self._cache:
-            arr = self.points[self.tris]
+            arr = np.take(self.points, self.tris, axis=0)
             arr.setflags(write=False)
             self._cache["tcoords"] = arr
         return self._cache["tcoords"]
 
     def with_points(self, points):
-        """Rebuild the mesh on moved nodes (same connectivity and tags)."""
-        return Mesh.from_arrays(points, self.tris, zip(*self.bedges.T.tolist(), self.btags))
+        """The same triangulation on moved nodes.
+
+        Keeps ``tris``, ``bedges``, ``btags`` and the cached boundary node
+        sets, and recomputes only the normals and the triangle and dual
+        areas.  ``points`` must be finite with shape (n_nodes, 2), else
+        InvalidTopology; a move that flattens or inverts a triangle raises
+        DegenerateElement naming it.
+        """
+        points = _as_points(points, self.n_nodes)
+        normals, areas = _normals_and_areas(np.take(points, self.tris, axis=0))
+        _check_areas(normals, areas)
+        dual = build_dual(self.tris, areas, self.n_nodes)
+        for arr in (normals, areas, dual):
+            arr.setflags(write=False)
+        bnodes = {key: nodes for key, nodes in self._cache.items()
+                  if isinstance(key, tuple) and key[0] == "bnodes"}
+        return Mesh(
+            points=points,
+            tris=self.tris,
+            normals=normals,
+            areas=areas,
+            dual_areas=dual,
+            bedges=self.bedges,
+            btags=self.btags,
+            _cache=bnodes,
+        )
 
     @staticmethod
     def from_arrays(points, tris, tagged_edges):
@@ -159,16 +229,14 @@ class Mesh:
 
         ``tagged_edges`` is an iterable of (i, j, tag).  Every boundary edge
         of the triangulation must receive exactly one tag; orientation of
-        the pairs is normalized automatically.
+        the pairs is normalized automatically.  Clockwise triangles are
+        reoriented with a warning.  The topology is validated here once;
+        :meth:`with_points` reuses it.
         """
-        points = np.array(points, dtype=float)
+        points = _as_points(points)
         tris = np.array(tris, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise InvalidTopology(f"points must be (N, 2), got {points.shape}")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise InvalidTopology(f"tris must be (M, 3), got {tris.shape}")
-        if not np.isfinite(points).all():
-            raise InvalidTopology("non-finite node coordinates")
         n = points.shape[0]
         if tris.size and (tris.min() < 0 or tris.max() >= n):
             raise InvalidTopology("triangle references node id out of range")
@@ -180,41 +248,40 @@ class Mesh:
             raise InvalidTopology(f"dangling nodes not in any triangle: {missing[:5].tolist()}")
 
         # Normalize orientation to CCW.
-        coords = points[tris]
-        signed = triangle_areas(coords)
-        flipped = signed < 0.0
+        normals, areas = _normals_and_areas(np.take(points, tris, axis=0))
+        flipped = areas < 0.0
         reoriented = int(flipped.sum())
         if reoriented:
             tris[flipped] = tris[flipped][:, ::-1]
             warnings.warn(f"reoriented {reoriented} clockwise triangle(s)")
-            coords = points[tris]
-            signed = triangle_areas(coords)
-        edge_scale = np.square(coords - np.roll(coords, 1, axis=1)).sum(axis=(1, 2))
-        if np.any(signed <= _DEGENERATE_RTOL * edge_scale):
-            bad = int(np.argmin(signed / np.maximum(edge_scale, 1e-300)))
-            raise DegenerateElement(f"triangle {bad} has zero area")
-
-        normals = compute_normals(coords)
-        areas = signed
+            normals, areas = _normals_and_areas(np.take(points, tris, axis=0))
+        _check_areas(normals, areas)
         dual = build_dual(tris, areas, n)
 
         # Conformity + boundary extraction: each undirected edge belongs to
         # one (boundary) or two (interior) triangles.  ``edges`` lists the
         # directed edges (a, b), (b, c), (c, a) of every triangle in turn;
-        # ``code`` numbers each edge's sorted node pair.
-        edges = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        pairs = np.sort(edges, axis=1)
-        code = pairs[:, 0] * n + pairs[:, 1]
-        _, first, count = np.unique(code, return_index=True, return_counts=True)
-        if np.any(count > 2):
+        # ``code`` numbers each edge's sorted node pair.  Sorting the codes
+        # puts the copies of an edge side by side, in ascending code order.
+        edges = np.take(tris, [0, 1, 1, 2, 2, 0], axis=1).reshape(-1, 2)
+        lo = np.minimum(edges[:, 0], edges[:, 1])
+        hi = np.maximum(edges[:, 0], edges[:, 1])
+        code = lo * n + hi
+        order = np.argsort(code)
+        ordered = code[order]
+        same = ordered[1:] == ordered[:-1]
+        if np.any(same[1:] & same[:-1]):
             # Name the edge whose third triangle comes first.
             order = np.argsort(code, kind="stable")
             ordered = code[order]
             third = order[2:][ordered[2:] == ordered[:-2]].min()
-            raise InvalidTopology(f"edge {tuple(pairs[third].tolist())} shared by >2 triangles")
-        once = first[count == 1]
+            raise InvalidTopology(f"edge {(int(lo[third]), int(hi[third]))} shared by >2 triangles")
+        single = np.ones(code.shape, dtype=bool)
+        single[1:] &= ~same
+        single[:-1] &= ~same
+        once = order[single]
         bedges = edges[once]
-        slot = {key: k for k, key in enumerate(map(tuple, pairs[once].tolist()))}
+        slot = {key: k for k, key in enumerate(zip(lo[once].tolist(), hi[once].tolist()))}
 
         tags = [None] * len(slot)
         for i, j, tag in tagged_edges:
@@ -231,7 +298,7 @@ class Mesh:
             )
         btags = tuple(tags)
 
-        for arr in (points, tris, normals, areas, dual, bedges):
+        for arr in (tris, normals, areas, dual, bedges):
             arr.setflags(write=False)
         return Mesh(
             points=points,

@@ -169,10 +169,12 @@ def perturb_interior(mesh, amplitude, seed=0):
 
     ``amplitude`` (nonnegative) is relative to each node's local length
     scale sqrt(dual area).  Boundary nodes stay put.  Retries with halved
-    amplitude if the jitter inverts a triangle, so the result is always a
-    valid mesh.  Used by rect meshes with ``mesh.perturb`` > 0 (the
-    ``advection-rotating`` preset) and by tests that need an irregular
-    triangulation.
+    amplitude until every triangle keeps more than a fifth of its area, so
+    the jitter never inverts one (:meth:`Mesh.with_points` would reject
+    it).  The result shares ``mesh``'s triangles, boundary edges and tags;
+    only the geometry is recomputed.  Used by rect meshes with
+    ``mesh.perturb`` > 0 (the ``advection-rotating`` preset) and by tests
+    that need an irregular triangulation.
     """
     if amplitude < 0.0:
         raise InvalidArgument(f"perturbation amplitude must be nonnegative, got {amplitude}")
@@ -185,7 +187,7 @@ def perturb_interior(mesh, amplitude, seed=0):
     amp = float(amplitude)
     for _ in range(12):
         moved = mesh.points + amp * scale[:, None] * offset
-        areas = triangle_areas(moved[mesh.tris])
+        areas = triangle_areas(np.take(moved, mesh.tris, axis=0))
         # Keep a quality floor so no triangle collapses or flips.
         if np.all(areas > 0.2 * mesh.areas):
             return mesh.with_points(moved)

@@ -1,13 +1,18 @@
 """Mesh structure: normals, dual areas, tags, file round-trips, generators."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdflux import meshgen
+import rdflux
+from rdflux import config, meshgen
 from rdflux.errors import DegenerateElement, InvalidArgument, InvalidTopology
 from rdflux.mesh import Mesh, compute_normals, load_mesh, save_mesh, triangle_areas
 
@@ -117,6 +122,147 @@ class TestMeshChecks:
     def test_invalid_topology_names_the_fault(self, points, tris, edges, message):
         with pytest.raises(InvalidTopology, match="^" + re.escape(message) + "$"):
             Mesh.from_arrays(points, tris, edges)
+
+
+MESH_FIELDS = ("points", "tris", "normals", "areas", "dual_areas", "bedges")
+
+
+def _tagged_edges(mesh):
+    return list(zip(*mesh.bedges.T.tolist(), mesh.btags))
+
+
+def _hexagon_fan():
+    """Six triangles (6, k, k + 1) around node 6 at the centre of a
+    regular hexagon."""
+    angle = np.pi / 3.0 * np.arange(6)
+    points = np.vstack([np.column_stack([np.cos(angle), np.sin(angle)]), [[0.0, 0.0]]])
+    tris = [[6, k, (k + 1) % 6] for k in range(6)]
+    return Mesh.from_arrays(points, tris, [(k, (k + 1) % 6, "rim") for k in range(6)])
+
+
+class TestWithPoints:
+    """``with_points`` moves the nodes of a built mesh and keeps its
+    topology; ``from_arrays`` derives that topology once per build."""
+
+    @staticmethod
+    def _radially_scaled_ring():
+        ring = meshgen.generate_cylinder_mesh((0.5, -0.25), 0.5, ("radius", 3.0), 6, 24)
+        d = ring.points - (0.5, -0.25)
+        r = np.hypot(d[:, 0], d[:, 1])
+        return ring, (0.5, -0.25) + d * (1.0 + 0.1 * r)[:, None]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_rect_equals_a_fresh_build(self, seed):
+        rect = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 12, 10)
+        moved = meshgen.perturb_interior(rect, 0.25, seed=seed)
+        fresh = Mesh.from_arrays(moved.points, rect.tris, _tagged_edges(rect))
+        for name in MESH_FIELDS:
+            assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+        assert moved.btags == fresh.btags
+        assert moved.reoriented == fresh.reoriented == 0
+
+    def test_scaled_ring_equals_a_fresh_build(self):
+        ring, points = self._radially_scaled_ring()
+        moved = ring.with_points(points)
+        fresh = Mesh.from_arrays(points, ring.tris, _tagged_edges(ring))
+        for name in MESH_FIELDS:
+            assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+        assert moved.btags == fresh.btags
+        for tag in ring.tags:
+            for a, b in zip(moved.outward_normals(tag), fresh.outward_normals(tag)):
+                assert np.array_equal(a, b)
+
+    def test_topology_is_kept(self):
+        rect = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 8)
+        walls = rect.boundary_nodes("left")
+        moved = meshgen.perturb_interior(rect, 0.2, seed=3)
+        assert moved.tris is rect.tris
+        assert moved.bedges is rect.bedges
+        assert moved.btags is rect.btags
+        assert moved.boundary_nodes("left") is walls
+        ring, points = self._radially_scaled_ring()
+        scaled = ring.with_points(points)
+        assert scaled.tris is ring.tris
+        assert scaled.bedges is ring.bedges
+        assert scaled.btags is ring.btags
+
+    def test_points_are_copied(self):
+        rect = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 3, 3)
+        points = rect.points * 2.0
+        moved = rect.with_points(points)
+        points[5] = (9.0, 9.0)
+        assert np.array_equal(moved.points, rect.points * 2.0)
+        assert not moved.points.flags.writeable
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_inverting_move_names_the_triangle(self, k):
+        fan = _hexagon_fan()
+        # Just past the midpoint of the rim edge (k, k + 1): only triangle k
+        # turns clockwise.
+        points = np.array(fan.points)
+        points[6] = 1.05 * 0.5 * (points[k] + points[(k + 1) % 6])
+        assert np.flatnonzero(triangle_areas(points[fan.tris]) < 0.0).tolist() == [k]
+        with pytest.raises(DegenerateElement, match=f"^triangle {k} is inverted$"):
+            fan.with_points(points)
+
+    def test_flattening_move_names_the_triangle(self):
+        fan = _hexagon_fan()
+        points = np.array(fan.points)
+        points[6] = 0.5 * (points[2] + points[3])
+        with pytest.raises(DegenerateElement, match="^triangle 2 has zero area$"):
+            fan.with_points(points)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p[:-1], "points must be (7, 2), got (6, 2)"),
+        (lambda p: np.column_stack([p, p[:, 0]]), "points must be (7, 2), got (7, 3)"),
+        (lambda p: p.ravel(), "points must be (7, 2), got (14,)"),
+        (lambda p: np.where(np.arange(7)[:, None] == 6, np.nan, p), "non-finite node coordinates"),
+        (lambda p: np.where(np.arange(7)[:, None] == 0, np.inf, p), "non-finite node coordinates"),
+    ], ids=["too-few", "three-columns", "flat", "nan", "inf"])
+    def test_bad_points_rejected(self, change, message):
+        fan = _hexagon_fan()
+        with pytest.raises(InvalidTopology, match="^" + re.escape(message) + "$"):
+            fan.with_points(change(np.array(fan.points)))
+
+    def test_build_problem_derives_the_topology_once(self, monkeypatch):
+        calls = []
+        build = Mesh.from_arrays
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(Mesh, "from_arrays", staticmethod(counted))
+        problem = config.build_problem(config.preset("advection-rotating"))
+        assert len(calls) == 1
+        assert problem.mesh.n_tris == 2 * 54 * 54
+
+
+@pytest.mark.parametrize("name", config.preset_names())
+def test_boundary_nodes_equal_np_unique(name):
+    mesh = config.build_problem(config.preset(name)).mesh
+    for tag in [None] + mesh.tags:
+        edges = mesh.bedges if tag is None else mesh.boundary_edges(tag)
+        nodes = mesh.boundary_nodes(tag)
+        assert nodes.dtype == np.int64
+        assert np.array_equal(nodes, np.unique(edges))
+
+
+def test_building_the_presets_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call (13-22 ms, 1.2 MB).
+    code = (
+        "import sys\n"
+        "from rdflux import config\n"
+        "from rdflux.solver import Solver\n"
+        "for name in config.preset_names():\n"
+        "    p = config.build_problem(config.preset(name))\n"
+        "    Solver(p.mesh, p.law, p.boundaries, p.solver_config)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = str(Path(rdflux.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFileRoundTrip:
