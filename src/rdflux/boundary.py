@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonPhysicalState
-from .physics import Euler
+from .physics import Euler, _nonphysical
 
 __all__ = ["BoundarySet", "farfield_blend", "KIND_ORDER"]
 
@@ -38,15 +38,15 @@ def farfield_blend(law, q_interior, q_inf, normals_out, nodes=None):
 
     An interior state of non-positive density or pressure, and a blended
     state whose sound speed is not positive, raise NonPhysicalState naming
-    the first such state and its value: as mesh node ``nodes[i]`` when
-    ``nodes`` (the mesh ids of the states) is given, else by its position.
-    Only kept blended states are checked; a node that takes the free
-    stream or keeps its interior state never fails that check.
+    the first such state and its value (``physics._nonphysical``): as mesh
+    node ``nodes[i]`` when ``nodes`` (the mesh ids of the states) is given,
+    else by its position.  Only kept blended states are checked; a node
+    that takes the free stream or keeps its interior state never fails it.
     """
     g = law.gamma
     q_interior = np.asarray(q_interior, dtype=float)
-    rho_i, u_i, v_i, p_i = law.primitives(
-        q_interior, item="state" if nodes is None else "node", ids=nodes)
+    item = "state" if nodes is None else "node"
+    rho_i, u_i, v_i, p_i = law.primitives(q_interior, item=item, ids=nodes)
     a_i = np.sqrt(g * p_i / rho_i)
     rho_f, u_f, v_f, p_f = law.primitives(np.asarray(q_inf, dtype=float))
     a_f = np.sqrt(g * p_f / rho_f)
@@ -63,12 +63,7 @@ def farfield_blend(law, q_interior, q_inf, normals_out, nodes=None):
     supersonic_out = (un_i >= 0.0) & (np.hypot(u_i, v_i) >= a_i)
     bad = (a_b <= 0.0) & ~inflow & ~supersonic_out
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        at = f"node {int(np.ravel(nodes)[i])}" if nodes is not None else f"state {i}"
-        raise NonPhysicalState(
-            f"far-field blend produced a non-positive sound speed "
-            f"{float(np.ravel(a_b)[i]):.6g} at {at}"
-        )
+        raise _nonphysical("blended sound speed", a_b, bad, item, "in far-field blend", nodes)
 
     outgoing = un_b > 0.0
     entropy = np.where(outgoing, p_i / rho_i**g, p_f / rho_f**g)

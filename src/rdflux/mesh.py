@@ -9,7 +9,8 @@ scaled by that edge's length.
 The topology (node ids, conformity, boundary edges and their tags) is
 validated once, by :meth:`Mesh.from_arrays`.  :meth:`Mesh.with_points`
 moves the nodes of a built mesh and recomputes only its geometry; a move
-may not invert a triangle.
+may not invert a triangle.  Both, and :func:`compute_normals`, reject a
+degenerate triangle by one rule (``_check_areas``), naming it.
 """
 from __future__ import annotations
 
@@ -36,11 +37,7 @@ _DEGENERATE_RTOL = 1e-14
 
 def _normals_and_areas(coords):
     """Scaled inward normals (..., 3, 2) and signed areas (...,) of
-    (..., 3, 2) coordinates, unchecked.
-
-    The areas are :func:`triangle_areas`' expression, bit for bit: the
-    normals hold its coordinate differences, two of them negated.
-    """
+    (..., 3, 2) coordinates, unchecked: the one area formula."""
     x = coords[..., 0]
     y = coords[..., 1]
     n = np.empty_like(coords)
@@ -60,19 +57,18 @@ def compute_normals(coords):
     ``coords`` has shape (..., 3, 2) with counter-clockwise node order.
     Returns (..., 3, 2); row i is the inward normal of the edge opposite
     node i, with length equal to that edge's length.  The three rows sum
-    to zero.
+    to zero.  A degenerate triangle raises DegenerateElement naming its
+    place in the flattened batch (``_check_areas``).
     """
     n, areas = _normals_and_areas(np.asarray(coords, dtype=float))
-    scale = np.einsum("...ij,...ij->...", n, n)
-    if np.any(2.0 * areas <= _DEGENERATE_RTOL * scale):
-        raise DegenerateElement("zero-area or inverted triangle")
+    _check_areas(n.reshape(-1, 3, 2), areas.reshape(-1))
     return n
 
 
 def _check_areas(normals, areas):
     """Raise DegenerateElement naming the thinnest triangle when one is
     flat or inverted: its signed area at most _DEGENERATE_RTOL times the
-    sum of its squared edge lengths."""
+    sum of its squared edge lengths.  The one degenerate-triangle test."""
     scale = np.einsum("tij,tij->t", normals, normals)
     if np.any(areas <= _DEGENERATE_RTOL * scale):
         bad = int(np.argmin(areas / np.maximum(scale, 1e-300)))
@@ -95,11 +91,9 @@ def _as_points(points, n_nodes=None):
 
 
 def triangle_areas(coords):
-    """Signed areas of (..., 3, 2) coordinate triples (positive when CCW)."""
-    coords = np.asarray(coords, dtype=float)
-    d1 = coords[..., 1, :] - coords[..., 0, :]
-    d2 = coords[..., 2, :] - coords[..., 0, :]
-    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+    """Signed areas of (..., 3, 2) coordinate triples (positive when CCW),
+    unchecked: the areas of ``Mesh.areas``, bit for bit."""
+    return _normals_and_areas(np.asarray(coords, dtype=float))[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateElement, InvalidArgument
-from .mesh import Mesh, triangle_areas
+from .mesh import Mesh
 
 __all__ = ["generate_rect_mesh", "generate_cylinder_mesh", "perturb_interior"]
 
@@ -100,7 +100,8 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     """
     cx, cy = map(float, center)
     radius = float(radius)
-    if radius <= 0.0:
+    # Each check is written so that NaN fails it.
+    if not radius > 0.0:
         raise InvalidArgument("cylinder radius must be positive")
     if n_radial < 1 or n_circum < 3:
         raise InvalidArgument("need n_radial >= 1 and n_circum >= 3")
@@ -110,7 +111,7 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     kind, data = outer_spec
     if kind == "radius":
         router = float(data)
-        if router <= radius:
+        if not router > radius:
             raise InvalidArgument("outer radius must exceed wall radius")
         half = False
         outer_of = lambda theta: router
@@ -167,29 +168,32 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
 def perturb_interior(mesh, amplitude, seed=0):
     """Jitter interior nodes to break structured-mesh symmetries.
 
-    ``amplitude`` (nonnegative) is relative to each node's local length
-    scale sqrt(dual area).  Boundary nodes stay put.  Retries with halved
-    amplitude until every triangle keeps more than a fifth of its area, so
-    the jitter never inverts one (:meth:`Mesh.with_points` would reject
-    it).  The result shares ``mesh``'s triangles, boundary edges and tags;
-    only the geometry is recomputed.  Used by rect meshes with
+    ``amplitude`` (finite, nonnegative) is relative to each node's local
+    length scale sqrt(dual area).  Boundary nodes stay put.  Each try moves
+    the nodes by :meth:`Mesh.with_points`; one that leaves a triangle with
+    a fifth of its area or less (or degenerate) is retried at half the
+    amplitude.  The result shares ``mesh``'s triangles, boundary edges and
+    tags; only the geometry is recomputed.  Used by rect meshes with
     ``mesh.perturb`` > 0 (the ``advection-rotating`` preset) and by tests
     that need an irregular triangulation.
     """
-    if amplitude < 0.0:
-        raise InvalidArgument(f"perturbation amplitude must be nonnegative, got {amplitude}")
+    amp = float(amplitude)
+    if not 0.0 <= amp < math.inf:
+        raise InvalidArgument(
+            f"perturbation amplitude must be finite and nonnegative, got {amplitude}")
     rng = np.random.default_rng(seed)
     interior = np.ones(mesh.n_nodes, dtype=bool)
     interior[mesh.boundary_nodes()] = False
     scale = np.sqrt(mesh.dual_areas)
     offset = rng.uniform(-1.0, 1.0, size=(mesh.n_nodes, 2))
     offset[~interior] = 0.0
-    amp = float(amplitude)
     for _ in range(12):
-        moved = mesh.points + amp * scale[:, None] * offset
-        areas = triangle_areas(np.take(moved, mesh.tris, axis=0))
-        # Keep a quality floor so no triangle collapses or flips.
-        if np.all(areas > 0.2 * mesh.areas):
-            return mesh.with_points(moved)
+        try:
+            moved = mesh.with_points(mesh.points + amp * scale[:, None] * offset)
+            # Keep a quality floor so no triangle collapses or flips.
+            if np.all(moved.areas > 0.2 * mesh.areas):
+                return moved
+        except DegenerateElement:
+            pass
         amp *= 0.5
     raise DegenerateElement("could not jitter mesh without inverting a triangle")

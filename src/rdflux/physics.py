@@ -287,8 +287,8 @@ class Euler(ConservationLaw):
     name = "euler"
 
     def __init__(self, gamma=1.4):
-        if gamma <= 1.0:
-            raise InvalidArgument("gamma must exceed 1")
+        if not 1.0 < gamma < math.inf:  # NaN fails it too
+            raise InvalidArgument(f"gamma must be finite and exceed 1, got {gamma}")
         self.gamma = float(gamma)
 
     # -- primitive access -------------------------------------------------

@@ -52,18 +52,18 @@ One iteration runs in this order:
    all come from it.  All are closed-form
    expressions, and so is the systems N scheme's split of the Jacobians:
    no eigenvector or Jacobian matrix is built;
-4. scatter: the parts are summed into the nodes, the state is updated,
-   boundary conditions are enforced and the new state is checked once,
-   by the law's ``check_physical`` (every state finite; a gas's density
-   and pressure positive).  The update is formed in place in the
-   scatter's output (``Solver.step``).  The rate of this plain step at
-   the current iterate is the march's stop test and its ``history``;
+4. scatter: the parts are summed into the nodes, the state is updated
+   and the new state is admitted (``Solver._admit``): boundary
+   conditions are enforced on it in place and it is checked once, by the
+   law's ``check_physical`` (every state finite; a gas's density and
+   pressure positive).  The update is formed in place in the scatter's
+   output (``Solver.step``).  The rate of this plain step at the current
+   iterate is the march's stop test and its ``history``;
 5. mixing, under ``solver.acceleration = anderson`` and until the stop
    test passes (``_Anderson``): the plain step g and its residual
    f = g - q go into rings of the last six, and the next iterate is
-   their type-II Anderson mix, with boundary conditions enforced on it
-   and checked once.  A mix that is not physical, or a floating-point
-   fault in forming it, gives way to g.
+   their type-II Anderson mix, admitted as a step is.  A mix that is not
+   physical, or a floating-point fault in forming it, gives way to g.
 
 Every nodal sum (the scatter, one per component, and the step rule's
 inflow coefficients) is ``Solver._scatter``: a ``bincount`` over the
@@ -75,7 +75,9 @@ or its bins first.
 ``SolverConfig.n_threads`` sets the number of assembly threads
 (default 1).  Triangles are processed in fixed contiguous chunks either
 way, and the chunk results are accumulated in ascending chunk order, so
-repeated runs are bit-identical.
+repeated runs are bit-identical.  A second thread is slower on every
+benchmark workload (``solver.assemble.ms_1t`` -> ``ms_2t``: 0.17 -> 0.77
+up to 4.98 -> 11.62 ms); its deletion waits on ROADMAP 1(e) and 4(a).
 
 Memory: the temporaries of one limited, corrected iteration (sweep, step
 rule and step) peak above the state, as ``tracemalloc`` reads it, at 4.7
@@ -313,22 +315,22 @@ class _Anderson:
     differences dF of successive f (dG those of g), formed without the
     differences.  A system's f is scaled per component by the largest
     |q0| of that component (a zero maximum takes the largest of the
-    others, or 1); a scalar law's is not scaled.
+    others, or 1); a scalar law's is not scaled.  The mixer holds arrays
+    and weights only; ``admit`` is ``Solver._admit``.
 
     The rings ``F`` and ``G`` hold the f and g, the newest overwriting the
     oldest: the weights do not depend on their order.  The weights solve
     the bordered normal equations [[0, 1^T], [1, M]] [lambda, a] = [1, 0]
     with M = F^T F, of which each call forms one new row and column.  The
-    mix is formed in one new buffer, boundary conditions are enforced on
-    it, and it is checked with the law's ``check_physical``.  A
+    mix is formed in one new buffer and admitted by ``admit``.  A
     floating-point fault in the solve or the mix (a singular system among
     them), or a mix that is not physical, gives way to the step g: the
     history is cleared and ``resets`` counts one.
     """
 
-    def __init__(self, q0, boundaries, law):
+    def __init__(self, q0, admit):
         n, shape = q0.size, q0.shape
-        self.boundaries, self.law = boundaries, law
+        self.admit = admit
         rows = ANDERSON_DEPTH + 1
         self.F = np.empty((rows, n))
         self.G = np.empty((rows, n))
@@ -370,9 +372,7 @@ class _Anderson:
                 x = _umath_linalg.solve1(system[:k + 1, :k + 1], self.e0[:k + 1],
                                          signature="dd->d")
                 mix = (x[1:] @ self.G[:k]).reshape(g.shape)
-            if self.boundaries is not None:
-                self.boundaries.apply(mix)
-            self.law.check_physical(mix)
+            self.admit(mix)
         except (FloatingPointError, NonPhysicalState):
             self.k = self.slot = 0
             self.resets += 1
@@ -655,8 +655,8 @@ class Solver:
         steady state compatible with the boundary conditions.  ``sweep``
         passes the precomputed ``Sweep`` of ``q``, shared by the step-size
         rule and the assembly.  The update is formed in place in the
-        residual.  The new state is checked once, by the law's
-        ``check_physical``: NonPhysicalState names the first node with a
+        residual.  The new state is admitted once (``_admit``): after the
+        boundary conditions, NonPhysicalState names the first node with a
         non-finite value, and for a gas then the first of non-positive
         density or pressure.
         """
@@ -667,11 +667,17 @@ class Solver:
             dt = self.stable_dt(q, sweep)
         residual, fallback = self.assemble(q, sweep)
         residual *= _column(dt) / self.dual[:, None]
-        q_new = np.subtract(q, residual, out=residual)
-        if self.boundaries is not None:
-            self.boundaries.apply(q_new)
-        self.law.check_physical(q_new)
+        q_new = self._admit(np.subtract(q, residual, out=residual))
         return q_new, self._rate_norm(q_new - q, dt), fallback
+
+    def _admit(self, q, where=""):
+        """The one admission of a marched state (the initial state, each
+        step, each mix): enforce the boundary conditions on ``q`` in place,
+        then the law's ``check_physical``, whose message ``where`` ends."""
+        if self.boundaries is not None:
+            self.boundaries.apply(q)
+        self.law.check_physical(q, where)
+        return q
 
     def _rate_norm(self, dq, dt):
         """The nodal L2 norm of |C_i| dq / dt, formed in place in ``dq`` (N, m).
@@ -689,9 +695,8 @@ class Solver:
     def march(self, q0, *, callback=None):
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
 
-        Boundary conditions are enforced on the initial state, which must
-        then pass the law's ``check_physical`` (NonPhysicalState names the
-        first node that does not, as in ``step``).  The stopping test
+        The initial state is admitted as every step is (``_admit``, which
+        names the first node that is not physical).  The stopping test
         compares each iteration's update rate with the first one's; a
         first rate already at rounding level (below 1e-13 of the rate of
         the state itself, |C| |q| / dt) counts as converged immediately
@@ -706,10 +711,8 @@ class Solver:
             raise InvalidArgument(
                 f"initial state must have shape ({self.n_nodes}, {self.law.m}), got {q.shape}"
             )
-        if self.boundaries is not None:
-            self.boundaries.apply(q)
-        self.law.check_physical(q, "in initial state")
-        accel = _Anderson(q, self.boundaries, self.law) if cfg.acceleration == "anderson" else None
+        self._admit(q, "in initial state")
+        accel = _Anderson(q, self._admit) if cfg.acceleration == "anderson" else None
 
         history = []
         r0 = None

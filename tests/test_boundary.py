@@ -267,7 +267,8 @@ class TestFarfieldBlend:
         # A Mach 8 free stream leaving through the right face, and one node
         # there at rest with half its sound speed: that node is blended, at
         # a_b = (gamma - 1)/4 (3 a_f / (gamma - 1) - 8 a_f) = -0.05 a_f.
-        # The error names the mesh node and that value.
+        # The error names the mesh node and that value, in the words of
+        # every other non-physical state.
         g = euler.gamma
         q_inf = euler.freestream(8.0, 0.0)
         rho_f, _, _, p_f = euler.primitives(q_inf)
@@ -282,7 +283,8 @@ class TestFarfieldBlend:
         a_b = 0.25 * (g - 1.0) * (2.0 * (0.5 * a_f + a_f) / (g - 1.0) - 8.0 * a_f)
         assert a_b < 0.0
         with pytest.raises(NonPhysicalState, match=(
-            rf"^far-field blend produced a non-positive sound speed {a_b:.6g} at node {node}$"
+            rf"^non-positive blended sound speed {a_b:.6g} at node {node} in far-field blend "
+            rf"\(1 of 7 nodes\)$"
         )):
             bset.apply(q)
 

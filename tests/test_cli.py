@@ -127,7 +127,8 @@ def test_mesh_gen_rejects_negative_perturbation(tmp_path, capsys):
     spec.write_text("mesh.kind = rect\nmesh.nx = 4\nmesh.ny = 4\nmesh.perturb = -0.5\n")
     assert cli.main(["mesh-gen", str(spec), str(tmp_path / "out.mesh")]) == 1
     err = capsys.readouterr().err
-    assert err == "configuration error: mesh: perturbation amplitude must be nonnegative, got -0.5\n"
+    assert err == ("configuration error: mesh: perturbation amplitude must be finite and "
+                   "nonnegative, got -0.5\n")
     assert not (tmp_path / "out.mesh").exists()
 
 

@@ -236,6 +236,24 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="gamma"):
             config.build_problem(base)
 
+    @pytest.mark.parametrize(("key", "value", "message"), [
+        ("law.gamma", "nan", "law: gamma must be finite and exceed 1, got nan"),
+        ("law.gamma", "inf", "law: gamma must be finite and exceed 1, got inf"),
+        ("mesh.perturb", "nan",
+         "mesh: perturbation amplitude must be finite and nonnegative, got nan"),
+    ])
+    def test_a_non_finite_value_is_a_config_error(self, key, value, message):
+        # A non-finite value fails each range check, so it is reported
+        # under its section, not later by what it breaks.
+        mapping = {
+            "law.kind": "euler", "law.mach": "0.5", "mesh.kind": "rect",
+            "mesh.nx": "4", "mesh.ny": "4", key: value,
+            "boundary.left": "farfield", "boundary.right": "farfield",
+            "boundary.top": "farfield", "boundary.bottom": "farfield",
+        }
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            config.build_problem(mapping)
+
     def test_mesh_range_rule_is_a_config_error(self):
         mapping = config.preset("cylinder-subsonic")
         mapping["mesh.grading"] = "1.5"

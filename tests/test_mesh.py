@@ -1,5 +1,6 @@
 """Mesh structure: normals, dual areas, tags, file round-trips, generators."""
 
+import math
 import os
 import re
 import subprocess
@@ -62,6 +63,12 @@ class TestAreasAndDual:
         coords = random_triangles(rng, 100)
         assert (triangle_areas(coords) > 0.0).all()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_to_the_mesh_areas(self, seed):
+        rect = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 20, 20)
+        m = meshgen.perturb_interior(rect, 0.25, seed=seed)
+        assert np.array_equal(triangle_areas(m.tri_coords()), m.areas)
+
     def test_dual_partition(self, small_irregular_mesh):
         m = small_irregular_mesh
         assert np.isclose(m.dual_areas.sum(), m.areas.sum(), rtol=1e-12)
@@ -88,6 +95,16 @@ class TestMeshChecks:
 
     def test_degenerate_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DegenerateElement, match="^triangle 0 has zero area$"):
+            Mesh.from_arrays(pts, np.array([[0, 1, 2]]), self.EDGES)
+
+    def test_thin_triangle_rejected_by_every_path(self):
+        # Area 1.2e-14 against 1e-14 times the squared edge lengths (1.5):
+        # degenerate for the one rule, whether normals come from a batch or
+        # from a mesh build.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.4e-14]])
+        with pytest.raises(DegenerateElement, match="^triangle 0 has zero area$"):
+            compute_normals(pts)
         with pytest.raises(DegenerateElement, match="^triangle 0 has zero area$"):
             Mesh.from_arrays(pts, np.array([[0, 1, 2]]), self.EDGES)
 
@@ -329,6 +346,14 @@ class TestRectGenerator:
         assert (p.points[b] == m.points[b]).all()
         assert (triangle_areas(p.tri_coords()) > 0.0).all()
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_perturb_rejects_a_non_finite_amplitude(self, amplitude):
+        m = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4)
+        with pytest.raises(InvalidArgument, match=(
+            f"^perturbation amplitude must be finite and nonnegative, got {amplitude}$"
+        )):
+            meshgen.perturb_interior(m, amplitude)
+
     def test_perturb_deterministic(self):
         m = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 8)
         a = meshgen.perturb_interior(m, 0.2, seed=5)
@@ -360,6 +385,14 @@ class TestCylinderGenerator:
         assert set(m.tags) == {"wall", "farfield", "exit"}
         ex = m.points[m.boundary_nodes("exit")]
         assert np.allclose(ex[:, 0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(("radius", "outer", "message"), [
+        (math.nan, 3.0, "cylinder radius must be positive"),
+        (1.0, math.nan, "outer radius must exceed wall radius"),
+    ], ids=["nan-radius", "nan-outer-radius"])
+    def test_nan_radius_rejected(self, radius, outer, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            meshgen.generate_cylinder_mesh((0.0, 0.0), radius, ("radius", outer), 4, 12)
 
     def test_grading_bound(self):
         with pytest.raises(InvalidArgument):

@@ -106,6 +106,19 @@ class TestAnderson:
                               replace(problem.solver_config, acceleration="none"))
         np.testing.assert_array_equal(states[1], plain.step(states[0])[0])
 
+    def test_every_iterate_holds_its_dirichlet_values(self):
+        # Each mix is admitted as a step is, so every iterate of the
+        # accelerated march carries the Dirichlet data exactly (a mix of
+        # steps that all carry it would carry it only to rounding).
+        problem, sol = self.rotating(**{"solver.stop_tol": "1e-3"})
+        nodes = np.concatenate([problem.mesh.boundary_nodes(t) for t in ("bottom", "right")])
+        data = sol.boundaries.apply(problem.q0.copy())[nodes]
+        states = []
+        res = sol.march(problem.q0, callback=lambda it, q, rel: states.append(q[nodes]))
+        assert res.converged and res.acceleration_resets == 0 and len(states) > 2
+        for held in states:
+            np.testing.assert_array_equal(held, data)
+
     @staticmethod
     def feed(acc, sol, q, n):
         """``n`` calls of ``acc.next`` along the accelerated march from ``q``."""
@@ -116,23 +129,21 @@ class TestAnderson:
     def test_a_reset_clears_the_history(self):
         problem, sol = self.rotating()
         q = sol.boundaries.apply(problem.q0.copy())
+        reject = []
 
-        class Rejecting:
-            reject = False
+        def admit(q):
+            if reject:
+                raise NonPhysicalState("planted")
+            return sol._admit(q)
 
-            def check_physical(self, q):
-                if self.reject:
-                    raise NonPhysicalState("planted")
-
-        law = Rejecting()
-        acc = solver._Anderson(q, sol.boundaries, law)
+        acc = solver._Anderson(q, admit)
         q = self.feed(acc, sol, q, 4)
         assert acc.k == 4 and acc.resets == 0
-        law.reject = True
+        reject.append(True)
         g = sol.step(q)[0]
         assert acc.next(q, g) is g
         assert acc.k == 0 and acc.resets == 1
-        law.reject = False
+        reject.clear()
         # The history starts again: the first step held is taken as it is.
         g2 = sol.step(g)[0]
         assert acc.next(g, g2) is g2
@@ -144,7 +155,7 @@ class TestAnderson:
         # least-squares fit of f by the differences of successive f.
         problem, sol = self.rotating()
         q = sol.boundaries.apply(problem.q0.copy())
-        acc = solver._Anderson(q, sol.boundaries, problem.law)
+        acc = solver._Anderson(q, sol._admit)
         qs, gs = [], []
         for _ in range(7):
             g = sol.step(q)[0]
@@ -162,7 +173,7 @@ class TestAnderson:
         # A steady state twice: both residuals held are zero, so the
         # bordered system is singular.
         problem, sol = self.rotating()
-        acc = solver._Anderson(problem.q0, sol.boundaries, problem.law)
+        acc = solver._Anderson(problem.q0, sol._admit)
         g = sol.step(sol.boundaries.apply(problem.q0.copy()))[0]
         assert acc.next(g, g) is g and acc.k == 1
         assert acc.next(g, g) is g
