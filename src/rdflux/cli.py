@@ -14,10 +14,15 @@ Subcommands:
 * ``probe <config> <tag>`` — re-emit a surface probe from a finished
   run's saved state (reads the run outputs; no VTK parsing).
 
-Outputs of ``run`` land in the configured output directory: a legacy
-VTK field snapshot, a convergence-history CSV, one probe CSV per
-configured tag, and the final nodal state as CSV (which ``probe``
-consumes).
+Every ``run`` writes, into the configured output directory under the
+configured basename: a legacy VTK field snapshot (``.vtk``), the
+convergence history (``_history.csv``), the final nodal state
+(``_state.csv``, which ``probe`` reads back) and one surface probe per
+configured tag (``_probe_<tag>.csv``).  Every CSV file goes through one
+row writer (``_write_csv``): a header row, then rows of one integer and
+floats in ``mesh.FULL_PRECISION``, with CRLF line ends.  The progress
+lines of ``run`` are the iterations that the march records in its
+history (``Solver.records``).
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from . import config as cfgmod
 from . import verify as verifymod
 from . import vtkio
 from .errors import ConfigError, Diverged, RdfluxError
+from .mesh import FULL_PRECISION
 from .solver import Solver
 
 __all__ = ["main"]
@@ -41,21 +47,32 @@ def _state_path(plan):
     return os.path.join(plan.directory, f"{plan.basename}_state.csv")
 
 
+def _write_csv(path, header, keys, values):
+    """Write ``header``, then one row per integer key followed by its row
+    of ``values`` at full precision; report the file."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key, row in zip(keys, values):
+            writer.writerow([int(key)] + [FULL_PRECISION % v for v in row])
+    print(f"wrote {path}")
+
+
 def _write_state_csv(mesh, law, q, path):
     names = (
         ["density", "momentum_x", "momentum_y", "total_energy"]
         if law.m == 4
         else [f"q{j}" for j in range(law.m)]
     )
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y"] + names)
-        for i in range(mesh.n_nodes):
-            x, y = mesh.points[i]
-            writer.writerow(
-                [i, "%.17g" % x, "%.17g" % y] + ["%.17g" % v for v in q[i]]
-            )
-    return path
+    _write_csv(path, ["node", "x", "y"] + names, range(mesh.n_nodes),
+               np.column_stack([mesh.points, q]))
+
+
+def _write_probe_csv(mesh, fields, name, tag, path):
+    """One surface probe of ``fields[name]`` (node, arc_length, x, y, value)."""
+    nodes, arc, values = vtkio.probe_surface(mesh, fields[name], tag)
+    _write_csv(path, ["node", "arc_length", "x", "y", name], nodes,
+               np.column_stack([arc, mesh.points[nodes], values]))
 
 
 def _read_state_csv(path, n_nodes, m):
@@ -109,10 +126,7 @@ def _load_mapping(arg):
 
 def _nodal_fields(problem, q):
     if problem.law.m == 4:
-        q_ref = None
-        if problem.q0 is not None:
-            q_ref = problem.q0[0]
-        return vtkio.euler_point_fields(problem.law, q, q_ref)
+        return vtkio.euler_point_fields(problem.law, q, problem.q0[0])
     return {"solution": q[:, 0]}
 
 
@@ -130,9 +144,7 @@ def _cmd_run(args):
     solver = Solver(problem.mesh, problem.law, problem.boundaries, problem.solver_config)
 
     def progress(it, q, rel):
-        if args.quiet:
-            return
-        if it == 1 or it % problem.solver_config.history_stride == 0:
+        if not args.quiet and solver.records(it):
             print(f"iter {it:7d}  relative rate {rel:.3e}", flush=True)
 
     result = solver.march(problem.q0, callback=progress)
@@ -141,22 +153,15 @@ def _cmd_run(args):
         f"(relative rate {result.final_residual:.3e})"
     )
 
+    out = os.path.join(plan.directory, plan.basename)
     fields = _nodal_fields(problem, result.q)
-    if plan.fields:
-        path = os.path.join(plan.directory, f"{plan.basename}.vtk")
-        vtkio.write_vtk(problem.mesh, fields, path)
-        print(f"wrote {path}")
-    if plan.history:
-        path = os.path.join(plan.directory, f"{plan.basename}_history.csv")
-        vtkio.write_history_csv(result.history, path)
-        print(f"wrote {path}")
-    state = _write_state_csv(problem.mesh, problem.law, result.q, _state_path(plan))
-    print(f"wrote {state}")
+    print(f"wrote {vtkio.write_vtk(problem.mesh, fields, out + '.vtk')}")
+    _write_csv(out + "_history.csv", ["iteration", "pseudo_time", "relative_rate"],
+               [h[0] for h in result.history], [h[1:] for h in result.history])
+    _write_state_csv(problem.mesh, problem.law, result.q, _state_path(plan))
     probe_field = _default_probe_field(fields)
     for tag in plan.probes:
-        path = os.path.join(plan.directory, f"{plan.basename}_probe_{tag}.csv")
-        vtkio.write_probe_csv(problem.mesh, fields[probe_field], tag, path, name=probe_field)
-        print(f"wrote {path}")
+        _write_probe_csv(problem.mesh, fields, probe_field, tag, f"{out}_probe_{tag}.csv")
 
     return 0 if result.converged else 2
 
@@ -216,8 +221,7 @@ def _cmd_probe(args):
     if name not in fields:
         raise ConfigError(f"unknown field {name!r}; available: {', '.join(fields)}")
     out = args.out or os.path.join(plan.directory, f"{plan.basename}_probe_{args.tag}.csv")
-    vtkio.write_probe_csv(problem.mesh, fields[name], args.tag, out, name=name)
-    print(f"wrote {out}")
+    _write_probe_csv(problem.mesh, fields, name, args.tag, out)
     return 0
 
 

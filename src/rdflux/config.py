@@ -14,13 +14,20 @@ typed value (``_resolve``); ``canonicalize`` spells the typed values
 out, so parse -> serialize -> parse is the identity on canonical text,
 and ``build_problem`` turns them into live objects: the mesh, the
 conservation law, the boundary set, the initial state, the solver
-configuration, and the output plan.  Whether a boundary binding fits
-the mesh and the law is ``BoundarySet``'s to check.
+configuration, and the output plan (the directory, the basename and
+the probed tags; every run writes all of its outputs).  A cylinder mesh
+is centred at the origin, and ``mesh.outer`` places the domain around
+it.  The range rules of the law, the free stream, the mesh generators
+and ``SolverConfig.validate`` are theirs; ``build_problem`` reports what
+they reject as a ConfigError naming the section (``_section``).
+Whether a boundary binding fits the mesh and the law is
+``BoundarySet``'s to check.
 """
 from __future__ import annotations
 
 import dataclasses
 import inspect
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +189,6 @@ _SCHEMA = {
     "mesh.ny": _Spec("int", when=_mesh("rect")),
     "mesh.perturb": _Spec("float", 0.0, when=_mesh("rect")),
     "mesh.seed": _Spec("int", _default(meshgen.perturb_interior, "seed"), when=_mesh("rect")),
-    "mesh.center": _Spec("floats", (0.0, 0.0), count=2, when=_mesh("cylinder")),
     "mesh.radius": _Spec("float", when=_mesh("cylinder")),
     "mesh.outer": _Spec("outer", when=_mesh("cylinder")),
     "mesh.n_radial": _Spec("int", when=_mesh("cylinder")),
@@ -194,8 +200,6 @@ _SCHEMA = {
     **_solver_schema(),
     "output.directory": _Spec("word", "out"),
     "output.basename": _Spec("word", "run"),
-    "output.fields": _Spec("bool", True),
-    "output.history": _Spec("bool", True),
     "output.probes": _Spec("words", ()),
 }
 
@@ -340,7 +344,6 @@ def _supersonic_preset():
         "law.kind": "euler",
         "law.mach": "5.0",
         "mesh.kind": "cylinder",
-        "mesh.center": "0 0",
         "mesh.radius": "1.0",
         "mesh.outer": "rect -2 0 -3 3",
         "mesh.n_radial": "25",
@@ -364,7 +367,6 @@ def _subsonic_preset():
         "law.kind": "euler",
         "law.mach": "0.35",
         "mesh.kind": "cylinder",
-        "mesh.center": "0 0",
         "mesh.radius": "0.5",
         "mesh.outer": "rect -7 7 -7 7",
         "mesh.n_radial": "49",
@@ -408,8 +410,6 @@ def preset(name):
 class OutputPlan:
     directory: str
     basename: str
-    fields: bool
-    history: bool
     probes: tuple
 
 
@@ -423,18 +423,24 @@ class Problem:
     output: OutputPlan
 
 
+@contextmanager
+def _section(name):
+    """Report an InvalidArgument raised inside as a ConfigError of section ``name``."""
+    try:
+        yield
+    except InvalidArgument as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _build_law(v):
     kind = v["law.kind"]
-    try:
-        if kind == "advection":
-            return physics.Advection(v["law.velocity"])
-        if kind == "rotating-advection":
-            return physics.RotatingAdvection(v["law.omega"])
-        if kind == "burgers":
-            return physics.Burgers()
-        return physics.Euler(v["law.gamma"])
-    except InvalidArgument as exc:
-        raise ConfigError(f"law: {exc}") from exc
+    if kind == "advection":
+        return physics.Advection(v["law.velocity"])
+    if kind == "rotating-advection":
+        return physics.RotatingAdvection(v["law.omega"])
+    if kind == "burgers":
+        return physics.Burgers()
+    return physics.Euler(v["law.gamma"])
 
 
 def _build_mesh(v):
@@ -443,18 +449,16 @@ def _build_mesh(v):
             return load_mesh(v["mesh.file"])
         except OSError as exc:
             raise ConfigError(f"mesh.file: cannot read {v['mesh.file']}: {exc}") from exc
-    try:
+    with _section("mesh"):
         if v["mesh.kind"] == "rect":
             mesh = meshgen.generate_rect_mesh(v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"])
             if v["mesh.perturb"]:
                 mesh = meshgen.perturb_interior(mesh, v["mesh.perturb"], seed=v["mesh.seed"])
             return mesh
         return meshgen.generate_cylinder_mesh(
-            v["mesh.center"], v["mesh.radius"], v["mesh.outer"],
+            (0.0, 0.0), v["mesh.radius"], v["mesh.outer"],
             v["mesh.n_radial"], v["mesh.n_circum"], grading=v["mesh.grading"],
         )
-    except InvalidArgument as exc:
-        raise ConfigError(f"mesh: {exc}") from exc
 
 
 def _sine_band_profile(x0, x1):
@@ -503,7 +507,8 @@ def _build_initial(law, v, q_inf, n_nodes):
     if len(vals) == 1:
         vals = vals * law.m
     if len(vals) != law.m:
-        raise ConfigError(f"init.value must have 1 or {law.m} components")
+        counts = "1 component" if law.m == 1 else f"1 or {law.m} components"
+        raise ConfigError(f"init.value must have {counts}, got {len(vals)}")
     return np.tile(np.array(vals), (n_nodes, 1))
 
 
@@ -521,13 +526,18 @@ def build_mesh_only(mapping):
 def build_problem(mapping):
     """Construct all live objects for a run from a config mapping."""
     v = _resolve(mapping)
-    law = _build_law(v)
+    with _section("law"):
+        law = _build_law(v)
+        q_inf = law.freestream(v["law.mach"], v["law.aoa_deg"]) if "law.mach" in v else None
     mesh = _build_mesh(v)
     missing = [tag for tag in v["output.probes"] if tag not in mesh.tags]
     if missing:
         tags = ", ".join(mesh.tags)
         raise ConfigError(f"output.probes: no mesh tag {', '.join(missing)}; tags: {tags}")
-    q_inf = law.freestream(v["law.mach"], v["law.aoa_deg"]) if "law.mach" in v else None
+    with _section("solver"):
+        solver_config = SolverConfig(**{
+            key[len("solver."):]: val for key, val in v.items() if key.startswith("solver.")
+        }).validate()
     bindings = {
         key[len("boundary."):]: _build_binding(key, words, q_inf)
         for key, words in v.items()
@@ -538,14 +548,6 @@ def build_problem(mapping):
         law=law,
         boundaries=BoundarySet(mesh, law, bindings),
         q0=_build_initial(law, v, q_inf, mesh.n_nodes),
-        solver_config=SolverConfig(**{
-            key[len("solver."):]: val for key, val in v.items() if key.startswith("solver.")
-        }).validate(),
-        output=OutputPlan(
-            directory=v["output.directory"],
-            basename=v["output.basename"],
-            fields=v["output.fields"],
-            history=v["output.history"],
-            probes=v["output.probes"],
-        ),
+        solver_config=solver_config,
+        output=OutputPlan(v["output.directory"], v["output.basename"], v["output.probes"]),
     )

@@ -30,6 +30,10 @@ __all__ = [
     "save_mesh",
 ]
 
+# The text form of a float in every written file: 17 significant digits,
+# which read back as the same double.
+FULL_PRECISION = "%.17g"
+
 # Triangles thinner than this (area relative to squared edge scale) are
 # rejected as degenerate.
 _DEGENERATE_RTOL = 1e-14
@@ -392,7 +396,7 @@ def save_mesh(mesh, path):
         fh.write("rdmesh 1\n")
         fh.write(f"nodes {mesh.n_nodes}\n")
         for x, y in mesh.points:
-            fh.write(f"{x:.17g} {y:.17g}\n")
+            fh.write(f"{FULL_PRECISION % x} {FULL_PRECISION % y}\n")
         fh.write(f"triangles {mesh.n_tris}\n")
         for a, b, c in mesh.tris:
             fh.write(f"{a} {b} {c}\n")

@@ -100,6 +100,8 @@ def generate_cylinder_mesh(center, radius, outer_spec, n_radial, n_circum,
     """
     cx, cy = map(float, center)
     radius = float(radius)
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InvalidArgument(f"cylinder center must be finite, got {center}")
     # Each check is written so that NaN fails it.
     if not radius > 0.0:
         raise InvalidArgument("cylinder radius must be positive")
@@ -171,11 +173,12 @@ def perturb_interior(mesh, amplitude, seed=0):
     ``amplitude`` (finite, nonnegative) is relative to each node's local
     length scale sqrt(dual area).  Boundary nodes stay put.  Each try moves
     the nodes by :meth:`Mesh.with_points`; one that leaves a triangle with
-    a fifth of its area or less (or degenerate) is retried at half the
-    amplitude.  The result shares ``mesh``'s triangles, boundary edges and
-    tags; only the geometry is recomputed.  Used by rect meshes with
-    ``mesh.perturb`` > 0 (the ``advection-rotating`` preset) and by tests
-    that need an irregular triangulation.
+    a fifth of its area or less (or degenerate, or so far that its areas
+    overflow) is retried at half the amplitude.  The result shares
+    ``mesh``'s triangles, boundary edges and tags; only the geometry is
+    recomputed.  Used by rect meshes with ``mesh.perturb`` > 0 (the
+    ``advection-rotating`` preset) and by tests that need an irregular
+    triangulation.
     """
     amp = float(amplitude)
     if not 0.0 <= amp < math.inf:
@@ -189,11 +192,12 @@ def perturb_interior(mesh, amplitude, seed=0):
     offset[~interior] = 0.0
     for _ in range(12):
         try:
-            moved = mesh.with_points(mesh.points + amp * scale[:, None] * offset)
+            with np.errstate(over="raise", invalid="raise"):
+                moved = mesh.with_points(mesh.points + amp * scale[:, None] * offset)
             # Keep a quality floor so no triangle collapses or flips.
             if np.all(moved.areas > 0.2 * mesh.areas):
                 return moved
-        except DegenerateElement:
+        except (DegenerateElement, FloatingPointError):
             pass
         amp *= 0.5
     raise DegenerateElement("could not jitter mesh without inverting a triangle")

@@ -204,8 +204,8 @@ class Advection(ConservationLaw):
 
     def __init__(self, velocity=(1.0, 0.0)):
         self.velocity = np.array(velocity, dtype=float)
-        if self.velocity.shape != (2,):
-            raise InvalidArgument("advection velocity must be a 2-vector")
+        if self.velocity.shape != (2,) or not np.isfinite(self.velocity).all():
+            raise InvalidArgument(f"advection velocity must be a finite 2-vector, got {velocity}")
 
     def velocity_at(self, xy):
         xy = np.asarray(xy, dtype=float)
@@ -241,6 +241,8 @@ class RotatingAdvection(ConservationLaw):
 
     def __init__(self, omega=math.pi):
         self.omega = float(omega)
+        if not math.isfinite(self.omega):
+            raise InvalidArgument(f"rotation rate omega must be finite, got {omega}")
 
     def velocity_at(self, xy):
         xy = np.asarray(xy, dtype=float)
@@ -630,6 +632,9 @@ class Euler(ConservationLaw):
     # -- reference state -----------------------------------------------------
     def freestream(self, mach, aoa_deg=0.0):
         """Reference state: rho = 1, p = gamma^-gamma (so entropy deviation 0)."""
+        if not (math.isfinite(mach) and math.isfinite(aoa_deg)):
+            raise InvalidArgument(
+                f"mach and aoa_deg must be finite, got mach {mach}, aoa_deg {aoa_deg}")
         p = self.gamma**-self.gamma
         a = math.sqrt(self.gamma * p)
         speed = mach * a

@@ -692,6 +692,11 @@ class Solver:
         dq *= dq
         return math.sqrt(float(dq.sum()))
 
+    def records(self, it):
+        """Whether ``march`` records iteration ``it`` in its history: the
+        first and every ``history_stride``-th (the last is added at the end)."""
+        return it == 1 or it % self.cfg.history_stride == 0
+
     def march(self, q0, *, callback=None):
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
 
@@ -743,7 +748,7 @@ class Solver:
                     rel = 0.0
             else:
                 rel = rate / r0 if r0 > 0.0 else 0.0
-            if it == 1 or it % cfg.history_stride == 0:
+            if self.records(it):
                 history.append((it, t, rel))
             if accel is not None and rel > cfg.stop_tol:
                 q_new = accel.next(q, q_new)

@@ -1,30 +1,26 @@
-"""Result emission: legacy VTK fields, CSV histories, surface probes.
+"""Result emission: legacy VTK fields, surface probes, gas-dynamics fields.
 
 Field snapshots go to legacy ASCII VTK unstructured-grid files (cell
 type 5 = triangle) with one SCALARS block per named nodal field, which
-every standard viewer reads without extra libraries.  Histories and
-probes are plain CSV with a header row.  Floating-point values are
-printed with 17 significant digits so round-tripping through text
-preserves them bit-for-bit.
+every standard viewer reads without extra libraries.  Floating-point
+values are printed in ``mesh.FULL_PRECISION``, so round-tripping through
+text preserves them bit for bit.  ``probe_surface`` samples a nodal
+field along a boundary tag; the command line writes the samples, like
+the run's other CSV files, through its one row writer.
 """
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 
 from .errors import InvalidArgument
+from .mesh import FULL_PRECISION
 
 __all__ = [
     "write_vtk",
-    "write_history_csv",
     "probe_surface",
-    "write_probe_csv",
     "euler_point_fields",
     "entropy_deviation",
 ]
-
-_FMT = "%.17g"
 
 
 def entropy_deviation(law, q, q_ref):
@@ -43,22 +39,19 @@ def entropy_deviation(law, q, q_ref):
     return (s - s_ref) / abs(s_ref)
 
 
-def euler_point_fields(law, q, q_ref=None):
-    """Standard nodal output fields for gas dynamics, as an ordered dict.
-
-    density, pressure, mach, and (with a reference state) the relative
-    entropy deviation.
+def euler_point_fields(law, q, q_ref):
+    """Standard nodal output fields for gas dynamics, as an ordered dict:
+    density, pressure, mach, and the relative entropy deviation from the
+    reference state ``q_ref``.
     """
     rho, u, v, p = law.primitives(q)
     a = np.sqrt(law.gamma * p / rho)
-    fields = {
+    return {
         "density": rho,
         "pressure": p,
         "mach": np.hypot(u, v) / a,
+        "entropy_deviation": entropy_deviation(law, q, q_ref),
     }
-    if q_ref is not None:
-        fields["entropy_deviation"] = entropy_deviation(law, q, q_ref)
-    return fields
 
 
 def write_vtk(mesh, fields, path):
@@ -89,7 +82,7 @@ def write_vtk(mesh, fields, path):
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} double\n")
         for x, y in pts:
-            fh.write(f"{_FMT % x} {_FMT % y} 0\n")
+            fh.write(f"{FULL_PRECISION % x} {FULL_PRECISION % y} 0\n")
         fh.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
         for a, b, c in tris:
             fh.write(f"3 {a} {b} {c}\n")
@@ -102,17 +95,7 @@ def write_vtk(mesh, fields, path):
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
                 for value in arr:
-                    fh.write(f"{_FMT % value}\n")
-    return path
-
-
-def write_history_csv(history, path):
-    """Write (iteration, pseudo_time, relative_rate) triples as CSV."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "pseudo_time", "relative_rate"])
-        for it, t, rel in history:
-            writer.writerow([int(it), _FMT % t, _FMT % rel])
+                    fh.write(f"{FULL_PRECISION % value}\n")
     return path
 
 
@@ -168,14 +151,3 @@ def probe_surface(mesh, field, tag):
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     return order, arc, field[order]
 
-
-def write_probe_csv(mesh, field, tag, path, name="value"):
-    """Write one surface probe as CSV (node, arc_length, x, y, value)."""
-    nodes, arc, values = probe_surface(mesh, field, tag)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "arc_length", "x", "y", name])
-        for nid, s, val in zip(nodes, arc, values):
-            x, y = mesh.points[nid]
-            writer.writerow([int(nid), _FMT % s, _FMT % x, _FMT % y, _FMT % val])
-    return path

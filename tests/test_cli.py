@@ -23,7 +23,6 @@ solver.max_iters = 30
 solver.stop_tol = 0
 solver.divergence_factor = {factor}
 output.directory = {out}
-output.fields = false
 """
 
 
@@ -31,6 +30,21 @@ def run_case(tmp_path, factor):
     path = tmp_path / "case.cfg"
     path.write_text(CASE.format(factor=factor, out=tmp_path / "out"))
     return cli.main(["run", str(path), "--quiet"])
+
+
+def write_case(tmp_path, keys):
+    """CASE with ``keys`` set, replaced or (at None) removed; returns its path."""
+    mapping = config.parse_text(CASE.format(factor="1e6", out=tmp_path / "out"))
+    mapping.update(keys)
+    path = tmp_path / "case.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items() if v is not None))
+    return path
+
+
+def config_error_of(tmp_path, capsys, keys):
+    """The stderr of ``rdflux run`` on ``write_case(keys)``, which must exit 1."""
+    assert cli.main(["run", str(write_case(tmp_path, keys)), "--quiet"]) == 1
+    return capsys.readouterr().err
 
 
 def test_divergence_exits_with_code_3(tmp_path, capsys):
@@ -96,8 +110,7 @@ def test_unknown_probe_tag_fails_before_the_march(tmp_path, capsys):
 def test_unwritable_field_file_is_an_io_error(tmp_path, capsys):
     # Every write failure takes the one OSError path of ``cli.main``.
     path = tmp_path / "case.cfg"
-    path.write_text(CASE.format(factor="1e6", out=tmp_path / "out")
-                    .replace("output.fields = false", "output.fields = true"))
+    path.write_text(CASE.format(factor="1e6", out=tmp_path / "out"))
     (tmp_path / "out" / "run.vtk").mkdir(parents=True)
     assert cli.main(["run", str(path), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -170,3 +183,84 @@ def test_probe_rejects_non_ascii_state(tmp_path, capsys):
     assert cli.main(["probe", str(tmp_path / "case.cfg"), "left"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: saved state {state} is not ASCII text: ")
+
+
+GAS = {"law.kind": "euler", "law.mach": "0.5", "init.kind": None, "init.value": None,
+       **{f"boundary.{tag}": "farfield" for tag in ("left", "right", "top", "bottom")}}
+
+
+@pytest.mark.parametrize("keys, message", [
+    ({"solver.cfl_fraction": "2"}, "solver: cfl_fraction must lie in (0, 1]"),
+    ({"solver.max_iters": "0"}, "solver: max_iters must be an integer of at least 1, got 0"),
+    ({"solver.stop_tol": "-1"}, "solver: stop_tol must be nonnegative, got -1.0"),
+    ({"solver.history_stride": "0"},
+     "solver: history_stride must be an integer of at least 1, got 0"),
+    ({**GAS, "law.aoa_deg": "inf"},
+     "law: mach and aoa_deg must be finite, got mach 0.5, aoa_deg inf"),
+    ({**GAS, "law.mach": "nan"}, "law: mach and aoa_deg must be finite, got mach nan, aoa_deg 0.0"),
+    ({**GAS, "law.mach": "inf"}, "law: mach and aoa_deg must be finite, got mach inf, aoa_deg 0.0"),
+    ({"law.kind": "advection", "law.velocity": "nan 0"},
+     "law: advection velocity must be a finite 2-vector, got (nan, 0.0)"),
+    ({"law.kind": "rotating-advection", "law.omega": "nan"},
+     "law: rotation rate omega must be finite, got nan"),
+    ({"init.value": "0.5 0.5"}, "init.value must have 1 component, got 2"),
+], ids=["cfl_fraction", "max_iters", "stop_tol", "history_stride", "inf-aoa_deg", "nan-mach",
+        "inf-mach", "nan-velocity", "nan-omega", "scalar-init-value"])
+def test_a_rejected_option_is_a_configuration_error_of_its_section(tmp_path, capsys, keys,
+                                                                   message):
+    assert config_error_of(tmp_path, capsys, keys) == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["output.fields", "output.history", "mesh.center"])
+def test_a_deleted_key_is_unknown(tmp_path, capsys, key):
+    err = config_error_of(tmp_path, capsys, {key: "0"})
+    assert err == f"configuration error: unknown configuration key {key!r}\n"
+
+
+def test_written_csv_files_have_header_rows_and_crlf_lines(tmp_path):
+    path = write_case(tmp_path, {"output.probes": "bottom"})
+    assert cli.main(["run", str(path), "--quiet"]) == 2
+    headers = {
+        "run_history.csv": b"iteration,pseudo_time,relative_rate",
+        "run_state.csv": b"node,x,y,q0",
+        "run_probe_bottom.csv": b"node,arc_length,x,y,solution",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / "out" / name).read_bytes().split(b"\r\n")
+        assert lines[0] == header, name
+        # Every line ends in CRLF: the text ends with one, and no other
+        # line break is left.
+        assert lines[-1] == b"" and not any(b"\n" in x or b"\r" in x for x in lines), name
+    history = (tmp_path / "out" / "run_history.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in history] == ["1", "10", "20", "30"]
+
+
+def test_state_round_trips_bit_for_bit(tmp_path):
+    problem = config.build_problem(config.parse_text(CASE.format(factor="1e6", out=tmp_path)))
+    mesh, law = problem.mesh, problem.law
+    q = np.linspace(-1.0, 1.0, mesh.n_nodes)[:, None] / 3.0
+    q[4, 0] = 0.1 + 0.2
+    path = tmp_path / "state.csv"
+    cli._write_state_csv(mesh, law, q, path)
+    assert path.read_text().splitlines()[5].split(",")[3] == "0.30000000000000004"
+    assert cli._read_state_csv(path, mesh.n_nodes, law.m).tobytes() == q.tobytes()
+
+
+def test_vtk_blocks_match_the_mesh(tmp_path):
+    assert run_case(tmp_path, "1e6") == 2
+    mesh = config.build_mesh_only(config.parse_text(CASE.format(factor="1e6", out=tmp_path)))
+    n, t = mesh.n_nodes, mesh.n_tris
+    lines = (tmp_path / "out" / "run.vtk").read_text().splitlines()
+    assert lines[4] == f"POINTS {n} double"
+    points = np.array([[float(w) for w in line.split()] for line in lines[5:5 + n]])
+    assert np.array_equal(points, np.column_stack([mesh.points, np.zeros(n)]))
+    assert lines[5 + n] == f"CELLS {t} {4 * t}"
+    cells = [[int(w) for w in line.split()] for line in lines[6 + n:6 + n + t]]
+    assert cells == [[3, *tri] for tri in mesh.tris.tolist()]
+    assert lines[6 + n + t] == f"CELL_TYPES {t}"
+    assert lines[7 + n + t:7 + n + 2 * t] == ["5"] * t
+    k = 7 + n + 2 * t
+    assert lines[k:k + 3] == [f"POINT_DATA {n}", "SCALARS solution double 1",
+                              "LOOKUP_TABLE default"]
+    state = cli._read_state_csv(tmp_path / "out" / "run_state.csv", n, 1)
+    assert np.array_equal([float(x) for x in lines[k + 3:]], state[:, 0])

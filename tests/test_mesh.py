@@ -354,6 +354,14 @@ class TestRectGenerator:
         )):
             meshgen.perturb_interior(m, amplitude)
 
+    @pytest.mark.parametrize("amplitude", [1e200, 1e308])
+    def test_perturb_fails_cleanly_where_the_areas_overflow(self, amplitude):
+        # Tier-1 turns RuntimeWarning into an error: an overflowing try
+        # must count as a failed try, not warn.
+        m = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 4, 4)
+        with pytest.raises(DegenerateElement, match="^could not jitter mesh"):
+            meshgen.perturb_interior(m, amplitude)
+
     def test_perturb_deterministic(self):
         m = meshgen.generate_rect_mesh((0.0, 1.0, 0.0, 1.0), 8, 8)
         a = meshgen.perturb_interior(m, 0.2, seed=5)
@@ -393,6 +401,15 @@ class TestCylinderGenerator:
     def test_nan_radius_rejected(self, radius, outer, message):
         with pytest.raises(InvalidArgument, match=f"^{message}$"):
             meshgen.generate_cylinder_mesh((0.0, 0.0), radius, ("radius", outer), 4, 12)
+
+    @pytest.mark.parametrize("outer", [("radius", 3.0), ("rect", (-2.0, 2.0, -2.0, 2.0))],
+                             ids=["annulus", "rect"])
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan-x", "inf-y"])
+    def test_non_finite_center_rejected(self, center, outer):
+        with pytest.raises(InvalidArgument, match=(
+            f"^cylinder center must be finite, got {re.escape(str(center))}$"
+        )):
+            meshgen.generate_cylinder_mesh(center, 1.0, outer, 4, 12)
 
     def test_grading_bound(self):
         with pytest.raises(InvalidArgument):

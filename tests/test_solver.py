@@ -10,7 +10,9 @@ import pytest
 
 from rdflux import boundary, config, limiting, meshgen, physics, solver
 from rdflux import distribution as dist
-from rdflux.errors import Diverged, InvalidArgument, NonPhysicalState, StagnantField
+from rdflux.errors import (
+    ConfigError, Diverged, InvalidArgument, NonPhysicalState, StagnantField,
+)
 from rdflux.solver import SolverConfig
 
 from .conftest import n_system, random_euler_states, sweep_bound
@@ -48,7 +50,7 @@ class TestSolverConfig:
     def test_build_problem_rejects_a_nan_stop_tol(self):
         mapping = config.preset("advection-rotating")
         mapping["solver.stop_tol"] = "nan"
-        with pytest.raises(InvalidArgument, match="^stop_tol must"):
+        with pytest.raises(ConfigError, match="^solver: stop_tol must"):
             config.build_problem(mapping)
 
 
