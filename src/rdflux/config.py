@@ -19,7 +19,9 @@ the probed tags; every run writes all of its outputs).  A cylinder mesh
 is centred at the origin, and ``mesh.outer`` places the domain around
 it.  The range rules of the law, the free stream, the mesh generators
 and ``SolverConfig.validate`` are theirs; ``build_problem`` reports what
-they reject as a ConfigError naming the section (``_section``).
+they reject as a ConfigError naming the section (``_section``), and a
+mesh file that cannot be read or that ``load_mesh`` rejects as one of
+``mesh.file`` naming the file.
 Whether a boundary binding fits the mesh and the law is
 ``BoundarySet``'s to check.
 """
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import meshgen, physics
 from .boundary import KINDS, BoundarySet
-from .errors import ConfigError, InvalidArgument
+from .errors import ConfigError, DegenerateElement, InvalidArgument, InvalidTopology
 from .mesh import load_mesh
 from .solver import CHOICES, SolverConfig
 
@@ -449,6 +451,8 @@ def _build_mesh(v):
             return load_mesh(v["mesh.file"])
         except OSError as exc:
             raise ConfigError(f"mesh.file: cannot read {v['mesh.file']}: {exc}") from exc
+        except (InvalidTopology, DegenerateElement) as exc:
+            raise ConfigError(f"mesh.file: {exc}") from exc
     with _section("mesh"):
         if v["mesh.kind"] == "rect":
             mesh = meshgen.generate_rect_mesh(v["mesh.bounds"], v["mesh.nx"], v["mesh.ny"])

@@ -227,9 +227,11 @@ class Mesh:
 
         ``tagged_edges`` is an iterable of (i, j, tag).  Every boundary edge
         of the triangulation must receive exactly one tag; orientation of
-        the pairs is normalized automatically.  Clockwise triangles are
-        reoriented with a warning.  The topology is validated here once;
-        :meth:`with_points` reuses it.
+        the pairs is normalized automatically.  A tag is one word without
+        ``#``, as a mesh file and a config key can hold it; any other tag
+        raises InvalidTopology naming the first edge that carries it.
+        Clockwise triangles are reoriented with a warning.  The topology is
+        validated here once; :meth:`with_points` reuses it.
         """
         points = _as_points(points)
         tris = np.array(tris, dtype=np.int64)
@@ -295,6 +297,12 @@ class Mesh:
                 f"{len(untagged)} boundary edge(s) without a tag, e.g. {untagged[:3]}"
             )
         btags = tuple(tags)
+        for tag in dict.fromkeys(btags):  # each distinct tag once, in edge order
+            if tag.split() != [tag] or "#" in tag:
+                edge = list(slot)[btags.index(tag)]
+                raise InvalidTopology(
+                    f"boundary edge {edge} has tag {tag!r}: a tag is one word without '#'"
+                )
 
         for arr in (tris, normals, areas, dual, bedges):
             arr.setflags(write=False)
@@ -318,7 +326,11 @@ def build_dual(tris, areas, n_nodes):
 
 
 def load_mesh(path):
-    """Read the native ASCII format (header ``rdmesh 1``)."""
+    """Read the native ASCII format (header ``rdmesh 1``).
+
+    Every error names the file once: ``<path>:<line>: ...`` for a line that
+    does not parse, ``<path>: ...`` for contents that ``Mesh.from_arrays``
+    rejects.  A boundary line holds exactly two node ids and a tag."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
@@ -383,11 +395,15 @@ def load_mesh(path):
     for k in range(kb):
         lineno, fields = next_line()
         try:
-            tagged.append((int(fields[0]), int(fields[1]), fields[2]))
-        except (IndexError, ValueError):
+            i, j, tag = fields
+            tagged.append((int(i), int(j), tag))
+        except ValueError:
             fail(lineno, f"bad boundary line {fields}")
 
-    return Mesh.from_arrays(points, tris, tagged)
+    try:
+        return Mesh.from_arrays(points, tris, tagged)
+    except (InvalidTopology, DegenerateElement) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_mesh(mesh, path):

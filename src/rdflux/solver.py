@@ -30,8 +30,9 @@ One iteration runs in this order:
    computed once, or passed in from ``Solver`` where the mesh alone fixes
    it;
 2. the time step, by the rule of the law: relaxation for systems, upwind
-   for scalars (``stable_dt``).  An advection field's step depends on the
-   mesh alone: ``Solver`` computes it once and every iteration reuses it;
+   for scalars (``stable_dt``), always one value per node (N,), all equal
+   under global steps.  An advection field's step depends on the mesh
+   alone: ``Solver`` computes it once and every iteration reuses it;
 3. triangle pass (``Solver._distribute``, per chunk of triangles on the
    chunk's ``Sweep.take`` slice): each chunk gathers the nodal fields it
    needs, distributes its residual, and limits and corrects the parts at
@@ -57,8 +58,10 @@ One iteration runs in this order:
    conditions are enforced on it in place and it is checked once, by the
    law's ``check_physical`` (every state finite; a gas's density and
    pressure positive).  The update is formed in place in the scatter's
-   output (``Solver.step``).  The rate of this plain step at the current
-   iterate is the march's stop test and its ``history``;
+   output.  ``Solver.step(q)`` runs steps 1 to 4 on the state alone (it
+   forms its own sweep and step): it is the step map G of the march.
+   The rate of this plain step at the current iterate is the march's
+   stop test and its ``history``;
 5. mixing, under ``solver.acceleration = anderson`` and until the stop
    test passes (``_Anderson``): the plain step g and its residual
    f = g - q go into rings of the last six, and the next iterate is
@@ -290,12 +293,6 @@ def _gather(a, tris):
     return np.take(a.T, tris, axis=-1).T
 
 
-def _column(dt):
-    """A step as a factor of (N, m) nodal values: a per-node step (N,) as
-    (N, 1), a global step as it is."""
-    return dt[:, None] if np.ndim(dt) == 1 else dt
-
-
 def _triangle_inner(a):
     """``a`` (T, ...) stored with the triangle axis innermost (a copy unless
     it already is)."""
@@ -386,7 +383,7 @@ class Solver:
     Per-mesh geometry (scaled inward normals and their lengths, areas,
     median dual areas) and, for advection laws, what depends on the mesh
     alone are precomputed once: the exact streamfunction-integrated upwind
-    parameters, the step of the upwind step rule (``dt_static``,
+    parameters, the (N,) step of the upwind step rule (``dt_static``,
     read-only; None where the field is stagnant), the correction's inflow
     weights (``weights_static``, when ``corrected``) and the scheme's
     linear map (g, w) (``map_static``: under RXN the relaxation map of the
@@ -433,8 +430,7 @@ class Solver:
             d = self._inflow_coefficients(None, self.k_static)
             if (d > 0.0).any():  # else stable_dt raises StagnantField on each call
                 self.dt_static = self._step_of(d)
-                if np.ndim(self.dt_static):
-                    self.dt_static.flags.writeable = False
+                self.dt_static.flags.writeable = False
 
         self.n_threads = self.cfg.n_threads
         self._chunks = self._plan_chunks()
@@ -526,8 +522,8 @@ class Solver:
 
         Returns ``(residual (N, m), fallback_count)``; the residual is a
         new array, which the caller may overwrite.  ``sweep`` passes the
-        iteration's precomputed ``Sweep`` of ``q`` (the marching loop
-        shares one between the step-size rule and the assembly); it is
+        iteration's precomputed ``Sweep`` of ``q`` (``step`` shares one
+        between the step-size rule and the assembly); it is
         computed when None, and the pass releases its gathered state, so
         a sweep serves one call.  With one chunk the residual is the scatter's
         bincount itself.  Chunks are accumulated in ascending chunk order,
@@ -601,19 +597,18 @@ class Solver:
         return self._scatter(self._tris_t.ravel(), contrib[..., None])[:, 0]
 
     def _step_of(self, d):
-        """The step of the inflow coefficients ``d``: global, or per node
-        under ``local_time_stepping``; StagnantField if no node is bounded."""
+        """The (N,) step of the inflow coefficients ``d``: the global value
+        at every node, or under ``local_time_stepping`` each bounded node's
+        own; StagnantField if no node is bounded."""
         pos = d > 0.0
         if not pos.any():
             raise StagnantField(
                 "no wave crosses any dual-cell boundary; the time step is unbounded"
             )
         bounds = 2.0 * self.dual[pos] / d[pos]
-        dt_global = self.cfg.cfl_fraction * bounds.min()
-        if not self.cfg.local_time_stepping:
-            return dt_global
-        dt = np.full(self.n_nodes, dt_global)
-        dt[pos] = self.cfg.cfl_fraction * 2.0 * self.dual[pos] / d[pos]
+        dt = np.full(self.n_nodes, self.cfg.cfl_fraction * bounds.min())
+        if self.cfg.local_time_stepping:
+            dt[pos] = self.cfg.cfl_fraction * 2.0 * self.dual[pos] / d[pos]
         return dt
 
     def stable_dt(self, q, sweep=None):
@@ -628,15 +623,15 @@ class Solver:
         smaller than the relaxation bound, so under RXN a scalar law steps
         beyond that scheme's positivity bound (see the README).
 
-        Nodes with zero inflow coefficient impose no bound and are
-        skipped; if every node is unconstrained the field cannot evolve
-        and StagnantField is raised, on every call.  With
-        ``local_time_stepping`` the return is per-node (unconstrained
-        nodes get the global value).  An advection field's step depends
-        on the mesh alone: it is the step ``dt_static`` computed once at
-        construction, returned as is (a per-node step is read-only), and
-        ``q`` is not read.  ``sweep`` passes the precomputed ``Sweep`` of
-        ``q``.
+        The step is one value per node, an (N,) array: the global value
+        at every node, or with ``local_time_stepping`` each node's own
+        (unconstrained nodes get the global value).  Nodes with zero
+        inflow coefficient impose no bound and are skipped; if every node
+        is unconstrained the field cannot evolve and StagnantField is
+        raised, on every call.  An advection field's step depends on the
+        mesh alone: it is the read-only step ``dt_static`` computed once
+        at construction, returned as is, and ``q`` is not read.  ``sweep``
+        passes the precomputed ``Sweep`` of ``q``.
         """
         if self.dt_static is not None:
             return self.dt_static
@@ -646,29 +641,28 @@ class Solver:
 
     # -- marching ------------------------------------------------------------
 
-    def step(self, q, dt=None, sweep=None):
-        """One forward pseudo-time step.
+    def step(self, q):
+        """One forward pseudo-time step: the step map G of the march,
+        q_new = b(q - dt / |C| R(q)), of the state alone.
 
-        Returns ``(q_new, update_rate, fallback_count)`` where the rate
-        is the nodal L2 norm of |C_i| (q_new - q) / dt (``_rate_norm``)
-        measured *after* boundary enforcement, so it vanishes exactly at a
-        steady state compatible with the boundary conditions.  ``sweep``
-        passes the precomputed ``Sweep`` of ``q``, shared by the step-size
-        rule and the assembly.  The update is formed in place in the
-        residual.  The new state is admitted once (``_admit``): after the
-        boundary conditions, NonPhysicalState names the first node with a
-        non-finite value, and for a gas then the first of non-positive
-        density or pressure.
+        Forms the sweep of ``q`` once and shares it between the step rule
+        (``stable_dt``) and the assembly.  Returns ``(q_new, update_rate,
+        fallback_count, dt)``: the rate is the nodal L2 norm of
+        |C_i| (q_new - q) / dt (``_rate_norm``) measured *after* boundary
+        enforcement, so it vanishes exactly at a steady state compatible
+        with the boundary conditions, and ``dt`` is the (N,) step taken.
+        The update is formed in place in the residual.  The new state is
+        admitted once (``_admit``): after the boundary conditions,
+        NonPhysicalState names the first node with a non-finite value, and
+        for a gas then the first of non-positive density or pressure.
         """
         q = np.asarray(q, dtype=float)
-        if sweep is None:
-            sweep = self._sweep(q)
-        if dt is None:
-            dt = self.stable_dt(q, sweep)
+        sweep = self._sweep(q)
+        dt = self.stable_dt(q, sweep)
         residual, fallback = self.assemble(q, sweep)
-        residual *= _column(dt) / self.dual[:, None]
+        residual *= (dt / self.dual)[:, None]
         q_new = self._admit(np.subtract(q, residual, out=residual))
-        return q_new, self._rate_norm(q_new - q, dt), fallback
+        return q_new, self._rate_norm(q_new - q, dt), fallback, dt
 
     def _admit(self, q, where=""):
         """The one admission of a marched state (the initial state, each
@@ -680,7 +674,8 @@ class Solver:
         return q
 
     def _rate_norm(self, dq, dt):
-        """The nodal L2 norm of |C_i| dq / dt, formed in place in ``dq`` (N, m).
+        """The nodal L2 norm of |C_i| dq / dt, formed in place in ``dq`` (N, m),
+        for the (N,) step ``dt``.
 
         The squared norm is one pairwise sum of the squares; ``np.dot``
         would be one pass less, but OpenBLAS runs a vector as long as a
@@ -688,7 +683,7 @@ class Solver:
         between iterations.
         """
         dq *= self.dual[:, None]
-        dq /= _column(dt)
+        dq /= dt[:, None]
         dq *= dq
         return math.sqrt(float(dq.sum()))
 
@@ -701,11 +696,14 @@ class Solver:
         """Iterate to steady state from ``q0`` ((N, m) or (N,) for m=1).
 
         The initial state is admitted as every step is (``_admit``, which
-        names the first node that is not physical).  The stopping test
-        compares each iteration's update rate with the first one's; a
-        first rate already at rounding level (below 1e-13 of the rate of
-        the state itself, |C| |q| / dt) counts as converged immediately
-        when ``stop_tol`` is positive.
+        names the first node that is not physical).  Each iteration takes
+        the step map G (``step``) of the iterate and then the update rule:
+        the plain step, or its Anderson mix; the pseudo-time advances by
+        the step's smallest nodal value.  The stopping test compares each
+        iteration's update rate with the first one's; a first rate already
+        at rounding level (below 1e-13 of the rate of the state itself,
+        |C| |q| / dt) counts as converged immediately when ``stop_tol`` is
+        positive.
         ``callback(iteration, q, relative_rate)`` runs every iteration.
         """
         cfg = self.cfg
@@ -726,20 +724,13 @@ class Solver:
         reason = "max_iters"
         it = 0
         fallback_total = 0
-        # A static step's minimum, the pseudo-time increment, is taken once.
-        dt_min = None if self.dt_static is None else float(np.min(self.dt_static))
         for it in range(1, cfg.max_iters + 1):
             try:
-                sweep = self._sweep(q)
-                dt = self.stable_dt(q, sweep)
-                q_new, rate, n_fb = self.step(q, dt, sweep)
+                q_new, rate, n_fb, dt = self.step(q)
             except NonPhysicalState as exc:
                 raise NonPhysicalState(f"iteration {it}: {exc}") from exc
-            del sweep
             fallback_total += n_fb
-            if dt is not self.dt_static:
-                dt_min = float(dt) if np.ndim(dt) == 0 else float(np.min(dt))
-            t += dt_min
+            t += float(dt.min())
             if r0 is None:
                 r0 = rate
                 rel = 1.0

@@ -221,7 +221,7 @@ def suite_free_stream(seed, steps=20):
         solver = Solver(mesh, law, bcs, cfg)
         q = np.tile(qinf, (mesh.n_nodes, 1))
         for _ in range(steps):
-            q_new, _, _ = solver.step(q)
+            q_new = solver.step(q)[0]
             worst = max(worst, float(np.abs(q_new - q).max()) / scale)
             q = q_new
     return SuiteResult(

@@ -264,3 +264,26 @@ def test_vtk_blocks_match_the_mesh(tmp_path):
                               "LOOKUP_TABLE default"]
     state = cli._read_state_csv(tmp_path / "out" / "run_state.csv", n, 1)
     assert np.array_equal([float(x) for x in lines[k + 3:]], state[:, 0])
+
+
+# The 8 x 4 rect of CASE, from a mesh file in place of its mesh.* keys.
+FROM_FILE = {"mesh.kind": None, "mesh.nx": None, "mesh.ny": None}
+
+
+@pytest.mark.parametrize("node, message", [
+    ("nan 1", "non-finite node coordinates"),
+    ("2 0", "triangle 0 has zero area"),
+], ids=["nan", "flat"])
+def test_a_faulty_mesh_file_is_a_configuration_error_naming_it(tmp_path, capsys, node,
+                                                               message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"rdmesh 1\nnodes 3\n0 0\n1 0\n{node}\ntriangles 1\n0 1 2\n"
+                    "boundary 3\n0 1 bottom\n1 2 right\n2 0 left\n")
+    err = config_error_of(tmp_path, capsys, {**FROM_FILE, "mesh.file": str(path)})
+    assert err == f"configuration error: mesh.file: {path}: {message}\n"
+
+
+def test_a_missing_mesh_file_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "nope.mesh"
+    err = config_error_of(tmp_path, capsys, {**FROM_FILE, "mesh.file": str(path)})
+    assert err.startswith(f"configuration error: mesh.file: cannot read {path}: ")

@@ -7,7 +7,8 @@ import pytest
 
 from rdflux import config, physics
 from rdflux.errors import ConfigError
-from rdflux.solver import SolverConfig
+from rdflux.mesh import save_mesh
+from rdflux.solver import Solver, SolverConfig
 
 ADVECTION_TEXT = """\
 # transport of a sine hump across the unit square
@@ -267,3 +268,27 @@ class TestBuildProblem:
             ConfigError, match=r"^output.probes: no mesh tag nope; tags: bottom, left, right, top$"
         ):
             config.build_problem(m)
+
+    def test_a_mesh_file_builds_the_problem_of_its_mesh_keys(self, tmp_path):
+        # The jittered 8 x 8 rect, saved and named by mesh.file, gives the
+        # mesh of its mesh.* keys in every field, and the same march.
+        jitter = {"mesh.kind": "rect", "mesh.nx": "8", "mesh.ny": "8",
+                  "mesh.perturb": "0.2", "mesh.seed": "3"}
+        path = tmp_path / "jitter.mesh"
+        save_mesh(config.build_mesh_only(jitter), path)
+        case = {"law.kind": "advection", "law.velocity": "1 0.5",
+                "boundary.left": "dirichlet 1", "boundary.bottom": "dirichlet 0",
+                "boundary.top": "outflow", "boundary.right": "outflow",
+                "solver.max_iters": "20", "solver.stop_tol": "0"}
+        from_keys = config.build_problem({**case, **jitter})
+        from_file = config.build_problem({**case, "mesh.file": str(path)})
+        for name in ("points", "tris", "normals", "areas", "dual_areas", "bedges"):
+            a, b = getattr(from_keys.mesh, name), getattr(from_file.mesh, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert from_file.mesh.btags == from_keys.mesh.btags
+        assert from_file.mesh.reoriented == from_keys.mesh.reoriented == 0
+        assert from_file.q0.tobytes() == from_keys.q0.tobytes()
+        results = [Solver(p.mesh, p.law, p.boundaries, p.solver_config).march(p.q0)
+                   for p in (from_keys, from_file)]
+        assert [r.iterations for r in results] == [20, 20]
+        assert results[0].q.tobytes() == results[1].q.tobytes()

@@ -107,8 +107,7 @@ def _step_high_water(scheme):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep = sol._sweep(q)
-        sol.step(q, sol.stable_dt(q, sweep), sweep)
+        sol.step(q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -140,6 +140,16 @@ class TestMeshChecks:
         with pytest.raises(InvalidTopology, match="^" + re.escape(message) + "$"):
             Mesh.from_arrays(points, tris, edges)
 
+    @pytest.mark.parametrize("tag", ["", "far field", "far\twall", "x#y"],
+                             ids=["empty", "space", "tab", "hash"])
+    def test_a_tag_is_one_word_without_a_hash(self, tag):
+        # A mesh file keeps the first word of a tag and cuts it at '#', and
+        # no config key can bind such a tag: the mesh rejects it.
+        edges = [(0, 1, "bottom"), (2, 1, tag), (2, 3, tag), (3, 0, "left")]
+        message = f"boundary edge (1, 2) has tag {tag!r}: a tag is one word without '#'"
+        with pytest.raises(InvalidTopology, match="^" + re.escape(message) + "$"):
+            Mesh.from_arrays(self.SQUARE, self.SQUARE_TRIS, edges)
+
 
 MESH_FIELDS = ("points", "tris", "normals", "areas", "dual_areas", "bedges")
 
@@ -309,6 +319,7 @@ class TestFileRoundTrip:
         (2, "nodes -1", "negative node count"),
         (6, "triangles -1", "negative triangle count"),
         (11, "2 0", "bad boundary line"),
+        (9, "0 1 far field", "bad boundary line"),
     ])
     def test_malformed_file_names_line(self, tmp_path, lineno, text, message):
         path = tmp_path / "m.mesh"
@@ -318,6 +329,18 @@ class TestFileRoundTrip:
         lines[lineno - 1] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidTopology, match="^" + re.escape(f"{path}:{lineno}: {message}")):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("node, error, message", [
+        ("nan 1", InvalidTopology, "non-finite node coordinates"),
+        ("2 0", DegenerateElement, "triangle 0 has zero area"),
+    ], ids=["nan", "flat"])
+    def test_rejected_contents_name_the_file(self, tmp_path, node, error, message):
+        path = tmp_path / "m.mesh"
+        lines = list(self.ONE_TRIANGLE)
+        lines[4] = node
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match="^" + re.escape(f"{path}: {message}") + "$"):
             load_mesh(path)
 
 

@@ -208,7 +208,7 @@ class TestStep:
             cfg = SolverConfig(scheme=scheme, limited=True, corrected=True)
             sol = solver.Solver(mesh, euler, bset, cfg)
             q = np.tile(q_inf, (mesh.n_nodes, 1))
-            q_new, rate, fallback = sol.step(q)
+            q_new, rate, fallback, _ = sol.step(q)
             assert np.abs(q_new - q).max() <= 1e-13 * np.abs(q).max()
             assert rate <= 1e-11
             assert fallback == 0
@@ -221,9 +221,9 @@ class TestStep:
         sol = solver.Solver(mesh, law, None, cfg)
         q = rng.standard_normal((mesh.n_nodes, 1))
         residual, _ = sol.assemble(q)
-        dt = sol.stable_dt(q)
-        q_new, _, _ = sol.step(q, dt=dt)
-        rate = sol.dual[:, None] * (q_new - q) / dt
+        q_new, _, _, dt = sol.step(q)
+        assert np.array_equal(dt, sol.stable_dt(q))
+        rate = sol.dual[:, None] * (q_new - q) / dt[:, None]
         assert np.abs(rate.sum(axis=0) + residual.sum(axis=0)).max() < 1e-11 * max(
             1.0, np.abs(residual).max()
         )
@@ -237,7 +237,7 @@ class TestStep:
         bset.apply(q)
         lo, hi = q.min(), q.max()
         for _ in range(50):
-            q, _, _ = sol.step(q)
+            q = sol.step(q)[0]
             assert q.min() >= lo - 1e-12 and q.max() <= hi + 1e-12
 
 
@@ -247,8 +247,10 @@ class TestStableDt:
         for n in (8, 16, 32):
             mesh, law, _ = scalar_problem(n, n)
             sol = solver.Solver(mesh, law, None, SolverConfig(scheme="n"))
-            q = np.zeros((mesh.n_nodes, 1))
-            dts.append(sol.stable_dt(q))
+            dt = sol.stable_dt(np.zeros((mesh.n_nodes, 1)))
+            # A global step is one value, at every node.
+            assert dt.shape == (mesh.n_nodes,) and (dt == dt[0]).all()
+            dts.append(dt[0])
         assert np.isclose(dts[0] / dts[1], 2.0, rtol=0.05)
         assert np.isclose(dts[1] / dts[2], 2.0, rtol=0.05)
 
@@ -266,7 +268,8 @@ class TestStableDt:
         d = np.zeros(mesh.n_nodes)
         np.add.at(d, tris, s[:, None] * np.hypot(normals[..., 0], normals[..., 1]))
         expected = 0.7 * (2.0 * np.asarray(mesh.dual_areas) / d).min()
-        assert np.isclose(dt, expected, rtol=1e-13, atol=0.0)
+        assert dt.shape == (mesh.n_nodes,)
+        assert np.allclose(dt, expected, rtol=1e-13, atol=0.0)
 
     def test_local_time_stepping_dominates_global(self, rng):
         mesh, law, _ = scalar_problem()
@@ -278,8 +281,9 @@ class TestStableDt:
         dt_global = solver.Solver(
             mesh, law, None, SolverConfig(scheme="rxn")
         ).stable_dt(q)
+        assert dt_global.shape == (mesh.n_nodes,) and (dt_global == dt_global[0]).all()
         assert (dt >= dt_global * (1.0 - 1e-12)).all()
-        assert np.isclose(dt.min(), dt_global, rtol=1e-12)
+        assert np.isclose(dt.min(), dt_global[0], rtol=1e-12)
 
     @pytest.mark.parametrize("lts", [False, True], ids=["global", "local"])
     def test_advection_step_computed_once(self, rng, lts):
@@ -291,9 +295,8 @@ class TestStableDt:
         sol = solver.Solver(mesh, law, None, cfg)
         d = sol._inflow_coefficients(None, sol.k_static)
         pos = d > 0.0
-        expected = 0.7 * (2.0 * sol.dual[pos] / d[pos]).min()
+        expected = np.full(mesh.n_nodes, 0.7 * (2.0 * sol.dual[pos] / d[pos]).min())
         if lts:
-            expected = np.full(mesh.n_nodes, expected)
             expected[pos] = 0.7 * 2.0 * sol.dual[pos] / d[pos]
         dt = sol.stable_dt(rng.standard_normal((mesh.n_nodes, 1)))
         assert np.array_equal(dt, expected) and np.shape(dt) == np.shape(expected)
@@ -364,9 +367,9 @@ class TestMarch:
         class GrowingSolver(solver.Solver):
             level = 1.0
 
-            def step(self, q, dt=None, sweep=None):
+            def step(self, q):
                 type(self).level *= 10.0
-                return q, type(self).level, 0
+                return q, type(self).level, 0, self.stable_dt(q)
 
         cfg = SolverConfig(scheme="n", limited=False, corrected=False,
                            divergence_factor=50.0, max_iters=100)
@@ -546,7 +549,9 @@ class TestMeshStaticData:
                            local_time_stepping=lts)
         sol = solver.Solver(mesh, law, bset, cfg)
         res = sol.march(np.zeros((mesh.n_nodes, 1)))
-        assert np.ndim(sol.dt_static) == int(lts)
+        assert sol.dt_static.shape == (mesh.n_nodes,)
+        # A global step is one value at every node, a local one is not.
+        assert (sol.dt_static == sol.dt_static[0]).all() != lts
         t, expected = 0.0, []
         for _ in range(12):
             t += float(np.min(sol.dt_static))

@@ -1,6 +1,7 @@
 """The self-check suites run the code the march runs."""
 
 import numpy as np
+import pytest
 
 from rdflux import distribution as dist
 from rdflux import physics, verify
@@ -70,3 +71,11 @@ def test_conservation_suite_pins_the_n_star_solve(monkeypatch):
     monkeypatch.setattr(dist, "solve_batched", inexact)
     result = verify.suite_conservation(0, n=200)
     assert not result.passed, result.row()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_suite_passes(seed):
+    # The suites of ``rdflux verify``, run as the command runs them.
+    results = verify.run_all(seed)
+    assert [r.name for r in results] == list(verify.SUITES)
+    assert all(r.passed for r in results), [r.row() for r in results if not r.passed]
